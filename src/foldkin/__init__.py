@@ -58,17 +58,12 @@ from .models import (
     truss_kernel,
 )
 from .spatial import (
-    AxisProjection,
-    HingeEmbedding,
-    RigidTransfer,
-    SpatialVector,
+    axis_projection,
     cross_matrix,
-    edge_projection,
-    hinge_embedding,
+    hinge_twist,
     orthonormal_triad,
-    rigid_transfer,
+    point_velocity_blocks,
     transfer_matrix,
-    velocity_at_point,
 )
 from .surface import OrigamiSurface, base_homology, build_surface
 

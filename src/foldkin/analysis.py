@@ -21,7 +21,7 @@ from .cosheaf import COMPLEX_TOL
 from .errors import WellDefinednessViolation
 from .fold_io import canonical_json
 from .linalg import DEFAULT_TOL, svd_rank
-from .maps import ExactSequence, build_exact_sequence, truss_evaluation_matrix
+from .maps import ExactSequence, build_exact_sequence, corner_velocities
 from .models import build_constant_model, stiffen, truss_kernel
 from .surface import OrigamiSurface, base_homology
 
@@ -85,8 +85,7 @@ def eta_image(seq: ExactSequence, linkage) -> np.ndarray:
     basis = seq.spatial_h2()
     if basis.dim == 0:
         return np.zeros((3 * linkage.num_points, 0))
-    evaluation = truss_evaluation_matrix(seq, linkage)
-    image = evaluation @ basis.basis
+    _, image = corner_velocities(linkage, basis.basis)
     residual = np.abs(linkage.matrix @ image).max(initial=0.0)
     if residual > 1e-8 * max(1.0, np.abs(image).max(initial=0.0)):
         raise WellDefinednessViolation(

@@ -8,7 +8,8 @@ Subcommands::
     foldkin serial <n>                      serial-chain agreement residuals
 
 Exit codes: 0 all checks pass, 1 a structural check or obstruction failed,
-2 the input could not be parsed or built.  Solution vectors are JSON
+2 the input could not be parsed or built, 3 an internal error (a fault in
+foldkin itself, not in the input).  Solution vectors are JSON
 objects keyed by cell ids: ``e<i>`` for interior edges (hinge rates),
 ``f<i>`` for faces (six spatial values), ``v<i>`` / ``a<j>`` for truss
 vertex and face-apex velocities (three values each).  Edge indices
@@ -46,6 +47,7 @@ from .surface import OrigamiSurface
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 # --- solution vector files ---
@@ -305,9 +307,9 @@ def main(argv=None) -> int:
     except FoldkinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except Exception as exc:  # malformed input must never surface a traceback
+    except Exception as exc:  # a fault in foldkin, reported without a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_INTERNAL_ERROR
 
 
 def entry():

@@ -49,13 +49,7 @@ from .models import (
     pinned,
     pinned_map,
 )
-from .spatial import (
-    SpatialVector,
-    cross_matrix,
-    hinge_embedding,
-    transfer_matrix,
-    velocity_at_point,
-)
+from .spatial import hinge_twist, point_velocity_blocks, transfer_matrix
 from .surface import OrigamiSurface
 
 OBSTRUCTION_TOL = 1e-8
@@ -95,11 +89,11 @@ class ConversionReport:
 def _iota_components(surface, hinge, rigid):
     comps = {}
     for e in surface.interior_edges():
-        comps[(1, e)] = hinge_embedding(surface.edge_axis(e)).matrix
-    block = np.zeros((6, 3))
-    block[:3, :] = np.eye(3)
+        comps[(1, e)] = hinge_twist(surface.edge_axis(e))[:, None]
+    # A vertex stalk holds an angular velocity; it enters as [omega, 0].
+    angular = np.eye(6, 3)
     for v in surface.interior_vertices():
-        comps[(0, v)] = block
+        comps[(0, v)] = angular
     return CosheafMap(source=hinge.cosheaf, target=rigid.cosheaf,
                       components=comps)
 
@@ -112,7 +106,8 @@ def _pi_components(surface, rigid, spatial):
         comps[(2, f)] = np.eye(6)
     for e in surface.interior_edges():
         comps[(1, e)] = edge_projection_matrix(surface, e)
-    lin = np.hstack([np.zeros((3, 3)), np.eye(3)])
+    # Velocity of the anchor point itself: zero lever arm.
+    lin = point_velocity_blocks(np.zeros(3))
     for v in surface.interior_vertices():
         comps[(0, v)] = lin
     return CosheafMap(source=rigid.cosheaf, target=spatial.cosheaf,
@@ -290,14 +285,24 @@ def hinge_to_spatial(seq: ExactSequence, sol: ModelSolution,
 
 # --- spatial <-> truss ---
 
-def _face_spatial_vectors(seq_or_surface, values) -> list[SpatialVector]:
-    surface = getattr(seq_or_surface, "surface", seq_or_surface)
-    out = []
-    for f in range(surface.num_faces):
-        chunk = values[6 * f:6 * f + 6]
-        out.append(SpatialVector(omega=chunk[:3], beta=chunk[3:],
-                                 anchor=surface.centroid((2, f))))
-    return out
+def corner_velocities(linkage: StiffenedLinkage,
+                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate face spatial velocities at the truss corners.
+
+    ``values`` holds six rows per face and one column per motion.
+    Returns the velocity every corner receives from its own face, shape
+    ``(corners, 3, motions)``, and the truss vectors, shape
+    ``(3 * points, motions)``, in which each point takes the velocity of
+    its first corner: its first incident face, or its own face for an
+    apex.  On solution cycles all corners of a point agree.
+    """
+    motions = values.shape[1]
+    at_corner = np.einsum("cij,cjk->cik", linkage.corner_block,
+                          values.reshape(-1, 6, motions)[linkage.corner_face])
+    _, first = np.unique(linkage.corner_point, return_index=True)
+    at_point = np.zeros((linkage.num_points, 3, motions))
+    at_point[linkage.corner_point[first]] = at_corner[first]
+    return at_corner, at_point.reshape(-1, motions)
 
 
 def spatial_to_truss(seq: ExactSequence, linkage: StiffenedLinkage,
@@ -306,61 +311,24 @@ def spatial_to_truss(seq: ExactSequence, linkage: StiffenedLinkage,
                      agreement_tol: float = 1e-10) -> ModelSolution:
     """Evaluate a spatial solution as vertex velocities of the truss.
 
-    Every vertex takes the velocity induced by any incident face; for a
-    true solution all incident faces agree, which is asserted.  Apex
-    vertices take the velocity induced by their own face.
+    Every vertex takes the velocity induced by its first incident face;
+    for a true solution all incident faces agree, which is asserted.
+    Apex vertices take the velocity induced by their own face.
     """
     _require_cycle(sol, cycle_tol)
-    surface = seq.surface
-    nus = _face_spatial_vectors(surface, sol.coefficients)
     scale = max(1.0, float(np.max(np.abs(sol.coefficients), initial=0.0)))
-
-    y = np.zeros(3 * linkage.num_points)
-    seen = np.zeros(surface.num_vertices, dtype=bool)
-    for f, cycle in enumerate(surface.faces):
-        for v in cycle:
-            value = velocity_at_point(nus[f], surface.vertices[v])
-            if seen[v]:
-                gap = float(np.max(np.abs(y[3 * v:3 * v + 3] - value)))
-                if gap > agreement_tol * scale:
-                    raise WellDefinednessViolation(
-                        f"vertex {v} velocity differs across faces by {gap:.3e}")
-            else:
-                y[3 * v:3 * v + 3] = value
-                seen[v] = True
-    for f in range(surface.num_faces):
-        apex = linkage.apex_of_face[f]
-        y[3 * apex:3 * apex + 3] = velocity_at_point(nus[f], linkage.points[apex])
-
+    at_corner, y = corner_velocities(linkage, sol.coefficients[:, None])
+    y = y[:, 0]
+    gaps = np.abs(at_corner[:, :, 0]
+                  - y.reshape(-1, 3)[linkage.corner_point]).max(axis=1)
+    bad = np.flatnonzero(gaps > agreement_tol * scale)
+    if bad.size:
+        c = bad[0]
+        raise WellDefinednessViolation(
+            f"vertex {linkage.corner_point[c]} velocity differs across faces "
+            f"by {gaps[c]:.3e}")
     residual = float(np.max(np.abs(linkage.matrix @ y), initial=0.0))
     return ModelSolution(model="truss", coefficients=y, residual=residual)
-
-
-def truss_evaluation_matrix(seq: ExactSequence,
-                            linkage: StiffenedLinkage) -> np.ndarray:
-    """Linear map from face spatial values to truss vertex velocities.
-
-    Each original vertex row block reads off the velocity induced by its
-    first incident face (on solution cycles all incident faces agree);
-    apex rows read their own face.  Lets a whole solution basis transfer
-    in one matrix product.
-    """
-    surface = seq.surface
-    m = np.zeros((3 * linkage.num_points, 6 * surface.num_faces))
-    seen = np.zeros(surface.num_vertices, dtype=bool)
-    for f, cycle in enumerate(surface.faces):
-        anchor = surface.centroid((2, f))
-        for v in cycle:
-            if not seen[v]:
-                r = surface.vertices[v] - anchor
-                m[3 * v:3 * v + 3, 6 * f:6 * f + 3] = -cross_matrix(r)
-                m[3 * v:3 * v + 3, 6 * f + 3:6 * f + 6] = np.eye(3)
-                seen[v] = True
-        apex = linkage.apex_of_face[f]
-        r = linkage.points[apex] - anchor
-        m[3 * apex:3 * apex + 3, 6 * f:6 * f + 3] = -cross_matrix(r)
-        m[3 * apex:3 * apex + 3, 6 * f + 3:6 * f + 6] = np.eye(3)
-    return m
 
 
 def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
@@ -383,21 +351,14 @@ def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
     if residual > cycle_tol * scale:
         raise NotACycle(f"truss vector stretches a bar (residual {residual:.3e})")
 
-    surface = seq.surface
-    values = np.zeros(6 * surface.num_faces)
-    for f, cycle in enumerate(surface.faces):
-        ids = list(cycle) + [linkage.apex_of_face[f]]
-        rows, rhs = [], []
-        anchor = surface.centroid((2, f))
-        for pid in ids:
-            r = linkage.points[pid] - anchor
-            block = np.zeros((3, 6))
-            block[:, :3] = -cross_matrix(r)
-            block[:, 3:] = np.eye(3)
-            rows.append(block)
-            rhs.append(y[3 * pid:3 * pid + 3])
-        a = np.vstack(rows)
-        b = np.concatenate(rhs)
+    # Corners are listed face by face, so each face's rows are one run.
+    runs = np.flatnonzero(np.diff(linkage.corner_face)) + 1
+    observed = y.reshape(-1, 3)[linkage.corner_point]
+    values = np.zeros(6 * seq.surface.num_faces)
+    for f, (blocks, rhs) in enumerate(zip(np.split(linkage.corner_block, runs),
+                                          np.split(observed, runs))):
+        a = blocks.reshape(-1, 6)
+        b = rhs.ravel()
         fit, *_ = np.linalg.lstsq(a, b, rcond=None)
         err = float(np.max(np.abs(a @ fit - b), initial=0.0))
         if err > fit_tol * scale:
@@ -505,36 +466,30 @@ def serial_chain_operators(surface: OrigamiSurface,
         raise InvalidParams("chain needs at least one hinge")
     faces = chain.face_order
     hinges = chain.hinge_order
-    p_face = [surface.centroid((2, f)) for f in faces]
-    p_edge = [surface.centroid((1, e)) for e in hinges]
+    p_face = np.array([surface.centroid((2, f)) for f in faces])
+    p_edge = np.array([surface.centroid((1, e)) for e in hinges])
 
     for e in hinges:
         if np.linalg.norm(surface.edge_vector(e)) == 0.0:
             raise DegenerateHinge(f"hinge {e} has zero length")
 
-    psi = np.zeros((6 * n, 6 * n))
-    for i in range(n):           # body f_{i+1} row
-        for j in range(i + 1):   # hinge e_{j+1} column
-            psi[6 * i:6 * i + 6, 6 * j:6 * j + 6] = transfer_matrix(
-                p_edge[j], p_face[i + 1])
+    # Block (i, j): hinge e_{j+1} seen from body f_{i+1}, zero for j > i.
+    blocks = transfer_matrix(p_edge[None, :], p_face[1:, None])
+    blocks[np.triu_indices(n, 1)] = 0.0
+    psi = blocks.transpose(0, 2, 1, 3).reshape(6 * n, 6 * n)
 
-    psi_inv = np.zeros((6 * n, 6 * n))
-    for i in range(n):
-        psi_inv[6 * i:6 * i + 6, 6 * i:6 * i + 6] = transfer_matrix(
-            p_face[i + 1], p_edge[i])
-        if i + 1 < n:
-            psi_inv[6 * (i + 1):6 * (i + 1) + 6, 6 * i:6 * i + 6] = \
-                -transfer_matrix(p_face[i + 1], p_edge[i + 1])
+    diag = np.arange(n)
+    psi_inv = np.zeros((n, 6, n, 6))
+    psi_inv[diag, :, diag] = transfer_matrix(p_face[1:], p_edge)
+    psi_inv[diag[1:], :, diag[:-1]] = -transfer_matrix(p_face[1:-1], p_edge[1:])
+    psi_inv = psi_inv.reshape(6 * n, 6 * n)
 
-    iota = np.zeros((6 * n, n))
-    for i, e in enumerate(hinges):
-        iota[6 * i:6 * i + 6, i] = hinge_embedding(surface.edge_axis(e)).matrix[:, 0]
+    iota = np.zeros((n, 6, n))
+    iota[diag, :, diag] = [hinge_twist(surface.edge_axis(e)) for e in hinges]
+    iota = iota.reshape(6 * n, n)
 
-    # The identity factor re-indexes between edge-anchored and
-    # face-anchored block coordinates; kept literal for auditability.
-    reindex = np.eye(6 * n)
-    d = reindex @ psi @ iota
-    d_pinv = iota.T @ psi_inv @ reindex
+    d = psi @ iota
+    d_pinv = iota.T @ psi_inv
 
     gap = np.max(np.abs(psi_inv @ psi - np.eye(6 * n)))
     if gap > 1e-12 * max(1.0, np.max(np.abs(psi))):
@@ -568,7 +523,7 @@ def propagate_chain(ops: SerialChainOperators, rates) -> np.ndarray:
         p_e = surface.centroid((1, e))
         step = transfer_matrix(p_prev, p_next) @ nu
         hinge = transfer_matrix(p_e, p_next) @ (
-            hinge_embedding(surface.edge_axis(e)).matrix[:, 0] * rates[i])
+            hinge_twist(surface.edge_axis(e)) * rates[i])
         nu = step + hinge
         out[6 * i:6 * i + 6] = nu
     return out

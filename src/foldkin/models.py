@@ -32,7 +32,7 @@ from .cosheaf import (
 )
 from .errors import DegenerateFace
 from .linalg import DEFAULT_TOL, nullspace
-from .spatial import cross_matrix, transfer_matrix
+from .spatial import axis_projection, point_velocity_blocks, transfer_matrix
 from .surface import Cell, OrigamiSurface
 
 
@@ -82,12 +82,7 @@ def edge_projection_matrix(surface: OrigamiSurface, e: int) -> np.ndarray:
     Single source of truth: the spatial model's extensions and the
     rigid-to-spatial quotient components must agree bitwise.
     """
-    _, m, n = surface.edge_frame(e)
-    proj = np.zeros((5, 6))
-    proj[0, :3] = m
-    proj[1, :3] = n
-    proj[2:, 3:] = np.eye(3)
-    return proj
+    return axis_projection(surface.edge_frame(e))
 
 
 def _spatial_edge_to_vertex(surface, e, v) -> np.ndarray:
@@ -97,19 +92,8 @@ def _spatial_edge_to_vertex(surface, e, v) -> np.ndarray:
     axis, then linear); the axis component of the angular velocity drops
     because the vertex lies on the hinge line.
     """
-    _, m, n = surface.edge_frame(e)
     r = surface.vertices[v] - surface.centroid((1, e))
-    out = np.zeros((3, 5))
-    out[:, 0] = np.cross(m, r)
-    out[:, 1] = np.cross(n, r)
-    out[:, 2:] = np.eye(3)
-    return out
-
-
-def _face_to_point_velocity(surface, f, point) -> np.ndarray:
-    """3x6 map from a face spatial velocity to the velocity of a point."""
-    r = point - surface.centroid((2, f))
-    return np.hstack([-cross_matrix(r), np.eye(3)])
+    return point_velocity_blocks(r) @ edge_projection_matrix(surface, e).T
 
 
 def build_spatial_model(surface: OrigamiSurface) -> ModelBundle:
@@ -142,8 +126,8 @@ def build_spatial_model(surface: OrigamiSurface) -> ModelBundle:
     for f, cycle in enumerate(surface.faces):
         for v in cycle:
             if surface.interior_vertex[v]:
-                exts[((2, f), (0, v))] = _face_to_point_velocity(
-                    surface, f, surface.vertices[v])
+                exts[((2, f), (0, v))] = point_velocity_blocks(
+                    surface.vertices[v] - surface.centroid((2, f)))
     return _bundle("spatial", surface, stalks, exts)
 
 
@@ -230,6 +214,12 @@ class StiffenedLinkage:
     are deduplicated.  ``matrix`` is the length-preservation Jacobian:
     one row per bar, three columns per vertex of the extended complex,
     row entries ``+l_e`` at the head and ``-l_e`` at the tail.
+
+    A corner is one point of one face's group (its vertices in cycle
+    order, then its apex); corners are listed face by face.  A face's
+    spatial velocity gives the corner point the velocity
+    ``corner_block @ nu``, which is how spatial solutions are read off
+    at truss points and fitted back.
     """
 
     surface: OrigamiSurface
@@ -237,6 +227,9 @@ class StiffenedLinkage:
     bars: list[tuple[int, int]]          # u < v over extended ids
     apex_of_face: list[int]              # face index -> extended vertex id
     matrix: np.ndarray                   # (|E'|, 3 |V'|)
+    corner_face: np.ndarray              # (C,) face of each corner
+    corner_point: np.ndarray             # (C,) extended vertex id
+    corner_block: np.ndarray             # (C, 3, 6) [-[r]x, I], r from centroid
 
     @property
     def num_points(self) -> int:
@@ -276,6 +269,7 @@ def stiffen(surface: OrigamiSurface, tol: float = DEFAULT_TOL) -> StiffenedLinka
     nv = surface.num_vertices
     points = [surface.vertices[v] for v in range(nv)]
     apex_of_face = []
+    corner_point: list[int] = []
     bar_set: set[tuple[int, int]] = set(surface.edges)
 
     for f, cycle in enumerate(surface.faces):
@@ -288,6 +282,7 @@ def stiffen(surface: OrigamiSurface, tol: float = DEFAULT_TOL) -> StiffenedLinka
         points.append(apex)
         apex_of_face.append(apex_id)
         group = list(cycle) + [apex_id]
+        corner_point.extend(group)
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 a, b = group[i], group[j]
@@ -301,8 +296,18 @@ def stiffen(surface: OrigamiSurface, tol: float = DEFAULT_TOL) -> StiffenedLinka
         axis = axis / np.linalg.norm(axis)
         m[row, 3 * v:3 * v + 3] = axis
         m[row, 3 * u:3 * u + 3] = -axis
+
+    corner_face = np.repeat(np.arange(surface.num_faces),
+                            [len(cycle) + 1 for cycle in surface.faces])
+    corner_point = np.asarray(corner_point)
+    centroids = np.array([surface.centroid((2, f))
+                          for f in range(surface.num_faces)])
+    corner_block = point_velocity_blocks(points[corner_point]
+                                         - centroids[corner_face])
     return StiffenedLinkage(surface=surface, points=points, bars=bars,
-                            apex_of_face=apex_of_face, matrix=m)
+                            apex_of_face=apex_of_face, matrix=m,
+                            corner_face=corner_face, corner_point=corner_point,
+                            corner_block=corner_block)
 
 
 def truss_kernel(linkage: StiffenedLinkage,

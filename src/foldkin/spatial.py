@@ -1,20 +1,27 @@
-"""Spatial (screw) vector algebra.
+"""Spatial (screw) vector algebra on bare arrays.
 
 A spatial velocity is a 6-vector ``[omega, beta]`` pairing an angular and
 a linear velocity, always understood relative to a frame anchored at some
-point in space.  This module provides the operators that move such
-vectors around a rigid body: the cross-product matrix, the 6x6 transfer
-operator between anchor points, the embedding of a scalar hinge rate
-along an axis, the 5x6 projection that forgets rotation about an axis,
-and the point-velocity evaluation used by the truss conversion.
+point in space.  Each screw-algebra formula the models use is defined
+here once, as a function of plain arrays:
 
-Frame rotations are fixed to the identity throughout; only anchor points
-differ between frames, which is all first-order analysis requires.
+* :func:`cross_matrix` - the 3x3 matrix of ``w x .``;
+* :func:`point_velocity_blocks` - the 3x6 block ``[-[r]x, I]`` giving the
+  velocity of the point at lever arm ``r`` from the anchor;
+* :func:`transfer_matrix` - the 6x6 operator moving a spatial velocity
+  from one anchor point to another, whose linear rows are that block;
+* :func:`orthonormal_triad` and :func:`axis_projection` - the 5x6
+  projection that forgets rotation about a hinge axis;
+* :func:`hinge_twist` - the unit twist of a hinge, rotation about its
+  axis.
+
+The first three broadcast over leading axes, so a stack of points costs
+one call.  Frame rotations are fixed to the identity throughout; only
+anchor points differ between frames, which is all first-order analysis
+requires.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,57 +31,46 @@ _AXIS_TOL = 1e-12
 
 
 def cross_matrix(omega) -> np.ndarray:
-    """3x3 antisymmetric matrix with ``cross_matrix(w) @ a == cross(w, a)``."""
-    w1, w2, w3 = np.asarray(omega, dtype=float)
-    return np.array([
-        [0.0, -w3, w2],
-        [w3, 0.0, -w1],
-        [-w2, w1, 0.0],
-    ])
+    """Antisymmetric matrix with ``cross_matrix(w) @ a == cross(w, a)``.
+
+    ``omega`` of shape ``(..., 3)`` gives shape ``(..., 3, 3)``.
+    """
+    w = np.asarray(omega, dtype=float)
+    out = np.zeros(w.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -w[..., 2]
+    out[..., 0, 2] = w[..., 1]
+    out[..., 1, 0] = w[..., 2]
+    out[..., 1, 2] = -w[..., 0]
+    out[..., 2, 0] = -w[..., 1]
+    out[..., 2, 1] = w[..., 0]
+    return out
 
 
-@dataclass(frozen=True)
-class SpatialVector:
-    """Angular + linear velocity observed in a frame anchored at a point."""
+def point_velocity_blocks(levers) -> np.ndarray:
+    """Blocks ``[-[r]x, I]`` mapping a spatial velocity to the velocity
+    ``beta + omega x r`` of the point at lever arm ``r`` from its anchor.
 
-    omega: np.ndarray
-    beta: np.ndarray
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.omega, self.beta])
-
-
-@dataclass(frozen=True)
-class RigidTransfer:
-    """6x6 operator moving a spatial velocity between two anchor points."""
-
-    from_point: np.ndarray
-    to_point: np.ndarray
-    matrix: np.ndarray
-
-    def __call__(self, nu: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(nu, dtype=float)
-
-
-def rigid_transfer(from_point, to_point) -> RigidTransfer:
-    """Transfer operator sending ``[w, b]`` at ``from_point`` to
-    ``[w, w x (to - from) + b]`` at ``to_point``."""
-    p = np.asarray(from_point, dtype=float)
-    q = np.asarray(to_point, dtype=float)
-    m = np.eye(6)
-    m[3:, :3] = cross_matrix(p - q)
-    return RigidTransfer(from_point=p, to_point=q, matrix=m)
+    ``levers`` of shape ``(..., 3)`` gives shape ``(..., 3, 6)``.
+    """
+    r = np.asarray(levers, dtype=float)
+    out = np.zeros(r.shape[:-1] + (3, 6))
+    out[..., :3] = -cross_matrix(r)
+    out[..., 3:] = np.eye(3)
+    return out
 
 
 def transfer_matrix(from_point, to_point) -> np.ndarray:
-    """Bare 6x6 matrix of :func:`rigid_transfer`."""
-    return rigid_transfer(from_point, to_point).matrix
+    """Operator sending ``[w, b]`` at ``from_point`` to
+    ``[w, w x (to - from) + b]`` at ``to_point``: the angular part is
+    kept and the linear part is the velocity of the new anchor point.
+
+    Points of shape ``(..., 3)`` broadcast to shape ``(..., 6, 6)``.
+    """
+    lever = np.asarray(to_point, dtype=float) - np.asarray(from_point, dtype=float)
+    out = np.zeros(lever.shape[:-1] + (6, 6))
+    out[..., :3, :3] = np.eye(3)
+    out[..., 3:, :] = point_velocity_blocks(lever)
+    return out
 
 
 def _unit_axis(axis) -> np.ndarray:
@@ -85,23 +81,10 @@ def _unit_axis(axis) -> np.ndarray:
     return axis / n
 
 
-@dataclass(frozen=True)
-class HingeEmbedding:
-    """6x1 embedding of a scalar hinge rate as rotation about an axis."""
-
-    axis: np.ndarray
-    matrix: np.ndarray
-
-    def __call__(self, rate: float) -> np.ndarray:
-        return self.matrix[:, 0] * float(rate)
-
-
-def hinge_embedding(axis) -> HingeEmbedding:
-    """Embed ``rate`` as the pure angular velocity ``rate * axis``."""
-    axis = _unit_axis(axis)
-    m = np.zeros((6, 1))
-    m[:3, 0] = axis
-    return HingeEmbedding(axis=axis, matrix=m)
+def hinge_twist(axis) -> np.ndarray:
+    """Unit twist ``[l, 0]`` of a hinge turning at unit rate about the
+    unit axis ``l`` through the anchor point."""
+    return np.concatenate([_unit_axis(axis), np.zeros(3)])
 
 
 def orthonormal_triad(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,37 +104,16 @@ def orthonormal_triad(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return l, m, n
 
 
-@dataclass(frozen=True)
-class AxisProjection:
-    """5x6 projection onto the complement of rotation about an axis.
+def axis_projection(triad) -> np.ndarray:
+    """5x6 projection killing exactly the twist of the triad's axis.
 
-    Rows are orthonormal; the angular part of the image is expressed in
-    the two triad directions orthogonal to the axis and the linear part
-    is passed through unchanged.
+    Rows are orthonormal: the angular part of the image is expressed in
+    the two triad directions ``m, n`` orthogonal to the axis, and the
+    linear part is passed through unchanged.
     """
-
-    axis: np.ndarray
-    matrix: np.ndarray
-
-    def __call__(self, nu: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(nu, dtype=float)
-
-
-def edge_projection(axis) -> AxisProjection:
-    """Projection killing exactly ``span{[axis, 0]}`` inside R^6."""
-    l, m, n = orthonormal_triad(axis)
-    p = np.zeros((5, 6))
-    p[0, :3] = m
-    p[1, :3] = n
-    p[2:, 3:] = np.eye(3)
-    return AxisProjection(axis=l, matrix=p)
-
-
-def velocity_at_point(nu: SpatialVector, point) -> np.ndarray:
-    """Linear velocity a rigid motion induces at a point.
-
-    Transfers ``nu`` from its anchor to ``point`` and keeps the linear
-    part: ``beta + omega x (point - anchor)``.
-    """
-    r = np.asarray(point, dtype=float) - nu.anchor
-    return nu.beta + np.cross(nu.omega, r)
+    _, m, n = triad
+    out = np.zeros((5, 6))
+    out[0, :3] = m
+    out[1, :3] = n
+    out[2:, 3:] = np.eye(3)
+    return out

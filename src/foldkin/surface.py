@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate, NonManifold, NonOrientable
+from .errors import Degenerate, IndexOutOfRange, NonManifold, NonOrientable
 from .linalg import DEFAULT_TOL, svd_rank
 from .spatial import orthonormal_triad
 
@@ -284,7 +284,7 @@ def build_surface(vertices, faces, tol: float = DEFAULT_TOL) -> OrigamiSurface:
 
     Raises
     ------
-    NonManifold, NonOrientable, Degenerate
+    NonManifold, NonOrientable, Degenerate, IndexOutOfRange
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] != 3:
@@ -299,7 +299,7 @@ def build_surface(vertices, faces, tol: float = DEFAULT_TOL) -> OrigamiSurface:
         if len(cycle) < 3 or len(set(cycle)) != len(cycle):
             raise Degenerate(f"face {f} must list at least 3 distinct vertices")
         if any(v < 0 or v >= nv for v in cycle):
-            raise IndexError(f"face {f} references a missing vertex")
+            raise IndexOutOfRange(f"face {f} references a missing vertex")
 
     edges, edge_faces = _derive_edges(faces)
     for i, fs in enumerate(edge_faces):

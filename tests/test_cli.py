@@ -176,3 +176,13 @@ def test_convert_non_cycle_exits_1(tmp_path, capsys):
     code = main(["convert", path, "--input-solution", str(sol_path),
                  "--from", "hinge", "--to", "spatial"])
     assert code == 1
+
+
+def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("foldkin.cli.analyze_surface", broken)
+    path = write_doc(tmp_path, generate("grid", 2, 2))
+    assert main(["analyze", path]) == 3
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err

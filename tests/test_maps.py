@@ -8,6 +8,7 @@ from foldkin import (
     hinge_solution,
     hinge_to_spatial,
     hinge_to_truss,
+    hinge_twist,
     induced_map,
     pinned_chain_connecting_matrix,
     propagate_chain,
@@ -18,9 +19,14 @@ from foldkin import (
     transfer_matrix,
     truss_to_spatial,
 )
-from foldkin.errors import InvalidParams, NonRigidMotion, NotACycle
+from foldkin.analysis import eta_image
+from foldkin.errors import (
+    InvalidParams,
+    NonRigidMotion,
+    NotACycle,
+    WellDefinednessViolation,
+)
 from foldkin.linalg import column_space, nullspace, subspace_residual, svd_rank
-from foldkin.maps import hinge_embedding
 
 from conftest import square_hole_grid, surface_of, two_panels
 
@@ -245,6 +251,19 @@ def test_spatial_basis_maps_to_truss_kernel_basis(any_surface):
         images.append(out.coefficients)
     image = np.column_stack(images)
     assert svd_rank(image) == kernel.dim == basis.dim
+    assert np.abs(image - eta_image(seq, linkage)).max() < 1e-12
+
+
+def test_spatial_to_truss_rejects_disagreeing_faces(rng):
+    # A random face vector is no cycle: incident faces move a shared
+    # vertex differently, which the agreement check must catch even when
+    # the cycle check is switched off.
+    s = surface_of("grid", 2, 2)
+    seq = build_exact_sequence(s)
+    linkage = stiffen(s)
+    sol = spatial_solution(seq, rng.normal(size=6 * s.num_faces))
+    with pytest.raises(WellDefinednessViolation):
+        spatial_to_truss(seq, linkage, sol, cycle_tol=np.inf)
 
 
 def test_truss_round_trip(rng, any_surface):
@@ -374,7 +393,7 @@ def test_single_hinge_chain_operator():
     e = chain.hinge_order[0]
     f = chain.face_order[1]
     expect = transfer_matrix(s.centroid((1, e)), s.centroid((2, f))) \
-        @ hinge_embedding(s.edge_axis(e)).matrix
+        @ hinge_twist(s.edge_axis(e))[:, None]
     assert ops.d.shape == (6, 1)
     assert np.abs(ops.d - expect).max() < 1e-13
 

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from foldkin import (
-    SpatialVector,
+    axis_projection,
     cross_matrix,
-    edge_projection,
-    hinge_embedding,
+    hinge_twist,
     orthonormal_triad,
-    rigid_transfer,
-    velocity_at_point,
+    point_velocity_blocks,
+    transfer_matrix,
 )
 from foldkin.errors import ZeroAxis
+
+
+def projection(axis):
+    return axis_projection(orthonormal_triad(axis))
 
 
 def test_cross_matrix_zero():
@@ -26,10 +29,12 @@ def test_cross_matrix_layout():
 
 
 def test_cross_matrix_matches_cross_product(rng):
-    for _ in range(100):
-        w = rng.normal(size=3)
-        a = rng.normal(size=3)
-        assert np.abs(cross_matrix(w) @ a - np.cross(w, a)).max() < 1e-14
+    w, a = rng.normal(size=(2, 100, 3))
+    stacked = cross_matrix(w)
+    assert stacked.shape == (100, 3, 3)
+    for m, wi, ai in zip(stacked, w, a):
+        assert np.array_equal(m, cross_matrix(wi))
+        assert np.abs(m @ ai - np.cross(wi, ai)).max() < 1e-14
 
 
 def test_cross_matrix_antisymmetric(rng):
@@ -39,13 +44,12 @@ def test_cross_matrix_antisymmetric(rng):
 
 
 def test_rigid_transfer_same_point_is_identity():
-    op = rigid_transfer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    assert np.array_equal(op.matrix, np.eye(6))
+    op = transfer_matrix([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    assert np.array_equal(op, np.eye(6))
 
 
 def test_rigid_transfer_unit_case():
-    op = rigid_transfer([0, 0, 0], [1, 0, 0])
-    out = op(np.array([0, 0, 1, 0, 0, 0]))
+    out = transfer_matrix([0, 0, 0], [1, 0, 0]) @ np.array([0, 0, 1, 0, 0, 0])
     assert np.allclose(out[:3], [0, 0, 1])
     assert np.allclose(out[3:], [0, 1, 0])
 
@@ -53,35 +57,46 @@ def test_rigid_transfer_unit_case():
 def test_rigid_transfer_composition(rng):
     for _ in range(100):
         a, b, c = rng.normal(size=(3, 3))
-        lhs = rigid_transfer(b, c).matrix @ rigid_transfer(a, b).matrix
-        rhs = rigid_transfer(a, c).matrix
+        lhs = transfer_matrix(b, c) @ transfer_matrix(a, b)
+        rhs = transfer_matrix(a, c)
         assert np.abs(lhs - rhs).max() < 1e-13
 
 
 def test_rigid_transfer_inverse(rng):
     for _ in range(100):
         a, b = rng.normal(size=(2, 3))
-        prod = rigid_transfer(a, b).matrix @ rigid_transfer(b, a).matrix
+        prod = transfer_matrix(a, b) @ transfer_matrix(b, a)
         assert np.abs(prod - np.eye(6)).max() < 1e-13
 
 
+def test_rigid_transfer_broadcasts(rng):
+    a = rng.normal(size=(3, 1, 3))
+    b = rng.normal(size=(1, 4, 3))
+    stacked = transfer_matrix(a, b)
+    assert stacked.shape == (3, 4, 6, 6)
+    for i, j in np.ndindex(3, 4):
+        assert np.array_equal(stacked[i, j], transfer_matrix(a[i, 0], b[0, j]))
+
+
 def test_hinge_embedding_x_axis():
-    op = hinge_embedding([1, 0, 0])
-    assert np.array_equal(op.matrix[:, 0], [1, 0, 0, 0, 0, 0])
-    assert np.array_equal(op(1.0), [1, 0, 0, 0, 0, 0])
+    assert np.array_equal(hinge_twist([1, 0, 0]), [1, 0, 0, 0, 0, 0])
 
 
 def test_hinge_embedding_zero_rate():
-    assert np.array_equal(hinge_embedding([0, 1, 0])(0.0), np.zeros(6))
+    assert np.array_equal(hinge_twist([0, 1, 0]) * 0.0, np.zeros(6))
 
 
 def test_hinge_embedding_scales():
-    assert np.array_equal(hinge_embedding([0, 1, 0])(2.0), [0, 2, 0, 0, 0, 0])
+    # The twist is a unit rotation whatever the axis length; rates scale it.
+    assert np.array_equal(hinge_twist([0, 5, 0]), [0, 1, 0, 0, 0, 0])
+    assert np.array_equal(hinge_twist([0, 1, 0]) * 2.0, [0, 2, 0, 0, 0, 0])
 
 
 def test_hinge_embedding_zero_axis():
     with pytest.raises(ZeroAxis):
-        hinge_embedding([0, 0, 0])
+        hinge_twist([0, 0, 0])
+    with pytest.raises(ZeroAxis):
+        orthonormal_triad([0, 0, 0])
 
 
 def test_orthonormal_triad(rng):
@@ -97,21 +112,22 @@ def test_edge_projection_kills_axis(rng):
     for _ in range(100):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        p = edge_projection(axis)
-        assert np.abs(p(np.concatenate([axis, np.zeros(3)]))).max() < 1e-13
+        p = projection(axis)
+        assert np.abs(p @ np.concatenate([axis, np.zeros(3)])).max() < 1e-13
 
 
 def test_edge_projection_preserves_linear_norm(rng):
     for _ in range(50):
         axis = rng.normal(size=3)
         beta = rng.normal(size=3)
-        out = edge_projection(axis)(np.concatenate([np.zeros(3), beta]))
+        out = projection(axis) @ np.concatenate([np.zeros(3), beta])
         assert abs(np.linalg.norm(out) - np.linalg.norm(beta)) < 1e-13
 
 
 def test_edge_projection_rank_and_rows(rng):
     for _ in range(50):
-        p = edge_projection(rng.normal(size=3)).matrix
+        p = projection(rng.normal(size=3))
+        assert p.shape == (5, 6)
         s = np.linalg.svd(p, compute_uv=False)
         assert (s > 1e-9).sum() == 5
         assert np.abs(p @ p.T - np.eye(5)).max() < 1e-12
@@ -120,32 +136,32 @@ def test_edge_projection_rank_and_rows(rng):
 def test_projection_annihilates_embedding(rng):
     for _ in range(100):
         axis = rng.normal(size=3)
-        p = edge_projection(axis).matrix
-        i = hinge_embedding(axis).matrix
-        assert np.abs(p @ i).max() < 1e-13
+        assert np.abs(projection(axis) @ hinge_twist(axis)).max() < 1e-13
 
 
 def test_edge_projection_deterministic():
-    a = edge_projection([3.0, -1.0, 0.2]).matrix
-    b = edge_projection([3.0, -1.0, 0.2]).matrix
+    a = projection([3.0, -1.0, 0.2])
+    b = projection([3.0, -1.0, 0.2])
     assert np.array_equal(a, b)
 
 
 def test_velocity_at_point_pure_translation(rng):
     beta = rng.normal(size=3)
-    nu = SpatialVector(omega=np.zeros(3), beta=beta, anchor=rng.normal(size=3))
-    assert np.allclose(velocity_at_point(nu, rng.normal(size=3)), beta)
+    block = point_velocity_blocks(rng.normal(size=3))
+    assert np.allclose(block @ np.concatenate([np.zeros(3), beta]), beta)
 
 
 def test_velocity_at_point_unit_rotation():
-    nu = SpatialVector(omega=[0, 0, 1], beta=[0, 0, 0], anchor=[0, 0, 0])
-    assert np.allclose(velocity_at_point(nu, [1, 0, 0]), [0, 1, 0])
+    block = point_velocity_blocks([1, 0, 0])
+    assert np.allclose(block @ np.array([0, 0, 1, 0, 0, 0]), [0, 1, 0])
 
 
 def test_velocity_at_point_matches_transfer(rng):
-    for _ in range(100):
-        anchor, point = rng.normal(size=(2, 3))
-        vec = rng.normal(size=6)
-        nu = SpatialVector(omega=vec[:3], beta=vec[3:], anchor=anchor)
-        via_transfer = (rigid_transfer(anchor, point).matrix @ vec)[3:]
-        assert np.abs(velocity_at_point(nu, point) - via_transfer).max() < 1e-13
+    anchors, points = rng.normal(size=(2, 100, 3))
+    vecs = rng.normal(size=(100, 6))
+    blocks = point_velocity_blocks(points - anchors)
+    assert blocks.shape == (100, 3, 6)
+    for block, anchor, point, vec in zip(blocks, anchors, points, vecs):
+        via_transfer = (transfer_matrix(anchor, point) @ vec)[3:]
+        assert np.array_equal(block, point_velocity_blocks(point - anchor))
+        assert np.abs(block @ vec - via_transfer).max() < 1e-13

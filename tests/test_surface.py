@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from foldkin import base_homology, build_surface
-from foldkin.errors import Degenerate, NonManifold, NonOrientable
+from foldkin.errors import Degenerate, IndexOutOfRange, NonManifold, NonOrientable
 
 from conftest import square_hole_grid, surface_of, two_triangles
 
@@ -165,5 +165,5 @@ def test_centroids():
 
 
 def test_face_referencing_missing_vertex():
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexOutOfRange):
         build_surface([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 99]])
