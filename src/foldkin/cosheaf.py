@@ -9,6 +9,25 @@ extension maps; short exact sequences of such maps carry a connecting
 homomorphism between homology spaces, evaluated here by the usual
 lift / boundary / restrict recipe.
 
+Layout.  A cosheaf has one stalk size per cell dimension and a support
+mask per dimension: supported cells carry a stalk of that size, the
+others the zero stalk.  Extension maps are stored as one stack per
+incidence kind (``ev``, ``fe``, ``fv``), parallel to the surface's
+incidence arrays, and the components of a cosheaf map as one stack per
+cell dimension; entries that touch an unsupported cell are zero.  The
+chain space of a dimension lists the stalks of its supported cells in
+index order.  Only this module knows that order; other modules reach
+chains through :meth:`Cosheaf.restrict`, :func:`scatter_incidences`
+and the assembled matrices.
+
+Residual policy.  A check compares a matrix product with the value it
+should equal.  Its residual is the largest entry of the difference,
+divided by the larger of two magnitudes: the largest entry the product
+can reach (the product of its factors' largest entries) and the largest
+entry of the other side.  Residuals are then dimensionless, so a uniform
+scaling of the surface changes no verdict.  The functoriality and
+naturality checks and the two gates of :func:`connecting_map` follow it.
+
 Homology spaces are represented by harmonic bases: orthonormal bases of
 ``ker(boundary)`` intersected with the orthogonal complement of the
 incoming image.  All matrices are dense; meshes of interest are small.
@@ -29,96 +48,148 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    column_space,
     nullspace,
     pseudoinverse,
+    stacked_svd,
     subspace_residual,
-    svd_rank,
 )
-from .surface import Cell, OrigamiSurface
+from .surface import INCIDENCE_DIMS, Cell, OrigamiSurface
 
 FUNCTORIALITY_TOL = 1e-12
 NATURALITY_TOL = 1e-12
 COMPLEX_TOL = 1e-11
 
 
+def _magnitude(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
+
+
+def _relative_gap(left, right, bound, axis=None):
+    """Residual of ``left`` against ``right`` under the module's policy;
+    ``bound`` is the largest entry the product ``left`` can reach.  With
+    ``axis=0``, one residual per column."""
+    scale = np.maximum(bound, np.abs(right).max(axis=axis, initial=0.0))
+    gap = np.abs(left - right).max(axis=axis, initial=0.0)
+    return gap / np.where(scale > 0, scale, 1.0)
+
+
+def _stack(value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` broadcast to a stack of matrices; a single matrix stands
+    for every entry."""
+    value = np.asarray(value, dtype=float)
+    try:
+        return np.broadcast_to(value, shape)
+    except ValueError:
+        raise ShapeMismatch(
+            f"{what} have shape {value.shape}, want {shape}") from None
+
+
+def _scatter(shape: tuple, rows: np.ndarray, cols: np.ndarray,
+             blocks: np.ndarray) -> np.ndarray:
+    """Dense matrix holding ``blocks[i]`` at rows ``rows[i]`` and columns
+    ``cols[i]``; the blocks do not overlap."""
+    m = np.zeros(shape)
+    m[rows[:, :, None], cols[:, None, :]] += blocks
+    return m
+
+
 @dataclass
 class Cosheaf:
-    """Stalk dimensions per cell plus extension maps per incidence.
+    """Stalk sizes, supports and stacked extension maps.
 
-    ``extensions[(upper, lower)]`` has shape
-    ``(stalk_dim[lower], stalk_dim[upper])``.  Cells absent from
-    ``stalk_dims`` carry the zero stalk.
+    ``stalk_sizes[d]`` is the stalk dimension on the supported cells of
+    dimension ``d``, and ``support[d]`` a bool mask over those cells
+    (``True`` for all of them).  ``extensions[kind]`` stacks one
+    ``(lower size, upper size)`` matrix per incidence of that kind, in
+    the surface's order; one matrix stands for all incidences, and a
+    missing kind for zeros.  Extensions touching an unsupported cell are
+    set to zero.
     """
 
     surface: OrigamiSurface
-    stalk_dims: dict[Cell, int]
-    extensions: dict[tuple[Cell, Cell], np.ndarray]
+    stalk_sizes: tuple[int, int, int]
+    support: tuple = (True, True, True)
+    extensions: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def stalk_dim(self, cell: Cell) -> int:
-        return self.stalk_dims.get(cell, 0)
-
-    def extension(self, upper: Cell, lower: Cell) -> np.ndarray:
-        ext = self.extensions.get((upper, lower))
-        if ext is None:
-            return np.zeros((self.stalk_dim(lower), self.stalk_dim(upper)))
-        return ext
-
-    def cells_of_dim(self, dim: int) -> list[Cell]:
-        """Cells of one dimension with nonzero stalks, in index order."""
-        counts = {0: self.surface.num_vertices,
-                  1: self.surface.num_edges,
-                  2: self.surface.num_faces}[dim]
-        return [(dim, i) for i in range(counts) if self.stalk_dim((dim, i)) > 0]
+    def __post_init__(self):
+        surface = self.surface
+        self.support = tuple(
+            np.broadcast_to(np.asarray(mask, dtype=bool), (surface.num_cells(d),))
+            for d, mask in enumerate(self.support))
+        exts = {}
+        for kind, (up, lo) in INCIDENCE_DIMS.items():
+            inc = surface.incidences[kind]
+            shape = (len(inc.upper), self.stalk_sizes[lo], self.stalk_sizes[up])
+            live = self.support[up][inc.upper] & self.support[lo][inc.lower]
+            exts[kind] = np.where(
+                live[:, None, None],
+                _stack(self.extensions.get(kind, 0.0), shape, f"{kind} extensions"),
+                0.0)
+        self.extensions = exts
+        # Rank of every cell among the supported cells of its dimension.
+        self._rank = tuple(np.cumsum(mask) - 1 for mask in self.support)
 
     def chain_dim(self, dim: int) -> int:
-        return sum(self.stalk_dim(c) for c in self.cells_of_dim(dim))
+        return self.stalk_sizes[dim] * int(np.count_nonzero(self.support[dim]))
 
-    def offsets(self, dim: int) -> dict[Cell, int]:
-        out, pos = {}, 0
-        for c in self.cells_of_dim(dim):
-            out[c] = pos
-            pos += self.stalk_dim(c)
-        return out
+    def _coordinates(self, dim: int, cells) -> np.ndarray:
+        """Chain-space coordinates of the stalks over supported ``cells``
+        of dimension ``dim``, one row per cell; a cell outside the
+        support has no stalk and raises :class:`ShapeMismatch`."""
+        n = self.stalk_sizes[dim]
+        cells = np.asarray(cells, dtype=int)
+        if not self.support[dim][cells].all():
+            raise ShapeMismatch(f"no stalk over unsupported cells of dimension {dim}")
+        return self._rank[dim][cells][:, None] * n + np.arange(n)
+
+    def restrict(self, dim: int, chains: np.ndarray, cells) -> np.ndarray:
+        """Rows of ``chains`` (chains of dimension ``dim``, one per
+        column) that hold the stalks over supported ``cells``, cell by
+        cell in the given order."""
+        return chains[self._coordinates(dim, cells).ravel()]
+
+    def pinned(self, dim: int, cells) -> Cosheaf:
+        """Copy with the stalks over ``cells`` of dimension ``dim`` forced
+        to zero, so their blocks leave every assembled matrix.  Used to
+        fix a face of a chain in space."""
+        support = list(self.support)
+        support[dim] = support[dim].copy()
+        support[dim][cells] = False
+        return Cosheaf(self.surface, self.stalk_sizes, tuple(support),
+                       self.extensions)
 
     def functoriality_residual(self) -> float:
-        """Worst mismatch of composed vs direct extension maps."""
-        worst = 0.0
-        for vc, ec, fc in self.surface.triples():
-            if self.stalk_dim(fc) == 0:
-                continue
-            left = self.extension(ec, vc) @ self.extension(fc, ec)
-            right = self.extension(fc, vc)
-            if left.size:
-                worst = max(worst, float(np.max(np.abs(left - right))))
-        return worst
+        """Relative mismatch of composed against direct extension maps
+        over every vertex < edge < face chain."""
+        triples = self.surface.incidence_triples
+        ev, fe, fv = (self.extensions[kind][triples[:, i]]
+                      for i, kind in enumerate(INCIDENCE_DIMS))
+        return float(_relative_gap(ev @ fe, fv, _magnitude(ev) * _magnitude(fe)))
 
 
 def constant_cosheaf(surface: OrigamiSurface, dim: int,
-                     support: set[Cell] | None = None) -> Cosheaf:
+                     support: tuple = (True, True, True)) -> Cosheaf:
     """Cosheaf with the same stalk ``R^dim`` on every cell and identity
     extensions.  ``support`` optionally restricts the nonzero stalks."""
-    stalks: dict[Cell, int] = {}
-    exts: dict[tuple[Cell, Cell], np.ndarray] = {}
-    if dim > 0:
-        cells = (
-            [(0, v) for v in range(surface.num_vertices)]
-            + [(1, e) for e in range(surface.num_edges)]
-            + [(2, f) for f in range(surface.num_faces)]
-        )
-        for c in cells:
-            if support is None or c in support:
-                stalks[c] = dim
-        eye = np.eye(dim)
-        incidences = (
-            list(surface.incidences_ev())
-            + list(surface.incidences_fe())
-            + list(surface.incidences_fv())
-        )
-        for upper, lower in incidences:
-            if upper in stalks and lower in stalks:
-                exts[(upper, lower)] = eye
-    return Cosheaf(surface=surface, stalk_dims=stalks, extensions=exts)
+    eye = np.eye(dim)
+    return Cosheaf(surface, (dim, dim, dim), support,
+                   {kind: eye for kind in INCIDENCE_DIMS})
+
+
+def scatter_incidences(kind: str, blocks: np.ndarray, lower: Cosheaf,
+                       upper: Cosheaf) -> np.ndarray:
+    """Matrix with ``blocks[i]`` at incidence ``i`` of ``kind``.
+
+    Columns are the chains of ``upper`` in the kind's upper dimension,
+    rows the chains of ``lower`` in its lower dimension; incidences
+    touching a cell outside either support are left out.
+    """
+    up, lo = INCIDENCE_DIMS[kind]
+    inc = upper.surface.incidences[kind]
+    live = upper.support[up][inc.upper] & lower.support[lo][inc.lower]
+    return _scatter((lower.chain_dim(lo), upper.chain_dim(up)),
+                    lower._coordinates(lo, inc.lower[live]),
+                    upper._coordinates(up, inc.upper[live]), blocks[live])
 
 
 @dataclass
@@ -132,11 +203,9 @@ class ChainComplex:
     cosheaf: Cosheaf
     d1: np.ndarray
     d2: np.ndarray
-    cells: dict[int, list[Cell]]
-    offsets: dict[int, dict[Cell, int]]
 
     def dim(self, degree: int) -> int:
-        return sum(self.cosheaf.stalk_dim(c) for c in self.cells[degree])
+        return self.cosheaf.chain_dim(degree)
 
     def boundary(self, degree: int) -> np.ndarray:
         if degree == 1:
@@ -144,10 +213,6 @@ class ChainComplex:
         if degree == 2:
             return self.d2
         return np.zeros((0, self.dim(0)))
-
-    def cell_slice(self, cell: Cell) -> slice:
-        start = self.offsets[cell[0]][cell]
-        return slice(start, start + self.cosheaf.stalk_dim(cell))
 
     def square_residual(self) -> float:
         """Relative magnitude of ``d1 @ d2``."""
@@ -161,38 +226,19 @@ class ChainComplex:
 def assemble_chain_complex(cosheaf: Cosheaf) -> ChainComplex:
     """Assemble signed block boundary matrices from a cosheaf.
 
-    Block ``(lower, upper)`` equals ``sign * extension(upper, lower)``
-    where the sign is the surface incidence sign.  Raises
+    The block at incidence ``(upper, lower)`` is the surface incidence
+    sign times the extension map.  Raises
     :class:`FunctorialityViolation` when composed extensions disagree
     with the direct ones.
     """
     residual = cosheaf.functoriality_residual()
     if residual > FUNCTORIALITY_TOL:
         raise FunctorialityViolation(
-            f"worst composition residual {residual:.3e}")
-
-    surface = cosheaf.surface
-    cells = {d: cosheaf.cells_of_dim(d) for d in (0, 1, 2)}
-    offsets = {d: cosheaf.offsets(d) for d in (0, 1, 2)}
-
-    def block_matrix(incidences, upper_deg):
-        lower_deg = upper_deg - 1
-        rows = sum(cosheaf.stalk_dim(c) for c in cells[lower_deg])
-        cols = sum(cosheaf.stalk_dim(c) for c in cells[upper_deg])
-        m = np.zeros((rows, cols))
-        for upper, lower in incidences:
-            du, dl = cosheaf.stalk_dim(upper), cosheaf.stalk_dim(lower)
-            if du == 0 or dl == 0:
-                continue
-            r = offsets[lower_deg][lower]
-            c = offsets[upper_deg][upper]
-            sign = surface.incidence_sign(upper, lower)
-            m[r:r + dl, c:c + du] += sign * cosheaf.extension(upper, lower)
-        return m
-
-    d1 = block_matrix(surface.incidences_ev(), 1)
-    d2 = block_matrix(surface.incidences_fe(), 2)
-    return ChainComplex(cosheaf=cosheaf, d1=d1, d2=d2, cells=cells, offsets=offsets)
+            f"worst relative composition residual {residual:.3e}")
+    d1, d2 = (scatter_incidences(
+        kind, cosheaf.surface.incidences[kind].sign[:, None, None]
+        * cosheaf.extensions[kind], cosheaf, cosheaf) for kind in ("ev", "fe"))
+    return ChainComplex(cosheaf=cosheaf, d1=d1, d2=d2)
 
 
 @dataclass
@@ -238,46 +284,45 @@ def homology_basis(cc: ChainComplex, degree: int,
 class CosheafMap:
     """Stalk-wise linear map between two cosheaves over one surface.
 
+    ``components[d]`` stacks one ``(target size, source size)`` matrix
+    per cell of dimension ``d``; one matrix stands for every cell.
+    Components at cells outside the support of either cosheaf are set to
+    zero, and a stack of the wrong shape raises :class:`ShapeMismatch`.
     Components must satisfy naturality: mapping then extending equals
-    extending then mapping, on every incidence.  ``validate`` raises on
-    shape problems; the naturality residual is available separately so
-    callers can decide how strict to be.
+    extending then mapping, on every incidence.  The naturality residual
+    is available separately so callers can decide how strict to be.
     """
 
     source: Cosheaf
     target: Cosheaf
-    components: dict[Cell, np.ndarray] = field(default_factory=dict)
+    components: tuple
 
-    def component(self, cell: Cell) -> np.ndarray:
-        comp = self.components.get(cell)
-        if comp is None:
-            return np.zeros((self.target.stalk_dim(cell),
-                             self.source.stalk_dim(cell)))
-        return comp
-
-    def validate_shapes(self):
-        for cell in set(self.source.stalk_dims) | set(self.target.stalk_dims) \
-                | set(self.components):
-            comp = self.component(cell)
-            want = (self.target.stalk_dim(cell), self.source.stalk_dim(cell))
-            if comp.shape != want:
-                raise ShapeMismatch(
-                    f"component at {cell} has shape {comp.shape}, wants {want}")
+    def __post_init__(self):
+        comps, live = [], []
+        for d, comp in enumerate(self.components):
+            cells = self.source.support[d] & self.target.support[d]
+            shape = (len(cells), self.target.stalk_sizes[d],
+                     self.source.stalk_sizes[d])
+            comps.append(np.where(
+                cells[:, None, None],
+                _stack(comp, shape, f"dimension-{d} components"), 0.0))
+            live.append(np.flatnonzero(cells))
+        self.components = tuple(comps)
+        self._live = tuple(live)
 
     def naturality_residual(self) -> float:
-        self.validate_shapes()
-        surface = self.source.surface
-        incidences = (
-            list(surface.incidences_ev())
-            + list(surface.incidences_fe())
-            + list(surface.incidences_fv())
-        )
+        """Worst relative mismatch, over the three incidence kinds, of
+        mapping then extending against extending then mapping."""
         worst = 0.0
-        for upper, lower in incidences:
-            left = self.component(lower) @ self.source.extension(upper, lower)
-            right = self.target.extension(upper, lower) @ self.component(upper)
-            if left.size:
-                worst = max(worst, float(np.max(np.abs(left - right))))
+        for kind, (up, lo) in INCIDENCE_DIMS.items():
+            inc = self.source.surface.incidences[kind]
+            lower = self.components[lo][inc.lower]
+            upper = self.components[up][inc.upper]
+            src = self.source.extensions[kind]
+            tgt = self.target.extensions[kind]
+            bound = max(_magnitude(lower) * _magnitude(src),
+                        _magnitude(tgt) * _magnitude(upper))
+            worst = max(worst, float(_relative_gap(lower @ src, tgt @ upper, bound)))
         return worst
 
     def validate(self, tol: float = NATURALITY_TOL):
@@ -288,50 +333,32 @@ class CosheafMap:
 
     def block_matrix(self, degree: int) -> np.ndarray:
         """Map between chain spaces in one degree (block diagonal)."""
-        src = self.source.cells_of_dim(degree)
-        tgt_off = self.target.offsets(degree)
-        rows = self.target.chain_dim(degree)
-        cols = self.source.chain_dim(degree)
-        m = np.zeros((rows, cols))
-        src_off = self.source.offsets(degree)
-        for cell in src:
-            comp = self.component(cell)
-            if comp.size == 0:
-                continue
-            r = tgt_off.get(cell)
-            if r is None:
-                continue
-            c = src_off[cell]
-            m[r:r + comp.shape[0], c:c + comp.shape[1]] = comp
-        return m
+        cells = self._live[degree]
+        return _scatter(
+            (self.target.chain_dim(degree), self.source.chain_dim(degree)),
+            self.target._coordinates(degree, cells),
+            self.source._coordinates(degree, cells),
+            self.components[degree][cells])
 
     def block_pseudoinverse(self, degree: int,
                             tol: float = DEFAULT_TOL) -> np.ndarray:
         """Pseudoinverse of :meth:`block_matrix`.
 
         The chain map is block diagonal, so the pseudoinverse is the
-        assembly of per-cell pseudoinverses; this avoids decomposing one
-        large dense matrix.
+        assembly of per-cell pseudoinverses, taken as one stack; this
+        avoids decomposing one large dense matrix.
         """
-        src_off = self.source.offsets(degree)
-        tgt_off = self.target.offsets(degree)
-        rows = self.source.chain_dim(degree)
-        cols = self.target.chain_dim(degree)
-        m = np.zeros((rows, cols))
-        for cell in self.source.cells_of_dim(degree):
-            comp = self.component(cell)
-            if comp.size == 0 or cell not in tgt_off:
-                continue
-            inv = pseudoinverse(comp, tol)
-            r = src_off[cell]
-            c = tgt_off[cell]
-            m[r:r + inv.shape[0], c:c + inv.shape[1]] = inv
-        return m
+        cells = self._live[degree]
+        return _scatter(
+            (self.source.chain_dim(degree), self.target.chain_dim(degree)),
+            self.source._coordinates(degree, cells),
+            self.target._coordinates(degree, cells),
+            pseudoinverse(self.components[degree][cells], tol))
 
 
 def identity_map(cosheaf: Cosheaf) -> CosheafMap:
-    comps = {c: np.eye(d) for c, d in cosheaf.stalk_dims.items() if d > 0}
-    return CosheafMap(source=cosheaf, target=cosheaf, components=comps)
+    return CosheafMap(source=cosheaf, target=cosheaf,
+                      components=tuple(np.eye(n) for n in cosheaf.stalk_sizes))
 
 
 @dataclass
@@ -349,28 +376,51 @@ class CellExactness:
 
 @dataclass
 class ExactnessReport:
-    entries: list[CellExactness]
+    """Stalk-wise exactness, one array entry per checked cell.
+
+    Cells are vertices, then edges, then faces, each in index order;
+    ``cells`` holds ``(dimension, index)`` rows.  The arrays are the
+    record; :attr:`entries` and :meth:`worst_cell` read
+    :class:`CellExactness` views off them.
+    """
+
+    cells: np.ndarray
+    injective: np.ndarray
+    surjective: np.ndarray
+    composition_residual: np.ndarray
+    image_kernel_residual: np.ndarray
     tol: float
+
+    def _entry(self, k: int) -> CellExactness:
+        d, i = self.cells[k]
+        return CellExactness((int(d), int(i)), bool(self.injective[k]),
+                             bool(self.surjective[k]),
+                             float(self.composition_residual[k]),
+                             float(self.image_kernel_residual[k]))
+
+    @property
+    def entries(self) -> list[CellExactness]:
+        return [self._entry(k) for k in range(len(self.cells))]
+
+    def _residuals(self) -> np.ndarray:
+        return np.maximum(self.composition_residual, self.image_kernel_residual)
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries) and self.max_residual <= self.tol
+        return (bool(np.all(self.injective & self.surjective))
+                and self.max_residual <= self.tol)
 
     @property
     def max_residual(self) -> float:
-        if not self.entries:
-            return 0.0
-        return max(max(e.composition_residual, e.image_kernel_residual)
-                   for e in self.entries)
+        return float(np.max(self._residuals(), initial=0.0))
 
     def worst_cell(self) -> CellExactness | None:
-        bad = [e for e in self.entries
-               if not e.ok or max(e.composition_residual,
-                                  e.image_kernel_residual) > self.tol]
-        if not bad:
+        residuals = self._residuals()
+        bad = np.flatnonzero(~(self.injective & self.surjective)
+                             | (residuals > self.tol))
+        if not bad.size:
             return None
-        return max(bad, key=lambda e: max(e.composition_residual,
-                                          e.image_kernel_residual))
+        return self._entry(bad[np.argmax(residuals[bad])])
 
 
 def verify_exact_sequence(iota: CosheafMap, pi: CosheafMap,
@@ -379,35 +429,35 @@ def verify_exact_sequence(iota: CosheafMap, pi: CosheafMap,
 
     Per cell: the first map is injective, the second surjective, their
     composition vanishes, and the image of the first equals the kernel
-    of the second (as subspaces, compared by projector distance).
+    of the second (as subspaces, compared by projector distance).  Cells
+    with zero stalks in all three cosheaves are skipped.  Each map is
+    decomposed once per cell dimension, as one stack.
     """
     if iota.target is not pi.source:
         raise ShapeMismatch("maps do not share the middle cosheaf")
-    iota.validate_shapes()
-    pi.validate_shapes()
-    surface = iota.source.surface
-    cells = (
-        [(0, v) for v in range(surface.num_vertices)]
-        + [(1, e) for e in range(surface.num_edges)]
-        + [(2, f) for f in range(surface.num_faces)]
-    )
-    entries = []
-    for cell in cells:
-        a = iota.component(cell)
-        b = pi.component(cell)
-        df, dg, dq = a.shape[1], a.shape[0], b.shape[0]
-        if df == 0 and dg == 0 and dq == 0:
-            continue
-        injective = svd_rank(a, tol) == df
-        surjective = svd_rank(b, tol) == dq
-        comp = b @ a
-        comp_res = float(np.max(np.abs(comp))) if comp.size else 0.0
-        image = column_space(a, tol)
-        kernel = nullspace(b, tol)
-        ik_res = subspace_residual(image, kernel)
-        entries.append(CellExactness(cell, injective, surjective,
-                                     comp_res, ik_res))
-    return ExactnessReport(entries=entries, tol=tol)
+    columns = []
+    for dim in (0, 1, 2):
+        df, dg, dq = (c.stalk_sizes[dim] * c.support[dim]
+                      for c in (iota.source, iota.target, pi.target))
+        cells = np.flatnonzero(df + dg + dq)
+        a = iota.components[dim][cells]
+        b = pi.components[dim][cells]
+        u_a, keep_a, _ = stacked_svd(a, tol)
+        _, keep_b, vh_b = stacked_svd(b, tol)
+        rank_b = keep_b.sum(axis=-1)
+        image = u_a[..., :keep_a.shape[-1]] * keep_a[:, None, :]
+        # Rows of vh past the rank span the kernel, inside G's stalk only.
+        in_kernel = ((np.arange(vh_b.shape[-1]) >= rank_b[:, None])
+                     & (dg[cells, None] > 0))
+        kernel = np.swapaxes(vh_b, -1, -2) * in_kernel[:, None, :]
+        columns.append((
+            np.column_stack([np.full(len(cells), dim), cells]),
+            keep_a.sum(axis=-1) == df[cells],
+            rank_b == dq[cells],
+            np.abs(b @ a).max(axis=(1, 2), initial=0.0),
+            subspace_residual(image, kernel)))
+    return ExactnessReport(*(np.concatenate(col) for col in zip(*columns)),
+                           tol=tol)
 
 
 def induced_map(phi: CosheafMap, degree: int,
@@ -437,12 +487,13 @@ def connecting_map(iota: CosheafMap, pi: CosheafMap,
                    lift_offsets: np.ndarray | None = None) -> np.ndarray:
     """Connecting homomorphism of a short exact sequence of cosheaves.
 
-    For every basis cycle of the quotient homology in ``degree``:
+    All basis cycles of the quotient homology in ``degree`` at once:
     lift through ``pi`` by least squares, apply the middle boundary map,
     pull back through ``iota``, and project onto the harmonic basis of
     the sub-cosheaf homology one degree down.  The result does not
     depend on the choice of lift; ``lift_offsets`` (columns added to the
-    lifts, one per basis cycle) exists to let tests exercise that.
+    lifts, one per basis cycle) exists to let tests exercise that.  A
+    failed lift or pull-back names the first basis cycle it fails on.
     """
     if quotient_complex is None:
         quotient_complex = assemble_chain_complex(pi.target)
@@ -456,27 +507,28 @@ def connecting_map(iota: CosheafMap, pi: CosheafMap,
 
     pi_block = pi.block_matrix(degree)
     iota_block = iota.block_matrix(degree - 1)
-    pi_pinv = pi.block_pseudoinverse(degree, tol)
-    iota_pinv = iota.block_pseudoinverse(degree - 1, tol)
     boundary = middle_complex.boundary(degree)
+    cycles = source_basis.basis
 
-    out = np.zeros((target_basis.dim, source_basis.dim))
-    for j in range(source_basis.dim):
-        cycle = source_basis.basis[:, j]
-        lift = pi_pinv @ cycle
-        if lift_offsets is not None:
-            lift = lift + lift_offsets[:, j]
-        back = pi_block @ lift
-        lift_gap = float(np.max(np.abs(back - cycle), initial=0.0))
-        if lift_gap > tol * 1e3 * max(1.0, float(np.max(np.abs(cycle), initial=0.0))):
-            raise LiftFailure(
-                f"cycle {j} not in the image of the quotient map")
-        dlift = boundary @ lift
-        pulled = iota_pinv @ dlift
-        residual = iota_block @ pulled - dlift
-        scale = max(1.0, float(np.max(np.abs(dlift), initial=0.0)))
-        if np.max(np.abs(residual), initial=0.0) > tol * 1e3 * scale:
-            raise ExactnessViolation(
-                f"boundary of lifted cycle {j} is not in the sub-cosheaf image")
-        out[:, j] = target_basis.basis.T @ pulled
-    return out
+    def column_size(m):
+        return np.abs(m).max(axis=0, initial=0.0)
+
+    lifts = pi.block_pseudoinverse(degree, tol) @ cycles
+    if lift_offsets is not None:
+        lifts = lifts + lift_offsets
+    gaps = _relative_gap(pi_block @ lifts, cycles,
+                         _magnitude(pi_block) * column_size(lifts), axis=0)
+    bad = np.flatnonzero(gaps > tol * 1e3)
+    if bad.size:
+        raise LiftFailure(
+            f"cycle {bad[0]} not in the image of the quotient map")
+    dlifts = boundary @ lifts
+    pulled = iota.block_pseudoinverse(degree - 1, tol) @ dlifts
+    bound = np.maximum(_magnitude(iota_block) * column_size(pulled),
+                       _magnitude(boundary) * column_size(lifts))
+    gaps = _relative_gap(iota_block @ pulled, dlifts, bound, axis=0)
+    bad = np.flatnonzero(gaps > tol * 1e3)
+    if bad.size:
+        raise ExactnessViolation(
+            f"boundary of lifted cycle {bad[0]} is not in the sub-cosheaf image")
+    return target_basis.basis.T @ pulled

@@ -37,7 +37,8 @@ class NaturalityViolation(FoldkinError):
 
 
 class ShapeMismatch(FoldkinError):
-    """Component matrices of a cosheaf map have inconsistent shapes."""
+    """Stacked extension or component matrices have the wrong shape, or
+    chains are read over a cell that has no stalk."""
 
 
 class ExactnessViolation(FoldkinError):

@@ -3,7 +3,8 @@
 All rank decisions in the package go through this module so that a single
 tolerance policy applies everywhere: a singular value counts as nonzero
 when it exceeds ``tol`` times the largest singular value of the same
-matrix.
+matrix.  Functions that accept a stack of matrices ``(..., m, n)`` apply
+the cutoff to each matrix of the stack on its own.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def _cutoff(s: np.ndarray, tol: float, scale: float) -> float:
-    top = float(s[0]) if s.size else 0.0
-    return tol * max(top, scale)
+def _keep(s: np.ndarray, tol: float, scale: float) -> np.ndarray:
+    """Mask of the singular values above ``tol * max(largest, scale)``;
+    ``s`` is sorted descending along its last axis."""
+    return s > tol * np.maximum(s[..., :1], scale)
 
 
 def svd_rank(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> int:
@@ -40,7 +42,7 @@ def svd_rank(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > _cutoff(s, tol, scale)))
+    return int(np.sum(_keep(s, tol, scale)))
 
 
 def nullspace(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
@@ -55,7 +57,7 @@ def nullspace(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
-    rank = int(np.sum(s > _cutoff(s, tol, scale)))
+    rank = int(np.sum(_keep(s, tol, scale)))
     if m >= n:
         # Economy decomposition already carries all right singular vectors.
         return vh[rank:].T.copy()
@@ -77,42 +79,42 @@ def column_space(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m, 0))
-    rank = int(np.sum(s > _cutoff(s, tol, scale)))
+    rank = int(np.sum(_keep(s, tol, scale)))
     return u[:, :rank].copy()
 
 
+def stacked_svd(a, tol: float = DEFAULT_TOL):
+    """Full decomposition ``u, keep, vh`` of every matrix in a stack.
+
+    ``keep[..., i]`` says whether singular value ``i`` counts as nonzero:
+    the kept columns of ``u`` span the range, and the rows of ``vh``
+    past the kept ones span the kernel.
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    return u, _keep(s, tol, 0.0), vh
+
+
 def pseudoinverse(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
-    """Moore-Penrose pseudoinverse under the shared cutoff policy."""
+    """Moore-Penrose pseudoinverse under the shared cutoff policy; a
+    stack ``(..., m, n)`` gives a stack ``(..., n, m)``."""
     a = _as_matrix(a)
     if a.size == 0:
-        return np.zeros((a.shape[1], a.shape[0]))
+        return np.zeros(a.shape[:-2] + (a.shape[-1], a.shape[-2]))
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    cut = _cutoff(s, tol, scale)
-    inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    return (vh.T * inv) @ u.T
+    keep = _keep(s, tol, scale)
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return (np.swapaxes(vh, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
-def subspace_residual(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
+def subspace_residual(basis_a: np.ndarray, basis_b: np.ndarray):
     """Operator-norm distance between the projectors of two subspaces.
 
-    Both arguments are matrices with orthonormal columns.  The result is
-    0 exactly when the subspaces coincide and 1 when one contains a
-    direction orthogonal to the other.
+    Both arguments are matrices whose columns are orthonormal or zero;
+    zero columns add nothing, so a stack of subspaces of different
+    dimensions fits one array.  The result is 0 exactly when the
+    subspaces coincide and 1 when one contains a direction orthogonal to
+    the other; a stack gives one distance per matrix.
     """
-    pa = basis_a @ basis_a.T
-    pb = basis_b @ basis_b.T
-    if pa.size == 0 and pb.size == 0:
-        return 0.0
-    return float(np.linalg.norm(pa - pb, 2))
-
-
-def relative_residual(value: np.ndarray, scale: np.ndarray | float) -> float:
-    """``|value| / max(1, |scale|)`` with infinity norms."""
-    v = float(np.max(np.abs(value))) if np.size(value) else 0.0
-    if isinstance(scale, (int, float)):
-        s = abs(float(scale))
-    else:
-        s = float(np.max(np.abs(scale))) if np.size(scale) else 0.0
-    return v / max(1.0, s)
+    pa = basis_a @ np.swapaxes(basis_a, -1, -2)
+    pb = basis_b @ np.swapaxes(basis_b, -1, -2)
+    return np.abs(np.linalg.eigvalsh(pa - pb)).max(axis=-1, initial=0.0)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosheaf import (
+    Cosheaf,
     CosheafMap,
     ExactnessReport,
     SubspaceBasis,
@@ -28,6 +29,7 @@ from .cosheaf import (
     connecting_map,
     homology_basis,
     induced_map,
+    scatter_incidences,
     verify_exact_sequence,
 )
 from .errors import (
@@ -46,10 +48,8 @@ from .models import (
     build_hinge_model,
     build_rigid_model,
     build_spatial_model,
-    pinned,
-    pinned_map,
 )
-from .spatial import hinge_twist, point_velocity_blocks, transfer_matrix
+from .spatial import axis_projection, hinge_twist, point_velocity_blocks, transfer_matrix
 from .surface import OrigamiSurface
 
 OBSTRUCTION_TOL = 1e-8
@@ -86,32 +86,21 @@ class ConversionReport:
         return not self.obstructed
 
 
-def _iota_components(surface, hinge, rigid):
-    comps = {}
-    for e in surface.interior_edges():
-        comps[(1, e)] = hinge_twist(surface.edge_axis(e))[:, None]
-    # A vertex stalk holds an angular velocity; it enters as [omega, 0].
-    angular = np.eye(6, 3)
-    for v in surface.interior_vertices():
-        comps[(0, v)] = angular
-    return CosheafMap(source=hinge.cosheaf, target=rigid.cosheaf,
-                      components=comps)
+def _iota_map(hinge: Cosheaf, rigid: Cosheaf) -> CosheafMap:
+    # An edge stalk holds a hinge rate; it enters as the hinge twist.  A
+    # vertex stalk holds an angular velocity; it enters as [omega, 0].
+    twists = hinge_twist(hinge.surface.edge_triads[:, 0])[:, :, None]
+    return CosheafMap(source=hinge, target=rigid,
+                      components=(np.eye(6, 3), twists, np.zeros((6, 0))))
 
 
-def _pi_components(surface, rigid, spatial):
-    from .models import edge_projection_matrix
-
-    comps = {}
-    for f in range(surface.num_faces):
-        comps[(2, f)] = np.eye(6)
-    for e in surface.interior_edges():
-        comps[(1, e)] = edge_projection_matrix(surface, e)
-    # Velocity of the anchor point itself: zero lever arm.
-    lin = point_velocity_blocks(np.zeros(3))
-    for v in surface.interior_vertices():
-        comps[(0, v)] = lin
-    return CosheafMap(source=rigid.cosheaf, target=spatial.cosheaf,
-                      components=comps)
+def _pi_map(rigid: Cosheaf, spatial: Cosheaf) -> CosheafMap:
+    # Vertices keep the velocity of the anchor point itself: zero lever
+    # arm.  Edges forget rotation about the hinge axis.
+    return CosheafMap(source=rigid, target=spatial,
+                      components=(point_velocity_blocks(np.zeros(3)),
+                                  axis_projection(rigid.surface.edge_triads),
+                                  np.eye(6)))
 
 
 @dataclass
@@ -174,15 +163,11 @@ class ExactSequence:
         """Direct evaluation: rate at an edge is the signed axis
         component of the angular velocity of either incident face."""
         surface = self.surface
-        interior = surface.interior_edges()
-        face_off = self.spatial.complex.offsets[2]
-        block = np.zeros((len(interior), 6 * surface.num_faces))
-        for row, e in enumerate(interior):
-            axis = surface.edge_axis(e)
-            for f in surface.edge_faces[e]:
-                sign = surface.incidence_sign((2, f), (1, e))
-                col = face_off[(2, f)]
-                block[row, col:col + 3] += sign * axis
+        fe = surface.incidences["fe"]
+        blocks = np.zeros((len(fe.upper), 1, 6))
+        blocks[:, 0, :3] = fe.sign[:, None] * surface.edge_triads[fe.lower, 0]
+        block = scatter_incidences("fe", blocks, self.hinge.cosheaf,
+                                   self.spatial.cosheaf)
         return self.hinge_h1().basis.T @ block @ self.spatial_h2().basis
 
     def loop_obstruction_matrix(self) -> np.ndarray:
@@ -206,8 +191,8 @@ def build_exact_sequence(surface: OrigamiSurface,
     hinge = hinge or build_hinge_model(surface)
     rigid = rigid or build_rigid_model(surface)
     spatial = spatial or build_spatial_model(surface)
-    iota = _iota_components(surface, hinge, rigid).validate()
-    pi = _pi_components(surface, rigid, spatial).validate()
+    iota = _iota_map(hinge.cosheaf, rigid.cosheaf).validate()
+    pi = _pi_map(rigid.cosheaf, spatial.cosheaf).validate()
     report = verify_exact_sequence(iota, pi, tol)
     if not report.ok:
         worst = report.worst_cell()
@@ -485,7 +470,7 @@ def serial_chain_operators(surface: OrigamiSurface,
     psi_inv = psi_inv.reshape(6 * n, 6 * n)
 
     iota = np.zeros((n, 6, n))
-    iota[diag, :, diag] = [hinge_twist(surface.edge_axis(e)) for e in hinges]
+    iota[diag, :, diag] = hinge_twist(surface.edge_triads[hinges, 0])
     iota = iota.reshape(6 * n, n)
 
     d = psi @ iota
@@ -542,18 +527,12 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
     hinge rates in chain order.
     """
     chain = ops.chain
-    base = chain.face_order[0]
-    pin = {(2, base)}
-    hinge = build_hinge_model(surface)
-    rigid = build_rigid_model(surface)
-    spatial = build_spatial_model(surface)
-    hinge_p = pinned(hinge.cosheaf, pin)
-    rigid_p = pinned(rigid.cosheaf, pin)
-    spatial_p = pinned(spatial.cosheaf, pin)
-    iota = pinned_map(_iota_components(surface, hinge, rigid),
-                      hinge_p, rigid_p, pin).validate()
-    pi = pinned_map(_pi_components(surface, rigid, spatial),
-                    rigid_p, spatial_p, pin).validate()
+    base = [chain.face_order[0]]
+    hinge_p, rigid_p, spatial_p = (
+        build(surface).cosheaf.pinned(2, base)
+        for build in (build_hinge_model, build_rigid_model, build_spatial_model))
+    iota = _iota_map(hinge_p, rigid_p).validate()
+    pi = _pi_map(rigid_p, spatial_p).validate()
     spatial_cc = assemble_chain_complex(spatial_p)
     rigid_cc = assemble_chain_complex(rigid_p)
     hinge_cc = assemble_chain_complex(hinge_p)
@@ -563,17 +542,7 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
                            source_basis=basis, target_basis=hinge_basis,
                            quotient_complex=spatial_cc,
                            middle_complex=rigid_cc)
-    # Re-express in chain coordinates: hinge rows to chain hinge order,
-    # spatial basis rows to moving bodies in chain order.
-    interior = surface.interior_edges()
-    hinge_rows = hinge_basis.basis  # (|E_in|, dim) with identity expected
-    theta_rates = hinge_rows @ theta  # rows in surface edge order
-    row_perm = [interior.index(e) for e in chain.hinge_order]
-    theta_rates = theta_rates[row_perm, :]
-
-    col_perm = []
-    for f in chain.face_order[1:]:
-        start = spatial_cc.offsets[2][(2, f)]
-        col_perm.extend(range(start, start + 6))
-    cycles = basis.basis[col_perm, :]
-    return theta_rates, cycles
+    # Re-express in chain coordinates: hinge rows in chain hinge order,
+    # spatial basis rows as the moving bodies in chain order.
+    return (hinge_p.restrict(1, hinge_basis.basis @ theta, chain.hinge_order),
+            spatial_p.restrict(2, basis.basis, chain.face_order[1:]))

@@ -33,7 +33,7 @@ from .cosheaf import (
 from .errors import DegenerateFace
 from .linalg import DEFAULT_TOL, nullspace
 from .spatial import axis_projection, point_velocity_blocks, transfer_matrix
-from .surface import Cell, OrigamiSurface
+from .surface import INCIDENCE_DIMS, OrigamiSurface
 
 
 @dataclass
@@ -49,10 +49,24 @@ class ModelBundle:
         return homology_basis(self.complex, degree, tol)
 
 
-def _bundle(name, surface, stalks, exts) -> ModelBundle:
-    cosheaf = Cosheaf(surface=surface, stalk_dims=stalks, extensions=exts)
+def _bundle(name, surface, stalk_sizes, support, extensions) -> ModelBundle:
+    cosheaf = Cosheaf(surface, stalk_sizes, support, extensions)
     return ModelBundle(name=name, surface=surface, cosheaf=cosheaf,
                        complex=assemble_chain_complex(cosheaf))
+
+
+def _constraint_support(surface: OrigamiSurface) -> tuple:
+    """Interior vertices and edges carry constraints; every face moves."""
+    return surface.interior_vertex, surface.interior_edge, True
+
+
+def _transfers(surface: OrigamiSurface, kind: str) -> np.ndarray:
+    """Transfer operators from upper to lower cell centroids, one per
+    incidence of ``kind``."""
+    up, lo = INCIDENCE_DIMS[kind]
+    inc = surface.incidences[kind]
+    return transfer_matrix(surface.cell_centroids(up)[inc.upper],
+                           surface.cell_centroids(lo)[inc.lower])
 
 
 def build_hinge_model(surface: OrigamiSurface) -> ModelBundle:
@@ -62,38 +76,9 @@ def build_hinge_model(surface: OrigamiSurface) -> ModelBundle:
     so the assembled vertex boundary block at (v, e) is ``sign * l_e``.
     Both endpoints of an edge receive the same axis vector.
     """
-    stalks: dict[Cell, int] = {}
-    exts: dict[tuple[Cell, Cell], np.ndarray] = {}
-    for e in surface.interior_edges():
-        stalks[(1, e)] = 1
-    for v in surface.interior_vertices():
-        stalks[(0, v)] = 3
-    for e in surface.interior_edges():
-        axis = surface.edge_axis(e)
-        for v in surface.edges[e]:
-            if surface.interior_vertex[v]:
-                exts[((1, e), (0, v))] = axis.reshape(3, 1)
-    return _bundle("hinge", surface, stalks, exts)
-
-
-def edge_projection_matrix(surface: OrigamiSurface, e: int) -> np.ndarray:
-    """5x6 projection at an edge, rows from the surface's cached triad.
-
-    Single source of truth: the spatial model's extensions and the
-    rigid-to-spatial quotient components must agree bitwise.
-    """
-    return axis_projection(surface.edge_frame(e))
-
-
-def _spatial_edge_to_vertex(surface, e, v) -> np.ndarray:
-    """3x5 map from edge stalk coordinates to vertex velocity.
-
-    Edge coordinates are (angular along the two triad complements of the
-    axis, then linear); the axis component of the angular velocity drops
-    because the vertex lies on the hinge line.
-    """
-    r = surface.vertices[v] - surface.centroid((1, e))
-    return point_velocity_blocks(r) @ edge_projection_matrix(surface, e).T
+    axes = surface.edge_triads[surface.incidences["ev"].upper, 0]
+    return _bundle("hinge", surface, (3, 1, 0), _constraint_support(surface),
+                   {"ev": axes[:, :, None]})
 
 
 def build_spatial_model(surface: OrigamiSurface) -> ModelBundle:
@@ -101,63 +86,31 @@ def build_spatial_model(surface: OrigamiSurface) -> ModelBundle:
     interior vertex.
 
     The face-to-edge extension transfers the face velocity to the edge
-    midpoint and projects out rotation about the hinge axis; the
-    edge-to-vertex extension keeps the induced point velocity.
+    midpoint and projects out rotation about the hinge axis.  The
+    edge-to-vertex extension keeps the induced point velocity: edge
+    coordinates are angular along the two triad complements of the axis,
+    then linear, and the axis component of the angular velocity drops
+    because the vertex lies on the hinge line.
     """
-    stalks: dict[Cell, int] = {}
-    exts: dict[tuple[Cell, Cell], np.ndarray] = {}
-    for f in range(surface.num_faces):
-        stalks[(2, f)] = 6
-    for e in surface.interior_edges():
-        stalks[(1, e)] = 5
-    for v in surface.interior_vertices():
-        stalks[(0, v)] = 3
-
-    for e in surface.interior_edges():
-        proj = edge_projection_matrix(surface, e)
-        p_e = surface.centroid((1, e))
-        for f in surface.edge_faces[e]:
-            psi = transfer_matrix(surface.centroid((2, f)), p_e)
-            exts[((2, f), (1, e))] = proj @ psi
-        for v in surface.edges[e]:
-            if surface.interior_vertex[v]:
-                exts[((1, e), (0, v))] = _spatial_edge_to_vertex(surface, e, v)
-
-    for f, cycle in enumerate(surface.faces):
-        for v in cycle:
-            if surface.interior_vertex[v]:
-                exts[((2, f), (0, v))] = point_velocity_blocks(
-                    surface.vertices[v] - surface.centroid((2, f)))
-    return _bundle("spatial", surface, stalks, exts)
+    ev, fe, fv = (surface.incidences[kind] for kind in INCIDENCE_DIMS)
+    proj = axis_projection(surface.edge_triads)
+    lever_ev = surface.vertices[ev.lower] - surface.edge_midpoints[ev.upper]
+    lever_fv = surface.vertices[fv.lower] - surface.face_centroids[fv.upper]
+    extensions = {
+        "ev": point_velocity_blocks(lever_ev) @ np.swapaxes(proj[ev.upper], 1, 2),
+        "fe": proj[fe.lower] @ _transfers(surface, "fe"),
+        "fv": point_velocity_blocks(lever_fv),
+    }
+    return _bundle("spatial", surface, (3, 5, 6), _constraint_support(surface),
+                   extensions)
 
 
 def build_rigid_model(surface: OrigamiSurface) -> ModelBundle:
     """Rigid-body cosheaf: R^6 on faces, interior edges, and interior
     vertices, with invertible transfer operators as extensions."""
-    stalks: dict[Cell, int] = {}
-    exts: dict[tuple[Cell, Cell], np.ndarray] = {}
-    for f in range(surface.num_faces):
-        stalks[(2, f)] = 6
-    for e in surface.interior_edges():
-        stalks[(1, e)] = 6
-    for v in surface.interior_vertices():
-        stalks[(0, v)] = 6
-
-    def link(upper: Cell, lower: Cell):
-        exts[(upper, lower)] = transfer_matrix(
-            surface.centroid(upper), surface.centroid(lower))
-
-    for e in surface.interior_edges():
-        for f in surface.edge_faces[e]:
-            link((2, f), (1, e))
-        for v in surface.edges[e]:
-            if surface.interior_vertex[v]:
-                link((1, e), (0, v))
-    for f, cycle in enumerate(surface.faces):
-        for v in cycle:
-            if surface.interior_vertex[v]:
-                link((2, f), (0, v))
-    return _bundle("rigid", surface, stalks, exts)
+    extensions = {kind: _transfers(surface, kind) for kind in INCIDENCE_DIMS}
+    return _bundle("rigid", surface, (6, 6, 6), _constraint_support(surface),
+                   extensions)
 
 
 def build_constant_model(surface: OrigamiSurface, dim: int) -> ModelBundle:
@@ -177,30 +130,11 @@ def constant_rigid_isomorphism(rigid: ModelBundle) -> CosheafMap:
     cells as the rigid model so every component is invertible.
     """
     surface = rigid.surface
-    support = set(rigid.cosheaf.stalk_dims)
-    const = constant_cosheaf(surface, 6, support=support)
-    comps = {cell: transfer_matrix(np.zeros(3), surface.centroid(cell))
-             for cell in support}
+    const = constant_cosheaf(surface, 6, support=rigid.cosheaf.support)
+    comps = tuple(transfer_matrix(np.zeros(3), surface.cell_centroids(d))
+                  for d in range(3))
     return CosheafMap(source=const, target=rigid.cosheaf,
                       components=comps).validate()
-
-
-def pinned(cosheaf: Cosheaf, cells: set[Cell]) -> Cosheaf:
-    """Copy of a cosheaf with the stalks over ``cells`` forced to zero.
-
-    Used to fix a face of a chain in space: its column block disappears
-    from every boundary matrix.
-    """
-    stalks = {c: d for c, d in cosheaf.stalk_dims.items() if c not in cells}
-    exts = {pair: m for pair, m in cosheaf.extensions.items()
-            if pair[0] not in cells and pair[1] not in cells}
-    return Cosheaf(surface=cosheaf.surface, stalk_dims=stalks, extensions=exts)
-
-
-def pinned_map(phi: CosheafMap, source: Cosheaf, target: Cosheaf,
-               cells: set[Cell]) -> CosheafMap:
-    comps = {c: m for c, m in phi.components.items() if c not in cells}
-    return CosheafMap(source=source, target=target, components=comps)
 
 
 # --- stiffened linkage / truss model ---
@@ -249,11 +183,7 @@ def _face_normal(points: np.ndarray, tol: float) -> np.ndarray:
         raise DegenerateFace("face has no well-defined plane")
     normal = vh[2] if vh.shape[0] > 2 else np.cross(vh[0], vh[1])
     # Newell orientation: make the normal agree with the cycle sense.
-    newell = np.zeros(3)
-    k = len(points)
-    for i in range(k):
-        a, b = points[i], points[(i + 1) % k]
-        newell += np.cross(a, b)
+    newell = np.cross(points, np.roll(points, -1, axis=0)).sum(axis=0)
     if np.dot(normal, newell) < 0:
         normal = -normal
     return normal / np.linalg.norm(normal)
@@ -267,43 +197,33 @@ def stiffen(surface: OrigamiSurface, tol: float = DEFAULT_TOL) -> StiffenedLinka
     plane by a scale-proportional margin.
     """
     nv = surface.num_vertices
-    points = [surface.vertices[v] for v in range(nv)]
-    apex_of_face = []
-    corner_point: list[int] = []
-    bar_set: set[tuple[int, int]] = set(surface.edges)
-
+    apexes, groups, pairs = [], [], [np.array(surface.edges)]
     for f, cycle in enumerate(surface.faces):
         pts = surface.vertices[list(cycle)]
         normal = _face_normal(pts, tol)
         lengths = [np.linalg.norm(surface.edge_vector(e))
                    for e in surface.face_edges(f)]
-        apex = surface.centroid((2, f)) + float(np.mean(lengths)) * normal
-        apex_id = len(points)
-        points.append(apex)
-        apex_of_face.append(apex_id)
-        group = list(cycle) + [apex_id]
-        corner_point.extend(group)
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                bar_set.add((min(a, b), max(a, b)))
-
-    points = np.asarray(points)
-    bars = sorted(bar_set)
+        apexes.append(surface.face_centroids[f] + float(np.mean(lengths)) * normal)
+        group = np.array(list(cycle) + [nv + f])
+        groups.append(group)
+        # The face's vertices and its apex form a complete graph.
+        i, j = np.triu_indices(len(group), 1)
+        pairs.append(np.sort(np.stack([group[i], group[j]], axis=1), axis=1))
+    points = np.vstack([surface.vertices] + apexes)
+    apex_of_face = list(range(nv, len(points)))
+    ends = np.unique(np.concatenate(pairs), axis=0)
+    bars = [tuple(bar) for bar in ends.tolist()]
+    axis = points[ends[:, 1]] - points[ends[:, 0]]
+    axis = axis / np.sqrt(axis[:, None, :] @ axis[:, :, None])[:, 0]
     m = np.zeros((len(bars), 3 * len(points)))
-    for row, (u, v) in enumerate(bars):
-        axis = points[v] - points[u]
-        axis = axis / np.linalg.norm(axis)
-        m[row, 3 * v:3 * v + 3] = axis
-        m[row, 3 * u:3 * u + 3] = -axis
+    m[np.arange(len(bars))[:, None, None], 3 * ends[:, :, None] + np.arange(3)] = \
+        np.stack([-axis, axis], axis=1)
 
     corner_face = np.repeat(np.arange(surface.num_faces),
-                            [len(cycle) + 1 for cycle in surface.faces])
-    corner_point = np.asarray(corner_point)
-    centroids = np.array([surface.centroid((2, f))
-                          for f in range(surface.num_faces)])
+                            [len(group) for group in groups])
+    corner_point = np.concatenate(groups)
     corner_block = point_velocity_blocks(points[corner_point]
-                                         - centroids[corner_face])
+                                         - surface.face_centroids[corner_face])
     return StiffenedLinkage(surface=surface, points=points, bars=bars,
                             apex_of_face=apex_of_face, matrix=m,
                             corner_face=corner_face, corner_point=corner_point,

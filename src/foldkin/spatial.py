@@ -15,10 +15,11 @@ here once, as a function of plain arrays:
 * :func:`hinge_twist` - the unit twist of a hinge, rotation about its
   axis.
 
-The first three broadcast over leading axes, so a stack of points costs
-one call.  Frame rotations are fixed to the identity throughout; only
-anchor points differ between frames, which is all first-order analysis
-requires.
+The first three, :func:`axis_projection` and :func:`hinge_twist`
+broadcast over leading axes, so a stack of points, edge triads or axes
+costs one call.  Frame rotations are fixed to the identity throughout;
+only anchor points differ between frames, which is all first-order
+analysis requires.
 """
 
 from __future__ import annotations
@@ -75,16 +76,20 @@ def transfer_matrix(from_point, to_point) -> np.ndarray:
 
 def _unit_axis(axis) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n < _AXIS_TOL:
+    n = np.sqrt(axis[..., None, :] @ axis[..., :, None])[..., 0]
+    if np.any(n < _AXIS_TOL):
         raise ZeroAxis("hinge axis has zero length")
     return axis / n
 
 
 def hinge_twist(axis) -> np.ndarray:
     """Unit twist ``[l, 0]`` of a hinge turning at unit rate about the
-    unit axis ``l`` through the anchor point."""
-    return np.concatenate([_unit_axis(axis), np.zeros(3)])
+    unit axis ``l`` through the anchor point.
+
+    Axes of shape ``(..., 3)`` give twists of shape ``(..., 6)``.
+    """
+    unit = _unit_axis(axis)
+    return np.concatenate([unit, np.zeros_like(unit)], axis=-1)
 
 
 def orthonormal_triad(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,11 +114,11 @@ def axis_projection(triad) -> np.ndarray:
 
     Rows are orthonormal: the angular part of the image is expressed in
     the two triad directions ``m, n`` orthogonal to the axis, and the
-    linear part is passed through unchanged.
+    linear part is passed through unchanged.  ``triad`` holds the rows
+    ``l, m, n``; a stack of shape ``(..., 3, 3)`` gives ``(..., 5, 6)``.
     """
-    _, m, n = triad
-    out = np.zeros((5, 6))
-    out[0, :3] = m
-    out[1, :3] = n
-    out[2:, 3:] = np.eye(3)
+    t = np.asarray(triad, dtype=float)
+    out = np.zeros(t.shape[:-2] + (5, 6))
+    out[..., :2, :3] = t[..., 1:, :]
+    out[..., 2:, 3:] = np.eye(3)
     return out

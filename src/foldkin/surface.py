@@ -4,9 +4,10 @@ A surface is a 2-complex of vertices, edges, and faces realized in R^3.
 Faces are input as vertex cycles; edges are derived from face boundaries
 and oriented from the lower to the higher vertex id.  Construction
 reorients faces so that every interior edge receives opposite induced
-orientations from its two faces, flags interior cells, assigns centroid
-coordinates to every cell, and validates the span condition on cells
-(edges have nonzero length, faces are planar and not collinear).
+orientations from its two faces, flags interior cells, lists every
+incidence as index arrays, assigns centroid coordinates to every cell,
+and validates the span condition on cells (edges have nonzero length,
+faces are planar and not collinear).
 """
 
 from __future__ import annotations
@@ -22,10 +23,28 @@ from .spatial import orthonormal_triad
 # Cell handles are (dim, index) pairs, e.g. (1, 4) is edge number 4.
 Cell = tuple[int, int]
 
+# Incidence kinds by name: (dimension of the upper cell, of the lower cell).
+INCIDENCE_DIMS = {"ev": (1, 0), "fe": (2, 1), "fv": (2, 0)}
+
 
 def _face_directed_edges(cycle):
     k = len(cycle)
     return [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
+
+
+@dataclass(frozen=True)
+class Incidences:
+    """One incidence kind as parallel arrays, one entry per cell pair.
+
+    Edge-vertex pairs run edge by edge, lower endpoint first; face-edge
+    and face-vertex pairs run face by face in cycle order, so the
+    face-edge pair at position ``i`` is the edge leaving the corner of
+    the face-vertex pair at position ``i``.
+    """
+
+    upper: np.ndarray                       # index of the higher cell
+    lower: np.ndarray                       # index of the cell below it
+    sign: np.ndarray                        # orientation sign; 1 for fv
 
 
 @dataclass
@@ -45,10 +64,13 @@ class OrigamiSurface:
     interior_vertex: np.ndarray             # bool per vertex
     sign_ve: dict[tuple[int, int], int]     # (vertex, edge) -> +-1
     sign_ef: dict[tuple[int, int], int]     # (edge, face) -> +-1
+    incidences: dict[str, Incidences]       # keyed by INCIDENCE_DIMS
+    incidence_triples: np.ndarray           # (T, 3) ev, fe, fv positions
+    edge_triads: np.ndarray                 # (E, 3, 3) rows l, m, n
+    edge_midpoints: np.ndarray              # (E, 3)
+    face_centroids: np.ndarray              # (F, 3)
     tol: float = DEFAULT_TOL
     _edge_index: dict[tuple[int, int], int] = field(default_factory=dict)
-    _face_centroids: np.ndarray | None = None
-    _edge_frames: dict[int, tuple] = field(default_factory=dict)
 
     # --- counts ---
 
@@ -64,6 +86,9 @@ class OrigamiSurface:
     def num_faces(self) -> int:
         return len(self.faces)
 
+    def num_cells(self, dim: int) -> int:
+        return (self.num_vertices, self.num_edges, self.num_faces)[dim]
+
     def interior_edges(self) -> list[int]:
         return [e for e in range(self.num_edges) if self.interior_edge[e]]
 
@@ -75,62 +100,22 @@ class OrigamiSurface:
 
     # --- geometry ---
 
+    def cell_centroids(self, dim: int) -> np.ndarray:
+        """Centroids of all cells of one dimension, shape ``(n, 3)``."""
+        return (self.vertices, self.edge_midpoints, self.face_centroids)[dim]
+
     def centroid(self, cell: Cell) -> np.ndarray:
-        dim, idx = cell
-        if dim == 0:
-            return self.vertices[idx]
-        if dim == 1:
-            u, v = self.edges[idx]
-            return 0.5 * (self.vertices[u] + self.vertices[v])
-        return self._face_centroids[idx]
+        return self.cell_centroids(cell[0])[cell[1]]
 
     def edge_vector(self, e: int) -> np.ndarray:
         u, v = self.edges[e]
         return self.vertices[v] - self.vertices[u]
 
     def edge_axis(self, e: int) -> np.ndarray:
-        return self.edge_frame(e)[0]
-
-    def edge_frame(self, e: int):
-        """Deterministic orthonormal triad along edge ``e`` (precomputed
-        at construction so shared surfaces stay read-only)."""
-        return self._edge_frames[e]
-
-    # --- incidence iteration ---
+        return self.edge_triads[e, 0]
 
     def face_edges(self, f: int) -> list[int]:
         return [self.edge_index(a, b) for a, b in _face_directed_edges(self.faces[f])]
-
-    def incidences_ev(self):
-        """(edge cell, vertex cell) pairs, edge above vertex."""
-        for e, (u, v) in enumerate(self.edges):
-            yield (1, e), (0, u)
-            yield (1, e), (0, v)
-
-    def incidences_fe(self):
-        for f in range(self.num_faces):
-            for e in self.face_edges(f):
-                yield (2, f), (1, e)
-
-    def incidences_fv(self):
-        for f, cycle in enumerate(self.faces):
-            for v in cycle:
-                yield (2, f), (0, v)
-
-    def incidence_sign(self, upper: Cell, lower: Cell) -> int:
-        if upper[0] == 1 and lower[0] == 0:
-            return self.sign_ve[(lower[1], upper[1])]
-        if upper[0] == 2 and lower[0] == 1:
-            return self.sign_ef[(lower[1], upper[1])]
-        raise KeyError(f"no codimension-1 incidence {upper} > {lower}")
-
-    def triples(self):
-        """All (vertex, edge, face) incidence chains."""
-        for f in range(self.num_faces):
-            for e in self.face_edges(f):
-                u, v = self.edges[e]
-                yield (0, u), (1, e), (2, f)
-                yield (0, v), (1, e), (2, f)
 
     # --- base topology ---
 
@@ -141,13 +126,10 @@ class OrigamiSurface:
         shape (E, F); ``d1 @ d2`` vanishes identically.
         """
         d1 = np.zeros((self.num_vertices, self.num_edges), dtype=int)
-        for e, (u, v) in enumerate(self.edges):
-            d1[u, e] = self.sign_ve[(u, e)]
-            d1[v, e] = self.sign_ve[(v, e)]
         d2 = np.zeros((self.num_edges, self.num_faces), dtype=int)
-        for f in range(self.num_faces):
-            for e in self.face_edges(f):
-                d2[e, f] = self.sign_ef[(e, f)]
+        for d, kind in ((d1, "ev"), (d2, "fe")):
+            inc = self.incidences[kind]
+            d[inc.lower, inc.upper] = inc.sign
         return d1, d2
 
 
@@ -161,14 +143,13 @@ def _derive_edges(faces):
     return edges, [edge_faces[e] for e in edges]
 
 
-def _orient_faces(faces, edges, edge_faces):
+def _orient_faces(faces, edges, edge_faces, edge_index):
     """Flip face cycles to a consistent global orientation.
 
     The first face of each connected component keeps its input
     orientation.  Raises :class:`NonOrientable` when no consistent
     choice exists.
     """
-    edge_ids = {e: i for i, e in enumerate(edges)}
 
     def traversal(cycle, e):
         u, v = edges[e]
@@ -182,7 +163,7 @@ def _orient_faces(faces, edges, edge_faces):
     oriented = [tuple(c) for c in faces]
     state = [0] * len(faces)  # 0 unseen, 1 fixed
     face_edge_ids = [
-        [edge_ids[(min(a, b), max(a, b))] for a, b in _face_directed_edges(c)]
+        [edge_index[(min(a, b), max(a, b))] for a, b in _face_directed_edges(c)]
         for c in oriented
     ]
     for start in range(len(faces)):
@@ -228,14 +209,13 @@ def _check_spans(vertices, edges, faces, tol):
             raise Degenerate(f"face {f} is not planar (affine rank {rank})")
 
 
-def _interior_vertices(nv, edges, vertex_edges, edge_faces, faces):
+def _interior_vertices(nv, edge_index, vertex_edges, edge_faces, faces):
     """A vertex is interior when its edge/face link closes into one cycle."""
     interior = np.zeros(nv, dtype=bool)
-    edge_key = {tuple(sorted(e)): i for i, e in enumerate(edges)}
     # For each face, the two boundary edges meeting at each of its vertices.
     links: dict[int, list[tuple[int, int]]] = {v: [] for v in range(nv)}
     for f, cycle in enumerate(faces):
-        cyc_edges = [edge_key[tuple(sorted(p))] for p in _face_directed_edges(cycle)]
+        cyc_edges = [edge_index[tuple(sorted(p))] for p in _face_directed_edges(cycle)]
         k = len(cycle)
         for i, v in enumerate(cycle):
             e_in = cyc_edges[(i - 1) % k]
@@ -306,30 +286,23 @@ def build_surface(vertices, faces, tol: float = DEFAULT_TOL) -> OrigamiSurface:
         if len(fs) > 2:
             raise NonManifold(f"edge {edges[i]} lies in {len(fs)} faces")
 
-    faces = _orient_faces(faces, edges, edge_faces)
+    edge_index = {e: i for i, e in enumerate(edges)}
+    faces = _orient_faces(faces, edges, edge_faces, edge_index)
     _check_spans(vertices, edges, faces, tol)
 
-    edge_index = {e: i for i, e in enumerate(edges)}
     vertex_edges = [[] for _ in range(nv)]
-    sign_ve = {}
     for i, (u, v) in enumerate(edges):
         vertex_edges[u].append(i)
         vertex_edges[v].append(i)
-        sign_ve[(u, i)] = -1
-        sign_ve[(v, i)] = 1
 
-    sign_ef = {}
-    for f, cycle in enumerate(faces):
-        for a, b in _face_directed_edges(cycle):
-            e = edge_index[(min(a, b), max(a, b))]
-            sign_ef[(e, f)] = 1 if a < b else -1
+    incidences, triples = _incidence_arrays(edges, edge_index, faces)
+    sign_ve, sign_ef = (
+        dict(zip(zip(inc.lower.tolist(), inc.upper.tolist()), inc.sign.tolist()))
+        for inc in (incidences["ev"], incidences["fe"]))
 
     interior_edge = np.array([len(fs) == 2 for fs in edge_faces])
-    interior_vertex = _interior_vertices(nv, edges, vertex_edges, edge_faces, faces)
-    face_centroids = np.array([vertices[list(c)].mean(axis=0) for c in faces])
-    edge_frames = {i: orthonormal_triad(vertices[v] - vertices[u])
-                   for i, (u, v) in enumerate(edges)}
-
+    interior_vertex = _interior_vertices(nv, edge_index, vertex_edges, edge_faces, faces)
+    ends = vertices[np.array(edges)]
     return OrigamiSurface(
         vertices=vertices,
         edges=edges,
@@ -340,11 +313,41 @@ def build_surface(vertices, faces, tol: float = DEFAULT_TOL) -> OrigamiSurface:
         interior_vertex=interior_vertex,
         sign_ve=sign_ve,
         sign_ef=sign_ef,
+        incidences=incidences,
+        incidence_triples=triples,
+        edge_triads=np.array([orthonormal_triad(v - u) for u, v in ends]),
+        edge_midpoints=0.5 * (ends[:, 0] + ends[:, 1]),
+        face_centroids=np.array([vertices[list(c)].mean(axis=0) for c in faces]),
         tol=tol,
         _edge_index=edge_index,
-        _face_centroids=face_centroids,
-        _edge_frames=edge_frames,
     )
+
+
+def _incidence_arrays(edges, edge_index, faces):
+    """The ev, fe and fv incidences, ordered as :class:`Incidences` says,
+    and every vertex < edge < face chain as positions in those three."""
+    pairs = np.array(edges)
+    ev = Incidences(upper=np.repeat(np.arange(len(edges)), 2),
+                    lower=pairs.reshape(-1), sign=np.tile([-1, 1], len(edges)))
+    sizes = np.array([len(c) for c in faces])
+    corner = np.arange(sizes.sum())
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    nxt = first + (corner - first + 1) % np.repeat(sizes, sizes)
+    face = np.repeat(np.arange(len(faces)), sizes)
+    start = np.concatenate(faces)
+    end = start[nxt]
+    edge = np.array([edge_index[(min(a, b), max(a, b))]
+                     for a, b in zip(start.tolist(), end.tolist())])
+    forward = start < end
+    fe = Incidences(upper=face, lower=edge, sign=np.where(forward, 1, -1))
+    fv = Incidences(upper=face, lower=start, sign=np.ones_like(face))
+    # A face-edge pair leaves its own corner and enters the next one; the
+    # edge's lower endpoint is whichever of the two has the smaller id.
+    low = np.where(forward, corner, nxt)
+    high = np.where(forward, nxt, corner)
+    triples = np.concatenate([np.stack([2 * edge, corner, low], axis=1),
+                              np.stack([2 * edge + 1, corner, high], axis=1)])
+    return {"ev": ev, "fe": fe, "fv": fv}, triples
 
 
 def base_homology(surface: OrigamiSurface, tol: float | None = None):

@@ -9,6 +9,11 @@ def surface_of(shape, *args, seed=0, jitter=True, **params):
                                           jitter=jitter, **params))
 
 
+def scaled(surface, factor):
+    """The same surface with every coordinate multiplied by ``factor``."""
+    return build_surface(surface.vertices * factor, surface.faces)
+
+
 def two_triangles():
     """Two generic triangles sharing one edge."""
     verts = [

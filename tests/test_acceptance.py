@@ -29,6 +29,7 @@ from foldkin import (
     truss_kernel,
 )
 from foldkin.linalg import column_space, nullspace, svd_rank
+from foldkin.surface import INCIDENCE_DIMS
 
 from conftest import surface_of, two_panels
 
@@ -154,16 +155,12 @@ def test_criterion_7_exactness_suite(sequences):
         # classes, plus exactness at each of the three cell rows.
         surface = seq.surface
         for phi in (seq.iota, seq.pi):
-            for incidences in (surface.incidences_fe(),
-                               surface.incidences_ev(),
-                               surface.incidences_fv()):
-                worst = 0.0
-                for upper, lower in incidences:
-                    left = phi.component(lower) @ phi.source.extension(upper, lower)
-                    right = phi.target.extension(upper, lower) @ phi.component(upper)
-                    if left.size:
-                        worst = max(worst, float(np.abs(left - right).max()))
-                assert worst <= 1e-12, (name, phi)
+            for kind, (up, lo) in INCIDENCE_DIMS.items():
+                inc = surface.incidences[kind]
+                left = phi.components[lo][inc.lower] @ phi.source.extensions[kind]
+                right = phi.target.extensions[kind] @ phi.components[up][inc.upper]
+                worst = float(np.abs(left - right).max(initial=0.0))
+                assert worst <= 1e-12, (name, phi, kind)
         for degree_cells in (0, 1, 2):
             cells = [e.cell for e in report.entries if e.cell[0] == degree_cells]
             bad = [e for e in report.entries
@@ -266,13 +263,12 @@ def _lift_independence_instances(rng, count):
     sub = constant_cosheaf(s, 2)
     mid = constant_cosheaf(s, 5)
     quo = constant_cosheaf(s, 3)
-    cells = list(mid.stalk_dims)
     inc = np.vstack([np.eye(2), np.zeros((3, 2))])
     prj = np.hstack([np.zeros((3, 2)), np.eye(3)])
     iota = CosheafMap(source=sub, target=mid,
-                      components={c: inc for c in cells}).validate()
+                      components=(inc, inc, inc)).validate()
     pi = CosheafMap(source=mid, target=quo,
-                    components={c: prj for c in cells}).validate()
+                    components=(prj, prj, prj)).validate()
     assert verify_exact_sequence(iota, pi, TOL).ok
     mid_cc = assemble_chain_complex(mid)
     quo_cc = assemble_chain_complex(quo)

@@ -12,7 +12,7 @@ from foldkin import (
     stiffen,
 )
 
-from conftest import surface_of, two_panels
+from conftest import scaled, surface_of, two_panels
 
 
 def test_report_fields_on_two_panels():
@@ -38,6 +38,19 @@ def test_report_text_contains_verdict():
     assert "betti" in text
 
 
+def test_uniform_scaling_keeps_dims_ranks_checks():
+    # Every check compares magnitudes relative to its operands, so a
+    # uniform scaling of the coordinates changes no verdict.
+    for spec in (("grid", 4, 4), ("miura", 3, 4), ("annulus", 2, 8),
+                 ("single_vertex", 12), ("cylinder", 3, 8)):
+        s = surface_of(*spec)
+        ref = analyze_surface(s).to_dict()
+        for factor in (1e-3, 1e-1, 1e1, 1e3, 1e4):
+            got = analyze_surface(scaled(s, factor)).to_dict()
+            for key in ("dims", "ranks", "checks"):
+                assert got[key] == ref[key], (spec, factor, key)
+
+
 def test_global_motions_lie_in_every_kernel(rng):
     # The six global motions produced by the constant-cosheaf
     # isomorphism are cycles of both face-based models and transfer to
@@ -51,7 +64,7 @@ def test_global_motions_lie_in_every_kernel(rng):
         vec = rng.normal(size=6)
         chain = np.zeros(6 * s.num_faces)
         for f in range(s.num_faces):
-            chain[6 * f:6 * f + 6] = phi.component((2, f)) @ vec
+            chain[6 * f:6 * f + 6] = phi.components[2][f] @ vec
         assert np.abs(seq.rigid.complex.d2 @ chain).max() < 1e-12 * max(
             1.0, np.abs(chain).max())
         sol = spatial_solution(seq, chain)

@@ -15,11 +15,17 @@ from foldkin import (
     induced_map,
     verify_exact_sequence,
 )
-from foldkin.cosheaf import identity_map
-from foldkin.errors import FunctorialityViolation
+from foldkin.cosheaf import SubspaceBasis, identity_map
+from foldkin.errors import (
+    ExactnessViolation,
+    FunctorialityViolation,
+    LiftFailure,
+    NaturalityViolation,
+    ShapeMismatch,
+)
 from foldkin.linalg import nullspace, svd_rank
 
-from conftest import square_hole_grid, surface_of, two_panels, two_triangles
+from conftest import scaled, square_hole_grid, surface_of, two_panels, two_triangles
 
 
 def test_constant_boundary_is_signed_incidence():
@@ -48,15 +54,19 @@ def test_hinge_boundary_shape_on_two_triangles():
 
 def test_functoriality_violation_detected():
     # Needs an interior vertex so the composition check is non-vacuous.
-    s = surface_of("single_vertex", 4, 0.5)
-    cosheaf = build_spatial_model(s).cosheaf
-    e = s.interior_edges()[0]
-    f = s.edge_faces[e][0]
-    broken = dict(cosheaf.extensions)
-    broken[((2, f), (1, e))] = broken[((2, f), (1, e))] + 1e-6
-    with pytest.raises(FunctorialityViolation):
-        assemble_chain_complex(Cosheaf(surface=s, stalk_dims=cosheaf.stalk_dims,
-                                       extensions=broken))
+    # The extensions grow with the coordinates, and so does the bump.
+    for scale in (1.0, 1e4):
+        s = scaled(surface_of("single_vertex", 4, 0.5), scale)
+        cosheaf = build_spatial_model(s).cosheaf
+        e = s.interior_edges()[0]
+        f = s.edge_faces[e][0]
+        fe = s.incidences["fe"]
+        broken = dict(cosheaf.extensions)
+        broken["fe"] = broken["fe"].copy()
+        broken["fe"][(fe.upper == f) & (fe.lower == e)] += 1e-6 * scale
+        with pytest.raises(FunctorialityViolation):
+            assemble_chain_complex(Cosheaf(s, cosheaf.stalk_sizes,
+                                           cosheaf.support, broken))
 
 
 def test_constant_homology_matches_base_homology():
@@ -72,9 +82,7 @@ def test_constant_homology_matches_base_homology():
 def test_zero_boundary_gives_full_basis():
     s = two_triangles()
     # Stalks only on edges: both boundary maps vanish.
-    stalks = {(1, e): 2 for e in range(s.num_edges)}
-    cc = assemble_chain_complex(Cosheaf(surface=s, stalk_dims=stalks,
-                                        extensions={}))
+    cc = assemble_chain_complex(Cosheaf(surface=s, stalk_sizes=(0, 2, 0)))
     basis = homology_basis(cc, 1)
     assert basis.dim == 2 * s.num_edges
     assert np.abs(basis.basis.T @ basis.basis - np.eye(basis.dim)).max() < 1e-12
@@ -111,8 +119,8 @@ def test_exactness_dimensions_per_cell():
     s = two_panels()
     seq = build_exact_sequence(s)
     e = s.interior_edges()[0]
-    a = seq.iota.component((1, e))
-    b = seq.pi.component((1, e))
+    a = seq.iota.components[1][e]
+    b = seq.pi.components[1][e]
     # Image of the embedding equals the kernel of the projection: the
     # hinge-axis line inside the 6-dimensional edge stalk.
     assert svd_rank(a) == 1
@@ -124,8 +132,8 @@ def test_exactness_dimensions_at_interior_vertex():
     s = surface_of("single_vertex", 4, 0.5)
     seq = build_exact_sequence(s)
     v = s.interior_vertices()[0]
-    a = seq.iota.component((0, v))
-    b = seq.pi.component((0, v))
+    a = seq.iota.components[0][v]
+    b = seq.pi.components[0][v]
     assert svd_rank(a) == 3
     assert nullspace(b).shape[1] == 3
     assert np.abs(b @ a).max() < 1e-13
@@ -135,10 +143,11 @@ def test_zero_iota_fails_injectivity():
     s = two_panels()
     seq = build_exact_sequence(s)
     e = s.interior_edges()[0]
-    comps = dict(seq.iota.components)
-    comps[(1, e)] = np.zeros((6, 1))
+    vertex, edge, face = seq.iota.components
+    edge = edge.copy()
+    edge[e] = 0.0
     broken = CosheafMap(source=seq.hinge.cosheaf, target=seq.rigid.cosheaf,
-                        components=comps)
+                        components=(vertex, edge, face))
     report = verify_exact_sequence(broken, seq.pi)
     assert not report.ok
     bad = [entry for entry in report.entries if not entry.injective]
@@ -146,18 +155,23 @@ def test_zero_iota_fails_injectivity():
 
 
 def test_perturbed_pi_fails_exactness_with_matching_residual():
-    s = two_panels()
-    seq = build_exact_sequence(s)
-    e = s.interior_edges()[0]
-    comps = dict(seq.pi.components)
-    bumped = comps[(1, e)].copy()
-    bumped[0, :3] += 1e-3 * seq.surface.edge_axis(e)
-    comps[(1, e)] = bumped
-    perturbed = CosheafMap(source=seq.rigid.cosheaf,
-                           target=seq.spatial.cosheaf, components=comps)
-    report = verify_exact_sequence(seq.iota, perturbed)
-    assert not report.ok
-    assert 1e-4 < report.max_residual < 1e-2
+    # The components of pi do not grow with the coordinates, so neither
+    # does the bump.
+    for scale in (1.0, 1e4):
+        s = scaled(two_panels(), scale)
+        seq = build_exact_sequence(s)
+        e = s.interior_edges()[0]
+        vertex, edge, face = seq.pi.components
+        edge = edge.copy()
+        edge[e, 0, :3] += 1e-3 * seq.surface.edge_axis(e)
+        perturbed = CosheafMap(source=seq.rigid.cosheaf,
+                               target=seq.spatial.cosheaf,
+                               components=(vertex, edge, face))
+        report = verify_exact_sequence(seq.iota, perturbed)
+        assert not report.ok
+        assert 1e-4 < report.max_residual < 1e-2
+        with pytest.raises(NaturalityViolation):
+            perturbed.validate()
 
 
 def test_induced_identity_is_identity():
@@ -224,13 +238,12 @@ def test_connecting_lift_independent(rng):
     sub = constant_cosheaf(s, 2)
     mid = constant_cosheaf(s, 5)
     quo = constant_cosheaf(s, 3)
-    cells = list(mid.stalk_dims)
     inc = np.vstack([np.eye(2), np.zeros((3, 2))])
     prj = np.hstack([np.zeros((3, 2)), np.eye(3)])
     iota = CosheafMap(source=sub, target=mid,
-                      components={c: inc for c in cells}).validate()
+                      components=(inc, inc, inc)).validate()
     pi = CosheafMap(source=mid, target=quo,
-                    components={c: prj for c in cells}).validate()
+                    components=(prj, prj, prj)).validate()
     assert verify_exact_sequence(iota, pi).ok
 
     mid_cc = assemble_chain_complex(mid)
@@ -245,6 +258,59 @@ def test_connecting_lift_independent(rng):
         shifted = connecting_map(iota, pi, 2, quotient_complex=quo_cc,
                                  middle_complex=mid_cc, lift_offsets=offsets)
         assert np.abs(shifted - base).max() < 1e-9
+
+
+def test_connecting_map_names_first_failing_cycle(rng):
+    # Constant sequence on the torus; quotient H2 has one class per
+    # stalk coordinate.  Basis columns are chosen so that column 1 is the
+    # first to fail.
+    s = surface_of("torus", 4, 4)
+    sub = constant_cosheaf(s, 2)
+    mid = constant_cosheaf(s, 5)
+    quo = constant_cosheaf(s, 3)
+    inc = np.vstack([np.eye(2), np.zeros((3, 2))])
+    prj = np.hstack([np.zeros((3, 2)), np.eye(3)])
+    iota = CosheafMap(source=sub, target=mid, components=(inc, inc, inc))
+    quo_cc = assemble_chain_complex(quo)
+    basis = np.zeros((3 * s.num_faces, 3))
+    for j, coord in enumerate((0, 2, 1)):
+        basis[coord::3, j] = 1.0 / np.sqrt(s.num_faces)
+    cycles = SubspaceBasis(ambient_dim=basis.shape[0], basis=basis, tol=1e-9)
+    assert np.abs(quo_cc.d2 @ basis).max() < 1e-12
+
+    # No preimage for the third quotient coordinate: column 1 fails.
+    lossy = prj.copy()
+    lossy[2] = 0.0
+    pi = CosheafMap(source=mid, target=quo, components=(lossy, lossy, lossy))
+    with pytest.raises(LiftFailure, match="cycle 1 "):
+        connecting_map(iota, pi, 2, source_basis=cycles,
+                       quotient_complex=quo_cc)
+
+    # Iota misses the second middle coordinate, and only column 1's lift
+    # has a boundary there.
+    pi = CosheafMap(source=mid, target=quo, components=(prj, prj, prj))
+    lossy = inc.copy()
+    lossy[:, 1] = 0.0
+    iota = CosheafMap(source=sub, target=mid, components=(lossy, lossy, lossy))
+    offsets = np.zeros((5 * s.num_faces, 3))
+    offsets[1::5, 1] = rng.normal(size=s.num_faces)
+    with pytest.raises(ExactnessViolation, match="lifted cycle 1 "):
+        connecting_map(iota, pi, 2, source_basis=cycles,
+                       quotient_complex=quo_cc, lift_offsets=offsets)
+
+
+def test_restrict_rejects_unsupported_cells():
+    # Pinning a face removes its stalk: its rows cannot be read, whether
+    # it comes before or after the remaining face.
+    cosheaf = build_spatial_model(two_panels()).cosheaf
+    chains = np.arange(6.0)[:, None]
+    for pin, keep in ((0, 1), (1, 0)):
+        pinned = cosheaf.pinned(2, [pin])
+        assert np.array_equal(pinned.restrict(2, chains, [keep]), chains)
+        with pytest.raises(ShapeMismatch):
+            pinned.restrict(2, chains, [pin])
+        with pytest.raises(ShapeMismatch):
+            pinned.restrict(2, chains, [keep, pin])
 
 
 def test_complex_square_residual_small():
