@@ -11,7 +11,6 @@ from .cosheaf import (
     ChainComplex,
     Cosheaf,
     CosheafMap,
-    SubspaceBasis,
     assemble_chain_complex,
     connecting_map,
     constant_cosheaf,
@@ -47,7 +46,6 @@ from .maps import (
     truss_to_spatial,
 )
 from .models import (
-    ModelBundle,
     StiffenedLinkage,
     build_constant_model,
     build_hinge_model,

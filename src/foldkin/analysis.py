@@ -83,9 +83,9 @@ class AnalysisReport:
 def eta_image(seq: ExactSequence, linkage) -> np.ndarray:
     """Truss images of an orthonormal spatial solution basis."""
     basis = seq.spatial_h2()
-    if basis.dim == 0:
+    if basis.shape[1] == 0:
         return np.zeros((3 * linkage.num_points, 0))
-    _, image = corner_velocities(linkage, basis.basis)
+    _, image = corner_velocities(linkage, basis)
     residual = np.abs(linkage.matrix @ image).max(initial=0.0)
     if residual > 1e-8 * max(1.0, np.abs(image).max(initial=0.0)):
         raise WellDefinednessViolation(
@@ -102,11 +102,11 @@ def analyze_surface(surface: OrigamiSurface,
     betti = list(base_homology(surface, tol))
 
     dims = {
-        "hinge_h1": seq.hinge_h1().dim,
-        "spatial_h2": seq.spatial_h2().dim,
-        "rigid_h2": seq.rigid_h2().dim,
-        "rigid_h1": seq.rigid_h1().dim,
-        "truss_kernel": kernel.dim,
+        "hinge_h1": seq.hinge_h1().shape[1],
+        "spatial_h2": seq.spatial_h2().shape[1],
+        "rigid_h2": seq.rigid_h2().shape[1],
+        "rigid_h1": seq.rigid_h1().shape[1],
+        "truss_kernel": kernel.shape[1],
     }
     theta = seq.spatial_to_hinge_matrix()
     obstruction = seq.loop_obstruction_matrix()
@@ -125,9 +125,8 @@ def analyze_surface(surface: OrigamiSurface,
     eta_ok = gram_ok and svd_rank(image, tol) == dims["spatial_h2"]
 
     square_ok = bool(all(
-        bundle.complex.square_residual() <= COMPLEX_TOL
-        for bundle in (seq.hinge, seq.rigid, seq.spatial)
-    ) and build_constant_model(surface, 1).complex.square_residual() <= COMPLEX_TOL)
+        cc.square_residual() <= COMPLEX_TOL
+        for cc in (seq.hinge, seq.rigid, seq.spatial, build_constant_model(surface, 1))))
 
     obstruction_free = dims["hinge_h1"] - ranks["loop_obstruction"]
     checks = {

@@ -28,9 +28,11 @@ entry of the other side.  Residuals are then dimensionless, so a uniform
 scaling of the surface changes no verdict.  The functoriality and
 naturality checks and the two gates of :func:`connecting_map` follow it.
 
-Homology spaces are represented by harmonic bases: orthonormal bases of
-``ker(boundary)`` intersected with the orthogonal complement of the
-incoming image.  All matrices are dense; meshes of interest are small.
+Homology spaces are represented by harmonic bases: plain arrays whose
+orthonormal columns span ``ker(boundary)`` intersected with the
+orthogonal complement of the incoming image.  A class's coordinates are
+``basis.T @ chain`` and its cycle ``basis @ coords``.  All matrices are
+dense; meshes of interest are small.
 """
 
 from __future__ import annotations
@@ -214,6 +216,11 @@ class ChainComplex:
             return self.d2
         return np.zeros((0, self.dim(0)))
 
+    def pinned(self, dim: int, cells) -> ChainComplex:
+        """Complex of the cosheaf pinned over ``cells`` of dimension
+        ``dim`` (see :meth:`Cosheaf.pinned`)."""
+        return assemble_chain_complex(self.cosheaf.pinned(dim, cells))
+
     def square_residual(self) -> float:
         """Relative magnitude of ``d1 @ d2``."""
         if self.d1.size == 0 or self.d2.size == 0:
@@ -241,27 +248,8 @@ def assemble_chain_complex(cosheaf: Cosheaf) -> ChainComplex:
     return ChainComplex(cosheaf=cosheaf, d1=d1, d2=d2)
 
 
-@dataclass
-class SubspaceBasis:
-    """Orthonormal column basis of a subspace of a chain space."""
-
-    ambient_dim: int
-    basis: np.ndarray
-    tol: float
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def project_coords(self, chain: np.ndarray) -> np.ndarray:
-        return self.basis.T @ chain
-
-    def embed(self, coords: np.ndarray) -> np.ndarray:
-        return self.basis @ coords
-
-
 def homology_basis(cc: ChainComplex, degree: int,
-                   tol: float = DEFAULT_TOL) -> SubspaceBasis:
+                   tol: float = DEFAULT_TOL) -> np.ndarray:
     """Harmonic orthonormal basis of homology in one degree.
 
     The basis spans ``ker(boundary_degree)`` intersected with the
@@ -270,14 +258,11 @@ def homology_basis(cc: ChainComplex, degree: int,
     the incoming one; a single decomposition of the stacked operator
     yields it.  Degree 2 is simply the kernel of the face boundary map.
     """
-    n = cc.dim(degree)
     if degree >= 2:
-        return SubspaceBasis(ambient_dim=n, basis=nullspace(cc.d2, tol), tol=tol)
+        return nullspace(cc.d2, tol)
     if degree == 1:
-        stacked = np.vstack([cc.d1, cc.d2.T])
-    else:
-        stacked = cc.d1.T
-    return SubspaceBasis(ambient_dim=n, basis=nullspace(stacked, tol), tol=tol)
+        return nullspace(np.vstack([cc.d1, cc.d2.T]), tol)
+    return nullspace(cc.d1.T, tol)
 
 
 @dataclass
@@ -460,28 +445,21 @@ def verify_exact_sequence(iota: CosheafMap, pi: CosheafMap,
                            tol=tol)
 
 
-def induced_map(phi: CosheafMap, degree: int,
-                source_basis: SubspaceBasis | None = None,
-                target_basis: SubspaceBasis | None = None,
-                tol: float = DEFAULT_TOL) -> np.ndarray:
+def induced_map(phi: CosheafMap, degree: int, source_basis: np.ndarray,
+                target_basis: np.ndarray) -> np.ndarray:
     """Matrix of the map induced on homology, in harmonic bases.
 
     Harmonic target bases are orthogonal to the incoming image, so the
     class of a mapped cycle is read off by plain projection.
     """
-    if source_basis is None:
-        source_basis = homology_basis(assemble_chain_complex(phi.source), degree, tol)
-    if target_basis is None:
-        target_basis = homology_basis(assemble_chain_complex(phi.target), degree, tol)
-    block = phi.block_matrix(degree)
-    return target_basis.basis.T @ block @ source_basis.basis
+    return target_basis.T @ phi.block_matrix(degree) @ source_basis
 
 
 def connecting_map(iota: CosheafMap, pi: CosheafMap,
                    degree: int = 2,
                    tol: float = DEFAULT_TOL,
-                   source_basis: SubspaceBasis | None = None,
-                   target_basis: SubspaceBasis | None = None,
+                   source_basis: np.ndarray | None = None,
+                   target_basis: np.ndarray | None = None,
                    quotient_complex: ChainComplex | None = None,
                    middle_complex: ChainComplex | None = None,
                    lift_offsets: np.ndarray | None = None) -> np.ndarray:
@@ -508,7 +486,7 @@ def connecting_map(iota: CosheafMap, pi: CosheafMap,
     pi_block = pi.block_matrix(degree)
     iota_block = iota.block_matrix(degree - 1)
     boundary = middle_complex.boundary(degree)
-    cycles = source_basis.basis
+    cycles = source_basis
 
     def column_size(m):
         return np.abs(m).max(axis=0, initial=0.0)
@@ -531,4 +509,4 @@ def connecting_map(iota: CosheafMap, pi: CosheafMap,
     if bad.size:
         raise ExactnessViolation(
             f"boundary of lifted cycle {bad[0]} is not in the sub-cosheaf image")
-    return target_basis.basis.T @ pulled
+    return target_basis.T @ pulled

@@ -14,6 +14,7 @@ significant digits, so equal documents produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,6 +162,8 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not a JSON number")
         return f"{value:.17g}"
     if isinstance(value, int):
         return str(value)
@@ -179,7 +182,9 @@ def _format_value(value) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+    A NaN or infinite float raises ``ValueError``: JSON has no such
+    numbers."""
     return _format_value(obj)
 
 

@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosheaf import (
+    ChainComplex,
     Cosheaf,
     CosheafMap,
     ExactnessReport,
-    SubspaceBasis,
-    assemble_chain_complex,
     connecting_map,
     homology_basis,
     induced_map,
@@ -43,7 +42,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, pseudoinverse
 from .models import (
-    ModelBundle,
     StiffenedLinkage,
     build_hinge_model,
     build_rigid_model,
@@ -52,7 +50,10 @@ from .models import (
 from .spatial import axis_projection, hinge_twist, point_velocity_blocks, transfer_matrix
 from .surface import OrigamiSurface
 
+CYCLE_TOL = 1e-7
 OBSTRUCTION_TOL = 1e-8
+AGREEMENT_TOL = 1e-10
+FIT_TOL = 1e-7
 
 
 @dataclass
@@ -105,33 +106,37 @@ def _pi_map(rigid: Cosheaf, spatial: Cosheaf) -> CosheafMap:
 
 @dataclass
 class ExactSequence:
-    """Verified hinge -> rigid -> spatial sequence with cached homology."""
+    """Verified hinge -> rigid -> spatial sequence with cached homology.
+
+    ``hinge``, ``rigid`` and ``spatial`` are the models' chain
+    complexes; each homology method returns an orthonormal basis array.
+    """
 
     surface: OrigamiSurface
-    hinge: ModelBundle
-    rigid: ModelBundle
-    spatial: ModelBundle
+    hinge: ChainComplex
+    rigid: ChainComplex
+    spatial: ChainComplex
     iota: CosheafMap
     pi: CosheafMap
     report: ExactnessReport
     tol: float
     _cache: dict = field(default_factory=dict)
 
-    def hinge_h1(self) -> SubspaceBasis:
+    def hinge_h1(self) -> np.ndarray:
         return self._cached("hinge_h1",
-                            lambda: self.hinge.homology(1, self.tol))
+                            lambda: homology_basis(self.hinge, 1, self.tol))
 
-    def spatial_h2(self) -> SubspaceBasis:
+    def spatial_h2(self) -> np.ndarray:
         return self._cached("spatial_h2",
-                            lambda: self.spatial.homology(2, self.tol))
+                            lambda: homology_basis(self.spatial, 2, self.tol))
 
-    def rigid_h1(self) -> SubspaceBasis:
+    def rigid_h1(self) -> np.ndarray:
         return self._cached("rigid_h1",
-                            lambda: self.rigid.homology(1, self.tol))
+                            lambda: homology_basis(self.rigid, 1, self.tol))
 
-    def rigid_h2(self) -> SubspaceBasis:
+    def rigid_h2(self) -> np.ndarray:
         return self._cached("rigid_h2",
-                            lambda: self.rigid.homology(2, self.tol))
+                            lambda: homology_basis(self.rigid, 2, self.tol))
 
     def _cached(self, key, fn):
         if key not in self._cache:
@@ -150,8 +155,7 @@ class ExactSequence:
         theta = connecting_map(
             self.iota, self.pi, degree=2, tol=self.tol,
             source_basis=self.spatial_h2(), target_basis=self.hinge_h1(),
-            quotient_complex=self.spatial.complex,
-            middle_complex=self.rigid.complex)
+            quotient_complex=self.spatial, middle_complex=self.rigid)
         direct = self._theta_direct()
         if theta.size and np.max(np.abs(theta - direct)) > 1e-10:
             raise ExactnessViolation(
@@ -168,29 +172,28 @@ class ExactSequence:
         blocks[:, 0, :3] = fe.sign[:, None] * surface.edge_triads[fe.lower, 0]
         block = scatter_incidences("fe", blocks, self.hinge.cosheaf,
                                    self.spatial.cosheaf)
-        return self.hinge_h1().basis.T @ block @ self.spatial_h2().basis
+        return self.hinge_h1().T @ block @ self.spatial_h2()
 
     def loop_obstruction_matrix(self) -> np.ndarray:
         """Induced map from hinge classes to rigid-body classes in
         degree 1; nonzero output means accumulated motion around a
         homology loop."""
         return self._cached("iota_star", lambda: induced_map(
-            self.iota, 1,
-            source_basis=self.hinge_h1(), target_basis=self.rigid_h1(),
-            tol=self.tol))
+            self.iota, 1, self.hinge_h1(), self.rigid_h1()))
 
 
 def build_exact_sequence(surface: OrigamiSurface,
-                         tol: float = DEFAULT_TOL,
-                         hinge: ModelBundle | None = None,
-                         rigid: ModelBundle | None = None,
-                         spatial: ModelBundle | None = None) -> ExactSequence:
+                         tol: float = DEFAULT_TOL) -> ExactSequence:
     """Build the three cosheaf models and verify the sequence joining
     them: naturality of both maps on every incidence and stalk-wise
     exactness at every cell."""
-    hinge = hinge or build_hinge_model(surface)
-    rigid = rigid or build_rigid_model(surface)
-    spatial = spatial or build_spatial_model(surface)
+    return _verified_sequence(build_hinge_model(surface), build_rigid_model(surface),
+                              build_spatial_model(surface), tol)
+
+
+def _verified_sequence(hinge: ChainComplex, rigid: ChainComplex,
+                       spatial: ChainComplex, tol: float) -> ExactSequence:
+    """The one constructor of every sequence, free or pinned."""
     iota = _iota_map(hinge.cosheaf, rigid.cosheaf).validate()
     pi = _pi_map(rigid.cosheaf, spatial.cosheaf).validate()
     report = verify_exact_sequence(iota, pi, tol)
@@ -199,20 +202,25 @@ def build_exact_sequence(surface: OrigamiSurface,
         raise ExactnessViolation(
             f"sequence fails at cell {worst.cell}: "
             f"residual {max(worst.composition_residual, worst.image_kernel_residual):.3e}")
-    return ExactSequence(surface=surface, hinge=hinge, rigid=rigid,
-                         spatial=spatial, iota=iota, pi=pi,
-                         report=report, tol=tol)
+    return ExactSequence(surface=hinge.cosheaf.surface, hinge=hinge, rigid=rigid,
+                         spatial=spatial, iota=iota, pi=pi, report=report, tol=tol)
 
 
 # --- solution constructors ---
+
+def _require_finite(model: str, values: np.ndarray):
+    # NaN fails every comparison, so no later gate would reject it.
+    if not np.isfinite(values).all():
+        raise NotACycle(f"{model} vector has non-finite entries")
+
 
 def hinge_solution(seq: ExactSequence, rates) -> ModelSolution:
     rates = np.asarray(rates, dtype=float)
     n = len(seq.surface.interior_edges())
     if rates.shape != (n,):
         raise NotACycle(f"expected {n} hinge rates, got shape {rates.shape}")
-    d1 = seq.hinge.complex.d1
-    residual = float(np.max(np.abs(d1 @ rates), initial=0.0))
+    _require_finite("hinge", rates)
+    residual = float(np.max(np.abs(seq.hinge.d1 @ rates), initial=0.0))
     return ModelSolution(model="hinge", coefficients=rates, residual=residual)
 
 
@@ -221,12 +229,13 @@ def spatial_solution(seq: ExactSequence, values) -> ModelSolution:
     n = 6 * seq.surface.num_faces
     if values.shape != (n,):
         raise NotACycle(f"expected {n} spatial values, got shape {values.shape}")
-    d2 = seq.spatial.complex.d2
-    residual = float(np.max(np.abs(d2 @ values), initial=0.0))
+    _require_finite("spatial", values)
+    residual = float(np.max(np.abs(seq.spatial.d2 @ values), initial=0.0))
     return ModelSolution(model="spatial", coefficients=values, residual=residual)
 
 
 def _require_cycle(sol: ModelSolution, tol: float):
+    _require_finite(sol.model, sol.coefficients)
     scale = max(1.0, float(np.max(np.abs(sol.coefficients), initial=0.0)))
     if sol.residual > tol * scale:
         raise NotACycle(
@@ -237,8 +246,7 @@ def _require_cycle(sol: ModelSolution, tol: float):
 # --- hinge -> spatial ---
 
 def hinge_to_spatial(seq: ExactSequence, sol: ModelSolution,
-                     cycle_tol: float = 1e-7,
-                     obstruction_tol: float = OBSTRUCTION_TOL) -> ConversionReport:
+                     cycle_tol: float = CYCLE_TOL) -> ConversionReport:
     """Least-squares spatial realization of a hinge solution.
 
     Projects the input onto hinge homology, evaluates the loop
@@ -249,18 +257,17 @@ def hinge_to_spatial(seq: ExactSequence, sol: ModelSolution,
     """
     _require_cycle(sol, cycle_tol)
     rates = sol.coefficients
-    h1 = seq.hinge_h1()
-    coords = h1.project_coords(rates)
+    coords = seq.hinge_h1().T @ rates
     obstruction = seq.loop_obstruction_matrix() @ coords
     norm = float(np.linalg.norm(rates))
-    obstructed = norm > 0 and float(np.linalg.norm(obstruction)) > obstruction_tol * norm
+    obstructed = norm > 0 and float(np.linalg.norm(obstruction)) > OBSTRUCTION_TOL * norm
     report = ConversionReport(input=sol, obstruction=obstruction,
                               obstructed=obstructed)
     if obstructed:
         return report
     theta = seq.spatial_to_hinge_matrix()
     q = pseudoinverse(theta, seq.tol, scale=1.0) @ coords
-    values = seq.spatial_h2().embed(q)
+    values = seq.spatial_h2() @ q
     report.spatial = spatial_solution(seq, values)
     back = theta @ q
     report.residuals["round_trip"] = float(
@@ -290,10 +297,8 @@ def corner_velocities(linkage: StiffenedLinkage,
     return at_corner, at_point.reshape(-1, motions)
 
 
-def spatial_to_truss(seq: ExactSequence, linkage: StiffenedLinkage,
-                     sol: ModelSolution,
-                     cycle_tol: float = 1e-7,
-                     agreement_tol: float = 1e-10) -> ModelSolution:
+def spatial_to_truss(linkage: StiffenedLinkage, sol: ModelSolution,
+                     cycle_tol: float = CYCLE_TOL) -> ModelSolution:
     """Evaluate a spatial solution as vertex velocities of the truss.
 
     Every vertex takes the velocity induced by its first incident face;
@@ -306,7 +311,7 @@ def spatial_to_truss(seq: ExactSequence, linkage: StiffenedLinkage,
     y = y[:, 0]
     gaps = np.abs(at_corner[:, :, 0]
                   - y.reshape(-1, 3)[linkage.corner_point]).max(axis=1)
-    bad = np.flatnonzero(gaps > agreement_tol * scale)
+    bad = np.flatnonzero(gaps > AGREEMENT_TOL * scale)
     if bad.size:
         c = bad[0]
         raise WellDefinednessViolation(
@@ -318,8 +323,7 @@ def spatial_to_truss(seq: ExactSequence, linkage: StiffenedLinkage,
 
 def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
                      sol: ModelSolution,
-                     cycle_tol: float = 1e-7,
-                     fit_tol: float = 1e-7) -> ModelSolution:
+                     cycle_tol: float = CYCLE_TOL) -> ModelSolution:
     """Recover face spatial velocities from truss vertex velocities.
 
     Each face's velocity is the least-squares rigid fit to the observed
@@ -331,27 +335,33 @@ def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
     if y.shape != (3 * linkage.num_points,):
         raise NotACycle(
             f"expected {3 * linkage.num_points} coordinates, got {y.shape}")
+    _require_finite("truss", y)
     residual = float(np.max(np.abs(linkage.matrix @ y), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(y), initial=0.0)))
     if residual > cycle_tol * scale:
         raise NotACycle(f"truss vector stretches a bar (residual {residual:.3e})")
 
-    # Corners are listed face by face, so each face's rows are one run.
-    runs = np.flatnonzero(np.diff(linkage.corner_face)) + 1
-    observed = y.reshape(-1, 3)[linkage.corner_point]
-    values = np.zeros(6 * seq.surface.num_faces)
-    for f, (blocks, rhs) in enumerate(zip(np.split(linkage.corner_block, runs),
-                                          np.split(observed, runs))):
-        a = blocks.reshape(-1, 6)
-        b = rhs.ravel()
-        fit, *_ = np.linalg.lstsq(a, b, rcond=None)
-        err = float(np.max(np.abs(a @ fit - b), initial=0.0))
-        if err > fit_tol * scale:
-            raise NonRigidMotion(
-                f"face {f} velocities admit no rigid fit (residual {err:.3e})")
-        values[6 * f:6 * f + 6] = fit
+    # One fit per face, all in one stack: corners are listed face by
+    # face, and each face's rows are padded with zero rows, which change
+    # neither its fit nor its residual, to the largest corner count.
+    faces = linkage.corner_face
+    slot = np.arange(len(faces)) - np.searchsorted(faces, faces)
+    shape = (seq.surface.num_faces, slot.max() + 1, 3)
+    a = np.zeros(shape + (6,))
+    a[faces, slot] = linkage.corner_block
+    b = np.zeros(shape)
+    b[faces, slot] = y.reshape(-1, 3)[linkage.corner_point]
+    a = a.reshape(shape[0], -1, 6)
+    b = b.reshape(shape[0], -1, 1)
+    fits = pseudoinverse(a) @ b
+    errs = np.abs(a @ fits - b).max(axis=(1, 2))
+    bad = np.flatnonzero(errs > FIT_TOL * scale)
+    if bad.size:
+        f = bad[0]
+        raise NonRigidMotion(
+            f"face {f} velocities admit no rigid fit (residual {errs[f]:.3e})")
 
-    out = spatial_solution(seq, values)
+    out = spatial_solution(seq, fits.ravel())
     if out.residual > cycle_tol * scale:
         raise NotACycle(
             f"recovered face velocities violate the spatial constraints "
@@ -361,15 +371,12 @@ def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
 
 def hinge_to_truss(seq: ExactSequence, linkage: StiffenedLinkage,
                    sol: ModelSolution,
-                   cycle_tol: float = 1e-7,
-                   obstruction_tol: float = OBSTRUCTION_TOL) -> ConversionReport:
+                   cycle_tol: float = CYCLE_TOL) -> ConversionReport:
     """Full hinge -> spatial -> truss pipeline with residual report."""
-    report = hinge_to_spatial(seq, sol, cycle_tol=cycle_tol,
-                              obstruction_tol=obstruction_tol)
+    report = hinge_to_spatial(seq, sol, cycle_tol=cycle_tol)
     if report.obstructed or report.spatial is None:
         return report
-    report.truss = spatial_to_truss(seq, linkage, report.spatial,
-                                    cycle_tol=cycle_tol)
+    report.truss = spatial_to_truss(linkage, report.spatial, cycle_tol=cycle_tol)
     report.residuals["truss"] = report.truss.residual
     return report
 
@@ -521,28 +528,19 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
     pinned, expressed directly in hinge-rate and stacked-body-velocity
     coordinates for comparison with the closed-form left inverse.
 
-    Returns ``(theta_fn, basis)`` where ``basis`` columns are pinned
-    spatial cycles over the moving bodies in chain order and
-    ``theta_fn`` is the matrix taking those cycles (its columns) to
-    hinge rates in chain order.
+    The pinned sequence is verified like any other: naturality,
+    stalk-wise exactness and the direct-formula cross-check of theta.
+    Returns ``(theta, cycles)`` where ``cycles`` columns are pinned
+    spatial cycles over the moving bodies in chain order and ``theta``
+    takes those cycles (its columns) to hinge rates in chain order.
     """
     chain = ops.chain
     base = [chain.face_order[0]]
-    hinge_p, rigid_p, spatial_p = (
-        build(surface).cosheaf.pinned(2, base)
-        for build in (build_hinge_model, build_rigid_model, build_spatial_model))
-    iota = _iota_map(hinge_p, rigid_p).validate()
-    pi = _pi_map(rigid_p, spatial_p).validate()
-    spatial_cc = assemble_chain_complex(spatial_p)
-    rigid_cc = assemble_chain_complex(rigid_p)
-    hinge_cc = assemble_chain_complex(hinge_p)
-    basis = homology_basis(spatial_cc, 2, tol)
-    hinge_basis = homology_basis(hinge_cc, 1, tol)
-    theta = connecting_map(iota, pi, degree=2, tol=tol,
-                           source_basis=basis, target_basis=hinge_basis,
-                           quotient_complex=spatial_cc,
-                           middle_complex=rigid_cc)
-    # Re-express in chain coordinates: hinge rows in chain hinge order,
-    # spatial basis rows as the moving bodies in chain order.
-    return (hinge_p.restrict(1, hinge_basis.basis @ theta, chain.hinge_order),
-            spatial_p.restrict(2, basis.basis, chain.face_order[1:]))
+    seq = build_exact_sequence(surface, tol)
+    pinned = _verified_sequence(*(cc.pinned(2, base)
+                                  for cc in (seq.hinge, seq.rigid, seq.spatial)), tol)
+    rates = pinned.hinge_h1() @ pinned.spatial_to_hinge_matrix()
+    # Hinge rows in chain hinge order, cycle rows as the moving bodies in
+    # chain order.
+    return (pinned.hinge.cosheaf.restrict(1, rates, chain.hinge_order),
+            pinned.spatial.cosheaf.restrict(2, pinned.spatial_h2(), chain.face_order[1:]))

@@ -9,9 +9,10 @@
 * truss model: three velocity components per vertex of the stiffened
   linkage, one length-preservation constraint per bar.
 
-Each of the first three is a cosheaf; its boundary matrix is the model's
-constraint Jacobian and the relevant homology space is its solution set.
-Boundary (non-interior) edges and vertices carry zero stalks on the
+Each of the first three is a cosheaf; its builder returns the assembled
+chain complex, which holds the cosheaf.  The boundary matrix is the
+model's constraint Jacobian and the relevant homology space is its
+solution set.  Boundary (non-interior) edges and vertices carry zero stalks on the
 constraint side; faces always carry full stalks.
 """
 
@@ -25,34 +26,13 @@ from .cosheaf import (
     ChainComplex,
     Cosheaf,
     CosheafMap,
-    SubspaceBasis,
     assemble_chain_complex,
     constant_cosheaf,
-    homology_basis,
 )
 from .errors import DegenerateFace
 from .linalg import DEFAULT_TOL, nullspace
 from .spatial import axis_projection, point_velocity_blocks, transfer_matrix
 from .surface import INCIDENCE_DIMS, OrigamiSurface
-
-
-@dataclass
-class ModelBundle:
-    """A model's cosheaf together with its assembled chain complex."""
-
-    name: str
-    surface: OrigamiSurface
-    cosheaf: Cosheaf
-    complex: ChainComplex
-
-    def homology(self, degree: int, tol: float = DEFAULT_TOL) -> SubspaceBasis:
-        return homology_basis(self.complex, degree, tol)
-
-
-def _bundle(name, surface, stalk_sizes, support, extensions) -> ModelBundle:
-    cosheaf = Cosheaf(surface, stalk_sizes, support, extensions)
-    return ModelBundle(name=name, surface=surface, cosheaf=cosheaf,
-                       complex=assemble_chain_complex(cosheaf))
 
 
 def _constraint_support(surface: OrigamiSurface) -> tuple:
@@ -69,7 +49,7 @@ def _transfers(surface: OrigamiSurface, kind: str) -> np.ndarray:
                            surface.cell_centroids(lo)[inc.lower])
 
 
-def build_hinge_model(surface: OrigamiSurface) -> ModelBundle:
+def build_hinge_model(surface: OrigamiSurface) -> ChainComplex:
     """Hinge cosheaf: R per interior edge, R^3 per interior vertex.
 
     The edge-to-vertex extension sends the unit rate to the hinge axis,
@@ -77,11 +57,11 @@ def build_hinge_model(surface: OrigamiSurface) -> ModelBundle:
     Both endpoints of an edge receive the same axis vector.
     """
     axes = surface.edge_triads[surface.incidences["ev"].upper, 0]
-    return _bundle("hinge", surface, (3, 1, 0), _constraint_support(surface),
-                   {"ev": axes[:, :, None]})
+    return assemble_chain_complex(Cosheaf(
+        surface, (3, 1, 0), _constraint_support(surface), {"ev": axes[:, :, None]}))
 
 
-def build_spatial_model(surface: OrigamiSurface) -> ModelBundle:
+def build_spatial_model(surface: OrigamiSurface) -> ChainComplex:
     """Spatial cosheaf: R^6 per face, R^5 per interior edge, R^3 per
     interior vertex.
 
@@ -101,27 +81,25 @@ def build_spatial_model(surface: OrigamiSurface) -> ModelBundle:
         "fe": proj[fe.lower] @ _transfers(surface, "fe"),
         "fv": point_velocity_blocks(lever_fv),
     }
-    return _bundle("spatial", surface, (3, 5, 6), _constraint_support(surface),
-                   extensions)
+    return assemble_chain_complex(Cosheaf(
+        surface, (3, 5, 6), _constraint_support(surface), extensions))
 
 
-def build_rigid_model(surface: OrigamiSurface) -> ModelBundle:
+def build_rigid_model(surface: OrigamiSurface) -> ChainComplex:
     """Rigid-body cosheaf: R^6 on faces, interior edges, and interior
     vertices, with invertible transfer operators as extensions."""
     extensions = {kind: _transfers(surface, kind) for kind in INCIDENCE_DIMS}
-    return _bundle("rigid", surface, (6, 6, 6), _constraint_support(surface),
-                   extensions)
+    return assemble_chain_complex(Cosheaf(
+        surface, (6, 6, 6), _constraint_support(surface), extensions))
 
 
-def build_constant_model(surface: OrigamiSurface, dim: int) -> ModelBundle:
+def build_constant_model(surface: OrigamiSurface, dim: int) -> ChainComplex:
     """Constant cosheaf on all cells; its homology is ``dim`` copies of
     the base homology of the surface."""
-    cosheaf = constant_cosheaf(surface, dim)
-    return ModelBundle(name=f"constant{dim}", surface=surface, cosheaf=cosheaf,
-                       complex=assemble_chain_complex(cosheaf))
+    return assemble_chain_complex(constant_cosheaf(surface, dim))
 
 
-def constant_rigid_isomorphism(rigid: ModelBundle) -> CosheafMap:
+def constant_rigid_isomorphism(rigid: ChainComplex) -> CosheafMap:
     """Isomorphism from an origin-anchored constant cosheaf onto the
     rigid-body cosheaf.
 
@@ -129,7 +107,7 @@ def constant_rigid_isomorphism(rigid: ModelBundle) -> CosheafMap:
     to the cell centroid.  The constant side is supported on the same
     cells as the rigid model so every component is invertible.
     """
-    surface = rigid.surface
+    surface = rigid.cosheaf.surface
     const = constant_cosheaf(surface, 6, support=rigid.cosheaf.support)
     comps = tuple(transfer_matrix(np.zeros(3), surface.cell_centroids(d))
                   for d in range(3))
@@ -231,8 +209,6 @@ def stiffen(surface: OrigamiSurface, tol: float = DEFAULT_TOL) -> StiffenedLinka
 
 
 def truss_kernel(linkage: StiffenedLinkage,
-                 tol: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of motions preserving every bar length."""
-    basis = nullspace(linkage.matrix, tol)
-    return SubspaceBasis(ambient_dim=linkage.matrix.shape[1],
-                         basis=basis, tol=tol)
+                 tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of motions preserving every bar length."""
+    return nullspace(linkage.matrix, tol)

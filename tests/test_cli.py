@@ -97,7 +97,7 @@ def convert_setup(tmp_path, shape_args, seed=0):
 
 def test_convert_fan_hinge_to_truss(tmp_path, capsys):
     path, surface, seq = convert_setup(tmp_path, ("single_vertex", 4, 0.5))
-    rates = seq.hinge_h1().basis[:, 0]
+    rates = seq.hinge_h1()[:, 0]
     sol_path = tmp_path / "rates.json"
     sol_path.write_text(json.dumps(
         {f"e{e}": rates[k] for k, e in enumerate(surface.interior_edges())}))
@@ -128,7 +128,7 @@ def test_convert_obstructed_ring_exits_1(tmp_path, capsys):
     path, surface, seq = convert_setup(tmp_path, ("annulus", 1, 8))
     iota_star = seq.loop_obstruction_matrix()
     coords = column_space(iota_star.T, scale=1.0)[:, 0]
-    rates = seq.hinge_h1().embed(coords)
+    rates = seq.hinge_h1() @ coords
     sol_path = tmp_path / "cycle.json"
     sol_path.write_text(json.dumps(
         {f"e{e}": rates[k] for k, e in enumerate(surface.interior_edges())}))
@@ -154,7 +154,7 @@ def test_convert_unknown_cell_id(tmp_path, capsys):
 def test_convert_spatial_to_truss(tmp_path, capsys, rng):
     path, surface, seq = convert_setup(tmp_path, ("grid", 2, 2))
     basis = seq.spatial_h2()
-    values = basis.embed(rng.normal(size=basis.dim))
+    values = basis @ rng.normal(size=basis.shape[1])
     sol_path = tmp_path / "spatial.json"
     sol_path.write_text(json.dumps(
         {f"f{f}": list(values[6 * f:6 * f + 6])
@@ -164,6 +164,20 @@ def test_convert_spatial_to_truss(tmp_path, capsys, rng):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["residuals"]["truss"] < 1e-9
+
+
+def test_convert_non_finite_spatial_exits_1(tmp_path, capsys):
+    # NaN fails every comparison, so it slipped past the cycle check and
+    # printed "nan", which is not JSON.
+    path, surface, seq = convert_setup(tmp_path, ("grid", 2, 2))
+    sol_path = tmp_path / "nan.json"
+    sol_path.write_text('{"f0": [NaN, 0, 0, 0, 0, 0]}')
+    code = main(["convert", path, "--input-solution", str(sol_path),
+                 "--from", "spatial", "--to", "truss"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
 
 
 def test_convert_non_cycle_exits_1(tmp_path, capsys):

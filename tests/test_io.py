@@ -116,6 +116,16 @@ def test_canonical_json_normalizes_numpy_scalars():
     assert canonical_json(payload) == '{"flag":true,"n":3,"v":[1,2],"x":0.5}'
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_canonical_json_refuses_non_finite_floats(bad):
+    # JSON has no NaN or infinity; printing Python's spelling of them
+    # would give text no JSON reader accepts.
+    with pytest.raises(ValueError):
+        canonical_json({"residuals": {"truss": bad}})
+    with pytest.raises(ValueError):
+        canonical_json([np.float64(bad)])
+
+
 # --- generators ---
 
 def test_shape_names_catalog():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from foldkin import (
+    ExactSequence,
+    ModelSolution,
     build_exact_sequence,
     build_surface,
     chain_structure,
@@ -21,6 +23,7 @@ from foldkin import (
 )
 from foldkin.analysis import eta_image
 from foldkin.errors import (
+    ExactnessViolation,
     InvalidParams,
     NonRigidMotion,
     NotACycle,
@@ -76,7 +79,7 @@ def test_exactness_at_hinge_classes(any_surface):
 
 def test_dimension_ledgers(any_surface):
     seq = build_exact_sequence(any_surface)
-    h2s = seq.spatial_h2().dim
+    h2s = seq.spatial_h2().shape[1]
     iota_star = seq.loop_obstruction_matrix()
     assert nullspace(iota_star, scale=1.0).shape[1] == h2s - 6
     assert truss_kernel_dim(any_surface) == h2s
@@ -85,13 +88,13 @@ def test_dimension_ledgers(any_surface):
 def truss_kernel_dim(surface):
     from foldkin import truss_kernel
 
-    return truss_kernel(stiffen(surface)).dim
+    return truss_kernel(stiffen(surface)).shape[1]
 
 
 def test_theta_rank(any_surface):
     seq = build_exact_sequence(any_surface)
     theta = seq.spatial_to_hinge_matrix()
-    assert svd_rank(theta, scale=1.0) == seq.spatial_h2().dim - 6
+    assert svd_rank(theta, scale=1.0) == seq.spatial_h2().shape[1] - 6
 
 
 def test_theta_annihilates_global_motions(rng):
@@ -102,9 +105,9 @@ def test_theta_annihilates_global_motions(rng):
         chain = np.concatenate([
             transfer_matrix(np.zeros(3), seq.surface.centroid((2, f))) @ vec
             for f in range(seq.surface.num_faces)])
-        coords = seq.spatial_h2().project_coords(chain)
+        coords = seq.spatial_h2().T @ chain
         # Global motions are cycles, so projection loses nothing.
-        assert np.allclose(seq.spatial_h2().embed(coords), chain, atol=1e-9)
+        assert np.allclose(seq.spatial_h2() @ coords, chain, atol=1e-9)
         assert np.abs(theta @ coords).max() < 1e-10
 
 
@@ -130,12 +133,11 @@ def test_hinge_to_spatial_round_trip_on_sheets(rng):
         s = make()
         seq = build_exact_sequence(s)
         h1 = seq.hinge_h1()
-        rates = h1.embed(rng.normal(size=h1.dim))
+        rates = h1 @ rng.normal(size=h1.shape[1])
         report = hinge_to_spatial(seq, hinge_solution(seq, rates))
         assert not report.obstructed
         theta = seq.spatial_to_hinge_matrix()
-        back = h1.embed(theta @ seq.spatial_h2().project_coords(
-            report.spatial.coefficients))
+        back = h1 @ (theta @ (seq.spatial_h2().T @ report.spatial.coefficients))
         assert np.abs(back - rates).max() < 1e-9 * max(1, np.abs(rates).max())
 
 
@@ -150,11 +152,11 @@ def test_hinge_to_spatial_zero_maps_to_zero():
 def test_hinge_to_spatial_output_orthogonal_to_global(rng):
     seq = build_exact_sequence(surface_of("grid", 2, 2))
     h1 = seq.hinge_h1()
-    rates = h1.embed(rng.normal(size=h1.dim))
+    rates = h1 @ rng.normal(size=h1.shape[1])
     report = hinge_to_spatial(seq, hinge_solution(seq, rates))
     pi_star = induced_map(seq.pi, 2, source_basis=seq.rigid_h2(),
                           target_basis=seq.spatial_h2())
-    coords = seq.spatial_h2().project_coords(report.spatial.coefficients)
+    coords = seq.spatial_h2().T @ report.spatial.coefficients
     assert np.abs(pi_star.T @ coords).max() < 1e-9
 
 
@@ -166,7 +168,7 @@ def test_obstructed_cycle_rejected_on_ring(rng):
     # A hinge class with nonzero loop obstruction: any row-space vector.
     row_space = column_space(iota_star.T)
     coords = row_space[:, 0]
-    rates = seq.hinge_h1().embed(coords)
+    rates = seq.hinge_h1() @ coords
     report = hinge_to_spatial(seq, hinge_solution(seq, rates))
     assert report.obstructed
     assert report.obstruction.shape == (6,)
@@ -179,7 +181,7 @@ def test_unobstructed_cycle_converts_on_ring(rng):
     seq = build_exact_sequence(s)
     kernel = nullspace(seq.loop_obstruction_matrix(), scale=1.0)
     assert kernel.shape[1] > 0
-    rates = seq.hinge_h1().embed(kernel @ rng.normal(size=kernel.shape[1]))
+    rates = seq.hinge_h1() @ (kernel @ rng.normal(size=kernel.shape[1]))
     report = hinge_to_spatial(seq, hinge_solution(seq, rates))
     assert not report.obstructed
     assert report.residuals["round_trip"] < 1e-9
@@ -206,7 +208,7 @@ def test_translation_maps_to_uniform_vertex_velocity(rng):
     values = np.concatenate([np.concatenate([np.zeros(3), beta])
                              for _ in range(s.num_faces)])
     sol = spatial_solution(seq, values)
-    truss = spatial_to_truss(seq, linkage, sol)
+    truss = spatial_to_truss(linkage, sol)
     expect = np.tile(beta, linkage.num_points)
     assert np.abs(truss.coefficients - expect).max() < 1e-12
     assert truss.residual < 1e-12
@@ -230,7 +232,7 @@ def test_fold_mode_fixes_hinge_line(rng):
     values[6 * g + 3:6 * g + 6] = np.cross(omega, s.centroid((2, g)) - anchor)
     sol = spatial_solution(seq, values)
     assert sol.residual < 1e-12
-    truss = spatial_to_truss(seq, linkage, sol)
+    truss = spatial_to_truss(linkage, sol)
     assert truss.residual < 1e-12
     for vertex in (u, v):
         assert np.abs(truss.coefficients[3 * vertex:3 * vertex + 3]).max() < 1e-12
@@ -244,13 +246,13 @@ def test_spatial_basis_maps_to_truss_kernel_basis(any_surface):
     kernel = truss_kernel(linkage)
     basis = seq.spatial_h2()
     images = []
-    for j in range(basis.dim):
-        sol = spatial_solution(seq, basis.basis[:, j])
-        out = spatial_to_truss(seq, linkage, sol)
+    for j in range(basis.shape[1]):
+        sol = spatial_solution(seq, basis[:, j])
+        out = spatial_to_truss(linkage, sol)
         assert out.residual < 1e-9
         images.append(out.coefficients)
     image = np.column_stack(images)
-    assert svd_rank(image) == kernel.dim == basis.dim
+    assert svd_rank(image) == kernel.shape[1] == basis.shape[1]
     assert np.abs(image - eta_image(seq, linkage)).max() < 1e-12
 
 
@@ -263,24 +265,22 @@ def test_spatial_to_truss_rejects_disagreeing_faces(rng):
     linkage = stiffen(s)
     sol = spatial_solution(seq, rng.normal(size=6 * s.num_faces))
     with pytest.raises(WellDefinednessViolation):
-        spatial_to_truss(seq, linkage, sol, cycle_tol=np.inf)
+        spatial_to_truss(linkage, sol, cycle_tol=np.inf)
 
 
 def test_truss_round_trip(rng, any_surface):
     seq = build_exact_sequence(any_surface)
     linkage = stiffen(any_surface)
     basis = seq.spatial_h2()
-    values = basis.embed(rng.normal(size=basis.dim))
+    values = basis @ rng.normal(size=basis.shape[1])
     sol = spatial_solution(seq, values)
-    truss = spatial_to_truss(seq, linkage, sol)
+    truss = spatial_to_truss(linkage, sol)
     back = truss_to_spatial(seq, linkage, truss)
     scale = max(1.0, np.abs(values).max())
     assert np.abs(back.coefficients - values).max() < 1e-9 * scale
 
 
 def test_truss_to_spatial_uniform_translation(rng):
-    from foldkin import ModelSolution
-
     s = surface_of("grid", 2, 2)
     seq = build_exact_sequence(s)
     linkage = stiffen(s)
@@ -293,8 +293,6 @@ def test_truss_to_spatial_uniform_translation(rng):
 
 
 def test_truss_to_spatial_rejects_warping(rng):
-    from foldkin import ModelSolution
-
     s = two_panels()
     seq = build_exact_sequence(s)
     linkage = stiffen(s)
@@ -304,6 +302,50 @@ def test_truss_to_spatial_rejects_warping(rng):
         truss_to_spatial(seq, linkage, ModelSolution("truss", y, 0.0))
 
 
+def test_truss_to_spatial_names_the_face_that_fails_its_fit(rng):
+    # Moving one apex off a rigid motion warps only its own face.  With
+    # the bar check switched off, the fit gate must name that face.
+    s = surface_of("grid", 2, 3)
+    seq = build_exact_sequence(s)
+    linkage = stiffen(s)
+    basis = seq.spatial_h2()
+    y = spatial_to_truss(linkage, spatial_solution(
+        seq, basis @ rng.normal(size=basis.shape[1]))).coefficients
+    for f in (0, 3, s.num_faces - 1):
+        bent = y.copy()
+        bent[linkage.apex_slice(f)] += 0.1
+        with pytest.raises(NonRigidMotion, match=f"^face {f} velocities "):
+            truss_to_spatial(seq, linkage, ModelSolution("truss", bent, 0.0),
+                             cycle_tol=np.inf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_conversions_reject_non_finite_vectors(bad):
+    # NaN fails every comparison and infinity overflows the scales, so
+    # neither may reach a residual gate.
+    s = surface_of("single_vertex", 4, 0.5)
+    seq = build_exact_sequence(s)
+    linkage = stiffen(s)
+    rates = seq.hinge_h1()[:, 0].copy()
+    rates[0] = bad
+    with pytest.raises(NotACycle, match="^hinge vector has non-finite"):
+        hinge_to_truss(seq, linkage, hinge_solution(seq, rates))
+    values = np.zeros(6 * s.num_faces)
+    values[0] = bad
+    with pytest.raises(NotACycle, match="^spatial vector has non-finite"):
+        spatial_to_truss(linkage, spatial_solution(seq, values))
+    y = np.zeros(3 * linkage.num_points)
+    y[4] = bad
+    for truss in (y, np.full_like(y, bad)):
+        with pytest.raises(NotACycle, match="^truss vector has non-finite"):
+            truss_to_spatial(seq, linkage, ModelSolution("truss", truss, 0.0))
+    # Hand-built solutions skip the constructors' check.
+    with pytest.raises(NotACycle, match="^hinge vector has non-finite"):
+        hinge_to_truss(seq, linkage, ModelSolution("hinge", rates, 0.0))
+    with pytest.raises(NotACycle, match="^spatial vector has non-finite"):
+        spatial_to_truss(linkage, ModelSolution("spatial", values, 0.0))
+
+
 # --- full pipeline ---
 
 def test_hinge_to_truss_pipeline_on_fan(rng):
@@ -311,8 +353,8 @@ def test_hinge_to_truss_pipeline_on_fan(rng):
     seq = build_exact_sequence(s)
     linkage = stiffen(s)
     h1 = seq.hinge_h1()
-    assert h1.dim == 1
-    rates = h1.basis[:, 0]
+    assert h1.shape[1] == 1
+    rates = h1[:, 0]
     report = hinge_to_truss(seq, linkage, hinge_solution(seq, rates))
     assert not report.obstructed
     assert report.truss is not None
@@ -334,7 +376,7 @@ def test_hinge_to_truss_obstructed_ring():
     linkage = stiffen(s)
     iota_star = seq.loop_obstruction_matrix()
     coords = column_space(iota_star.T)[:, 0]
-    rates = seq.hinge_h1().embed(coords)
+    rates = seq.hinge_h1() @ coords
     report = hinge_to_truss(seq, linkage, hinge_solution(seq, rates))
     assert report.obstructed
     assert report.truss is None
@@ -348,7 +390,7 @@ def test_pipeline_injective_on_obstruction_free_classes(rng, any_surface):
         pytest.skip("no obstruction-free classes on this surface")
     images = []
     for j in range(kernel.shape[1]):
-        rates = seq.hinge_h1().embed(kernel[:, j])
+        rates = seq.hinge_h1() @ kernel[:, j]
         report = hinge_to_truss(seq, linkage, hinge_solution(seq, rates))
         assert not report.obstructed
         images.append(report.truss.coefficients)
@@ -360,28 +402,28 @@ def test_pipeline_injective_on_obstruction_free_classes(rng, any_surface):
 def test_scaling_leaves_dimensions_unchanged():
     s = two_panels()
     reference = build_exact_sequence(s)
-    dims = (reference.hinge_h1().dim, reference.spatial_h2().dim,
-            reference.rigid_h1().dim, reference.rigid_h2().dim)
+    dims = (reference.hinge_h1().shape[1], reference.spatial_h2().shape[1],
+            reference.rigid_h1().shape[1], reference.rigid_h2().shape[1])
     for scale in (1e-3, 1e3):
         scaled = build_surface(s.vertices * scale, [list(c) for c in s.faces])
         seq = build_exact_sequence(scaled)
-        assert (seq.hinge_h1().dim, seq.spatial_h2().dim,
-                seq.rigid_h1().dim, seq.rigid_h2().dim) == dims
+        assert (seq.hinge_h1().shape[1], seq.spatial_h2().shape[1],
+                seq.rigid_h1().shape[1], seq.rigid_h2().shape[1]) == dims
 
 
 def test_model_dimensions_invariant_under_relabeling(rng):
     s = two_panels()
     reference = build_exact_sequence(s)
-    dims = (reference.hinge_h1().dim, reference.spatial_h2().dim,
-            reference.rigid_h1().dim)
+    dims = (reference.hinge_h1().shape[1], reference.spatial_h2().shape[1],
+            reference.rigid_h1().shape[1])
     for _ in range(5):
         perm = rng.permutation(s.num_vertices)
         verts = np.empty_like(s.vertices)
         verts[perm] = s.vertices
         faces = [[int(perm[v]) for v in cycle] for cycle in s.faces]
         seq = build_exact_sequence(build_surface(verts, faces))
-        assert (seq.hinge_h1().dim, seq.spatial_h2().dim,
-                seq.rigid_h1().dim) == dims
+        assert (seq.hinge_h1().shape[1], seq.spatial_h2().shape[1],
+                seq.rigid_h1().shape[1]) == dims
 
 
 # --- serial chains ---
@@ -428,6 +470,18 @@ def test_chain_left_inverse_is_connecting_map():
         assert np.abs(theta - via_ops).max() < 1e-9
 
 
+def test_pinned_chain_runs_the_sequence_checks(monkeypatch):
+    # The pinned sequence is built and verified like the free one, so a
+    # direct formula that disagrees with the connecting map is caught.
+    s = surface_of("chain", 4, seed=2)
+    ops = serial_chain_operators(s)
+    direct = ExactSequence._theta_direct
+    monkeypatch.setattr(ExactSequence, "_theta_direct",
+                        lambda seq: direct(seq) + 1e-6)
+    with pytest.raises(ExactnessViolation, match="direct formula"):
+        pinned_chain_connecting_matrix(s, ops)
+
+
 def test_chain_structure_requires_path():
     with pytest.raises(InvalidParams):
         chain_structure(surface_of("grid", 2, 2))
@@ -437,4 +491,4 @@ def test_chain_solutions_live_in_hinge_space():
     s = surface_of("chain", 4)
     seq = build_exact_sequence(s)
     # No interior vertices: every rate vector is a valid hinge solution.
-    assert seq.hinge_h1().dim == 4
+    assert seq.hinge_h1().shape[1] == 4
