@@ -27,7 +27,7 @@ from .fold_io import (
     surface_from_document,
 )
 from .generators import generate, shape_names
-from .linalg import DEFAULT_TOL
+from .linalg import RANK_TOL
 from .maps import (
     ConversionReport,
     ExactSequence,

@@ -20,7 +20,7 @@ import numpy as np
 from .cosheaf import COMPLEX_TOL
 from .errors import WellDefinednessViolation
 from .fold_io import canonical_json
-from .linalg import DEFAULT_TOL, svd_rank
+from .linalg import RANK_TOL, svd_rank
 from .maps import ExactSequence, build_exact_sequence, corner_velocities
 from .models import build_constant_model, stiffen, truss_kernel
 from .surface import OrigamiSurface, base_homology
@@ -93,13 +93,12 @@ def eta_image(seq: ExactSequence, linkage) -> np.ndarray:
     return image
 
 
-def analyze_surface(surface: OrigamiSurface,
-                    tol: float = DEFAULT_TOL) -> AnalysisReport:
+def analyze_surface(surface: OrigamiSurface) -> AnalysisReport:
     start = time.perf_counter()
-    seq = build_exact_sequence(surface, tol=tol)
-    linkage = stiffen(surface, tol=tol)
-    kernel = truss_kernel(linkage, tol=tol)
-    betti = list(base_homology(surface, tol))
+    seq = build_exact_sequence(surface)
+    linkage = stiffen(surface)
+    kernel = truss_kernel(linkage)
+    betti = list(base_homology(surface))
 
     dims = {
         "hinge_h1": seq.hinge_h1().shape[1],
@@ -113,8 +112,8 @@ def analyze_surface(surface: OrigamiSurface,
     # Both maps act between orthonormal class bases, so meaningful
     # entries are order one; anchor the rank cutoff there.
     ranks = {
-        "spatial_to_hinge": svd_rank(theta, tol, scale=1.0),
-        "loop_obstruction": svd_rank(obstruction, tol, scale=1.0),
+        "spatial_to_hinge": svd_rank(theta, scale=1.0),
+        "loop_obstruction": svd_rank(obstruction, scale=1.0),
     }
 
     image = eta_image(seq, linkage)
@@ -122,7 +121,7 @@ def analyze_surface(surface: OrigamiSurface,
     if image.shape[1]:
         eigs = np.linalg.eigvalsh(image.T @ image)
         gram_ok = bool(eigs[0] >= GRAM_RELATIVE_FLOOR * max(eigs[-1], 1e-300))
-    eta_ok = gram_ok and svd_rank(image, tol) == dims["spatial_h2"]
+    eta_ok = gram_ok and svd_rank(image) == dims["spatial_h2"]
 
     square_ok = bool(all(
         cc.square_residual() <= COMPLEX_TOL
@@ -146,5 +145,5 @@ def analyze_surface(surface: OrigamiSurface,
         "faces": surface.num_faces,
     }
     return AnalysisReport(counts=counts, betti=betti, dims=dims, ranks=ranks,
-                          checks=checks, tolerance=tol,
+                          checks=checks, tolerance=RANK_TOL,
                           elapsed_seconds=time.perf_counter() - start)

@@ -2,10 +2,15 @@
 
 Subcommands::
 
-    foldkin analyze <file>                  build models, run all checks
+    foldkin analyze <file> [--format F]     build models, run all checks
     foldkin convert <file> --input-solution s.json --from hinge --to truss
-    foldkin gen <shape> [params...] --out <file>
-    foldkin serial <n>                      serial-chain agreement residuals
+                    [--out <file>]
+    foldkin gen <shape> [params...] [--seed N] [--no-jitter] [--out <file>]
+    foldkin serial <n> [--seed N] [--no-jitter] [--format F] [--check]
+
+Each subcommand accepts only the flags it reads; ``F`` is ``json`` or
+``text``.  There is no tolerance flag: every rank decision uses the one
+cutoff ``linalg.RANK_TOL``.
 
 Exit codes: 0 all checks pass, 1 a structural check or obstruction failed,
 2 the input could not be parsed or built, 3 an internal error (a fault in
@@ -29,7 +34,6 @@ from . import generators
 from .analysis import analyze_surface
 from .errors import FoldkinError, InvalidParams, NotACycle, ParseError, UnknownCellId
 from .fold_io import canonical_json, parse_fold, serialize_fold, surface_from_document
-from .linalg import DEFAULT_TOL
 from .maps import (
     build_exact_sequence,
     hinge_solution,
@@ -107,15 +111,14 @@ def truss_vector_dict(linkage, values: np.ndarray) -> dict:
 
 # --- commands ---
 
-def _load_surface(path: str, tol: float) -> OrigamiSurface:
+def _load_surface(path: str) -> OrigamiSurface:
     with open(path, "rb") as handle:
         doc = parse_fold(handle.read())
-    return surface_from_document(doc, tol=tol)
+    return surface_from_document(doc)
 
 
 def cmd_analyze(args) -> int:
-    surface = _load_surface(args.file, args.tol)
-    report = analyze_surface(surface, tol=args.tol)
+    report = analyze_surface(_load_surface(args.file))
     if args.format == "json":
         print(report.to_json())
     else:
@@ -124,7 +127,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    surface = _load_surface(args.file, args.tol)
+    surface = _load_surface(args.file)
     with open(args.input_solution, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
@@ -133,8 +136,8 @@ def cmd_convert(args) -> int:
     if not isinstance(raw, dict):
         raise ParseError("solution file must be a JSON object")
 
-    seq = build_exact_sequence(surface, tol=args.tol)
-    linkage = stiffen(surface, tol=args.tol) if args.to == "truss" else None
+    seq = build_exact_sequence(surface)
+    linkage = stiffen(surface) if args.to == "truss" else None
 
     if args.source == "hinge":
         sol = hinge_solution(seq, read_hinge_vector(surface, raw))
@@ -192,7 +195,7 @@ def cmd_gen(args) -> int:
                 raise InvalidParams(f"parameter {raw!r} is not a number")
     doc = generators.generate(args.shape, *params, seed=args.seed,
                               jitter=not args.no_jitter)
-    surface_from_document(doc, tol=args.tol)  # fail fast on bad params
+    surface_from_document(doc)  # fail fast on bad params
     data = serialize_fold(doc)
     if args.out:
         with open(args.out, "wb") as handle:
@@ -206,8 +209,8 @@ def cmd_serial(args) -> int:
     if args.n < 1:
         raise InvalidParams("serial chain needs n >= 1")
     doc = generators.chain(args.n, seed=args.seed, jitter=not args.no_jitter)
-    surface = surface_from_document(doc, tol=args.tol)
-    ops = serial_chain_operators(surface, tol=args.tol)
+    surface = surface_from_document(doc)
+    ops = serial_chain_operators(surface)
     rng = np.random.default_rng(args.seed + 1)
     rates = rng.normal(size=args.n)
 
@@ -218,7 +221,7 @@ def cmd_serial(args) -> int:
     n6 = 6 * args.n
     inverse = float(np.max(np.abs(
         ops.accumulate_inverse @ ops.accumulate - np.eye(n6))))
-    theta, cycles = pinned_chain_connecting_matrix(surface, ops, tol=args.tol)
+    theta, cycles = pinned_chain_connecting_matrix(surface, ops)
     via_ops = ops.d_pinv @ cycles
     connecting = float(np.max(np.abs(theta - via_ops))
                        / max(1.0, np.max(np.abs(via_ops))))
@@ -245,13 +248,14 @@ def cmd_serial(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser):
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="relative singular-value cutoff (default 1e-9)")
+def _add_generator_flags(parser):
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--no-jitter", action="store_true",
                         help="disable generic-position jitter in generators")
+
+
+def _add_format_flag(parser):
+    parser.add_argument("--format", choices=("json", "text"), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="build all models and run the checks")
     p.add_argument("file", help="FOLD-subset JSON file")
-    _add_common(p)
+    _add_format_flag(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("convert", help="convert a solution between models")
@@ -273,21 +277,21 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("hinge", "spatial"))
     p.add_argument("--to", required=True, choices=("spatial", "truss"))
     p.add_argument("--out", help="write the converted vector here")
-    _add_common(p)
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("gen", help="generate a built-in surface")
     p.add_argument("shape", choices=generators.shape_names())
     p.add_argument("params", nargs="*", help="shape parameters, in order")
     p.add_argument("--out", help="output file (default stdout)")
-    _add_common(p)
+    _add_generator_flags(p)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("serial", help="serial-chain operator agreement")
     p.add_argument("n", type=int, help="number of hinges")
     p.add_argument("--check", action="store_true",
                    help="exit nonzero when residuals exceed thresholds")
-    _add_common(p)
+    _add_generator_flags(p)
+    _add_format_flag(p)
     p.set_defaults(fn=cmd_serial)
     return parser
 

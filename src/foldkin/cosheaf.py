@@ -27,6 +27,12 @@ can reach (the product of its factors' largest entries) and the largest
 entry of the other side.  Residuals are then dimensionless, so a uniform
 scaling of the surface changes no verdict.  The functoriality and
 naturality checks and the two gates of :func:`connecting_map` follow it.
+Each check has one fixed bound, defined together below:
+:data:`FUNCTORIALITY_TOL`, :data:`NATURALITY_TOL`, :data:`COMPLEX_TOL`
+for ``d1 @ d2``, :data:`EXACTNESS_TOL` for the stalk-wise exactness
+residuals, and :data:`LIFT_TOL` for the lift and pull-back gates of the
+connecting map.  Rank decisions use ``linalg.RANK_TOL``; no function
+here takes a tolerance argument.
 
 Homology spaces are represented by harmonic bases: plain arrays whose
 orthonormal columns span ``ker(boundary)`` intersected with the
@@ -49,7 +55,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
-    DEFAULT_TOL,
     nullspace,
     pseudoinverse,
     stacked_svd,
@@ -60,6 +65,8 @@ from .surface import INCIDENCE_DIMS, Cell, OrigamiSurface
 FUNCTORIALITY_TOL = 1e-12
 NATURALITY_TOL = 1e-12
 COMPLEX_TOL = 1e-11
+EXACTNESS_TOL = 1e-9
+LIFT_TOL = 1e-6
 
 
 def _magnitude(a: np.ndarray) -> float:
@@ -248,8 +255,7 @@ def assemble_chain_complex(cosheaf: Cosheaf) -> ChainComplex:
     return ChainComplex(cosheaf=cosheaf, d1=d1, d2=d2)
 
 
-def homology_basis(cc: ChainComplex, degree: int,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
+def homology_basis(cc: ChainComplex, degree: int) -> np.ndarray:
     """Harmonic orthonormal basis of homology in one degree.
 
     The basis spans ``ker(boundary_degree)`` intersected with the
@@ -259,10 +265,10 @@ def homology_basis(cc: ChainComplex, degree: int,
     yields it.  Degree 2 is simply the kernel of the face boundary map.
     """
     if degree >= 2:
-        return nullspace(cc.d2, tol)
+        return nullspace(cc.d2)
     if degree == 1:
-        return nullspace(np.vstack([cc.d1, cc.d2.T]), tol)
-    return nullspace(cc.d1.T, tol)
+        return nullspace(np.vstack([cc.d1, cc.d2.T]))
+    return nullspace(cc.d1.T)
 
 
 @dataclass
@@ -274,8 +280,8 @@ class CosheafMap:
     Components at cells outside the support of either cosheaf are set to
     zero, and a stack of the wrong shape raises :class:`ShapeMismatch`.
     Components must satisfy naturality: mapping then extending equals
-    extending then mapping, on every incidence.  The naturality residual
-    is available separately so callers can decide how strict to be.
+    extending then mapping, on every incidence; :meth:`validate` holds
+    the residual to :data:`NATURALITY_TOL`.
     """
 
     source: Cosheaf
@@ -310,9 +316,9 @@ class CosheafMap:
             worst = max(worst, float(_relative_gap(lower @ src, tgt @ upper, bound)))
         return worst
 
-    def validate(self, tol: float = NATURALITY_TOL):
+    def validate(self):
         residual = self.naturality_residual()
-        if residual > tol:
+        if residual > NATURALITY_TOL:
             raise NaturalityViolation(f"naturality residual {residual:.3e}")
         return self
 
@@ -325,8 +331,7 @@ class CosheafMap:
             self.source._coordinates(degree, cells),
             self.components[degree][cells])
 
-    def block_pseudoinverse(self, degree: int,
-                            tol: float = DEFAULT_TOL) -> np.ndarray:
+    def block_pseudoinverse(self, degree: int) -> np.ndarray:
         """Pseudoinverse of :meth:`block_matrix`.
 
         The chain map is block diagonal, so the pseudoinverse is the
@@ -338,7 +343,7 @@ class CosheafMap:
             (self.source.chain_dim(degree), self.target.chain_dim(degree)),
             self.source._coordinates(degree, cells),
             self.target._coordinates(degree, cells),
-            pseudoinverse(self.components[degree][cells], tol))
+            pseudoinverse(self.components[degree][cells]))
 
 
 def identity_map(cosheaf: Cosheaf) -> CosheafMap:
@@ -374,7 +379,6 @@ class ExactnessReport:
     surjective: np.ndarray
     composition_residual: np.ndarray
     image_kernel_residual: np.ndarray
-    tol: float
 
     def _entry(self, k: int) -> CellExactness:
         d, i = self.cells[k]
@@ -393,7 +397,7 @@ class ExactnessReport:
     @property
     def ok(self) -> bool:
         return (bool(np.all(self.injective & self.surjective))
-                and self.max_residual <= self.tol)
+                and self.max_residual <= EXACTNESS_TOL)
 
     @property
     def max_residual(self) -> float:
@@ -402,14 +406,13 @@ class ExactnessReport:
     def worst_cell(self) -> CellExactness | None:
         residuals = self._residuals()
         bad = np.flatnonzero(~(self.injective & self.surjective)
-                             | (residuals > self.tol))
+                             | (residuals > EXACTNESS_TOL))
         if not bad.size:
             return None
         return self._entry(bad[np.argmax(residuals[bad])])
 
 
-def verify_exact_sequence(iota: CosheafMap, pi: CosheafMap,
-                          tol: float = DEFAULT_TOL) -> ExactnessReport:
+def verify_exact_sequence(iota: CosheafMap, pi: CosheafMap) -> ExactnessReport:
     """Check stalk-wise exactness of ``0 -> F -> G -> Q -> 0``.
 
     Per cell: the first map is injective, the second surjective, their
@@ -427,8 +430,8 @@ def verify_exact_sequence(iota: CosheafMap, pi: CosheafMap,
         cells = np.flatnonzero(df + dg + dq)
         a = iota.components[dim][cells]
         b = pi.components[dim][cells]
-        u_a, keep_a, _ = stacked_svd(a, tol)
-        _, keep_b, vh_b = stacked_svd(b, tol)
+        u_a, keep_a, _ = stacked_svd(a)
+        _, keep_b, vh_b = stacked_svd(b)
         rank_b = keep_b.sum(axis=-1)
         image = u_a[..., :keep_a.shape[-1]] * keep_a[:, None, :]
         # Rows of vh past the rank span the kernel, inside G's stalk only.
@@ -441,8 +444,7 @@ def verify_exact_sequence(iota: CosheafMap, pi: CosheafMap,
             rank_b == dq[cells],
             np.abs(b @ a).max(axis=(1, 2), initial=0.0),
             subspace_residual(image, kernel)))
-    return ExactnessReport(*(np.concatenate(col) for col in zip(*columns)),
-                           tol=tol)
+    return ExactnessReport(*(np.concatenate(col) for col in zip(*columns)))
 
 
 def induced_map(phi: CosheafMap, degree: int, source_basis: np.ndarray,
@@ -455,34 +457,21 @@ def induced_map(phi: CosheafMap, degree: int, source_basis: np.ndarray,
     return target_basis.T @ phi.block_matrix(degree) @ source_basis
 
 
-def connecting_map(iota: CosheafMap, pi: CosheafMap,
-                   degree: int = 2,
-                   tol: float = DEFAULT_TOL,
-                   source_basis: np.ndarray | None = None,
-                   target_basis: np.ndarray | None = None,
-                   quotient_complex: ChainComplex | None = None,
-                   middle_complex: ChainComplex | None = None,
+def connecting_map(iota: CosheafMap, pi: CosheafMap, degree: int,
+                   source_basis: np.ndarray, target_basis: np.ndarray,
+                   middle_complex: ChainComplex,
                    lift_offsets: np.ndarray | None = None) -> np.ndarray:
     """Connecting homomorphism of a short exact sequence of cosheaves.
 
-    All basis cycles of the quotient homology in ``degree`` at once:
-    lift through ``pi`` by least squares, apply the middle boundary map,
-    pull back through ``iota``, and project onto the harmonic basis of
-    the sub-cosheaf homology one degree down.  The result does not
-    depend on the choice of lift; ``lift_offsets`` (columns added to the
-    lifts, one per basis cycle) exists to let tests exercise that.  A
-    failed lift or pull-back names the first basis cycle it fails on.
+    All cycles of ``source_basis`` (quotient homology in ``degree``) at
+    once: lift through ``pi`` by least squares, apply the boundary map
+    of ``middle_complex``, pull back through ``iota``, and project onto
+    ``target_basis`` (harmonic sub-cosheaf homology one degree down).
+    The result does not depend on the choice of lift; ``lift_offsets``
+    (columns added to the lifts, one per basis cycle) exists to let
+    tests exercise that.  A lift or pull-back that misses by more than
+    :data:`LIFT_TOL` names the first basis cycle it fails on.
     """
-    if quotient_complex is None:
-        quotient_complex = assemble_chain_complex(pi.target)
-    if middle_complex is None:
-        middle_complex = assemble_chain_complex(pi.source)
-    if source_basis is None:
-        source_basis = homology_basis(quotient_complex, degree, tol)
-    if target_basis is None:
-        target_basis = homology_basis(
-            assemble_chain_complex(iota.source), degree - 1, tol)
-
     pi_block = pi.block_matrix(degree)
     iota_block = iota.block_matrix(degree - 1)
     boundary = middle_complex.boundary(degree)
@@ -491,21 +480,21 @@ def connecting_map(iota: CosheafMap, pi: CosheafMap,
     def column_size(m):
         return np.abs(m).max(axis=0, initial=0.0)
 
-    lifts = pi.block_pseudoinverse(degree, tol) @ cycles
+    lifts = pi.block_pseudoinverse(degree) @ cycles
     if lift_offsets is not None:
         lifts = lifts + lift_offsets
     gaps = _relative_gap(pi_block @ lifts, cycles,
                          _magnitude(pi_block) * column_size(lifts), axis=0)
-    bad = np.flatnonzero(gaps > tol * 1e3)
+    bad = np.flatnonzero(gaps > LIFT_TOL)
     if bad.size:
         raise LiftFailure(
             f"cycle {bad[0]} not in the image of the quotient map")
     dlifts = boundary @ lifts
-    pulled = iota.block_pseudoinverse(degree - 1, tol) @ dlifts
+    pulled = iota.block_pseudoinverse(degree - 1) @ dlifts
     bound = np.maximum(_magnitude(iota_block) * column_size(pulled),
                        _magnitude(boundary) * column_size(lifts))
     gaps = _relative_gap(iota_block @ pulled, dlifts, bound, axis=0)
-    bad = np.flatnonzero(gaps > tol * 1e3)
+    bad = np.flatnonzero(gaps > LIFT_TOL)
     if bad.size:
         raise ExactnessViolation(
             f"boundary of lifted cycle {bad[0]} is not in the sub-cosheaf image")

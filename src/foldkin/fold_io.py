@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, ParseError
-from .linalg import DEFAULT_TOL
 from .surface import OrigamiSurface, build_surface
 
 _GEOMETRY_KEYS = ("vertices_coords", "edges_vertices", "faces_vertices")
@@ -118,14 +117,13 @@ def parse_fold(data: bytes | str) -> FoldSubsetDocument:
                               edges_vertices=edges, metadata=metadata)
 
 
-def surface_from_document(doc: FoldSubsetDocument,
-                          tol: float = DEFAULT_TOL) -> OrigamiSurface:
+def surface_from_document(doc: FoldSubsetDocument) -> OrigamiSurface:
     """Build the validated surface a document describes.
 
     When the document lists edges they must match the edges derived
     from the face boundaries; dangling bars are not representable.
     """
-    surface = build_surface(doc.vertices_coords, doc.faces_vertices, tol=tol)
+    surface = build_surface(doc.vertices_coords, doc.faces_vertices)
     if doc.edges_vertices is not None:
         listed = {tuple(sorted(e)) for e in doc.edges_vertices}
         derived = set(surface.edges)

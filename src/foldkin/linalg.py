@@ -1,17 +1,19 @@
 """Rank-revealing linear algebra helpers.
 
-All rank decisions in the package go through this module so that a single
-tolerance policy applies everywhere: a singular value counts as nonzero
-when it exceeds ``tol`` times the largest singular value of the same
-matrix.  Functions that accept a stack of matrices ``(..., m, n)`` apply
-the cutoff to each matrix of the stack on its own.
+All rank decisions in the package go through this module, and all of
+them use one cutoff: a singular value counts as nonzero when it exceeds
+:data:`RANK_TOL` times the largest singular value of the same matrix.
+The cutoff is a constant, not a parameter, so every dimension, rank and
+verdict foldkin reports rests on the same decision.  Functions that
+accept a stack of matrices ``(..., m, n)`` apply the cutoff to each
+matrix of the stack on its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+RANK_TOL = 1e-9
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -21,17 +23,17 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def _keep(s: np.ndarray, tol: float, scale: float) -> np.ndarray:
-    """Mask of the singular values above ``tol * max(largest, scale)``;
+def _keep(s: np.ndarray, scale: float) -> np.ndarray:
+    """Mask of the singular values above ``RANK_TOL * max(largest, scale)``;
     ``s`` is sorted descending along its last axis."""
-    return s > tol * np.maximum(s[..., :1], scale)
+    return s > RANK_TOL * np.maximum(s[..., :1], scale)
 
 
-def svd_rank(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> int:
+def svd_rank(a, *, scale: float = 0.0) -> int:
     """Numerical rank with a relative singular-value cutoff.
 
     ``scale`` optionally anchors the cutoff: singular values must exceed
-    ``tol * max(largest, scale)``.  Pass the natural magnitude of a
+    ``RANK_TOL * max(largest, scale)``.  Pass the natural magnitude of a
     meaningful entry (for maps between orthonormal bases, 1.0) so that a
     matrix that should be zero, but carries rounding noise, reports rank
     zero instead of spurious full rank.
@@ -42,10 +44,10 @@ def svd_rank(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(_keep(s, tol, scale)))
+    return int(np.sum(_keep(s, scale)))
 
 
-def nullspace(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
+def nullspace(a, *, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``a``.
 
     A matrix with zero rows has full kernel, so the identity is returned.
@@ -57,7 +59,7 @@ def nullspace(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
-    rank = int(np.sum(_keep(s, tol, scale)))
+    rank = int(np.sum(_keep(s, scale)))
     if m >= n:
         # Economy decomposition already carries all right singular vectors.
         return vh[rank:].T.copy()
@@ -70,7 +72,7 @@ def nullspace(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     return q[:, rank:]
 
 
-def column_space(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
+def column_space(a, *, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the range of ``a``."""
     a = _as_matrix(a)
     m = a.shape[0]
@@ -79,11 +81,11 @@ def column_space(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m, 0))
-    rank = int(np.sum(_keep(s, tol, scale)))
+    rank = int(np.sum(_keep(s, scale)))
     return u[:, :rank].copy()
 
 
-def stacked_svd(a, tol: float = DEFAULT_TOL):
+def stacked_svd(a):
     """Full decomposition ``u, keep, vh`` of every matrix in a stack.
 
     ``keep[..., i]`` says whether singular value ``i`` counts as nonzero:
@@ -91,17 +93,17 @@ def stacked_svd(a, tol: float = DEFAULT_TOL):
     past the kept ones span the kernel.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return u, _keep(s, tol, 0.0), vh
+    return u, _keep(s, 0.0), vh
 
 
-def pseudoinverse(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
+def pseudoinverse(a, *, scale: float = 0.0) -> np.ndarray:
     """Moore-Penrose pseudoinverse under the shared cutoff policy; a
     stack ``(..., m, n)`` gives a stack ``(..., n, m)``."""
     a = _as_matrix(a)
     if a.size == 0:
         return np.zeros(a.shape[:-2] + (a.shape[-1], a.shape[-2]))
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = _keep(s, tol, scale)
+    keep = _keep(s, scale)
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (np.swapaxes(vh, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
 

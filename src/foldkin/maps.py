@@ -40,7 +40,7 @@ from .errors import (
     NotACycle,
     WellDefinednessViolation,
 )
-from .linalg import DEFAULT_TOL, pseudoinverse
+from .linalg import pseudoinverse
 from .models import (
     StiffenedLinkage,
     build_hinge_model,
@@ -119,24 +119,23 @@ class ExactSequence:
     iota: CosheafMap
     pi: CosheafMap
     report: ExactnessReport
-    tol: float
     _cache: dict = field(default_factory=dict)
 
     def hinge_h1(self) -> np.ndarray:
         return self._cached("hinge_h1",
-                            lambda: homology_basis(self.hinge, 1, self.tol))
+                            lambda: homology_basis(self.hinge, 1))
 
     def spatial_h2(self) -> np.ndarray:
         return self._cached("spatial_h2",
-                            lambda: homology_basis(self.spatial, 2, self.tol))
+                            lambda: homology_basis(self.spatial, 2))
 
     def rigid_h1(self) -> np.ndarray:
         return self._cached("rigid_h1",
-                            lambda: homology_basis(self.rigid, 1, self.tol))
+                            lambda: homology_basis(self.rigid, 1))
 
     def rigid_h2(self) -> np.ndarray:
         return self._cached("rigid_h2",
-                            lambda: homology_basis(self.rigid, 2, self.tol))
+                            lambda: homology_basis(self.rigid, 2))
 
     def _cached(self, key, fn):
         if key not in self._cache:
@@ -153,9 +152,9 @@ class ExactSequence:
 
     def _theta(self) -> np.ndarray:
         theta = connecting_map(
-            self.iota, self.pi, degree=2, tol=self.tol,
+            self.iota, self.pi, degree=2,
             source_basis=self.spatial_h2(), target_basis=self.hinge_h1(),
-            quotient_complex=self.spatial, middle_complex=self.rigid)
+            middle_complex=self.rigid)
         direct = self._theta_direct()
         if theta.size and np.max(np.abs(theta - direct)) > 1e-10:
             raise ExactnessViolation(
@@ -182,28 +181,27 @@ class ExactSequence:
             self.iota, 1, self.hinge_h1(), self.rigid_h1()))
 
 
-def build_exact_sequence(surface: OrigamiSurface,
-                         tol: float = DEFAULT_TOL) -> ExactSequence:
+def build_exact_sequence(surface: OrigamiSurface) -> ExactSequence:
     """Build the three cosheaf models and verify the sequence joining
     them: naturality of both maps on every incidence and stalk-wise
     exactness at every cell."""
     return _verified_sequence(build_hinge_model(surface), build_rigid_model(surface),
-                              build_spatial_model(surface), tol)
+                              build_spatial_model(surface))
 
 
 def _verified_sequence(hinge: ChainComplex, rigid: ChainComplex,
-                       spatial: ChainComplex, tol: float) -> ExactSequence:
+                       spatial: ChainComplex) -> ExactSequence:
     """The one constructor of every sequence, free or pinned."""
     iota = _iota_map(hinge.cosheaf, rigid.cosheaf).validate()
     pi = _pi_map(rigid.cosheaf, spatial.cosheaf).validate()
-    report = verify_exact_sequence(iota, pi, tol)
+    report = verify_exact_sequence(iota, pi)
     if not report.ok:
         worst = report.worst_cell()
         raise ExactnessViolation(
             f"sequence fails at cell {worst.cell}: "
             f"residual {max(worst.composition_residual, worst.image_kernel_residual):.3e}")
     return ExactSequence(surface=hinge.cosheaf.surface, hinge=hinge, rigid=rigid,
-                         spatial=spatial, iota=iota, pi=pi, report=report, tol=tol)
+                         spatial=spatial, iota=iota, pi=pi, report=report)
 
 
 # --- solution constructors ---
@@ -234,10 +232,10 @@ def spatial_solution(seq: ExactSequence, values) -> ModelSolution:
     return ModelSolution(model="spatial", coefficients=values, residual=residual)
 
 
-def _require_cycle(sol: ModelSolution, tol: float):
+def _require_cycle(sol: ModelSolution, cycle_tol: float):
     _require_finite(sol.model, sol.coefficients)
     scale = max(1.0, float(np.max(np.abs(sol.coefficients), initial=0.0)))
-    if sol.residual > tol * scale:
+    if sol.residual > cycle_tol * scale:
         raise NotACycle(
             f"{sol.model} vector violates its constraints "
             f"(residual {sol.residual:.3e})")
@@ -266,7 +264,7 @@ def hinge_to_spatial(seq: ExactSequence, sol: ModelSolution,
     if obstructed:
         return report
     theta = seq.spatial_to_hinge_matrix()
-    q = pseudoinverse(theta, seq.tol, scale=1.0) @ coords
+    q = pseudoinverse(theta, scale=1.0) @ coords
     values = seq.spatial_h2() @ q
     report.spatial = spatial_solution(seq, values)
     back = theta @ q
@@ -449,8 +447,7 @@ class SerialChainOperators:
     d_pinv: np.ndarray              # (n, 6n)
 
 
-def serial_chain_operators(surface: OrigamiSurface,
-                           tol: float = DEFAULT_TOL) -> SerialChainOperators:
+def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     """Assemble and verify the serial-chain block operators."""
     chain = chain_structure(surface)
     n = chain.num_hinges
@@ -522,8 +519,7 @@ def propagate_chain(ops: SerialChainOperators, rates) -> np.ndarray:
 
 
 def pinned_chain_connecting_matrix(surface: OrigamiSurface,
-                                   ops: SerialChainOperators,
-                                   tol: float = DEFAULT_TOL):
+                                   ops: SerialChainOperators):
     """Connecting homomorphism of the chain sequence with the base face
     pinned, expressed directly in hinge-rate and stacked-body-velocity
     coordinates for comparison with the closed-form left inverse.
@@ -536,9 +532,9 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
     """
     chain = ops.chain
     base = [chain.face_order[0]]
-    seq = build_exact_sequence(surface, tol)
+    seq = build_exact_sequence(surface)
     pinned = _verified_sequence(*(cc.pinned(2, base)
-                                  for cc in (seq.hinge, seq.rigid, seq.spatial)), tol)
+                                  for cc in (seq.hinge, seq.rigid, seq.spatial)))
     rates = pinned.hinge_h1() @ pinned.spatial_to_hinge_matrix()
     # Hinge rows in chain hinge order, cycle rows as the moving bodies in
     # chain order.

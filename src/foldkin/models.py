@@ -30,7 +30,7 @@ from .cosheaf import (
     constant_cosheaf,
 )
 from .errors import DegenerateFace
-from .linalg import DEFAULT_TOL, nullspace
+from .linalg import RANK_TOL, nullspace
 from .spatial import axis_projection, point_velocity_blocks, transfer_matrix
 from .surface import INCIDENCE_DIMS, OrigamiSurface
 
@@ -152,12 +152,12 @@ class StiffenedLinkage:
         return slice(3 * a, 3 * a + 3)
 
 
-def _face_normal(points: np.ndarray, tol: float) -> np.ndarray:
+def _face_normal(points: np.ndarray) -> np.ndarray:
     """Unit normal of the best-fit plane, oriented by the cycle sense."""
     center = points.mean(axis=0)
     rel = points - center
     _, s, vh = np.linalg.svd(rel, full_matrices=False)
-    if s.size < 2 or s[1] <= tol * s[0]:
+    if s.size < 2 or s[1] <= RANK_TOL * s[0]:
         raise DegenerateFace("face has no well-defined plane")
     normal = vh[2] if vh.shape[0] > 2 else np.cross(vh[0], vh[1])
     # Newell orientation: make the normal agree with the cycle sense.
@@ -167,7 +167,7 @@ def _face_normal(points: np.ndarray, tol: float) -> np.ndarray:
     return normal / np.linalg.norm(normal)
 
 
-def stiffen(surface: OrigamiSurface, tol: float = DEFAULT_TOL) -> StiffenedLinkage:
+def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
     """Build the stiffened linkage and its constraint matrix.
 
     The apex of a face sits one mean-incident-edge-length above the face
@@ -178,7 +178,7 @@ def stiffen(surface: OrigamiSurface, tol: float = DEFAULT_TOL) -> StiffenedLinka
     apexes, groups, pairs = [], [], [np.array(surface.edges)]
     for f, cycle in enumerate(surface.faces):
         pts = surface.vertices[list(cycle)]
-        normal = _face_normal(pts, tol)
+        normal = _face_normal(pts)
         lengths = [np.linalg.norm(surface.edge_vector(e))
                    for e in surface.face_edges(f)]
         apexes.append(surface.face_centroids[f] + float(np.mean(lengths)) * normal)
@@ -208,7 +208,6 @@ def stiffen(surface: OrigamiSurface, tol: float = DEFAULT_TOL) -> StiffenedLinka
                             corner_block=corner_block)
 
 
-def truss_kernel(linkage: StiffenedLinkage,
-                 tol: float = DEFAULT_TOL) -> np.ndarray:
+def truss_kernel(linkage: StiffenedLinkage) -> np.ndarray:
     """Orthonormal basis (columns) of motions preserving every bar length."""
-    return nullspace(linkage.matrix, tol)
+    return nullspace(linkage.matrix)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate, IndexOutOfRange, NonManifold, NonOrientable
-from .linalg import DEFAULT_TOL, svd_rank
+from .linalg import RANK_TOL, svd_rank
 from .spatial import orthonormal_triad
 
 # Cell handles are (dim, index) pairs, e.g. (1, 4) is edge number 4.
@@ -69,7 +69,6 @@ class OrigamiSurface:
     edge_triads: np.ndarray                 # (E, 3, 3) rows l, m, n
     edge_midpoints: np.ndarray              # (E, 3)
     face_centroids: np.ndarray              # (F, 3)
-    tol: float = DEFAULT_TOL
     _edge_index: dict[tuple[int, int], int] = field(default_factory=dict)
 
     # --- counts ---
@@ -191,10 +190,10 @@ def _orient_faces(faces, edges, edge_faces, edge_index):
     return oriented
 
 
-def _check_spans(vertices, edges, faces, tol):
+def _check_spans(vertices, edges, faces):
     """Affine span condition: edges have rank 1, faces rank exactly 2."""
     scale = float(np.max(np.abs(vertices - vertices.mean(axis=0)))) or 1.0
-    cutoff = tol * scale
+    cutoff = RANK_TOL * scale
     for e, (u, v) in enumerate(edges):
         if np.linalg.norm(vertices[v] - vertices[u]) <= cutoff:
             raise Degenerate(f"edge {e} = {edges[e]} has zero length")
@@ -253,14 +252,13 @@ def _interior_vertices(nv, edge_index, vertex_edges, edge_faces, faces):
     return interior
 
 
-def build_surface(vertices, faces, tol: float = DEFAULT_TOL) -> OrigamiSurface:
+def build_surface(vertices, faces) -> OrigamiSurface:
     """Build and validate an origami surface from positions and face cycles.
 
     Parameters
     ----------
     vertices : (n, 3) array of vertex positions.
     faces : sequence of vertex-id cycles, each with at least 3 distinct ids.
-    tol : relative tolerance for the numerical span checks.
 
     Raises
     ------
@@ -288,7 +286,7 @@ def build_surface(vertices, faces, tol: float = DEFAULT_TOL) -> OrigamiSurface:
 
     edge_index = {e: i for i, e in enumerate(edges)}
     faces = _orient_faces(faces, edges, edge_faces, edge_index)
-    _check_spans(vertices, edges, faces, tol)
+    _check_spans(vertices, edges, faces)
 
     vertex_edges = [[] for _ in range(nv)]
     for i, (u, v) in enumerate(edges):
@@ -318,7 +316,6 @@ def build_surface(vertices, faces, tol: float = DEFAULT_TOL) -> OrigamiSurface:
         edge_triads=np.array([orthonormal_triad(v - u) for u, v in ends]),
         edge_midpoints=0.5 * (ends[:, 0] + ends[:, 1]),
         face_centroids=np.array([vertices[list(c)].mean(axis=0) for c in faces]),
-        tol=tol,
         _edge_index=edge_index,
     )
 
@@ -350,16 +347,15 @@ def _incidence_arrays(edges, edge_index, faces):
     return {"ev": ev, "fe": fe, "fv": fv}, triples
 
 
-def base_homology(surface: OrigamiSurface, tol: float | None = None):
+def base_homology(surface: OrigamiSurface):
     """Dimensions ``(dim H0, dim H1, dim H2)`` of real cellular homology.
 
     Computed from the signed incidence matrices; degree 2 is the kernel
     of the face boundary map.
     """
-    tol = surface.tol if tol is None else tol
     d1, d2 = surface.signed_incidence_matrices()
-    r1 = svd_rank(d1, tol)
-    r2 = svd_rank(d2, tol)
+    r1 = svd_rank(d1)
+    r2 = svd_rank(d2)
     b0 = surface.num_vertices - r1
     b1 = surface.num_edges - r1 - r2
     b2 = surface.num_faces - r2

@@ -56,12 +56,12 @@ def verdict(n, text):
 
 @pytest.fixture(scope="module")
 def sequences():
-    return {name: build_exact_sequence(make(), tol=TOL)
+    return {name: build_exact_sequence(make())
             for name, make in GENERATED}
 
 
 def test_criterion_1_two_panel_dimensions():
-    seq = build_exact_sequence(two_panels(), tol=TOL)
+    seq = build_exact_sequence(two_panels())
     assert seq.spatial.d2.shape == (5, 12)
     assert seq.spatial_h2().shape[1] == 7
     verdict(1, "two-panel spatial boundary is 5x12 with 7-dim kernel")
@@ -91,8 +91,8 @@ def test_criterion_3_obstruction_ledger(sequences):
 
 def test_criterion_4_truss_ledger(sequences):
     for name, seq in sequences.items():
-        linkage = stiffen(seq.surface, tol=TOL)
-        kernel = truss_kernel(linkage, tol=TOL)
+        linkage = stiffen(seq.surface)
+        kernel = truss_kernel(linkage)
         basis = seq.spatial_h2()
         assert kernel.shape[1] == basis.shape[1], name
         images = np.column_stack([
@@ -102,7 +102,7 @@ def test_criterion_4_truss_ledger(sequences):
         gram = images.T @ images
         eigs = np.linalg.eigvalsh(gram)
         assert eigs[0] >= 1e-12 * eigs[-1], name
-        assert svd_rank(images, TOL) == kernel.shape[1], name
+        assert svd_rank(images) == kernel.shape[1], name
     verdict(4, "truss kernel dimension equals spatial solution dimension "
                "with full-rank transfer on every surface")
 
@@ -111,7 +111,7 @@ def test_criterion_5_round_trip(sequences):
     rng = np.random.default_rng(5)
     for name in SIMPLY_CONNECTED:
         seq = sequences[name]
-        linkage = stiffen(seq.surface, tol=TOL)
+        linkage = stiffen(seq.surface)
         h1 = seq.hinge_h1()
         assert seq.loop_obstruction_matrix().shape[0] == 0
         rates = h1 @ rng.normal(size=h1.shape[1])
@@ -131,7 +131,7 @@ def test_criterion_6_serial_chain_equivalence():
     rng = np.random.default_rng(6)
     for n in range(1, 9):
         s = surface_of("chain", n, seed=100 + n)
-        ops = serial_chain_operators(s, tol=TOL)
+        ops = serial_chain_operators(s)
         rates = rng.normal(size=n)
         stepped = propagate_chain(ops, rates)
         direct = ops.d @ rates
@@ -139,7 +139,7 @@ def test_criterion_6_serial_chain_equivalence():
         assert np.abs(stepped - direct).max() < 1e-12 * scale, n
         assert np.abs(ops.accumulate_inverse @ ops.accumulate
                       - np.eye(6 * n)).max() < 1e-12, n
-        theta, cycles = pinned_chain_connecting_matrix(s, ops, tol=TOL)
+        theta, cycles = pinned_chain_connecting_matrix(s, ops)
         via_ops = ops.d_pinv @ cycles
         assert np.abs(theta - via_ops).max() < 1e-9, n
     verdict(6, "recurrence, block inverse, and pinned connecting map agree "
@@ -182,12 +182,12 @@ def test_criterion_8_single_vertex_counting():
         sv = np.linalg.svd(cc.d1, compute_uv=False)
         rank = int((sv > TOL * sv[0]).sum())
         assert rank == 3
-        assert homology_basis(cc, 1, TOL).shape[1] == n - 3
+        assert homology_basis(cc, 1).shape[1] == n - 3
     flat = surface_of("single_vertex", 4, 0.0, jitter=False)
     cc = build_hinge_model(flat)
     sv = np.linalg.svd(cc.d1, compute_uv=False)
     assert int((sv > TOL * sv[0]).sum()) == 2
-    assert homology_basis(cc, 1, TOL).shape[1] == 2
+    assert homology_basis(cc, 1).shape[1] == 2
     verdict(8, "generic single vertex has n-3 fold modes for n in 4..6; "
                "flat degree-4 vertex has 2")
 
@@ -196,15 +196,15 @@ def test_criterion_9_obstruction_detection(sequences):
     rng = np.random.default_rng(9)
     seq = sequences["ring"]
     iota_star = seq.loop_obstruction_matrix()
-    assert svd_rank(iota_star, TOL, scale=1.0) > 0
-    blocked = column_space(iota_star.T, TOL, scale=1.0)
+    assert svd_rank(iota_star, scale=1.0) > 0
+    blocked = column_space(iota_star.T, scale=1.0)
     rates = seq.hinge_h1() @ (blocked @ rng.normal(size=blocked.shape[1]))
     report = hinge_to_spatial(seq, hinge_solution(seq, rates))
     assert report.obstructed
     assert report.obstruction.shape == (6,)
     assert np.linalg.norm(report.obstruction) > 1e-8 * np.linalg.norm(rates)
 
-    free = nullspace(iota_star, TOL, scale=1.0)
+    free = nullspace(iota_star, scale=1.0)
     assert free.shape[1] > 0
     rates = seq.hinge_h1() @ (free @ rng.normal(size=free.shape[1]))
     report = hinge_to_spatial(seq, hinge_solution(seq, rates))
@@ -230,7 +230,7 @@ def test_criterion_10_property_suite():
         assert np.abs(p @ hinge_twist(axis)).max() < 1e-13
 
     base = two_panels()
-    seq0 = build_exact_sequence(base, tol=TOL)
+    seq0 = build_exact_sequence(base)
     reference = (seq0.hinge_h1().shape[1], seq0.spatial_h2().shape[1],
                  seq0.rigid_h1().shape[1], seq0.rigid_h2().shape[1])
     from foldkin import base_homology
@@ -243,7 +243,7 @@ def test_criterion_10_property_suite():
         faces = [[int(perm[v]) for v in cycle] for cycle in base.faces]
         s = build_surface(verts, faces)
         assert base_homology(s) == betti0
-        seq = build_exact_sequence(s, tol=TOL)
+        seq = build_exact_sequence(s)
         dims = (seq.hinge_h1().shape[1], seq.spatial_h2().shape[1],
                 seq.rigid_h1().shape[1], seq.rigid_h2().shape[1])
         assert dims == reference
@@ -268,17 +268,15 @@ def _lift_independence_instances(rng, count):
                       components=(inc, inc, inc)).validate()
     pi = CosheafMap(source=mid, target=quo,
                     components=(prj, prj, prj)).validate()
-    assert verify_exact_sequence(iota, pi, TOL).ok
+    assert verify_exact_sequence(iota, pi).ok
     mid_cc = assemble_chain_complex(mid)
     quo_cc = assemble_chain_complex(quo)
-    reference = connecting_map(iota, pi, 2, tol=TOL,
-                               quotient_complex=quo_cc, middle_complex=mid_cc)
+    h2 = homology_basis(quo_cc, 2)
+    h1_sub = homology_basis(assemble_chain_complex(sub), 1)
+    reference = connecting_map(iota, pi, 2, h2, h1_sub, mid_cc)
     kernel = nullspace(pi.block_matrix(2))
-    h2 = homology_basis(quo_cc, 2, TOL)
     for _ in range(count):
         offsets = kernel @ rng.normal(size=(kernel.shape[1], h2.shape[1]))
-        shifted = connecting_map(iota, pi, 2, tol=TOL,
-                                 quotient_complex=quo_cc,
-                                 middle_complex=mid_cc,
+        shifted = connecting_map(iota, pi, 2, h2, h1_sub, mid_cc,
                                  lift_offsets=offsets)
         assert np.abs(shifted - reference).max() < 1e-9

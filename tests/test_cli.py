@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from foldkin import build_exact_sequence, generate, serialize_fold, surface_from_document
 from foldkin.cli import main
 from foldkin.linalg import column_space
@@ -200,3 +202,20 @@ def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, generate("grid", 2, 2))
     assert main(["analyze", path]) == 3
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{g}", "--seed", "1"],
+    ["convert", "{g}", "--input-solution", "{s}", "--from", "hinge",
+     "--to", "spatial", "--format", "text"],
+    ["gen", "chain", "3", "--format", "json"],
+    ["analyze", "{g}", "--tol", "nan"],
+])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
+    g = write_doc(tmp_path, generate("grid", 3, 3))
+    s = tmp_path / "solution.json"
+    s.write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(g=g, s=s) for arg in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -248,15 +248,15 @@ def test_connecting_lift_independent(rng):
 
     mid_cc = assemble_chain_complex(mid)
     quo_cc = assemble_chain_complex(quo)
-    base = connecting_map(iota, pi, 2, quotient_complex=quo_cc,
-                          middle_complex=mid_cc)
-    pi_block_kernel = nullspace(pi.block_matrix(2))
     h2_quo = homology_basis(quo_cc, 2)
+    h1_sub = homology_basis(assemble_chain_complex(sub), 1)
+    base = connecting_map(iota, pi, 2, h2_quo, h1_sub, mid_cc)
+    pi_block_kernel = nullspace(pi.block_matrix(2))
     for _ in range(100):
         coeffs = rng.normal(size=(pi_block_kernel.shape[1], h2_quo.shape[1]))
         offsets = pi_block_kernel @ coeffs
-        shifted = connecting_map(iota, pi, 2, quotient_complex=quo_cc,
-                                 middle_complex=mid_cc, lift_offsets=offsets)
+        shifted = connecting_map(iota, pi, 2, h2_quo, h1_sub, mid_cc,
+                                 lift_offsets=offsets)
         assert np.abs(shifted - base).max() < 1e-9
 
 
@@ -272,6 +272,8 @@ def test_connecting_map_names_first_failing_cycle(rng):
     prj = np.hstack([np.zeros((3, 2)), np.eye(3)])
     iota = CosheafMap(source=sub, target=mid, components=(inc, inc, inc))
     quo_cc = assemble_chain_complex(quo)
+    mid_cc = assemble_chain_complex(mid)
+    h1_sub = homology_basis(assemble_chain_complex(sub), 1)
     basis = np.zeros((3 * s.num_faces, 3))
     for j, coord in enumerate((0, 2, 1)):
         basis[coord::3, j] = 1.0 / np.sqrt(s.num_faces)
@@ -282,8 +284,7 @@ def test_connecting_map_names_first_failing_cycle(rng):
     lossy[2] = 0.0
     pi = CosheafMap(source=mid, target=quo, components=(lossy, lossy, lossy))
     with pytest.raises(LiftFailure, match="cycle 1 "):
-        connecting_map(iota, pi, 2, source_basis=basis,
-                       quotient_complex=quo_cc)
+        connecting_map(iota, pi, 2, basis, h1_sub, mid_cc)
 
     # Iota misses the second middle coordinate, and only column 1's lift
     # has a boundary there.
@@ -294,8 +295,7 @@ def test_connecting_map_names_first_failing_cycle(rng):
     offsets = np.zeros((5 * s.num_faces, 3))
     offsets[1::5, 1] = rng.normal(size=s.num_faces)
     with pytest.raises(ExactnessViolation, match="lifted cycle 1 "):
-        connecting_map(iota, pi, 2, source_basis=basis,
-                       quotient_complex=quo_cc, lift_offsets=offsets)
+        connecting_map(iota, pi, 2, basis, h1_sub, mid_cc, lift_offsets=offsets)
 
 
 def test_restrict_rejects_unsupported_cells():

@@ -185,8 +185,8 @@ def test_constant_rigid_iso_natural_and_invertible():
             comps = phi.components[d][rigid.cosheaf.support[d]]
             assert np.abs(np.linalg.det(comps) - 1.0).max(initial=0.0) < 1e-12
         m = induced_map(phi, 2,
-                        homology_basis(assemble_chain_complex(phi.source), 2, 1e-9),
-                        homology_basis(rigid, 2, 1e-9))
+                        homology_basis(assemble_chain_complex(phi.source), 2),
+                        homology_basis(rigid, 2))
         assert m.shape == (6, 6)
         assert svd_rank(m) == 6
 
@@ -273,4 +273,4 @@ def test_stiffen_degenerate_face_rejected():
     from foldkin.models import _face_normal
 
     with pytest.raises(DegenerateFace):
-        _face_normal(np.array([[0., 0, 0], [1, 0, 0], [2, 0, 0]]), 1e-9)
+        _face_normal(np.array([[0., 0, 0], [1, 0, 0], [2, 0, 0]]))
