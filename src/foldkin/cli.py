@@ -19,7 +19,13 @@ objects keyed by cell ids: ``e<i>`` for interior edges (hinge rates),
 ``f<i>`` for faces (six spatial values), ``v<i>`` / ``a<j>`` for truss
 vertex and face-apex velocities (three values each).  Edge indices
 follow the lexicographic order of endpoint id pairs; missing keys mean
-zero.
+zero; every value is a JSON number.
+
+``convert --from hinge`` prints the ``obstruction`` vector: six values
+per independent surface loop, the net angular velocity and the net
+moment about the coordinate origin that the hinge rates accumulate
+around that loop.  The loops are an orthonormal basis of the loops
+through interior edges.
 """
 
 from __future__ import annotations
@@ -33,7 +39,13 @@ import numpy as np
 from . import generators
 from .analysis import analyze_surface
 from .errors import FoldkinError, InvalidParams, NotACycle, ParseError, UnknownCellId
-from .fold_io import canonical_json, parse_fold, serialize_fold, surface_from_document
+from .fold_io import (
+    canonical_json,
+    json_number,
+    parse_fold,
+    serialize_fold,
+    surface_from_document,
+)
 from .maps import (
     build_exact_sequence,
     hinge_solution,
@@ -63,10 +75,7 @@ def read_hinge_vector(surface: OrigamiSurface, obj: dict) -> np.ndarray:
     for key, value in obj.items():
         if key not in index:
             raise UnknownCellId(f"{key!r} is not an interior edge of the model")
-        try:
-            rates[index[key]] = float(value)
-        except (TypeError, ValueError):
-            raise ParseError(f"{key!r} must carry a single number")
+        rates[index[key]] = json_number(value, repr(key))
     return rates
 
 
@@ -79,13 +88,10 @@ def read_spatial_vector(surface: OrigamiSurface, obj: dict) -> np.ndarray:
             f = -1
         if f < 0 or f >= surface.num_faces:
             raise UnknownCellId(f"{key!r} is not a face of the model")
-        try:
-            chunk = [float(x) for x in value]
-        except (TypeError, ValueError):
+        if not isinstance(value, list) or len(value) != 6:
             raise ParseError(f"{key!r} must carry a list of six numbers")
-        if len(chunk) != 6:
-            raise ParseError(f"{key!r} must carry six values")
-        values[6 * f:6 * f + 6] = chunk
+        values[6 * f:6 * f + 6] = [json_number(x, f"{key!r}[{i}]")
+                                   for i, x in enumerate(value)]
     return values
 
 

@@ -346,11 +346,6 @@ class CosheafMap:
             pseudoinverse(self.components[degree][cells]))
 
 
-def identity_map(cosheaf: Cosheaf) -> CosheafMap:
-    return CosheafMap(source=cosheaf, target=cosheaf,
-                      components=tuple(np.eye(n) for n in cosheaf.stalk_sizes))
-
-
 @dataclass
 class CellExactness:
     cell: Cell

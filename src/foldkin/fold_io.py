@@ -49,6 +49,17 @@ def _expect_list(value, path):
     return value
 
 
+def json_number(value, path) -> float:
+    """``value`` as a float; it must be a JSON number, not a string, a
+    boolean or anything else that ``float`` would also accept."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{path} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{path} is too large") from None
+
+
 def _parse_coords(raw) -> list[list[float]]:
     coords = []
     for i, item in enumerate(_expect_list(raw, "vertices_coords")):
@@ -56,10 +67,8 @@ def _parse_coords(raw) -> list[list[float]]:
         if len(row) not in (2, 3):
             raise ParseError(
                 f"vertices_coords[{i}] must have 2 or 3 components")
-        try:
-            xyz = [float(x) for x in row]
-        except (TypeError, ValueError):
-            raise ParseError(f"vertices_coords[{i}] has a non-numeric entry")
+        xyz = [json_number(x, f"vertices_coords[{i}][{j}]")
+               for j, x in enumerate(row)]
         if len(xyz) == 2:
             xyz.append(0.0)
         coords.append(xyz)

@@ -72,19 +72,6 @@ def nullspace(a, *, scale: float = 0.0) -> np.ndarray:
     return q[:, rank:]
 
 
-def column_space(a, *, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of ``a``."""
-    a = _as_matrix(a)
-    m = a.shape[0]
-    if a.size == 0:
-        return np.zeros((m, 0))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m, 0))
-    rank = int(np.sum(_keep(s, scale)))
-    return u[:, :rank].copy()
-
-
 def stacked_svd(a):
     """Full decomposition ``u, keep, vh`` of every matrix in a stack.
 

@@ -25,9 +25,10 @@ from .cosheaf import (
     Cosheaf,
     CosheafMap,
     ExactnessReport,
+    assemble_chain_complex,
     connecting_map,
+    constant_cosheaf,
     homology_basis,
-    induced_map,
     scatter_incidences,
     verify_exact_sequence,
 )
@@ -46,6 +47,7 @@ from .models import (
     build_hinge_model,
     build_rigid_model,
     build_spatial_model,
+    constant_rigid_isomorphism,
 )
 from .spatial import axis_projection, hinge_twist, point_velocity_blocks, transfer_matrix
 from .surface import OrigamiSurface
@@ -110,6 +112,13 @@ class ExactSequence:
 
     ``hinge``, ``rigid`` and ``spatial`` are the models' chain
     complexes; each homology method returns an orthonormal basis array.
+    Rigid homology is read off the support complex, the constant
+    ``R^1`` complex on the rigid model's cells: the rigid cosheaf is six
+    copies of it through :func:`models.constant_rigid_isomorphism`,
+    which moves spatial velocities from the origin to cell centroids.
+    :meth:`rigid_h2` is a basis of rigid chains, but :meth:`rigid_h1`,
+    like the rows of :meth:`loop_obstruction_matrix`, is in the
+    origin-anchored constant frame.
     """
 
     surface: OrigamiSurface
@@ -129,13 +138,27 @@ class ExactSequence:
         return self._cached("spatial_h2",
                             lambda: homology_basis(self.spatial, 2))
 
+    def _support_h(self, degree: int) -> np.ndarray:
+        """Harmonic basis of the support complex in one degree."""
+        support = self._cached("support", lambda: assemble_chain_complex(
+            constant_cosheaf(self.surface, 1, support=self.rigid.cosheaf.support)))
+        return self._cached(f"support_h{degree}",
+                            lambda: homology_basis(support, degree))
+
     def rigid_h1(self) -> np.ndarray:
+        """Degree-1 rigid homology, ``kron(Z1, I6)`` for the support
+        complex's harmonic basis ``Z1``: orthonormal and harmonic, shaped
+        like rigid 1-chains, but in the origin-anchored constant frame."""
         return self._cached("rigid_h1",
-                            lambda: homology_basis(self.rigid, 1))
+                            lambda: np.kron(self._support_h(1), np.eye(6)))
 
     def rigid_h2(self) -> np.ndarray:
-        return self._cached("rigid_h2",
-                            lambda: homology_basis(self.rigid, 2))
+        """Degree-2 rigid homology: the constant classes ``kron(Z2, I6)``
+        carried onto rigid chains by the isomorphism, then orthonormalised.
+        Nothing enters degree 2, so this spans the face boundary's kernel."""
+        return self._cached("rigid_h2", lambda: np.linalg.qr(
+            constant_rigid_isomorphism(self.rigid).block_matrix(2)
+            @ np.kron(self._support_h(2), np.eye(6)))[0])
 
     def _cached(self, key, fn):
         if key not in self._cache:
@@ -175,10 +198,24 @@ class ExactSequence:
 
     def loop_obstruction_matrix(self) -> np.ndarray:
         """Induced map from hinge classes to rigid-body classes in
-        degree 1; nonzero output means accumulated motion around a
-        homology loop."""
-        return self._cached("iota_star", lambda: induced_map(
-            self.iota, 1, self.hinge_h1(), self.rigid_h1()))
+        degree 1, in the frame of :meth:`rigid_h1`.
+
+        Through the isomorphism a unit rate on hinge ``e`` becomes its
+        line coordinates ``[l_e, m_e x l_e]`` (axis, midpoint), so the
+        six rows of a base loop are the net angular velocity and moment
+        about the origin that a hinge class accumulates around it.
+        Nonzero output means the loop does not close."""
+        return self._cached("iota_star", self._loop_obstruction)
+
+    def _loop_obstruction(self) -> np.ndarray:
+        edges = self.rigid.cosheaf.support[1]
+        lines = np.einsum(
+            "eij,ej->ei",
+            transfer_matrix(self.surface.edge_midpoints[edges], np.zeros(3)),
+            hinge_twist(self.surface.edge_triads[edges, 0]))
+        loops, classes = self._support_h(1), self.hinge_h1()
+        return np.einsum("ea,ei,ej->aij", loops, lines, classes).reshape(
+            6 * loops.shape[1], classes.shape[1])
 
 
 def build_exact_sequence(surface: OrigamiSurface) -> ExactSequence:

@@ -59,7 +59,6 @@ class OrigamiSurface:
     edges: list[tuple[int, int]]            # ordered u < v
     faces: list[tuple[int, ...]]            # oriented vertex cycles
     edge_faces: list[list[int]]             # face ids incident to each edge
-    vertex_edges: list[list[int]]           # edge ids incident to each vertex
     interior_edge: np.ndarray               # bool per edge
     interior_vertex: np.ndarray             # bool per vertex
     sign_ve: dict[tuple[int, int], int]     # (vertex, edge) -> +-1
@@ -208,47 +207,35 @@ def _check_spans(vertices, edges, faces):
             raise Degenerate(f"face {f} is not planar (affine rank {rank})")
 
 
-def _interior_vertices(nv, edge_index, vertex_edges, edge_faces, faces):
-    """A vertex is interior when its edge/face link closes into one cycle."""
-    interior = np.zeros(nv, dtype=bool)
-    # For each face, the two boundary edges meeting at each of its vertices.
-    links: dict[int, list[tuple[int, int]]] = {v: [] for v in range(nv)}
-    for f, cycle in enumerate(faces):
-        cyc_edges = [edge_index[tuple(sorted(p))] for p in _face_directed_edges(cycle)]
-        k = len(cycle)
+def _interior_vertices(nv, edge_index, faces):
+    """Walk the faces around each vertex, joining two faces when they
+    share an edge there.  The walk must reach every face at the vertex:
+    faces that form several fans meet only at the vertex, a pinch, and
+    raise :class:`NonManifold`.  The vertex is interior when its fan
+    closes: every edge at it lies in two faces."""
+    # Each face at a vertex contributes the two of its edges meeting there.
+    corners = [[] for _ in range(nv)]
+    for cycle in faces:
+        ids = [edge_index[tuple(sorted(p))] for p in _face_directed_edges(cycle)]
         for i, v in enumerate(cycle):
-            e_in = cyc_edges[(i - 1) % k]
-            e_out = cyc_edges[i]
-            links[v].append((e_in, e_out))
-    for v in range(nv):
-        local = vertex_edges[v]
-        if not local or any(len(edge_faces[e]) != 2 for e in local):
+            corners[v].append((ids[i - 1], ids[i]))
+    interior = np.zeros(nv, dtype=bool)
+    for v, pairs in enumerate(corners):
+        if not pairs:
             continue
-        # Walk the link graph: nodes are edges at v, each incident face
-        # joins the two edges it contributes.  Interior means one closed
-        # cycle covering all local edges.
-        degree = {e: 0 for e in local}
-        adj = {e: [] for e in local}
-        ok = True
-        for e_in, e_out in links[v]:
-            if e_in not in adj or e_out not in adj:
-                ok = False
-                break
-            adj[e_in].append(e_out)
-            adj[e_out].append(e_in)
-            degree[e_in] += 1
-            degree[e_out] += 1
-        if not ok or any(d != 2 for d in degree.values()):
-            continue
-        seen = {local[0]}
-        stack = [local[0]]
+        faces_at = {}
+        for k, pair in enumerate(pairs):
+            for e in pair:
+                faces_at.setdefault(e, []).append(k)
+        seen, stack = {0}, [0]
         while stack:
-            e = stack.pop()
-            for nb in adj[e]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        interior[v] = len(seen) == len(local)
+            for e in pairs[stack.pop()]:
+                fresh = [k for k in faces_at[e] if k not in seen]
+                seen.update(fresh)
+                stack.extend(fresh)
+        if len(seen) < len(pairs):
+            raise NonManifold(f"the faces at vertex {v} form more than one fan")
+        interior[v] = all(len(ks) == 2 for ks in faces_at.values())
     return interior
 
 
@@ -288,25 +275,19 @@ def build_surface(vertices, faces) -> OrigamiSurface:
     faces = _orient_faces(faces, edges, edge_faces, edge_index)
     _check_spans(vertices, edges, faces)
 
-    vertex_edges = [[] for _ in range(nv)]
-    for i, (u, v) in enumerate(edges):
-        vertex_edges[u].append(i)
-        vertex_edges[v].append(i)
-
     incidences, triples = _incidence_arrays(edges, edge_index, faces)
     sign_ve, sign_ef = (
         dict(zip(zip(inc.lower.tolist(), inc.upper.tolist()), inc.sign.tolist()))
         for inc in (incidences["ev"], incidences["fe"]))
 
     interior_edge = np.array([len(fs) == 2 for fs in edge_faces])
-    interior_vertex = _interior_vertices(nv, edge_index, vertex_edges, edge_faces, faces)
+    interior_vertex = _interior_vertices(nv, edge_index, faces)
     ends = vertices[np.array(edges)]
     return OrigamiSurface(
         vertices=vertices,
         edges=edges,
         faces=faces,
         edge_faces=edge_faces,
-        vertex_edges=vertex_edges,
         interior_edge=interior_edge,
         interior_vertex=interior_vertex,
         sign_ve=sign_ve,

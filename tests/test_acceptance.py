@@ -29,23 +29,13 @@ from foldkin import (
     transfer_matrix,
     truss_kernel,
 )
-from foldkin.linalg import column_space, nullspace, svd_rank
+from foldkin.linalg import nullspace, svd_rank
 from foldkin.surface import INCIDENCE_DIMS
 
-from conftest import surface_of, two_panels
+from conftest import ACCEPTANCE_SURFACES, surface_of, two_panels
+from oracles import column_space
 
 TOL = 1e-9
-
-GENERATED = [
-    ("chain", lambda: surface_of("chain", 5, seed=2)),
-    ("grid", lambda: surface_of("grid", 3, 3, seed=2)),
-    ("single_vertex", lambda: surface_of("single_vertex", 5, 0.5, seed=2)),
-    ("annulus", lambda: surface_of("annulus", 2, 6, seed=2)),
-    ("ring", lambda: surface_of("annulus", 1, 8, seed=2)),
-    ("cylinder", lambda: surface_of("cylinder", 2, 6, seed=2)),
-    ("torus", lambda: surface_of("torus", 4, 4, seed=2)),
-    ("miura", lambda: surface_of("miura", 2, 3, seed=2)),
-]
 
 SIMPLY_CONNECTED = ("chain", "grid", "single_vertex", "miura")
 
@@ -57,7 +47,7 @@ def verdict(n, text):
 @pytest.fixture(scope="module")
 def sequences():
     return {name: build_exact_sequence(make())
-            for name, make in GENERATED}
+            for name, make in ACCEPTANCE_SURFACES}
 
 
 def test_criterion_1_two_panel_dimensions():

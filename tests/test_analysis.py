@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from foldkin import (
     analyze_surface,
@@ -12,7 +13,7 @@ from foldkin import (
     stiffen,
 )
 
-from conftest import scaled, surface_of, two_panels
+from conftest import octahedron, one_face, quad_cube, scaled, surface_of, two_panels
 
 
 def test_report_fields_on_two_panels():
@@ -30,6 +31,18 @@ def test_report_chain5_spatial_dimension():
     report = analyze_surface(surface_of("chain", 5))
     assert report.dims["spatial_h2"] == 11  # 6 global + 5 hinges
     assert report.all_ok
+
+
+@pytest.mark.parametrize("make,b2", [(one_face, 0), (octahedron, 1), (quad_cube, 1)],
+                         ids=["one_face", "octahedron", "cube"])
+def test_report_without_hinges_keeps_only_global_motions(make, b2):
+    # No hinge class and no loop; the two spheres have no boundary, so
+    # their rigid model is supported on every cell.
+    report = analyze_surface(make())
+    assert report.all_ok
+    assert report.betti == [1, 0, b2]
+    assert report.dims == {"hinge_h1": 0, "rigid_h1": 0, "rigid_h2": 6,
+                           "spatial_h2": 6, "truss_kernel": 6}
 
 
 def test_report_text_contains_verdict():

@@ -1,25 +1,35 @@
-"""The traced benchmark run wraps foldkin functions by name; an API cut
-that removes one must fail here, not first at benchmark time."""
+"""The traced benchmark run wraps foldkin functions by name, and the
+benchmark checks analysis reports against recorded bytes.  An API cut
+that removes a wrapped function, or a change that moves a report, must
+fail here, not first at benchmark time."""
 
 import inspect
+import json
 import pathlib
+import sys
 import types
 
-from foldkin import maps
+from foldkin import analyze_surface, maps, parse_fold, surface_from_document
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans() -> types.ModuleType:
-    # Executed from its source, so no bytecode is written next to it.
-    module = types.ModuleType("perfbench_spans")
-    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"),
-         module.__dict__)
+def load_source(name: str) -> types.ModuleType:
+    # Executed from its source, so no bytecode is written next to it.  A
+    # dataclass looks up its module while the class is made.
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
     return module
 
 
 def test_every_traced_target_resolves_to_a_callable():
-    spans = load_spans()
+    spans = load_source("spans")
     missing = []
     for name, (module_name, path) in spans.TARGETS.items():
         try:
@@ -31,6 +41,19 @@ def test_every_traced_target_resolves_to_a_callable():
         if not callable(target):
             missing.append(name)
     assert not missing
+
+
+def test_analyze_large_sheets_match_the_recorded_reference(monkeypatch):
+    # The benchmark rejects a run whose reports differ from these bytes.
+    monkeypatch.setitem(sys.modules, "spans", load_source("spans"))
+    workloads = load_source("workloads")
+    reference = json.loads((PERFBENCH / "reference" / "analyze_large.json")
+                           .read_text(encoding="utf-8"))
+    inputs = workloads.AnalyzeLarge(0, {}).inputs
+    assert sorted(label for label, _ in inputs) == sorted(reference)
+    for label, data in inputs:
+        report = analyze_surface(surface_from_document(parse_fold(data)))
+        assert report.to_json() == reference[label], label
 
 
 def test_hinge_to_truss_keeps_a_cycle_tol_default():

@@ -4,7 +4,9 @@ import pytest
 
 from foldkin import build_exact_sequence, generate, serialize_fold, surface_from_document
 from foldkin.cli import main
-from foldkin.linalg import column_space
+
+from conftest import BOWTIE
+from oracles import column_space
 
 
 def write_doc(tmp_path, doc, name="surface.json"):
@@ -49,6 +51,14 @@ def test_analyze_degenerate_surface_exits_2(tmp_path):
         "faces_vertices": [[0, 1, 2]],
     }))
     assert main(["analyze", str(path)]) == 2
+
+
+def test_analyze_pinched_vertex_exits_2(tmp_path, capsys):
+    # A pinch is bad input; it used to surface as a failed truss check.
+    path = tmp_path / "bowtie.json"
+    path.write_text(json.dumps(BOWTIE))
+    assert main(["analyze", str(path)]) == 2
+    assert "form more than one fan" in capsys.readouterr().err
 
 
 def test_gen_writes_parseable_file(tmp_path, capsys):
@@ -180,6 +190,29 @@ def test_convert_non_finite_spatial_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite" in captured.err
+
+
+def test_convert_values_must_be_json_numbers(tmp_path, capsys):
+    # A string is no number even when float() reads it, and a six-digit
+    # string is not six values; booleans are not numbers either.
+    path, surface, seq = convert_setup(tmp_path, ("grid", 2, 2))
+    e0, e1 = surface.interior_edges()[:2]
+    cases = [
+        ("spatial", "truss", {"f0": "123456"}),
+        ("spatial", "truss", {"f1": [0, 0, 0, 0, 0, "1"]}),
+        ("spatial", "truss", {"f1": [0, 0, 0, True, 0, 0]}),
+        ("hinge", "spatial", {f"e{e0}": "0.0", f"e{e1}": False}),
+        ("hinge", "truss", {f"e{e1}": True}),
+    ]
+    sol_path = tmp_path / "values.json"
+    for source, target, raw in cases:
+        sol_path.write_text(json.dumps(raw))
+        code = main(["convert", path, "--input-solution", str(sol_path),
+                     "--from", source, "--to", target])
+        captured = capsys.readouterr()
+        assert code == 2, raw
+        assert captured.out == ""
+        assert "number" in captured.err, raw
 
 
 def test_convert_non_cycle_exits_1(tmp_path, capsys):

@@ -15,7 +15,6 @@ from foldkin import (
     induced_map,
     verify_exact_sequence,
 )
-from foldkin.cosheaf import identity_map
 from foldkin.errors import (
     ExactnessViolation,
     FunctorialityViolation,
@@ -26,6 +25,7 @@ from foldkin.errors import (
 from foldkin.linalg import nullspace, svd_rank
 
 from conftest import scaled, square_hole_grid, surface_of, two_panels, two_triangles
+from oracles import identity_map
 
 
 def test_constant_boundary_is_signed_incidence():

@@ -36,6 +36,19 @@ def test_parse_pads_2d_coordinates():
     surface_from_document(doc)
 
 
+@pytest.mark.parametrize("bad", ["1", True, None, [0]])
+def test_parse_rejects_coordinates_that_are_not_numbers(bad):
+    coords = [[0, 0, 0], [1, 0, 0.1], [0.5, bad, 0], [1.5, 1, 0.3]]
+    with pytest.raises(ParseError, match=r"^vertices_coords\[2\]\[1\] must be a number"):
+        parse_fold(json.dumps(dict(MINIMAL, vertices_coords=coords)))
+
+
+def test_parse_rejects_an_integer_no_float_holds():
+    coords = [[0, 0, 0], [1, 0, 0.1], [0.5, 10 ** 400, 0], [1.5, 1, 0.3]]
+    with pytest.raises(ParseError, match=r"^vertices_coords\[2\]\[1\] is too large"):
+        parse_fold(json.dumps(dict(MINIMAL, vertices_coords=coords)))
+
+
 def test_parse_missing_vertex_reference():
     bad = dict(MINIMAL, faces_vertices=[[0, 1, 99]])
     with pytest.raises(IndexOutOfRange):

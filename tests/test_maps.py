@@ -29,9 +29,19 @@ from foldkin.errors import (
     NotACycle,
     WellDefinednessViolation,
 )
-from foldkin.linalg import column_space, nullspace, subspace_residual, svd_rank
+from foldkin.linalg import nullspace, subspace_residual, svd_rank
 
-from conftest import square_hole_grid, surface_of, two_panels
+import oracles
+from conftest import (
+    ACCEPTANCE_SURFACES,
+    octahedron,
+    one_face,
+    quad_cube,
+    scaled,
+    square_hole_grid,
+    surface_of,
+    two_panels,
+)
 
 LEDGER_SURFACES = [
     ("two_panels", lambda: two_panels()),
@@ -65,7 +75,7 @@ def test_exactness_at_spatial_classes(any_surface):
     pi_star = induced_map(seq.pi, 2, source_basis=seq.rigid_h2(),
                           target_basis=seq.spatial_h2())
     theta = seq.spatial_to_hinge_matrix()
-    assert subspace_residual(column_space(pi_star, scale=1.0),
+    assert subspace_residual(oracles.column_space(pi_star, scale=1.0),
                              nullspace(theta, scale=1.0)) < 1e-8
 
 
@@ -73,7 +83,7 @@ def test_exactness_at_hinge_classes(any_surface):
     seq = build_exact_sequence(any_surface)
     theta = seq.spatial_to_hinge_matrix()
     iota_star = seq.loop_obstruction_matrix()
-    assert subspace_residual(column_space(theta, scale=1.0),
+    assert subspace_residual(oracles.column_space(theta, scale=1.0),
                              nullspace(iota_star, scale=1.0)) < 1e-8
 
 
@@ -89,6 +99,37 @@ def truss_kernel_dim(surface):
     from foldkin import truss_kernel
 
     return truss_kernel(stiffen(surface)).shape[1]
+
+
+# Rigid homology is read off the support complex; the dense
+# decomposition of the rigid complex is the reference.
+ORACLE_SURFACES = ACCEPTANCE_SURFACES + [
+    (f"square_hole_{n}", lambda n=n: square_hole_grid(n)) for n in (3, 4, 5)
+] + [("one_face", one_face), ("octahedron", octahedron), ("cube", quad_cube)]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES],
+                         ids=[n for n, _ in ORACLE_SURFACES])
+def test_rigid_homology_matches_the_dense_route(make):
+    seq = build_exact_sequence(make())
+    dense_h2 = oracles.rigid_h2(seq)
+    assert seq.rigid_h1().shape == oracles.rigid_h1(seq).shape
+    assert seq.rigid_h2().shape == dense_h2.shape
+    assert subspace_residual(seq.rigid_h2(), dense_h2) < 1e-12
+    got = seq.loop_obstruction_matrix()
+    dense = oracles.loop_obstruction_matrix(seq)
+    assert got.shape == dense.shape
+    assert svd_rank(got, scale=1.0) == svd_rank(dense, scale=1.0)
+    # The two matrices differ by a change of row basis, so the
+    # unobstructed hinge classes, their common kernel, agree.
+    assert subspace_residual(nullspace(got, scale=1.0),
+                             nullspace(dense, scale=1.0)) < 1e-12
+
+
+def test_rigid_dims_stay_topological_at_large_scale():
+    # The dense decompositions of the rigid complex reported (1, 7) here.
+    seq = build_exact_sequence(scaled(surface_of("grid", 12, 12), 1e4))
+    assert (seq.rigid_h1().shape[1], seq.rigid_h2().shape[1]) == (0, 6)
 
 
 def test_theta_rank(any_surface):
@@ -117,7 +158,7 @@ def test_theta_pseudoinverse_projectors(any_surface):
     seq = build_exact_sequence(any_surface)
     theta = seq.spatial_to_hinge_matrix()
     pinv = pseudoinverse(theta)
-    image = column_space(theta)
+    image = oracles.column_space(theta)
     assert np.abs(theta @ pinv @ image - image).max() < 1e-9
     kernel = nullspace(theta)
     expect = np.eye(theta.shape[1]) - kernel @ kernel.T
@@ -166,7 +207,7 @@ def test_obstructed_cycle_rejected_on_ring(rng):
     iota_star = seq.loop_obstruction_matrix()
     assert svd_rank(iota_star) > 0
     # A hinge class with nonzero loop obstruction: any row-space vector.
-    row_space = column_space(iota_star.T)
+    row_space = oracles.column_space(iota_star.T)
     coords = row_space[:, 0]
     rates = seq.hinge_h1() @ coords
     report = hinge_to_spatial(seq, hinge_solution(seq, rates))
@@ -375,7 +416,7 @@ def test_hinge_to_truss_obstructed_ring():
     seq = build_exact_sequence(s)
     linkage = stiffen(s)
     iota_star = seq.loop_obstruction_matrix()
-    coords = column_space(iota_star.T)[:, 0]
+    coords = oracles.column_space(iota_star.T)[:, 0]
     rates = seq.hinge_h1() @ coords
     report = hinge_to_truss(seq, linkage, hinge_solution(seq, rates))
     assert report.obstructed

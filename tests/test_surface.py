@@ -4,7 +4,7 @@ import pytest
 from foldkin import base_homology, build_surface
 from foldkin.errors import Degenerate, IndexOutOfRange, NonManifold, NonOrientable
 
-from conftest import square_hole_grid, surface_of, two_triangles
+from conftest import BOWTIE, square_hole_grid, surface_of, two_triangles
 
 
 def grid_surface(rows, cols):
@@ -51,6 +51,11 @@ def test_three_faces_on_one_edge_is_nonmanifold():
     faces = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
     with pytest.raises(NonManifold):
         build_surface(verts, faces)
+
+
+def test_pinched_vertex_is_nonmanifold():
+    with pytest.raises(NonManifold, match="^the faces at vertex 0 form more than one fan"):
+        build_surface(BOWTIE["vertices_coords"], BOWTIE["faces_vertices"])
 
 
 def test_moebius_band_is_nonorientable():
