@@ -21,8 +21,8 @@ from .cosheaf import COMPLEX_TOL
 from .errors import WellDefinednessViolation
 from .fold_io import canonical_json
 from .linalg import RANK_TOL, svd_rank
-from .maps import ExactSequence, build_exact_sequence, corner_velocities
-from .models import build_constant_model, stiffen, truss_kernel
+from .maps import ExactSequence, build_exact_sequence
+from .models import build_constant_model, corner_velocities, stiffen, truss_kernel
 from .surface import OrigamiSurface, base_homology
 
 GRAM_RELATIVE_FLOOR = 1e-12
@@ -97,7 +97,7 @@ def analyze_surface(surface: OrigamiSurface) -> AnalysisReport:
     start = time.perf_counter()
     seq = build_exact_sequence(surface)
     linkage = stiffen(surface)
-    kernel = truss_kernel(linkage)
+    kernel = truss_kernel(linkage, seq.spatial_h2())
     betti = list(base_homology(surface))
 
     dims = {

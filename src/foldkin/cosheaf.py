@@ -2,9 +2,11 @@
 
 A cosheaf assigns a vector-space stalk to every cell of a surface and a
 linear extension map to every incidence, functorial under composition.
-Extension maps assemble with incidence signs into boundary matrices; the
-resulting chain complex has numerical homology computed by SVD.  A
-cosheaf map is a stalk-wise family of matrices commuting with the
+Extension maps assemble with incidence signs into boundary matrices.
+:func:`homology_basis` computes a chain complex's numerical homology by
+SVD; the package runs it only on the hinge complex and on integer
+constant complexes, and builds the other models' homology from those.
+A cosheaf map is a stalk-wise family of matrices commuting with the
 extension maps; short exact sequences of such maps carry a connecting
 homomorphism between homology spaces, evaluated here by the usual
 lift / boundary / restrict recipe.
@@ -29,7 +31,8 @@ scaling of the surface changes no verdict.  The functoriality and
 naturality checks and the two gates of :func:`connecting_map` follow it.
 Each check has one fixed bound, defined together below:
 :data:`FUNCTORIALITY_TOL`, :data:`NATURALITY_TOL`, :data:`COMPLEX_TOL`
-for ``d1 @ d2``, :data:`EXACTNESS_TOL` for the stalk-wise exactness
+for ``d1 @ d2`` and for the cycles of :func:`cycle_residuals`,
+:data:`EXACTNESS_TOL` for the stalk-wise exactness
 residuals, and :data:`LIFT_TOL` for the lift and pull-back gates of the
 connecting map.  Rank decisions use ``linalg.RANK_TOL``; no function
 here takes a tolerance argument.
@@ -229,12 +232,21 @@ class ChainComplex:
         return assemble_chain_complex(self.cosheaf.pinned(dim, cells))
 
     def square_residual(self) -> float:
-        """Relative magnitude of ``d1 @ d2``."""
+        """Relative magnitude of ``d1 @ d2``.
+
+        The product is formed one face's column block at a time, from
+        the rows where that block of ``d2`` is nonzero, read off the
+        matrix itself.  The other rows add exact zeros, so every entry of
+        the product is covered without forming it densely.
+        """
         if self.d1.size == 0 or self.d2.size == 0:
             return 0.0
-        prod = self.d1 @ self.d2
+        n = self.cosheaf.stalk_sizes[2]
+        reach = self.d2.reshape(len(self.d2), -1, n).any(axis=2).T
+        worst = max(_magnitude(self.d1[:, rows] @ self.d2[rows, n * f:n * f + n])
+                    for f, rows in enumerate(map(np.flatnonzero, reach)))
         scale = max(np.max(np.abs(self.d1)), np.max(np.abs(self.d2)), 1.0)
-        return float(np.max(np.abs(prod))) / scale
+        return worst / scale
 
 
 def assemble_chain_complex(cosheaf: Cosheaf) -> ChainComplex:
@@ -253,6 +265,15 @@ def assemble_chain_complex(cosheaf: Cosheaf) -> ChainComplex:
         kind, cosheaf.surface.incidences[kind].sign[:, None, None]
         * cosheaf.extensions[kind], cosheaf, cosheaf) for kind in ("ev", "fe"))
     return ChainComplex(cosheaf=cosheaf, d1=d1, d2=d2)
+
+
+def cycle_residuals(cc: ChainComplex, chains: np.ndarray) -> np.ndarray:
+    """Relative residual of ``d2 @ chains``, one per column of face
+    chains, under the module's policy: zero exactly on cycles."""
+    image = cc.d2 @ chains
+    column = np.abs(chains).max(axis=0, initial=0.0)
+    return _relative_gap(image, np.zeros_like(image),
+                         _magnitude(cc.d2) * column, axis=0)
 
 
 def homology_basis(cc: ChainComplex, degree: int) -> np.ndarray:

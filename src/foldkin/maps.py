@@ -8,10 +8,16 @@ way, defined exactly on hinge solutions whose loop obstruction
 vanishes.  A separate evaluation map turns spatial solutions into truss
 solutions (vertex velocities) and a per-face rigid fit inverts it.
 
+Spatial solutions are never found by decomposing the spatial boundary.
+The exact sequence says what they are: the global motions plus the
+lifts of the hinge classes that have no loop obstruction.  A lift turns
+the faces along a spanning tree of the dual graph by the hinge rates.
+
 Also here: the closed-form block operators of a serial chain (the
 lower-triangular accumulation operator, its bidiagonal inverse, and the
-hinge-to-body matrix with its left inverse), which reproduce the
-connecting homomorphism when the base face is pinned.
+hinge-to-body matrix with its left inverse).  They are an independent
+reference: a chain is a dual tree with one path, so the tree lift with
+the base face pinned must reproduce them.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosheaf import (
+    COMPLEX_TOL,
     ChainComplex,
     Cosheaf,
     CosheafMap,
@@ -28,6 +35,7 @@ from .cosheaf import (
     assemble_chain_complex,
     connecting_map,
     constant_cosheaf,
+    cycle_residuals,
     homology_basis,
     scatter_incidences,
     verify_exact_sequence,
@@ -41,13 +49,14 @@ from .errors import (
     NotACycle,
     WellDefinednessViolation,
 )
-from .linalg import pseudoinverse
+from .linalg import nullspace, pseudoinverse, svd_rank
 from .models import (
     StiffenedLinkage,
     build_hinge_model,
     build_rigid_model,
     build_spatial_model,
     constant_rigid_isomorphism,
+    corner_velocities,
 )
 from .spatial import axis_projection, hinge_twist, point_velocity_blocks, transfer_matrix
 from .surface import OrigamiSurface
@@ -112,13 +121,15 @@ class ExactSequence:
 
     ``hinge``, ``rigid`` and ``spatial`` are the models' chain
     complexes; each homology method returns an orthonormal basis array.
+    Only the hinge complex and the support complex are decomposed.
     Rigid homology is read off the support complex, the constant
     ``R^1`` complex on the rigid model's cells: the rigid cosheaf is six
     copies of it through :func:`models.constant_rigid_isomorphism`,
     which moves spatial velocities from the origin to cell centroids.
     :meth:`rigid_h2` is a basis of rigid chains, but :meth:`rigid_h1`,
     like the rows of :meth:`loop_obstruction_matrix`, is in the
-    origin-anchored constant frame.
+    origin-anchored constant frame.  Spatial homology is built from the
+    other two (:meth:`spatial_h2`).
     """
 
     surface: OrigamiSurface
@@ -135,8 +146,46 @@ class ExactSequence:
                             lambda: homology_basis(self.hinge, 1))
 
     def spatial_h2(self) -> np.ndarray:
-        return self._cached("spatial_h2",
-                            lambda: homology_basis(self.spatial, 2))
+        """Spatial solutions: the thin QR of the global motions
+        (:meth:`rigid_h2`; the quotient map is the identity on faces)
+        next to the tree lifts of the unobstructed hinge classes.
+
+        The sequence is verified exact at every cell, so its long exact
+        sequence makes ``dim = dim rigid_h2 + dim ker(loop obstruction)``
+        a theorem; nothing enters degree 1 of the hinge complex from
+        above.  At run time the columns are certified to be spatial
+        cycles (relative ``d2`` residual within :data:`COMPLEX_TOL`) and
+        independent (full rank under ``linalg.RANK_TOL``); either failure
+        raises :class:`ExactnessViolation` naming the worst column,
+        counted from the global motions through the lifts.  Pinned faces
+        stay fixed: they root the tree, and the pinned model has no
+        global motion.
+        """
+        return self._cached("spatial_h2", self._spatial_h2)
+
+    def _spatial_h2(self) -> np.ndarray:
+        faces = self.spatial.cosheaf.support[2]
+        classes = self.hinge_h1() @ nullspace(self.loop_obstruction_matrix(), scale=1.0)
+        rates = np.zeros((self.surface.num_edges, classes.shape[1]))
+        rates[self.hinge.cosheaf.support[1]] = classes
+        lifts = _tree_lift(self.surface, ~faces, rates)[faces]
+        chains = np.hstack([self.rigid_h2(),
+                            lifts.reshape(self.spatial.dim(2), classes.shape[1])])
+        residuals = cycle_residuals(self.spatial, chains)
+        if residuals.max(initial=0.0) > COMPLEX_TOL:
+            worst = int(np.argmax(residuals))
+            raise ExactnessViolation(
+                f"spatial basis column {worst} is not a cycle "
+                f"(relative residual {residuals[worst]:.3e})")
+        # Lifts grow with the coordinates and global motions do not; unit
+        # columns keep the rank decision free of that scale.
+        size = np.linalg.norm(chains, axis=0)
+        basis, r = np.linalg.qr(chains / np.where(size > 0, size, 1.0))
+        if svd_rank(r) < r.shape[1]:
+            worst = int(np.argmin(np.abs(np.diag(r))))
+            raise ExactnessViolation(
+                f"spatial basis column {worst} depends on the others")
+        return basis
 
     def _support_h(self, degree: int) -> np.ndarray:
         """Harmonic basis of the support complex in one degree."""
@@ -208,14 +257,58 @@ class ExactSequence:
         return self._cached("iota_star", self._loop_obstruction)
 
     def _loop_obstruction(self) -> np.ndarray:
-        edges = self.rigid.cosheaf.support[1]
-        lines = np.einsum(
-            "eij,ej->ei",
-            transfer_matrix(self.surface.edge_midpoints[edges], np.zeros(3)),
-            hinge_twist(self.surface.edge_triads[edges, 0]))
+        lines = _hinge_lines(self.surface, self.rigid.cosheaf.support[1])
         loops, classes = self._support_h(1), self.hinge_h1()
         return np.einsum("ea,ei,ej->aij", loops, lines, classes).reshape(
             6 * loops.shape[1], classes.shape[1])
+
+
+def _hinge_lines(surface: OrigamiSurface, edges) -> np.ndarray:
+    """Line coordinates ``[l_e, m_e x l_e]`` of the hinges ``edges``: the
+    unit twist about each hinge axis, seen from the origin."""
+    return np.einsum("eij,ej->ei",
+                     transfer_matrix(surface.edge_midpoints[edges], np.zeros(3)),
+                     hinge_twist(surface.edge_triads[edges, 0]))
+
+
+def _tree_lift(surface: OrigamiSurface, roots: np.ndarray,
+               rates: np.ndarray) -> np.ndarray:
+    """Face velocities that turn each tree hinge of the dual graph at its
+    given rate; ``rates`` holds one row per edge id and one column per
+    motion.  Returns shape ``(faces, 6, motions)``, anchored at the
+    face centroids.
+
+    The dual graph has the faces as nodes and the interior edges as
+    links.  Its breadth-first spanning forest grows from the faces in
+    the bool mask ``roots``; a component without one is rooted at its
+    lowest-index face.  Roots stand still.  Stepping across tree edge
+    ``e`` from face ``f`` to face ``g`` adds ``s_ge * rate_e`` times the
+    hinge's line coordinates, in the origin frame; one transfer per face
+    then moves each velocity to its centroid.  All faces of one level
+    are stepped at once.  Rates on edges outside the tree are not read:
+    a hinge class lifts to a cycle exactly when it closes around every
+    loop.
+    """
+    fe = surface.incidences["fe"]
+    inner = np.flatnonzero(surface.interior_edge[fe.lower])
+    # Two incidences per interior edge, side by side.
+    pairs = inner[np.argsort(fe.lower[inner], kind="stable")].reshape(-1, 2)
+    edge, face, sign = fe.lower[pairs[:, 0]], fe.upper[pairs], fe.sign[pairs]
+    steps = _hinge_lines(surface, edge)[:, :, None] * rates[edge][:, None, :]
+    nu = np.zeros((surface.num_faces, 6, rates.shape[1]))
+    seen = np.array(roots, dtype=bool)
+    while not seen.all():
+        links = np.flatnonzero(seen[face[:, 0]] != seen[face[:, 1]])
+        if not links.size:
+            seen[np.argmin(seen)] = True
+            continue
+        side = (~seen[face[links, 1]]).astype(int)
+        child, first = np.unique(face[links, side], return_index=True)
+        links, side = links[first], side[first]
+        nu[child] = (nu[face[links, 1 - side]]
+                     + sign[links, side][:, None, None] * steps[links])
+        seen[child] = True
+    return transfer_matrix(np.zeros(3), surface.face_centroids) @ nu
 
 
 def build_exact_sequence(surface: OrigamiSurface) -> ExactSequence:
@@ -312,26 +405,6 @@ def hinge_to_spatial(seq: ExactSequence, sol: ModelSolution,
 
 # --- spatial <-> truss ---
 
-def corner_velocities(linkage: StiffenedLinkage,
-                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate face spatial velocities at the truss corners.
-
-    ``values`` holds six rows per face and one column per motion.
-    Returns the velocity every corner receives from its own face, shape
-    ``(corners, 3, motions)``, and the truss vectors, shape
-    ``(3 * points, motions)``, in which each point takes the velocity of
-    its first corner: its first incident face, or its own face for an
-    apex.  On solution cycles all corners of a point agree.
-    """
-    motions = values.shape[1]
-    at_corner = np.einsum("cij,cjk->cik", linkage.corner_block,
-                          values.reshape(-1, 6, motions)[linkage.corner_face])
-    _, first = np.unique(linkage.corner_point, return_index=True)
-    at_point = np.zeros((linkage.num_points, 3, motions))
-    at_point[linkage.corner_point[first]] = at_corner[first]
-    return at_corner, at_point.reshape(-1, motions)
-
-
 def spatial_to_truss(linkage: StiffenedLinkage, sol: ModelSolution,
                      cycle_tol: float = CYCLE_TOL) -> ModelSolution:
     """Evaluate a spatial solution as vertex velocities of the truss.
@@ -379,8 +452,7 @@ def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
     # One fit per face, all in one stack: corners are listed face by
     # face, and each face's rows are padded with zero rows, which change
     # neither its fit nor its residual, to the largest corner count.
-    faces = linkage.corner_face
-    slot = np.arange(len(faces)) - np.searchsorted(faces, faces)
+    faces, slot = linkage.corner_face, linkage.corner_slot
     shape = (seq.surface.num_faces, slot.max() + 1, 3)
     a = np.zeros(shape + (6,))
     a[faces, slot] = linkage.corner_block
@@ -479,7 +551,6 @@ class SerialChainOperators:
     chain: SerialChain
     accumulate: np.ndarray          # (6n, 6n)
     accumulate_inverse: np.ndarray  # (6n, 6n)
-    hinge_matrix: np.ndarray        # (6n, n) block diagonal axis embeddings
     d: np.ndarray                   # (6n, n)
     d_pinv: np.ndarray              # (n, 6n)
 
@@ -524,35 +595,24 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     if gap > 1e-11 * max(1.0, np.max(np.abs(d))):
         raise FoldkinError(f"chain left inverse failed ({gap:.3e})")
     return SerialChainOperators(chain=chain, accumulate=psi,
-                                accumulate_inverse=psi_inv,
-                                hinge_matrix=iota, d=d, d_pinv=d_pinv)
+                                accumulate_inverse=psi_inv, d=d, d_pinv=d_pinv)
 
 
 def propagate_chain(ops: SerialChainOperators, rates) -> np.ndarray:
-    """Propagate hinge rates body by body along the chain recurrence.
+    """Turn the chain's hinges at ``rates`` (in chain hinge order) with
+    the base face pinned: the tree lift of the rates, whose dual tree is
+    the chain itself.
 
-    Returns stacked spatial velocities of the moving bodies (the base is
-    fixed at zero), for comparison against ``ops.d @ rates``.
+    Returns stacked spatial velocities of the moving bodies in chain
+    order, for comparison against ``ops.d @ rates``.
     """
     chain = ops.chain
     surface = chain.surface
-    rates = np.asarray(rates, dtype=float)
-    n = chain.num_hinges
-    nu = np.zeros(6)
-    out = np.zeros(6 * n)
-    for i in range(n):
-        f_prev = chain.face_order[i]
-        f_next = chain.face_order[i + 1]
-        e = chain.hinge_order[i]
-        p_prev = surface.centroid((2, f_prev))
-        p_next = surface.centroid((2, f_next))
-        p_e = surface.centroid((1, e))
-        step = transfer_matrix(p_prev, p_next) @ nu
-        hinge = transfer_matrix(p_e, p_next) @ (
-            hinge_twist(surface.edge_axis(e)) * rates[i])
-        nu = step + hinge
-        out[6 * i:6 * i + 6] = nu
-    return out
+    per_edge = np.zeros((surface.num_edges, 1))
+    per_edge[chain.hinge_order, 0] = rates
+    base = np.zeros(surface.num_faces, dtype=bool)
+    base[chain.face_order[0]] = True
+    return _tree_lift(surface, base, per_edge)[chain.face_order[1:]].ravel()
 
 
 def pinned_chain_connecting_matrix(surface: OrigamiSurface,

@@ -30,7 +30,7 @@ from .cosheaf import (
     constant_cosheaf,
 )
 from .errors import DegenerateFace
-from .linalg import RANK_TOL, nullspace
+from .linalg import RANK_TOL, stacked_svd
 from .spatial import axis_projection, point_velocity_blocks, transfer_matrix
 from .surface import INCIDENCE_DIMS, OrigamiSurface
 
@@ -128,7 +128,8 @@ class StiffenedLinkage:
     row entries ``+l_e`` at the head and ``-l_e`` at the tail.
 
     A corner is one point of one face's group (its vertices in cycle
-    order, then its apex); corners are listed face by face.  A face's
+    order, then its apex); corners are listed face by face, and
+    ``corner_slot`` is a corner's place in its group.  A face's
     spatial velocity gives the corner point the velocity
     ``corner_block @ nu``, which is how spatial solutions are read off
     at truss points and fitted back.
@@ -141,6 +142,7 @@ class StiffenedLinkage:
     matrix: np.ndarray                   # (|E'|, 3 |V'|)
     corner_face: np.ndarray              # (C,) face of each corner
     corner_point: np.ndarray             # (C,) extended vertex id
+    corner_slot: np.ndarray              # (C,) place in the face's group
     corner_block: np.ndarray             # (C, 3, 6) [-[r]x, I], r from centroid
 
     @property
@@ -200,14 +202,82 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
     corner_face = np.repeat(np.arange(surface.num_faces),
                             [len(group) for group in groups])
     corner_point = np.concatenate(groups)
+    corner_slot = np.arange(len(corner_face)) - np.searchsorted(corner_face, corner_face)
     corner_block = point_velocity_blocks(points[corner_point]
                                          - surface.face_centroids[corner_face])
     return StiffenedLinkage(surface=surface, points=points, bars=bars,
                             apex_of_face=apex_of_face, matrix=m,
                             corner_face=corner_face, corner_point=corner_point,
-                            corner_block=corner_block)
+                            corner_slot=corner_slot, corner_block=corner_block)
 
 
-def truss_kernel(linkage: StiffenedLinkage) -> np.ndarray:
-    """Orthonormal basis (columns) of motions preserving every bar length."""
-    return nullspace(linkage.matrix)
+def corner_velocities(linkage: StiffenedLinkage,
+                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate face spatial velocities at the truss corners.
+
+    ``values`` holds six rows per face and one column per motion.
+    Returns the velocity every corner receives from its own face, shape
+    ``(corners, 3, motions)``, and the truss vectors, shape
+    ``(3 * points, motions)``, in which each point takes the velocity of
+    its first corner: its first incident face, or its own face for an
+    apex.  On solution cycles all corners of a point agree.
+    """
+    motions = values.shape[1]
+    at_corner = np.einsum("cij,cjk->cik", linkage.corner_block,
+                          values.reshape(-1, 6, motions)[linkage.corner_face])
+    _, first = np.unique(linkage.corner_point, return_index=True)
+    at_point = np.zeros((linkage.num_points, 3, motions))
+    at_point[linkage.corner_point[first]] = at_corner[first]
+    return at_corner, at_point.reshape(-1, motions)
+
+
+def _certify_groups(linkage: StiffenedLinkage):
+    """Raise :class:`DegenerateFace` unless every face group is
+    infinitesimally rigid: the rows of ``matrix`` for the bars inside a
+    group of ``n`` points, restricted to those points, have rank
+    ``3n - 6``.  The bars are looked up in ``bars``, so a missing one
+    leaves a zero row; groups are padded to the largest with zero rows
+    and columns, which add no rank, and decomposed as one stack."""
+    faces, slot = linkage.corner_face, linkage.corner_slot
+    shape = (linkage.surface.num_faces, slot.max() + 1)
+    group = np.zeros(shape, dtype=int)
+    group[faces, slot] = linkage.corner_point
+    live = np.zeros(shape, dtype=bool)
+    live[faces, slot] = True
+    i, j = np.triu_indices(shape[1], 1)
+    keys = np.array(linkage.bars) @ [linkage.num_points, 1]
+    want = (np.minimum(group[:, i], group[:, j]) * linkage.num_points
+            + np.maximum(group[:, i], group[:, j]))
+    rows = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+    found = (keys[rows] == want) & live[:, i] & live[:, j]
+    cols = (3 * group[:, :, None] + np.arange(3)).reshape(shape[0], -1)
+    blocks = (linkage.matrix[rows[:, :, None], cols[:, None, :]]
+              * found[:, :, None] * np.repeat(live, 3, axis=1)[:, None, :])
+    rank = stacked_svd(blocks)[1].sum(axis=-1)
+    need = 3 * live.sum(axis=1) - 6
+    bad = np.flatnonzero(rank != need)
+    if bad.size:
+        f = bad[0]
+        raise DegenerateFace(
+            f"truss group of face {f} has rank {rank[f]}, want {need[f]}")
+
+
+def truss_kernel(linkage: StiffenedLinkage, spatial_basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of motions preserving every bar
+    length: the thin QR of the truss image of ``spatial_basis``, an
+    orthonormal basis of spatial solutions.
+
+    This is the truss/hinge isomorphism.  Every bar lies inside one face
+    group, so when each group is infinitesimally rigid (certified here,
+    one stacked decomposition of small matrices) a bar-preserving motion
+    moves each face rigidly, and two faces sharing an edge agree at both
+    its ends, so they turn about it: the kernel is exactly the truss
+    image of the spatial solutions, and rigid groups make that image
+    injective.  Conversely a spatial solution gives each vertex one
+    velocity because the faces around a vertex form one fan joined
+    through edges, which surface construction guarantees (a pinch raises
+    :class:`NonManifold`).
+    """
+    _certify_groups(linkage)
+    _, image = corner_velocities(linkage, spatial_basis)
+    return np.linalg.qr(image)[0]

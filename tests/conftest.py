@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,40 @@ def quad_cube():
     faces = [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1],
              [2, 3, 7, 6], [0, 2, 6, 4], [1, 5, 7, 3]]
     return build_surface(verts, faces)
+
+
+def icosahedron_points(long):
+    """The cyclic permutations of ``(0, +-1, +-long)``."""
+    return np.array([np.roll([0.0, a, b * long], k) for k in range(3)
+                     for a in (-1.0, 1.0) for b in (-1.0, 1.0)])
+
+
+def flipped_icosahedron(long):
+    """The regular icosahedron's faces with its 6 short-coordinate edges
+    flipped, on :func:`icosahedron_points` ``(long)``.
+
+    A short-coordinate edge joins two vertices that differ only in the
+    sign of their coordinate of size 1.  Flipping it replaces the two
+    triangles on it by the two on the other diagonal of their quad.
+    ``long = 2`` is Jessen's orthogonal icosahedron, a shaky polyhedron
+    with one hinge class; at the golden ratio the same faces sit on the
+    regular icosahedron's vertices.
+    """
+    regular = icosahedron_points((1 + 5 ** 0.5) / 2)
+    near = np.isclose(np.linalg.norm(regular[:, None] - regular[None], axis=2), 2.0)
+    faces = [f for f in itertools.combinations(range(12), 3)
+             if all(near[a, b] for a, b in itertools.combinations(f, 2))]
+    for i, j in itertools.combinations(range(12), 2):
+        if near[i, j] and np.count_nonzero(regular[i] != regular[j]) == 1:
+            pair = [f for f in faces if i in f and j in f]
+            c, d = (sum(f) - i - j for f in pair)
+            faces = [f for f in faces if f not in pair] + [(c, d, i), (c, d, j)]
+    return build_surface(icosahedron_points(long), faces)
+
+
+def jessen():
+    """Jessen's orthogonal icosahedron: one hinge class on a closed sphere."""
+    return flipped_icosahedron(2.0)
 
 
 # Generated surfaces the acceptance criteria run on, by name.

@@ -7,7 +7,7 @@ reads the same answer off a smaller structure.  Tests compare the two.
 import numpy as np
 
 from foldkin import CosheafMap, homology_basis, induced_map
-from foldkin.linalg import RANK_TOL
+from foldkin.linalg import RANK_TOL, nullspace
 
 
 def rigid_h1(seq):
@@ -18,6 +18,16 @@ def rigid_h1(seq):
 def rigid_h2(seq):
     """Kernel of the rigid face boundary."""
     return homology_basis(seq.rigid, 2)
+
+
+def spatial_h2(seq):
+    """Kernel of the spatial face boundary."""
+    return homology_basis(seq.spatial, 2)
+
+
+def truss_kernel(linkage):
+    """Kernel of the whole bar-length Jacobian."""
+    return nullspace(linkage.matrix)
 
 
 def loop_obstruction_matrix(seq):

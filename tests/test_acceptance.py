@@ -27,13 +27,12 @@ from foldkin import (
     spatial_to_truss,
     stiffen,
     transfer_matrix,
-    truss_kernel,
 )
 from foldkin.linalg import nullspace, svd_rank
 from foldkin.surface import INCIDENCE_DIMS
 
 from conftest import ACCEPTANCE_SURFACES, surface_of, two_panels
-from oracles import column_space
+from oracles import column_space, truss_kernel
 
 TOL = 1e-9
 

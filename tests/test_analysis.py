@@ -8,12 +8,25 @@ from foldkin import (
     build_exact_sequence,
     constant_rigid_isomorphism,
     document_from_surface,
+    hinge_solution,
+    hinge_to_truss,
     spatial_solution,
     spatial_to_truss,
     stiffen,
 )
+from foldkin.cosheaf import cycle_residuals
+from foldkin.maps import _tree_lift
 
-from conftest import octahedron, one_face, quad_cube, scaled, surface_of, two_panels
+from conftest import (
+    flipped_icosahedron,
+    jessen,
+    octahedron,
+    one_face,
+    quad_cube,
+    scaled,
+    surface_of,
+    two_panels,
+)
 
 
 def test_report_fields_on_two_panels():
@@ -43,6 +56,55 @@ def test_report_without_hinges_keeps_only_global_motions(make, b2):
     assert report.betti == [1, 0, b2]
     assert report.dims == {"hinge_h1": 0, "rigid_h1": 0, "rigid_h2": 6,
                            "spatial_h2": 6, "truss_kernel": 6}
+
+
+def test_jessen_icosahedron_is_shaky():
+    # Closed, so every edge is a hinge and there is no loop: its one
+    # hinge class lifts along the dual tree to a spatial cycle.
+    s = jessen()
+    report = analyze_surface(s)
+    assert report.all_ok
+    assert report.betti == [1, 0, 1]
+    assert report.dims == {"hinge_h1": 1, "rigid_h1": 0, "rigid_h2": 6,
+                           "spatial_h2": 7, "truss_kernel": 7}
+    seq = build_exact_sequence(s)
+    rates = np.zeros((s.num_edges, 1))
+    rates[s.interior_edge] = seq.hinge_h1()
+    lift = _tree_lift(s, np.zeros(s.num_faces, dtype=bool), rates)
+    assert np.abs(lift).max() > 0.1
+    assert cycle_residuals(seq.spatial, lift.reshape(-1, 1))[0] <= 1e-12
+    # The same faces on the regular icosahedron's vertices are rigid.
+    control = analyze_surface(flipped_icosahedron((1 + 5 ** 0.5) / 2))
+    assert control.all_ok
+    assert (control.dims["hinge_h1"], control.dims["spatial_h2"]) == (0, 6)
+
+
+@pytest.mark.parametrize("spec", [("grid", 8, 8), ("torus", 6, 6),
+                                  ("single_vertex", 12), ("chain", 10)],
+                         ids=lambda spec: "_".join(map(str, spec)))
+def test_no_decomposition_as_large_as_a_whole_model(monkeypatch, spec):
+    # Solution spaces come from the hinge complex and the support
+    # complex, so no decomposition sees the spatial boundary or the
+    # bar-length Jacobian whole.
+    s = surface_of(*spec)
+    seq = build_exact_sequence(s)
+    linkage = stiffen(s)
+    limit = min(seq.spatial.d2.size, linkage.matrix.size)
+    sizes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.asarray(a).size)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    analyze_surface(s)
+    seq = build_exact_sequence(s)
+    classes = seq.hinge_h1()
+    rates = classes @ np.ones(classes.shape[1])
+    hinge_to_truss(seq, stiffen(s), hinge_solution(seq, rates))
+    assert sizes
+    assert max(sizes) < limit
 
 
 def test_report_text_contains_verdict():

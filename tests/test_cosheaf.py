@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from foldkin import (
+    ChainComplex,
     Cosheaf,
     CosheafMap,
     assemble_chain_complex,
@@ -15,6 +16,7 @@ from foldkin import (
     induced_map,
     verify_exact_sequence,
 )
+from foldkin.cosheaf import COMPLEX_TOL
 from foldkin.errors import (
     ExactnessViolation,
     FunctorialityViolation,
@@ -317,3 +319,22 @@ def test_complex_square_residual_small():
               surface_of("miura", 2, 3)):
         for build in (build_hinge_model, build_rigid_model, build_spatial_model):
             assert build(s).square_residual() <= 1e-11
+
+
+def test_square_residual_sees_one_flipped_block():
+    # Flip the sign of one face-edge block of the assembled d2 at a time;
+    # wherever the edge meets an interior vertex, d1 @ d2 stops vanishing.
+    cc = build_spatial_model(surface_of("grid", 3, 3))
+    assert cc.square_residual() <= COMPLEX_TOL
+    flipped = 0
+    for face in range(cc.d2.shape[1] // 6):
+        cols = slice(6 * face, 6 * face + 6)
+        for edge in np.unique(np.flatnonzero(cc.d2[:, cols].any(axis=1)) // 5):
+            rows = slice(5 * edge, 5 * edge + 5)
+            if not cc.d1[:, rows].any():
+                continue
+            d2 = cc.d2.copy()
+            d2[rows, cols] *= -1
+            assert ChainComplex(cc.cosheaf, cc.d1, d2).square_residual() > COMPLEX_TOL
+            flipped += 1
+    assert flipped >= 9

@@ -21,7 +21,11 @@ from foldkin import (
     transfer_matrix,
     truss_to_spatial,
 )
+from foldkin import maps
 from foldkin.analysis import eta_image
+from foldkin.cosheaf import cycle_residuals
+from foldkin.maps import _verified_sequence
+from foldkin.models import truss_kernel
 from foldkin.errors import (
     ExactnessViolation,
     InvalidParams,
@@ -34,6 +38,7 @@ from foldkin.linalg import nullspace, subspace_residual, svd_rank
 import oracles
 from conftest import (
     ACCEPTANCE_SURFACES,
+    jessen,
     octahedron,
     one_face,
     quad_cube,
@@ -96,16 +101,15 @@ def test_dimension_ledgers(any_surface):
 
 
 def truss_kernel_dim(surface):
-    from foldkin import truss_kernel
-
-    return truss_kernel(stiffen(surface)).shape[1]
+    return oracles.truss_kernel(stiffen(surface)).shape[1]
 
 
 # Rigid homology is read off the support complex; the dense
 # decomposition of the rigid complex is the reference.
 ORACLE_SURFACES = ACCEPTANCE_SURFACES + [
     (f"square_hole_{n}", lambda n=n: square_hole_grid(n)) for n in (3, 4, 5)
-] + [("one_face", one_face), ("octahedron", octahedron), ("cube", quad_cube)]
+] + [("one_face", one_face), ("octahedron", octahedron), ("cube", quad_cube),
+     ("jessen", jessen)]
 
 
 @pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES],
@@ -124,6 +128,61 @@ def test_rigid_homology_matches_the_dense_route(make):
     # unobstructed hinge classes, their common kernel, agree.
     assert subspace_residual(nullspace(got, scale=1.0),
                              nullspace(dense, scale=1.0)) < 1e-12
+
+
+def assert_spatial_basis_matches_the_dense_route(seq):
+    basis, dense = seq.spatial_h2(), oracles.spatial_h2(seq)
+    assert basis.shape == dense.shape
+    assert subspace_residual(basis, dense) < 1e-12
+    assert cycle_residuals(seq.spatial, basis).max(initial=0.0) <= 1e-12
+
+
+# Spatial homology and the truss kernel are built from hinge classes;
+# the dense kernels of the spatial boundary and of the bar-length
+# Jacobian are the reference.
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES],
+                         ids=[n for n, _ in ORACLE_SURFACES])
+def test_spatial_and_truss_bases_match_the_dense_route(make):
+    surface = make()
+    seq = build_exact_sequence(surface)
+    assert_spatial_basis_matches_the_dense_route(seq)
+    linkage = stiffen(surface)
+    kernel, dense = truss_kernel(linkage, seq.spatial_h2()), oracles.truss_kernel(linkage)
+    assert kernel.shape == dense.shape
+    assert subspace_residual(kernel, dense) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_pinned_chain_spatial_basis_matches_the_dense_route(n):
+    s = surface_of("chain", n)
+    seq = build_exact_sequence(s)
+    base = [chain_structure(s).face_order[0]]
+    assert_spatial_basis_matches_the_dense_route(_verified_sequence(
+        *(cc.pinned(2, base) for cc in (seq.hinge, seq.rigid, seq.spatial))))
+
+
+def test_spatial_basis_certificate_names_a_column_that_is_no_cycle(monkeypatch):
+    # A lift that turns one face too far is no cycle.
+    def bent(surface, roots, rates):
+        nu = tree_lift(surface, roots, rates)
+        nu[-1] += 1e-3
+        return nu
+
+    tree_lift = maps._tree_lift
+    monkeypatch.setattr(maps, "_tree_lift", bent)
+    seq = build_exact_sequence(surface_of("single_vertex", 4, 0.5))
+    with pytest.raises(ExactnessViolation, match="^spatial basis column 6 is not a cycle"):
+        seq.spatial_h2()
+
+
+def test_spatial_basis_certificate_names_a_dependent_column(monkeypatch):
+    # A zero lift is a cycle, but it adds no motion.
+    monkeypatch.setattr(maps, "_tree_lift",
+                        lambda surface, roots, rates: np.zeros((surface.num_faces, 6,
+                                                                rates.shape[1])))
+    seq = build_exact_sequence(surface_of("single_vertex", 4, 0.5))
+    with pytest.raises(ExactnessViolation, match="^spatial basis column 6 depends"):
+        seq.spatial_h2()
 
 
 def test_rigid_dims_stay_topological_at_large_scale():
@@ -280,11 +339,9 @@ def test_fold_mode_fixes_hinge_line(rng):
 
 
 def test_spatial_basis_maps_to_truss_kernel_basis(any_surface):
-    from foldkin import truss_kernel
-
     seq = build_exact_sequence(any_surface)
     linkage = stiffen(any_surface)
-    kernel = truss_kernel(linkage)
+    kernel = oracles.truss_kernel(linkage)
     basis = seq.spatial_h2()
     images = []
     for j in range(basis.shape[1]):

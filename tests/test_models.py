@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from foldkin import (
     axis_projection,
     base_homology,
     build_constant_model,
+    build_exact_sequence,
     build_hinge_model,
     build_rigid_model,
     build_spatial_model,
@@ -17,12 +20,14 @@ from foldkin import (
     point_velocity_blocks,
     stiffen,
     transfer_matrix,
-    truss_kernel,
 )
+from foldkin import models
+from foldkin.errors import DegenerateFace
 from foldkin.linalg import svd_rank
 from foldkin.surface import INCIDENCE_DIMS
 
 from conftest import square_hole_grid, surface_of, two_panels, two_triangles
+from oracles import truss_kernel
 
 
 def fan(degree, fold=0.5, seed=0):
@@ -239,6 +244,23 @@ def test_single_stiffened_triangle_is_rigid():
 
 def test_truss_two_panels_dimension():
     assert truss_kernel(stiffen(two_panels())).shape[1] == 7
+
+
+def test_truss_kernel_certifies_every_face_group(monkeypatch):
+    # A triangle and its apex are braced by exactly 3n - 6 = 6 bars.
+    s = two_triangles()
+    basis = build_exact_sequence(s).spatial_h2()
+    linkage = stiffen(s)
+    assert models.truss_kernel(linkage, basis).shape == (3 * linkage.num_points, 7)
+    # Without its first bar, the group holding it bends.
+    missing = dataclasses.replace(linkage, bars=linkage.bars[1:],
+                                  matrix=linkage.matrix[1:])
+    with pytest.raises(DegenerateFace, match="^truss group of face 0 has rank 5, want 6"):
+        models.truss_kernel(missing, basis)
+    # An apex in its face's plane leaves a flat group.
+    monkeypatch.setattr(models, "_face_normal", lambda points: np.zeros(3))
+    with pytest.raises(DegenerateFace, match="^truss group of face 0 "):
+        models.truss_kernel(stiffen(s), basis)
 
 
 def test_uniform_translation_in_truss_kernel(rng):
