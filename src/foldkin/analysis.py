@@ -81,13 +81,23 @@ class AnalysisReport:
 
 
 def eta_image(seq: ExactSequence, linkage) -> np.ndarray:
-    """Truss images of an orthonormal spatial solution basis."""
+    """Truss images of an orthonormal spatial solution basis.
+
+    The images must stretch no bar.  The bar residual follows the
+    residual policy of :mod:`foldkin.cosheaf`: it is measured against
+    the largest entry ``matrix @ corner_block @ basis`` can reach, the
+    product of the three factors' largest entries.  The corner blocks
+    carry lever arms of the coordinate size, so the bound scales with
+    the surface and a uniform scaling changes no verdict.
+    """
     basis = seq.spatial_h2()
     if basis.shape[1] == 0:
         return np.zeros((3 * linkage.num_points, 0))
     _, image = corner_velocities(linkage, basis)
-    residual = np.abs(linkage.matrix @ image).max(initial=0.0)
-    if residual > 1e-8 * max(1.0, np.abs(image).max(initial=0.0)):
+    reach = (np.abs(linkage.matrix).max() * np.abs(linkage.corner_block).max()
+             * np.abs(basis).max())
+    residual = np.abs(linkage.matrix @ image).max(initial=0.0) / reach
+    if residual > 1e-8:
         raise WellDefinednessViolation(
             f"spatial basis maps outside the truss kernel ({residual:.3e})")
     return image

@@ -562,33 +562,44 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     if n == 0:
         raise InvalidParams("chain needs at least one hinge")
     faces = chain.face_order
-    hinges = chain.hinge_order
-    p_face = np.array([surface.centroid((2, f)) for f in faces])
-    p_edge = np.array([surface.centroid((1, e)) for e in hinges])
+    hinges = np.array(chain.hinge_order)
+    p_face = surface.face_centroids[faces]
+    p_edge = surface.edge_midpoints[hinges]
 
-    for e in hinges:
-        if np.linalg.norm(surface.edge_vector(e)) == 0.0:
-            raise DegenerateHinge(f"hinge {e} has zero length")
+    ends = np.array(surface.edges)[hinges]
+    short = np.flatnonzero(np.linalg.norm(surface.vertices[ends[:, 1]]
+                                          - surface.vertices[ends[:, 0]], axis=1) == 0.0)
+    if short.size:
+        raise DegenerateHinge(f"hinge {hinges[short[0]]} has zero length")
 
     # Block (i, j): hinge e_{j+1} seen from body f_{i+1}, zero for j > i.
     blocks = transfer_matrix(p_edge[None, :], p_face[1:, None])
     blocks[np.triu_indices(n, 1)] = 0.0
     psi = blocks.transpose(0, 2, 1, 3).reshape(6 * n, 6 * n)
 
-    diag = np.arange(n)
+    # The inverse is block bidiagonal: diagonal blocks ``diag``, and
+    # ``sub[i]`` at block (i + 1, i).
+    diag = transfer_matrix(p_face[1:], p_edge)
+    sub = -transfer_matrix(p_face[1:-1], p_edge[1:])
+    idx = np.arange(n)
     psi_inv = np.zeros((n, 6, n, 6))
-    psi_inv[diag, :, diag] = transfer_matrix(p_face[1:], p_edge)
-    psi_inv[diag[1:], :, diag[:-1]] = -transfer_matrix(p_face[1:-1], p_edge[1:])
+    psi_inv[idx, :, idx] = diag
+    psi_inv[idx[1:], :, idx[:-1]] = sub
     psi_inv = psi_inv.reshape(6 * n, 6 * n)
 
-    iota = np.zeros((n, 6, n))
-    iota[diag, :, diag] = hinge_twist(surface.edge_triads[hinges, 0])
-    iota = iota.reshape(6 * n, n)
+    # iota is block diagonal, one hinge twist per block.
+    twists = hinge_twist(surface.edge_triads[hinges, 0])
+    d = np.einsum("rjb,jb->rj", psi.reshape(6 * n, n, 6), twists)
+    d_pinv = np.einsum("ia,iajb->ijb", twists, psi_inv.reshape(n, 6, n, 6)).reshape(n, 6 * n)
 
-    d = psi @ iota
-    d_pinv = iota.T @ psi_inv
-
-    gap = np.max(np.abs(psi_inv @ psi - np.eye(6 * n)))
+    # Block row i of psi_inv @ psi is diag[i] @ (block row i of psi)
+    # + sub[i - 1] @ (block row i - 1).
+    rows = psi.reshape(n, 6, 6 * n)
+    product = diag @ rows
+    product[1:] += sub @ rows[:-1]
+    product = product.reshape(6 * n, 6 * n)
+    product[np.diag_indices(6 * n)] -= 1.0
+    gap = np.max(np.abs(product))
     if gap > 1e-12 * max(1.0, np.max(np.abs(psi))):
         raise FoldkinError(f"chain operator inverse failed ({gap:.3e})")
     gap = np.max(np.abs(d_pinv @ d - np.eye(n)))

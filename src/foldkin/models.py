@@ -154,19 +154,40 @@ class StiffenedLinkage:
         return slice(3 * a, 3 * a + 3)
 
 
-def _face_normal(points: np.ndarray) -> np.ndarray:
-    """Unit normal of the best-fit plane, oriented by the cycle sense."""
-    center = points.mean(axis=0)
-    rel = points - center
+def _face_normals(points: np.ndarray, live: np.ndarray,
+                  centers: np.ndarray) -> np.ndarray:
+    """Unit normals of the best-fit planes of a stack of faces, oriented
+    by the cycle sense.
+
+    ``points`` holds each face's corners in cycle order, ``(F, k, 3)``,
+    padded as in the surface's face layout (repeats of the first
+    corner, false in ``live``); ``centers`` are the face centroids.
+    Raises :class:`DegenerateFace` naming the first face whose corners
+    span no plane.
+    """
+    rel = np.where(live[:, :, None], points - centers[:, None], 0.0)
     _, s, vh = np.linalg.svd(rel, full_matrices=False)
-    if s.size < 2 or s[1] <= RANK_TOL * s[0]:
-        raise DegenerateFace("face has no well-defined plane")
-    normal = vh[2] if vh.shape[0] > 2 else np.cross(vh[0], vh[1])
-    # Newell orientation: make the normal agree with the cycle sense.
-    newell = np.cross(points, np.roll(points, -1, axis=0)).sum(axis=0)
-    if np.dot(normal, newell) < 0:
-        normal = -normal
-    return normal / np.linalg.norm(normal)
+    bad = np.flatnonzero(s[:, 1] <= RANK_TOL * s[:, 0])
+    if bad.size:
+        raise DegenerateFace(f"face {bad[0]} has no well-defined plane")
+    # Newell orientation: make the normal agree with the cycle sense.  A
+    # padded cycle closes on its first corner, so padding adds no term.
+    newell = np.cross(points, np.roll(points, -1, axis=1)).sum(axis=1)
+    normal = vh[:, 2]
+    normal = np.where(np.sum(normal * newell, axis=1, keepdims=True) < 0, -normal, normal)
+    return normal / np.linalg.norm(normal, axis=1, keepdims=True)
+
+
+def _face_groups(surface: OrigamiSurface) -> tuple[np.ndarray, np.ndarray]:
+    """Each face's group as a padded ``(F, k + 1)`` array of extended
+    vertex ids: the face layout with the face's apex after its last
+    real corner, and the mask of real entries."""
+    corners = surface.face_corners
+    nf, k = corners.shape
+    sizes = surface.face_live.sum(axis=1)
+    group = np.hstack([corners, corners[:, :1]])
+    group[np.arange(nf), sizes] = surface.num_vertices + np.arange(nf)
+    return group, np.arange(k + 1) <= sizes[:, None]
 
 
 def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
@@ -174,24 +195,28 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
 
     The apex of a face sits one mean-incident-edge-length above the face
     centroid along the face normal, guaranteeing it leaves the face
-    plane by a scale-proportional margin.
+    plane by a scale-proportional margin.  All faces are braced in one
+    array pass: a face's group is its row of the surface's padded face
+    layout with its apex added.
     """
     nv = surface.num_vertices
-    apexes, groups, pairs = [], [], [np.array(surface.edges)]
-    for f, cycle in enumerate(surface.faces):
-        pts = surface.vertices[list(cycle)]
-        normal = _face_normal(pts)
-        lengths = [np.linalg.norm(surface.edge_vector(e))
-                   for e in surface.face_edges(f)]
-        apexes.append(surface.face_centroids[f] + float(np.mean(lengths)) * normal)
-        group = np.array(list(cycle) + [nv + f])
-        groups.append(group)
-        # The face's vertices and its apex form a complete graph.
-        i, j = np.triu_indices(len(group), 1)
-        pairs.append(np.sort(np.stack([group[i], group[j]], axis=1), axis=1))
-    points = np.vstack([surface.vertices] + apexes)
+    edge_ends = surface.vertices[np.array(surface.edges)]
+    lengths = np.linalg.norm(edge_ends[:, 1] - edge_ends[:, 0], axis=1)
+    fe = surface.incidences["fe"]
+    mean_length = np.bincount(fe.upper, lengths[fe.lower]) / np.bincount(fe.upper)
+    normals = _face_normals(surface.vertices[surface.face_corners], surface.face_live,
+                            surface.face_centroids)
+    points = np.vstack([surface.vertices,
+                        surface.face_centroids + mean_length[:, None] * normals])
     apex_of_face = list(range(nv, len(points)))
-    ends = np.unique(np.concatenate(pairs), axis=0)
+
+    # The face's vertices and its apex form a complete graph, which
+    # holds the face's edges.
+    group, live = _face_groups(surface)
+    i, j = np.triu_indices(group.shape[1], 1)
+    both = live[:, i] & live[:, j]
+    pairs = np.stack([group[:, i][both], group[:, j][both]], axis=1)
+    ends = np.unique(np.sort(pairs, axis=1), axis=0)
     bars = [tuple(bar) for bar in ends.tolist()]
     axis = points[ends[:, 1]] - points[ends[:, 0]]
     axis = axis / np.sqrt(axis[:, None, :] @ axis[:, :, None])[:, 0]
@@ -199,10 +224,8 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
     m[np.arange(len(bars))[:, None, None], 3 * ends[:, :, None] + np.arange(3)] = \
         np.stack([-axis, axis], axis=1)
 
-    corner_face = np.repeat(np.arange(surface.num_faces),
-                            [len(group) for group in groups])
-    corner_point = np.concatenate(groups)
-    corner_slot = np.arange(len(corner_face)) - np.searchsorted(corner_face, corner_face)
+    corner_face, corner_slot = np.nonzero(live)
+    corner_point = group[live]
     corner_block = point_velocity_blocks(points[corner_point]
                                          - surface.face_centroids[corner_face])
     return StiffenedLinkage(surface=surface, points=points, bars=bars,
@@ -238,19 +261,14 @@ def _certify_groups(linkage: StiffenedLinkage):
     ``3n - 6``.  The bars are looked up in ``bars``, so a missing one
     leaves a zero row; groups are padded to the largest with zero rows
     and columns, which add no rank, and decomposed as one stack."""
-    faces, slot = linkage.corner_face, linkage.corner_slot
-    shape = (linkage.surface.num_faces, slot.max() + 1)
-    group = np.zeros(shape, dtype=int)
-    group[faces, slot] = linkage.corner_point
-    live = np.zeros(shape, dtype=bool)
-    live[faces, slot] = True
-    i, j = np.triu_indices(shape[1], 1)
+    group, live = _face_groups(linkage.surface)
+    i, j = np.triu_indices(group.shape[1], 1)
     keys = np.array(linkage.bars) @ [linkage.num_points, 1]
     want = (np.minimum(group[:, i], group[:, j]) * linkage.num_points
             + np.maximum(group[:, i], group[:, j]))
     rows = np.searchsorted(keys, want).clip(max=len(keys) - 1)
     found = (keys[rows] == want) & live[:, i] & live[:, j]
-    cols = (3 * group[:, :, None] + np.arange(3)).reshape(shape[0], -1)
+    cols = (3 * group[:, :, None] + np.arange(3)).reshape(len(group), -1)
     blocks = (linkage.matrix[rows[:, :, None], cols[:, None, :]]
               * found[:, :, None] * np.repeat(live, 3, axis=1)[:, None, :])
     rank = stacked_svd(blocks)[1].sum(axis=-1)

@@ -15,11 +15,11 @@ here once, as a function of plain arrays:
 * :func:`hinge_twist` - the unit twist of a hinge, rotation about its
   axis.
 
-The first three, :func:`axis_projection` and :func:`hinge_twist`
-broadcast over leading axes, so a stack of points, edge triads or axes
-costs one call.  Frame rotations are fixed to the identity throughout;
-only anchor points differ between frames, which is all first-order
-analysis requires.
+All six broadcast over leading axes, so a stack of points, edge
+vectors, triads or axes costs one call: :func:`orthonormal_triad` turns
+every edge vector of a surface into its triad at once.  Frame rotations
+are fixed to the identity throughout; only anchor points differ between
+frames, which is all first-order analysis requires.
 """
 
 from __future__ import annotations
@@ -92,21 +92,20 @@ def hinge_twist(axis) -> np.ndarray:
     return np.concatenate([unit, np.zeros_like(unit)], axis=-1)
 
 
-def orthonormal_triad(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic right-handed orthonormal triad ``(l, m, n)``.
+def orthonormal_triad(axis) -> np.ndarray:
+    """Deterministic right-handed orthonormal triad, rows ``l, m, n``.
 
     ``m`` comes from the standard basis vector least aligned with the
-    axis, made orthonormal; ``n = l x m``.  The choice is a fixed rule so
-    that projection matrices are reproducible across runs.
+    axis (the first one on a tie), made orthonormal; ``n = l x m``.  The
+    choice is a fixed rule so that projection matrices are reproducible
+    across runs.  Axes of shape ``(..., 3)`` give triads of shape
+    ``(..., 3, 3)``, so ``l, m, n = orthonormal_triad(axis)`` unpacks one.
     """
     l = _unit_axis(axis)
-    k = int(np.argmin(np.abs(l)))
-    seed = np.zeros(3)
-    seed[k] = 1.0
-    m = seed - l[k] * l
-    m = m / np.linalg.norm(m)
-    n = np.cross(l, m)
-    return l, m, n
+    k = np.argmin(np.abs(l), axis=-1)[..., None]
+    m = np.eye(3)[k[..., 0]] - np.take_along_axis(l, k, axis=-1) * l
+    m = m / np.sqrt(m[..., None, :] @ m[..., :, None])[..., 0]
+    return np.stack([l, m, np.cross(l, m)], axis=-2)
 
 
 def axis_projection(triad) -> np.ndarray:

@@ -8,6 +8,17 @@ orientations from its two faces, flags interior cells, lists every
 incidence as index arrays, assigns centroid coordinates to every cell,
 and validates the span condition on cells (edges have nonzero length,
 faces are planar and not collinear).
+
+Per-cell geometry is computed in array passes, not cell by cell.  Edge
+triads come from one broadcast :func:`spatial.orthonormal_triad` call.
+Faces have cycles of different lengths, so their corners are laid out
+once as a padded ``(F, k)`` array, ``k`` the longest cycle: row ``f``
+lists face ``f``'s vertex ids in cycle order, and the slots past its
+own cycle repeat its first vertex and are false in a live mask.
+Repeating the first corner makes padded differences from it zero and
+closes each padded cycle on itself, so a stacked decomposition of those
+differences, or a cyclic sum over a row, sees exactly the real corners.  The span
+check, the face centroids and :func:`models.stiffen` read this layout.
 """
 
 from __future__ import annotations
@@ -65,6 +76,8 @@ class OrigamiSurface:
     sign_ef: dict[tuple[int, int], int]     # (edge, face) -> +-1
     incidences: dict[str, Incidences]       # keyed by INCIDENCE_DIMS
     incidence_triples: np.ndarray           # (T, 3) ev, fe, fv positions
+    face_corners: np.ndarray                # (F, k) vertex ids, padded
+    face_live: np.ndarray                   # (F, k) bool, real corners
     edge_triads: np.ndarray                 # (E, 3, 3) rows l, m, n
     edge_midpoints: np.ndarray              # (E, 3)
     face_centroids: np.ndarray              # (F, 3)
@@ -111,9 +124,6 @@ class OrigamiSurface:
 
     def edge_axis(self, e: int) -> np.ndarray:
         return self.edge_triads[e, 0]
-
-    def face_edges(self, f: int) -> list[int]:
-        return [self.edge_index(a, b) for a, b in _face_directed_edges(self.faces[f])]
 
     # --- base topology ---
 
@@ -189,22 +199,40 @@ def _orient_faces(faces, edges, edge_faces, edge_index):
     return oriented
 
 
-def _check_spans(vertices, edges, faces):
-    """Affine span condition: edges have rank 1, faces rank exactly 2."""
+def _face_layout(fv: Incidences):
+    """The padded face layout: corner vertex ids ``(F, k)`` in cycle
+    order, each row padded with its first vertex, and the live mask."""
+    sizes = np.bincount(fv.upper)
+    first = np.cumsum(sizes) - sizes
+    slot = np.arange(len(fv.upper)) - first[fv.upper]
+    live = np.arange(sizes.max()) < sizes[:, None]
+    corners = np.repeat(fv.lower[first, None], live.shape[1], axis=1)
+    corners[fv.upper, slot] = fv.lower
+    return corners, live
+
+
+def _check_spans(vertices, edges, edge_vectors, corners):
+    """Affine span condition: edges have rank 1, faces rank exactly 2.
+
+    All face ranks come from one stacked decomposition of the corner
+    differences; padded corners repeat the first one, so their zero
+    rows add no singular value.  The first failing edge is reported,
+    then the first failing face."""
     scale = float(np.max(np.abs(vertices - vertices.mean(axis=0)))) or 1.0
     cutoff = RANK_TOL * scale
-    for e, (u, v) in enumerate(edges):
-        if np.linalg.norm(vertices[v] - vertices[u]) <= cutoff:
-            raise Degenerate(f"edge {e} = {edges[e]} has zero length")
-    for f, cycle in enumerate(faces):
-        pts = vertices[list(cycle)]
-        rel = pts[1:] - pts[0]
-        s = np.linalg.svd(rel, compute_uv=False)
-        rank = int(np.sum(s > cutoff))
-        if rank < 2:
+    short = np.flatnonzero(np.linalg.norm(edge_vectors, axis=1) <= cutoff)
+    if short.size:
+        e = short[0]
+        raise Degenerate(f"edge {e} = {edges[e]} has zero length")
+    pts = vertices[corners]
+    s = np.linalg.svd(pts[:, 1:] - pts[:, :1], compute_uv=False)
+    rank = np.sum(s > cutoff, axis=1)
+    bad = np.flatnonzero(rank != 2)
+    if bad.size:
+        f = bad[0]
+        if rank[f] < 2:
             raise Degenerate(f"face {f} has collinear vertices")
-        if rank > 2:
-            raise Degenerate(f"face {f} is not planar (affine rank {rank})")
+        raise Degenerate(f"face {f} is not planar (affine rank {rank[f]})")
 
 
 def _interior_vertices(nv, edge_index, faces):
@@ -273,16 +301,19 @@ def build_surface(vertices, faces) -> OrigamiSurface:
 
     edge_index = {e: i for i, e in enumerate(edges)}
     faces = _orient_faces(faces, edges, edge_faces, edge_index)
-    _check_spans(vertices, edges, faces)
+    incidences, triples = _incidence_arrays(edges, faces)
+    corners, live = _face_layout(incidences["fv"])
+    ends = vertices[np.array(edges)]
+    edge_vectors = ends[:, 1] - ends[:, 0]
+    _check_spans(vertices, edges, edge_vectors, corners)
 
-    incidences, triples = _incidence_arrays(edges, edge_index, faces)
     sign_ve, sign_ef = (
         dict(zip(zip(inc.lower.tolist(), inc.upper.tolist()), inc.sign.tolist()))
         for inc in (incidences["ev"], incidences["fe"]))
 
     interior_edge = np.array([len(fs) == 2 for fs in edge_faces])
     interior_vertex = _interior_vertices(nv, edge_index, faces)
-    ends = vertices[np.array(edges)]
+    corner_sum = np.where(live[:, :, None], vertices[corners], 0.0).sum(axis=1)
     return OrigamiSurface(
         vertices=vertices,
         edges=edges,
@@ -294,14 +325,16 @@ def build_surface(vertices, faces) -> OrigamiSurface:
         sign_ef=sign_ef,
         incidences=incidences,
         incidence_triples=triples,
-        edge_triads=np.array([orthonormal_triad(v - u) for u, v in ends]),
+        face_corners=corners,
+        face_live=live,
+        edge_triads=orthonormal_triad(edge_vectors),
         edge_midpoints=0.5 * (ends[:, 0] + ends[:, 1]),
-        face_centroids=np.array([vertices[list(c)].mean(axis=0) for c in faces]),
+        face_centroids=corner_sum / live.sum(axis=1)[:, None],
         _edge_index=edge_index,
     )
 
 
-def _incidence_arrays(edges, edge_index, faces):
+def _incidence_arrays(edges, faces):
     """The ev, fe and fv incidences, ordered as :class:`Incidences` says,
     and every vertex < edge < face chain as positions in those three."""
     pairs = np.array(edges)
@@ -314,8 +347,10 @@ def _incidence_arrays(edges, edge_index, faces):
     face = np.repeat(np.arange(len(faces)), sizes)
     start = np.concatenate(faces)
     end = start[nxt]
-    edge = np.array([edge_index[(min(a, b), max(a, b))]
-                     for a, b in zip(start.tolist(), end.tolist())])
+    # Edges are sorted pairs, so their keys sort the same way.
+    base = pairs.max() + 1
+    edge = np.searchsorted(pairs @ [base, 1],
+                           np.minimum(start, end) * base + np.maximum(start, end))
     forward = start < end
     fe = Incidences(upper=face, lower=edge, sign=np.where(forward, 1, -1))
     fv = Incidences(upper=face, lower=start, sign=np.ones_like(face))

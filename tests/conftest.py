@@ -131,6 +131,13 @@ ACCEPTANCE_SURFACES = [
     ("miura", lambda: surface_of("miura", 2, 3, seed=2)),
 ]
 
+# The acceptance surfaces plus small hand-built ones, on which the
+# library's routes are compared with the references in ``oracles``.
+ORACLE_SURFACES = ACCEPTANCE_SURFACES + [
+    (f"square_hole_{n}", lambda n=n: square_hole_grid(n)) for n in (3, 4, 5)
+] + [("one_face", one_face), ("octahedron", octahedron), ("cube", quad_cube),
+     ("jessen", jessen)]
+
 
 @pytest.fixture
 def rng():

@@ -1,12 +1,15 @@
-"""Dense reference routes that the library no longer runs.
+"""Reference routes that the library no longer runs.
 
-Each function here decomposes a whole assembled matrix where the library
-reads the same answer off a smaller structure.  Tests compare the two.
+Each dense route decomposes a whole assembled matrix where the library
+reads the same answer off a smaller structure.  Each per-cell route
+builds one cell's geometry at a time where the library runs one array
+pass over every cell.  Tests compare the two.
 """
 
 import numpy as np
 
 from foldkin import CosheafMap, homology_basis, induced_map
+from foldkin.errors import Degenerate, DegenerateFace
 from foldkin.linalg import RANK_TOL, nullspace
 
 
@@ -49,3 +52,82 @@ def column_space(a, *, scale=0.0):
 def identity_map(cosheaf):
     return CosheafMap(source=cosheaf, target=cosheaf,
                       components=tuple(np.eye(n) for n in cosheaf.stalk_sizes))
+
+
+# --- per-cell geometry ---
+
+def triad(axis):
+    """Rows ``l, m, n`` of one edge's triad: ``m`` from the standard basis
+    vector at the first index of the smallest ``|l_i|``, ``n = l x m``."""
+    l = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = int(np.argmin(np.abs(l)))
+    seed = np.zeros(3)
+    seed[k] = 1.0
+    m = seed - l[k] * l
+    m = m / np.linalg.norm(m)
+    return np.array([l, m, np.cross(l, m)])
+
+
+def edge_triads(surface):
+    """One :func:`triad` per edge."""
+    return np.array([triad(surface.vertices[v] - surface.vertices[u])
+                     for u, v in surface.edges])
+
+
+def face_centroids(surface):
+    """The mean of each face's corners, one face at a time."""
+    return np.array([surface.vertices[list(c)].mean(axis=0) for c in surface.faces])
+
+
+def check_spans(vertices, edges, faces):
+    """Affine span condition, one edge and then one face at a time:
+    edges have rank 1, faces rank exactly 2."""
+    scale = float(np.max(np.abs(vertices - vertices.mean(axis=0)))) or 1.0
+    cutoff = RANK_TOL * scale
+    for e, (u, v) in enumerate(edges):
+        if np.linalg.norm(vertices[v] - vertices[u]) <= cutoff:
+            raise Degenerate(f"edge {e} = {edges[e]} has zero length")
+    for f, cycle in enumerate(faces):
+        pts = vertices[list(cycle)]
+        rank = int(np.sum(np.linalg.svd(pts[1:] - pts[0], compute_uv=False) > cutoff))
+        if rank < 2:
+            raise Degenerate(f"face {f} has collinear vertices")
+        if rank > 2:
+            raise Degenerate(f"face {f} is not planar (affine rank {rank})")
+
+
+def face_normal(points):
+    """Unit normal of one face's best-fit plane, oriented by the cycle
+    sense (Newell)."""
+    rel = points - points.mean(axis=0)
+    _, s, vh = np.linalg.svd(rel, full_matrices=False)
+    if s[1] <= RANK_TOL * s[0]:
+        raise DegenerateFace("face has no well-defined plane")
+    normal = vh[2]
+    newell = np.cross(points, np.roll(points, -1, axis=0)).sum(axis=0)
+    if np.dot(normal, newell) < 0:
+        normal = -normal
+    return normal / np.linalg.norm(normal)
+
+
+def stiffen(surface):
+    """The stiffened linkage's points, bars and corner arrays, one face
+    at a time: ``(points, bars, apex_of_face, corner_face, corner_point,
+    corner_slot)``."""
+    nv = surface.num_vertices
+    apexes, groups, pairs = [], [], [np.array(surface.edges)]
+    for f, cycle in enumerate(surface.faces):
+        pts = surface.vertices[list(cycle)]
+        lengths = [np.linalg.norm(pts[(i + 1) % len(cycle)] - pts[i])
+                   for i in range(len(cycle))]
+        apexes.append(pts.mean(axis=0) + float(np.mean(lengths)) * face_normal(pts))
+        group = np.array(list(cycle) + [nv + f])
+        groups.append(group)
+        i, j = np.triu_indices(len(group), 1)
+        pairs.append(np.sort(np.stack([group[i], group[j]], axis=1), axis=1))
+    points = np.vstack([surface.vertices] + apexes)
+    bars = [tuple(bar) for bar in np.unique(np.concatenate(pairs), axis=0).tolist()]
+    corner_face = np.repeat(np.arange(surface.num_faces), [len(g) for g in groups])
+    corner_slot = np.concatenate([np.arange(len(g)) for g in groups])
+    return (points, bars, list(range(nv, len(points))), corner_face,
+            np.concatenate(groups), corner_slot)

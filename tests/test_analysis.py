@@ -14,9 +14,12 @@ from foldkin import (
     spatial_to_truss,
     stiffen,
 )
+from foldkin.analysis import eta_image
 from foldkin.cosheaf import cycle_residuals
+from foldkin.errors import WellDefinednessViolation
 from foldkin.maps import _tree_lift
 
+import oracles
 from conftest import (
     flipped_icosahedron,
     jessen,
@@ -124,6 +127,23 @@ def test_uniform_scaling_keeps_dims_ranks_checks():
             got = analyze_surface(scaled(s, factor)).to_dict()
             for key in ("dims", "ranks", "checks"):
                 assert got[key] == ref[key], (spec, factor, key)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e6], ids=lambda f: f"{f:g}")
+def test_eta_gate_catches_a_basis_column_off_the_cycle_space(factor):
+    # The gate scales with the lever arms, so it must still see a
+    # relative push of 1e-6 off the spatial cycles at a large scale.
+    s = scaled(surface_of("grid", 4, 4), factor)
+    seq = build_exact_sequence(s)
+    basis = seq.spatial_h2().copy()
+    cycles = oracles.spatial_h2(seq)
+    push = np.random.default_rng(3).normal(size=len(basis))
+    push -= cycles @ (cycles.T @ push)
+    basis[:, -1] += 1e-6 * push / np.linalg.norm(push)
+    seq._cache["spatial_h2"] = basis
+    with pytest.raises(WellDefinednessViolation,
+                       match="^spatial basis maps outside the truss kernel"):
+        eta_image(seq, stiffen(s))
 
 
 def test_global_motions_lie_in_every_kernel(rng):

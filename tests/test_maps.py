@@ -37,11 +37,7 @@ from foldkin.linalg import nullspace, subspace_residual, svd_rank
 
 import oracles
 from conftest import (
-    ACCEPTANCE_SURFACES,
-    jessen,
-    octahedron,
-    one_face,
-    quad_cube,
+    ORACLE_SURFACES,
     scaled,
     square_hole_grid,
     surface_of,
@@ -106,12 +102,6 @@ def truss_kernel_dim(surface):
 
 # Rigid homology is read off the support complex; the dense
 # decomposition of the rigid complex is the reference.
-ORACLE_SURFACES = ACCEPTANCE_SURFACES + [
-    (f"square_hole_{n}", lambda n=n: square_hole_grid(n)) for n in (3, 4, 5)
-] + [("one_face", one_face), ("octahedron", octahedron), ("cube", quad_cube),
-     ("jessen", jessen)]
-
-
 @pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES],
                          ids=[n for n, _ in ORACLE_SURFACES])
 def test_rigid_homology_matches_the_dense_route(make):

@@ -258,7 +258,8 @@ def test_truss_kernel_certifies_every_face_group(monkeypatch):
     with pytest.raises(DegenerateFace, match="^truss group of face 0 has rank 5, want 6"):
         models.truss_kernel(missing, basis)
     # An apex in its face's plane leaves a flat group.
-    monkeypatch.setattr(models, "_face_normal", lambda points: np.zeros(3))
+    monkeypatch.setattr(models, "_face_normals",
+                        lambda points, live, centers: np.zeros((len(points), 3)))
     with pytest.raises(DegenerateFace, match="^truss group of face 0 "):
         models.truss_kernel(stiffen(s), basis)
 
@@ -292,7 +293,8 @@ def test_stiffen_degenerate_face_rejected():
     # A valid surface never triggers this, so call the normal helper
     # directly with collinear points.
     from foldkin.errors import DegenerateFace
-    from foldkin.models import _face_normal
+    from foldkin.models import _face_normals
 
+    points = np.array([[[0., 0, 0], [1, 0, 0], [2, 0, 0]]])
     with pytest.raises(DegenerateFace):
-        _face_normal(np.array([[0., 0, 0], [1, 0, 0], [2, 0, 0]]))
+        _face_normals(points, np.ones((1, 3), dtype=bool), points.mean(axis=1))

@@ -11,6 +11,8 @@ from foldkin import (
 )
 from foldkin.errors import ZeroAxis
 
+import oracles
+
 
 def projection(axis):
     return axis_projection(orthonormal_triad(axis))
@@ -106,6 +108,18 @@ def test_orthonormal_triad(rng):
         basis = np.stack([l, m, n])
         assert np.abs(basis @ basis.T - np.eye(3)).max() < 1e-12
         assert np.abs(np.cross(l, m) - n).max() < 1e-12
+
+
+def test_orthonormal_triad_broadcasts(rng):
+    # Ties in |l_i| take the first index, as the per-axis rule does.
+    axes = np.vstack([rng.normal(size=(40, 3)),
+                      [[1, 1, 0], [0, 1, 1], [1, 1, 1], [0, 0, 2], [-1, 0, 1]]])
+    stacked = orthonormal_triad(axes.reshape(5, 9, 3))
+    assert stacked.shape == (5, 9, 3, 3)
+    per_axis = np.array([oracles.triad(a) for a in axes])
+    assert np.abs(stacked.reshape(-1, 3, 3) - per_axis).max() <= 1e-15
+    l, m, n = orthonormal_triad(axes[0])
+    assert np.array_equal(np.stack([l, m, n]), stacked[0, 0])
 
 
 def test_edge_projection_kills_axis(rng):
