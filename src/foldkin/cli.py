@@ -224,9 +224,7 @@ def cmd_serial(args) -> int:
     direct = ops.d @ rates
     recurrence = float(np.max(np.abs(stepped - direct))
                        / max(1.0, np.max(np.abs(direct))))
-    n6 = 6 * args.n
-    inverse = float(np.max(np.abs(
-        ops.accumulate_inverse @ ops.accumulate - np.eye(n6))))
+    inverse = ops.inverse_gap
     theta, cycles = pinned_chain_connecting_matrix(surface, ops)
     via_ops = ops.d_pinv @ cycles
     connecting = float(np.max(np.abs(theta - via_ops))

@@ -8,8 +8,11 @@ SVD; the package runs it only on the hinge complex and on integer
 constant complexes, and builds the other models' homology from those.
 A cosheaf map is a stalk-wise family of matrices commuting with the
 extension maps; short exact sequences of such maps carry a connecting
-homomorphism between homology spaces, evaluated here by the usual
-lift / boundary / restrict recipe.
+homomorphism between homology spaces.  :func:`connecting_map` is the
+generic routine for it, the usual lift / boundary / restrict recipe on
+any sequence.  The package's own sequence reads its connecting map off
+the tree lifts instead (``maps.ExactSequence``), and the tests use the
+generic routine as the oracle for it.
 
 Layout.  A cosheaf has one stalk size per cell dimension and a support
 mask per dimension: supported cells carry a stalk of that size, the
@@ -188,6 +191,17 @@ def constant_cosheaf(surface: OrigamiSurface, dim: int,
                    {kind: eye for kind in INCIDENCE_DIMS})
 
 
+def _live_coordinates(kind: str, lower: Cosheaf, upper: Cosheaf):
+    """The incidences of ``kind`` whose cells both carry a stalk, as a
+    bool mask, with the row coordinates (in ``lower``) and column
+    coordinates (in ``upper``) of their blocks."""
+    up, lo = INCIDENCE_DIMS[kind]
+    inc = upper.surface.incidences[kind]
+    live = upper.support[up][inc.upper] & lower.support[lo][inc.lower]
+    return (live, lower._coordinates(lo, inc.lower[live]),
+            upper._coordinates(up, inc.upper[live]))
+
+
 def scatter_incidences(kind: str, blocks: np.ndarray, lower: Cosheaf,
                        upper: Cosheaf) -> np.ndarray:
     """Matrix with ``blocks[i]`` at incidence ``i`` of ``kind``.
@@ -197,11 +211,20 @@ def scatter_incidences(kind: str, blocks: np.ndarray, lower: Cosheaf,
     touching a cell outside either support are left out.
     """
     up, lo = INCIDENCE_DIMS[kind]
-    inc = upper.surface.incidences[kind]
-    live = upper.support[up][inc.upper] & lower.support[lo][inc.lower]
-    return _scatter((lower.chain_dim(lo), upper.chain_dim(up)),
-                    lower._coordinates(lo, inc.lower[live]),
-                    upper._coordinates(up, inc.upper[live]), blocks[live])
+    live, rows, cols = _live_coordinates(kind, lower, upper)
+    return _scatter((lower.chain_dim(lo), upper.chain_dim(up)), rows, cols,
+                    blocks[live])
+
+
+def _incidence_blocks(kind: str, matrix: np.ndarray, cosheaf: Cosheaf) -> np.ndarray:
+    """The inverse of :func:`scatter_incidences` on one cosheaf: the
+    block of ``matrix`` at every incidence of ``kind``, in the surface's
+    order, and zero where the incidence touches an unsupported cell."""
+    up, lo = INCIDENCE_DIMS[kind]
+    live, rows, cols = _live_coordinates(kind, cosheaf, cosheaf)
+    blocks = np.zeros((len(live), cosheaf.stalk_sizes[lo], cosheaf.stalk_sizes[up]))
+    blocks[live] = matrix[rows[:, :, None], cols[:, None, :]]
+    return blocks
 
 
 @dataclass
@@ -232,21 +255,31 @@ class ChainComplex:
         return assemble_chain_complex(self.cosheaf.pinned(dim, cells))
 
     def square_residual(self) -> float:
-        """Relative magnitude of ``d1 @ d2``.
+        """Relative magnitude of ``d1 @ d2``, read off the surface's
+        vertex < edge < face triples.
 
-        The product is formed one face's column block at a time, from
-        the rows where that block of ``d2`` is nonzero, read off the
-        matrix itself.  The other rows add exact zeros, so every entry of
-        the product is covered without forming it densely.
+        The blocks of ``d1`` at the live edge-vertex incidences and of
+        ``d2`` at the live face-edge incidences are gathered from the
+        assembled matrices.  A nonzero outside them, counted exactly,
+        makes the residual ``inf``.  Otherwise every nonzero of the
+        product sits at a vertex of a face, and its block there is the
+        sum, over the triples through that face-vertex incidence, of the
+        edge's two blocks multiplied: that is the whole product.  The
+        scale is the largest block entry, or 1.0 if that is larger.
         """
         if self.d1.size == 0 or self.d2.size == 0:
             return 0.0
-        n = self.cosheaf.stalk_sizes[2]
-        reach = self.d2.reshape(len(self.d2), -1, n).any(axis=2).T
-        worst = max(_magnitude(self.d1[:, rows] @ self.d2[rows, n * f:n * f + n])
-                    for f, rows in enumerate(map(np.flatnonzero, reach)))
-        scale = max(np.max(np.abs(self.d1)), np.max(np.abs(self.d2)), 1.0)
-        return worst / scale
+        b1 = _incidence_blocks("ev", self.d1, self.cosheaf)
+        b2 = _incidence_blocks("fe", self.d2, self.cosheaf)
+        if (np.count_nonzero(self.d1) != np.count_nonzero(b1)
+                or np.count_nonzero(self.d2) != np.count_nonzero(b2)):
+            return float("inf")
+        surface = self.cosheaf.surface
+        ev, fe, fv = surface.incidence_triples.T
+        product = np.zeros((len(surface.incidences["fv"].upper),
+                            b1.shape[1], b2.shape[2]))
+        np.add.at(product, fv, b1[ev] @ b2[fe])
+        return _magnitude(product) / max(_magnitude(b1), _magnitude(b2), 1.0)
 
 
 def assemble_chain_complex(cosheaf: Cosheaf) -> ChainComplex:

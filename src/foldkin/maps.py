@@ -12,6 +12,9 @@ Spatial solutions are never found by decomposing the spatial boundary.
 The exact sequence says what they are: the global motions plus the
 lifts of the hinge classes that have no loop obstruction.  A lift turns
 the faces along a spanning tree of the dual graph by the hinge rates.
+The same fact fixes the connecting homomorphism on those solutions: it
+is 0 on a global motion and ``n`` on the lift of the hinge class
+``hinge_h1 @ n``, so it too is never computed by lifting a cycle.
 
 Also here: the closed-form block operators of a serial chain (the
 lower-triangular accumulation operator, its bidiagonal inverse, and the
@@ -33,7 +36,6 @@ from .cosheaf import (
     CosheafMap,
     ExactnessReport,
     assemble_chain_complex,
-    connecting_map,
     constant_cosheaf,
     cycle_residuals,
     homology_basis,
@@ -129,7 +131,9 @@ class ExactSequence:
     :meth:`rigid_h2` is a basis of rigid chains, but :meth:`rigid_h1`,
     like the rows of :meth:`loop_obstruction_matrix`, is in the
     origin-anchored constant frame.  Spatial homology is built from the
-    other two (:meth:`spatial_h2`).
+    other two (:meth:`spatial_h2`), and the connecting map
+    (:meth:`spatial_to_hinge_matrix`) is the direct per-edge formula,
+    certified by the value that construction fixes for it.
     """
 
     surface: OrigamiSurface
@@ -161,11 +165,22 @@ class ExactSequence:
         stay fixed: they root the tree, and the pinned model has no
         global motion.
         """
-        return self._cached("spatial_h2", self._spatial_h2)
+        return self._cached("spatial_h2", lambda: self._lifts()[0])
 
-    def _spatial_h2(self) -> np.ndarray:
+    def _lifts(self):
+        """``(basis, R, image)``: the orthonormal :meth:`spatial_h2`, the
+        triangular factor ``R`` of the unit-scaled chains
+        ``[rigid_h2 | lifts] / D``, and ``[0 | N] / D``, the value the
+        exact sequence gives the connecting map on them.  ``N`` holds
+        the lifted classes' coordinates in :meth:`hinge_h1` and ``D``
+        the chains' column norms."""
+        return self._cached("lifts", self._spatial_h2)
+
+    def _spatial_h2(self):
         faces = self.spatial.cosheaf.support[2]
-        classes = self.hinge_h1() @ nullspace(self.loop_obstruction_matrix(), scale=1.0)
+        h1 = self.hinge_h1()
+        kernel = nullspace(self.loop_obstruction_matrix(), scale=1.0)
+        classes = h1 @ kernel
         rates = np.zeros((self.surface.num_edges, classes.shape[1]))
         rates[self.hinge.cosheaf.support[1]] = classes
         lifts = _tree_lift(self.surface, ~faces, rates)[faces]
@@ -180,12 +195,17 @@ class ExactSequence:
         # Lifts grow with the coordinates and global motions do not; unit
         # columns keep the rank decision free of that scale.
         size = np.linalg.norm(chains, axis=0)
-        basis, r = np.linalg.qr(chains / np.where(size > 0, size, 1.0))
+        size = np.where(size > 0, size, 1.0)
+        basis, r = np.linalg.qr(chains / size)
         if svd_rank(r) < r.shape[1]:
             worst = int(np.argmin(np.abs(np.diag(r))))
             raise ExactnessViolation(
                 f"spatial basis column {worst} depends on the others")
-        return basis
+        # A global motion folds no hinge; the lift of ``hinge_h1 @ n``
+        # folds them at the rates of class ``n``.
+        image = np.hstack([np.zeros((len(kernel), self.rigid_h2().shape[1])),
+                           kernel]) / size
+        return basis, r, image
 
     def _support_h(self, degree: int) -> np.ndarray:
         """Harmonic basis of the support complex in one degree."""
@@ -217,21 +237,27 @@ class ExactSequence:
     def spatial_to_hinge_matrix(self) -> np.ndarray:
         """Connecting homomorphism, spatial classes to hinge classes.
 
-        Computed by lift / boundary / restrict and cross-checked against
-        the direct per-edge formula ``sign * <axis, omega_face>``.
+        Evaluated by the direct per-edge formula (:meth:`_theta_direct`)
+        and certified by the construction of :meth:`spatial_h2`: with
+        ``chains / D = basis @ R``, ``theta @ R`` must equal ``[0 | N] / D``
+        (see :meth:`_lifts`) within ``1e-10``, or
+        :class:`ExactnessViolation` is raised.  Every factor of
+        ``theta @ R`` (orthonormal class bases, unit hinge axes, the
+        unit columns of ``R``) has entries of at most 1, so under the
+        ``cosheaf`` residual policy this absolute bound is already
+        relative.  ``theta`` itself is returned, not ``[0 | N] / D``
+        solved against ``R``: that solve would amplify rounding by the
+        condition number of ``R``.
         """
         return self._cached("theta", self._theta)
 
     def _theta(self) -> np.ndarray:
-        theta = connecting_map(
-            self.iota, self.pi, degree=2,
-            source_basis=self.spatial_h2(), target_basis=self.hinge_h1(),
-            middle_complex=self.rigid)
-        direct = self._theta_direct()
-        if theta.size and np.max(np.abs(theta - direct)) > 1e-10:
+        theta = self._theta_direct()
+        _, r, image = self._lifts()
+        gap = float(np.max(np.abs(theta @ r - image), initial=0.0))
+        if gap > 1e-10:
             raise ExactnessViolation(
-                "connecting homomorphism disagrees with the direct formula "
-                f"by {np.max(np.abs(theta - direct)):.3e}")
+                f"connecting homomorphism disagrees with the direct formula by {gap:.3e}")
         return theta
 
     def _theta_direct(self) -> np.ndarray:
@@ -545,7 +571,9 @@ class SerialChainOperators:
     ``accumulate`` is the lower-triangular operator collecting hinge
     contributions from base to tip, ``accumulate_inverse`` its block
     bidiagonal inverse, ``d`` the hinge-rates-to-body-velocities matrix
-    and ``d_pinv`` its left inverse.
+    and ``d_pinv`` its left inverse.  ``inverse_gap`` is the largest
+    entry of ``accumulate_inverse @ accumulate - I``, formed block row
+    by block row when the operators were verified.
     """
 
     chain: SerialChain
@@ -553,6 +581,7 @@ class SerialChainOperators:
     accumulate_inverse: np.ndarray  # (6n, 6n)
     d: np.ndarray                   # (6n, n)
     d_pinv: np.ndarray              # (n, 6n)
+    inverse_gap: float
 
 
 def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
@@ -599,14 +628,15 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     product[1:] += sub @ rows[:-1]
     product = product.reshape(6 * n, 6 * n)
     product[np.diag_indices(6 * n)] -= 1.0
-    gap = np.max(np.abs(product))
-    if gap > 1e-12 * max(1.0, np.max(np.abs(psi))):
-        raise FoldkinError(f"chain operator inverse failed ({gap:.3e})")
+    inverse_gap = float(np.max(np.abs(product)))
+    if inverse_gap > 1e-12 * max(1.0, np.max(np.abs(psi))):
+        raise FoldkinError(f"chain operator inverse failed ({inverse_gap:.3e})")
     gap = np.max(np.abs(d_pinv @ d - np.eye(n)))
     if gap > 1e-11 * max(1.0, np.max(np.abs(d))):
         raise FoldkinError(f"chain left inverse failed ({gap:.3e})")
     return SerialChainOperators(chain=chain, accumulate=psi,
-                                accumulate_inverse=psi_inv, d=d, d_pinv=d_pinv)
+                                accumulate_inverse=psi_inv, d=d, d_pinv=d_pinv,
+                                inverse_gap=inverse_gap)
 
 
 def propagate_chain(ops: SerialChainOperators, rates) -> np.ndarray:
@@ -633,7 +663,8 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
     coordinates for comparison with the closed-form left inverse.
 
     The pinned sequence is verified like any other: naturality,
-    stalk-wise exactness and the direct-formula cross-check of theta.
+    stalk-wise exactness, the spatial cycle and rank certificates and
+    the certificate of theta against the tree lifts.
     Returns ``(theta, cycles)`` where ``cycles`` columns are pinned
     spatial cycles over the moving bodies in chain order and ``theta``
     takes those cycles (its columns) to hinge rates in chain order.

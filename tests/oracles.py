@@ -1,14 +1,16 @@
 """Reference routes that the library no longer runs.
 
 Each dense route decomposes a whole assembled matrix where the library
-reads the same answer off a smaller structure.  Each per-cell route
-builds one cell's geometry at a time where the library runs one array
-pass over every cell.  Tests compare the two.
+reads the same answer off a smaller structure.  The generic connecting
+map and the per-face boundary product stand for the tree-lift θ and the
+incidence-triple ``d1 @ d2``.  Each per-cell route builds one cell's
+geometry at a time where the library runs one array pass over every
+cell.  Tests compare the two.
 """
 
 import numpy as np
 
-from foldkin import CosheafMap, homology_basis, induced_map
+from foldkin import CosheafMap, connecting_map, homology_basis, induced_map
 from foldkin.errors import Degenerate, DegenerateFace
 from foldkin.linalg import RANK_TOL, nullspace
 
@@ -37,6 +39,26 @@ def loop_obstruction_matrix(seq):
     """Map induced by the hinge embedding, hinge classes to the classes
     of :func:`rigid_h1`."""
     return induced_map(seq.iota, 1, seq.hinge_h1(), rigid_h1(seq))
+
+
+def theta(seq):
+    """Connecting homomorphism by lift / boundary / restrict, spatial
+    classes to hinge classes."""
+    return connecting_map(seq.iota, seq.pi, 2, seq.spatial_h2(), seq.hinge_h1(),
+                          seq.rigid)
+
+
+def square_residual(cc):
+    """Relative magnitude of ``d1 @ d2``, formed one face's column block
+    at a time from the rows where that block of ``d2`` is nonzero."""
+    if cc.d1.size == 0 or cc.d2.size == 0:
+        return 0.0
+    n = cc.cosheaf.stalk_sizes[2]
+    reach = cc.d2.reshape(len(cc.d2), -1, n).any(axis=2).T
+    worst = max(np.abs(cc.d1[:, rows] @ cc.d2[rows, n * f:n * f + n]).max(initial=0.0)
+                for f, rows in enumerate(map(np.flatnonzero, reach)))
+    scale = max(np.max(np.abs(cc.d1)), np.max(np.abs(cc.d2)), 1.0)
+    return worst / scale
 
 
 def column_space(a, *, scale=0.0):

@@ -6,6 +6,7 @@ from foldkin import (
     Cosheaf,
     CosheafMap,
     assemble_chain_complex,
+    build_constant_model,
     build_exact_sequence,
     build_hinge_model,
     build_rigid_model,
@@ -16,7 +17,7 @@ from foldkin import (
     induced_map,
     verify_exact_sequence,
 )
-from foldkin.cosheaf import COMPLEX_TOL
+from foldkin.cosheaf import COMPLEX_TOL, scatter_incidences
 from foldkin.errors import (
     ExactnessViolation,
     FunctorialityViolation,
@@ -25,9 +26,17 @@ from foldkin.errors import (
     ShapeMismatch,
 )
 from foldkin.linalg import nullspace, svd_rank
+from foldkin.surface import INCIDENCE_DIMS
 
-from conftest import scaled, square_hole_grid, surface_of, two_panels, two_triangles
-from oracles import identity_map
+import oracles
+from conftest import (
+    ORACLE_SURFACES,
+    scaled,
+    square_hole_grid,
+    surface_of,
+    two_panels,
+    two_triangles,
+)
 
 
 def test_constant_boundary_is_signed_incidence():
@@ -179,7 +188,7 @@ def test_perturbed_pi_fails_exactness_with_matching_residual():
 def test_induced_identity_is_identity():
     s = surface_of("grid", 2, 2)
     cc = build_spatial_model(s)
-    phi = identity_map(cc.cosheaf)
+    phi = oracles.identity_map(cc.cosheaf)
     basis = homology_basis(cc, 2)
     m = induced_map(phi, 2, source_basis=basis, target_basis=basis)
     assert np.abs(m - np.eye(basis.shape[1])).max() < 1e-12
@@ -319,6 +328,33 @@ def test_complex_square_residual_small():
               surface_of("miura", 2, 3)):
         for build in (build_hinge_model, build_rigid_model, build_spatial_model):
             assert build(s).square_residual() <= 1e-11
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES],
+                         ids=[n for n, _ in ORACLE_SURFACES])
+def test_square_residual_matches_the_per_face_product(make):
+    s = make()
+    seq = build_exact_sequence(s)
+    for cc in (seq.hinge, seq.rigid, seq.spatial, build_constant_model(s, 1)):
+        assert abs(cc.square_residual() - oracles.square_residual(cc)) <= 1e-15
+
+
+def test_square_residual_sees_an_entry_off_the_incidence_blocks():
+    # One small nonzero where no incidence puts a block: first in d1,
+    # then in d2.
+    cc = build_spatial_model(surface_of("grid", 3, 3))
+    cosheaf = cc.cosheaf
+    assert cc.square_residual() <= COMPLEX_TOL
+    for kind, matrix in (("ev", cc.d1), ("fe", cc.d2)):
+        inc = cosheaf.surface.incidences[kind]
+        up, lo = INCIDENCE_DIMS[kind]
+        ones = np.ones((len(inc.upper), cosheaf.stalk_sizes[lo], cosheaf.stalk_sizes[up]))
+        outside = np.argwhere(scatter_incidences(kind, ones, cosheaf, cosheaf) == 0)
+        row, col = outside[len(outside) // 2]
+        changed = matrix.copy()
+        changed[row, col] = 1e-6
+        d1, d2 = (changed, cc.d2) if kind == "ev" else (cc.d1, changed)
+        assert ChainComplex(cosheaf, d1, d2).square_residual() > COMPLEX_TOL, kind
 
 
 def test_square_residual_sees_one_flipped_block():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,8 @@ from foldkin import (
     transfer_matrix,
     truss_to_spatial,
 )
-from foldkin import maps
-from foldkin.analysis import eta_image
+from foldkin import cosheaf, maps
+from foldkin.analysis import analyze_surface, eta_image
 from foldkin.cosheaf import cycle_residuals
 from foldkin.maps import _verified_sequence
 from foldkin.models import truss_kernel
@@ -38,6 +40,7 @@ from foldkin.linalg import nullspace, subspace_residual, svd_rank
 import oracles
 from conftest import (
     ORACLE_SURFACES,
+    jessen,
     scaled,
     square_hole_grid,
     surface_of,
@@ -142,13 +145,17 @@ def test_spatial_and_truss_bases_match_the_dense_route(make):
     assert subspace_residual(kernel, dense) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 40])
-def test_pinned_chain_spatial_basis_matches_the_dense_route(n):
+def pinned_chain_sequence(n):
     s = surface_of("chain", n)
     seq = build_exact_sequence(s)
     base = [chain_structure(s).face_order[0]]
-    assert_spatial_basis_matches_the_dense_route(_verified_sequence(
-        *(cc.pinned(2, base) for cc in (seq.hinge, seq.rigid, seq.spatial))))
+    return _verified_sequence(*(cc.pinned(2, base)
+                                for cc in (seq.hinge, seq.rigid, seq.spatial)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_pinned_chain_spatial_basis_matches_the_dense_route(n):
+    assert_spatial_basis_matches_the_dense_route(pinned_chain_sequence(n))
 
 
 def test_spatial_basis_certificate_names_a_column_that_is_no_cycle(monkeypatch):
@@ -208,10 +215,58 @@ def test_theta_pseudoinverse_projectors(any_surface):
     theta = seq.spatial_to_hinge_matrix()
     pinv = pseudoinverse(theta)
     image = oracles.column_space(theta)
-    assert np.abs(theta @ pinv @ image - image).max() < 1e-9
+    assert np.abs(theta @ pinv @ image - image).max(initial=0.0) < 1e-9
     kernel = nullspace(theta)
     expect = np.eye(theta.shape[1]) - kernel @ kernel.T
     assert np.abs(pinv @ theta - expect).max() < 1e-9
+
+
+# theta is the direct formula, certified by the tree lifts; the generic
+# lift / boundary / restrict connecting map is the reference.
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES]
+                         + [lambda n=n: pinned_chain_sequence(n) for n in (1, 2, 40)]
+                         + [lambda f=f: scaled(surface_of("grid", 12, 12), f)
+                            for f in (1e-3, 1e6)],
+                         ids=[n for n, _ in ORACLE_SURFACES]
+                         + [f"pinned_chain_{n}" for n in (1, 2, 40)]
+                         + [f"grid_12_12-{f:g}" for f in (1e-3, 1e6)])
+def test_theta_matches_the_connecting_map(make):
+    made = make()
+    seq = made if isinstance(made, ExactSequence) else build_exact_sequence(made)
+    theta, reference = seq.spatial_to_hinge_matrix(), oracles.theta(seq)
+    assert theta.shape == reference.shape
+    assert np.abs(theta - reference).max(initial=0.0) <= 1e-10
+
+
+def test_theta_certificate_sees_lifts_out_of_class_order(monkeypatch):
+    # Reversed lift columns are still independent cycles, but column j
+    # no longer lifts hinge class j, so theta @ R misses [0 | N] / D.
+    tree_lift = maps._tree_lift
+    monkeypatch.setattr(maps, "_tree_lift",
+                        lambda *args: tree_lift(*args)[:, :, ::-1])
+    seq = build_exact_sequence(surface_of("chain", 4, seed=2))
+    assert seq.spatial_h2().shape[1] == 6 + 4
+    with pytest.raises(ExactnessViolation, match="direct formula"):
+        seq.spatial_to_hinge_matrix()
+
+
+def test_runtime_path_runs_no_connecting_map(monkeypatch):
+    # The connecting map is a test oracle: analysis and the pinned chain
+    # run without it, wherever a module holds it.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("connecting_map called")
+
+    original = cosheaf.connecting_map
+    for name, module in list(sys.modules.items()):
+        if name == "foldkin" or name.startswith("foldkin."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+    for surface in (surface_of("grid", 8, 8), surface_of("torus", 6, 6), jessen()):
+        assert analyze_surface(surface).all_ok
+    s = surface_of("chain", 10)
+    theta, cycles = pinned_chain_connecting_matrix(s, serial_chain_operators(s))
+    assert theta.shape == (10, 10)
 
 
 # --- hinge -> spatial ---
