@@ -22,8 +22,7 @@ incidence arrays, and the components of a cosheaf map as one stack per
 cell dimension; entries that touch an unsupported cell are zero.  The
 chain space of a dimension lists the stalks of its supported cells in
 index order.  Only this module knows that order; other modules reach
-chains through :meth:`Cosheaf.restrict`, :func:`scatter_incidences`
-and the assembled matrices.
+chains through :meth:`Cosheaf.restrict` and the ``apply`` methods.
 
 Residual policy.  A check compares a matrix product with the value it
 should equal.  Its residual is the largest entry of the difference,
@@ -43,13 +42,20 @@ here takes a tolerance argument.
 Homology spaces are represented by harmonic bases: plain arrays whose
 orthonormal columns span ``ker(boundary)`` intersected with the
 orthogonal complement of the incoming image.  A class's coordinates are
-``basis.T @ chain`` and its cycle ``basis @ coords``.  All matrices are
-dense; meshes of interest are small.
+``basis.T @ chain`` and its cycle ``basis @ coords``.
+
+Boundaries and cosheaf maps stay blocks.  A :class:`ChainComplex` keeps
+one signed block per incidence and applies its boundaries from them
+(:class:`IncidenceMap`); a :class:`CosheafMap` applies one block per
+cell.  A dense matrix is formed only to be decomposed
+(:func:`homology_basis`) or by the generic routines the tests compare
+against (:func:`connecting_map`, :meth:`CosheafMap.block_matrix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -202,45 +208,105 @@ def _live_coordinates(kind: str, lower: Cosheaf, upper: Cosheaf):
             upper._coordinates(up, inc.upper[live]))
 
 
-def scatter_incidences(kind: str, blocks: np.ndarray, lower: Cosheaf,
-                       upper: Cosheaf) -> np.ndarray:
-    """Matrix with ``blocks[i]`` at incidence ``i`` of ``kind``.
+class IncidenceMap:
+    """The map from the chains of ``upper`` to those of ``lower`` with
+    ``blocks[i]`` at incidence ``i`` of ``kind``, kept as its blocks.
 
     Columns are the chains of ``upper`` in the kind's upper dimension,
     rows the chains of ``lower`` in its lower dimension; incidences
     touching a cell outside either support are left out.
+    :meth:`apply` multiplies by the map without forming it, and
+    :meth:`dense` forms it.
     """
-    up, lo = INCIDENCE_DIMS[kind]
-    live, rows, cols = _live_coordinates(kind, lower, upper)
-    return _scatter((lower.chain_dim(lo), upper.chain_dim(up)), rows, cols,
-                    blocks[live])
+
+    def __init__(self, kind: str, blocks: np.ndarray, lower: Cosheaf, upper: Cosheaf):
+        up, lo = INCIDENCE_DIMS[kind]
+        live, self.rows, self.cols = _live_coordinates(kind, lower, upper)
+        self.blocks = blocks[live]
+        self.shape = (lower.chain_dim(lo), upper.chain_dim(up))
+
+    def dense(self) -> np.ndarray:
+        return _scatter(self.shape, self.rows, self.cols, self.blocks)
+
+    @cached_property
+    def _entries(self):
+        """Row, column and value of every nonzero block entry, flat."""
+        nonzero = self.blocks != 0
+        shape = self.blocks.shape
+        return (np.broadcast_to(self.rows[:, :, None], shape)[nonzero],
+                np.broadcast_to(self.cols[:, None, :], shape)[nonzero],
+                self.blocks[nonzero])
+
+    @cached_property
+    def _by_lower_cell(self):
+        """Blocks and their column coordinates sorted by lower cell, the
+        start of each cell's run, and the row coordinates of each run."""
+        order = np.argsort(self.rows[:, 0], kind="stable")
+        rows = self.rows[order]
+        starts = np.flatnonzero(np.r_[True, rows[1:, 0] != rows[:-1, 0]])
+        return self.blocks[order], self.cols[order], starts, rows[starts]
+
+    def apply(self, chains) -> np.ndarray:
+        """The map times ``chains``: one chain, or one per column.
+
+        One chain is a weighted count over the nonzero entries; a column
+        block takes one product per block and sums each lower cell's run."""
+        chains = np.asarray(chains, dtype=float)
+        if len(chains) != self.shape[1]:
+            raise ShapeMismatch(f"chains have {len(chains)} rows, want {self.shape[1]}")
+        if chains.ndim == 1:
+            rows, cols, values = self._entries
+            return np.bincount(rows, values * chains[cols], minlength=self.shape[0])
+        out = np.zeros((self.shape[0],) + chains.shape[1:])
+        if len(self.blocks) and out.size:
+            blocks, cols, starts, rows = self._by_lower_cell
+            out[rows] = np.add.reduceat(blocks @ chains[cols], starts, axis=0)
+        return out
 
 
-def _incidence_blocks(kind: str, matrix: np.ndarray, cosheaf: Cosheaf) -> np.ndarray:
-    """The inverse of :func:`scatter_incidences` on one cosheaf: the
-    block of ``matrix`` at every incidence of ``kind``, in the surface's
-    order, and zero where the incidence touches an unsupported cell."""
-    up, lo = INCIDENCE_DIMS[kind]
-    live, rows, cols = _live_coordinates(kind, cosheaf, cosheaf)
-    blocks = np.zeros((len(live), cosheaf.stalk_sizes[lo], cosheaf.stalk_sizes[up]))
-    blocks[live] = matrix[rows[:, :, None], cols[:, None, :]]
-    return blocks
-
-
-@dataclass
 class ChainComplex:
-    """Assembled boundary matrices of a cosheaf.
+    """Boundary maps of a cosheaf, kept as signed incidence blocks.
 
-    ``d1`` maps edge chains to vertex chains and ``d2`` maps face chains
-    to edge chains; ``d1 @ d2`` vanishes to :data:`COMPLEX_TOL` relative.
+    ``blocks[kind]`` stacks, for the ``ev`` and ``fe`` incidences in the
+    surface's order, the incidence sign times the extension map: the
+    block there of ``d1`` (edge chains to vertex chains) or of ``d2``
+    (face chains to edge chains).  Blocks at incidences that touch an
+    unsupported cell are zero, like the extensions.  :meth:`apply`
+    applies a boundary from the blocks.  The dense ``d1`` and ``d2`` are
+    views formed on first read and kept; only decompositions
+    (:func:`homology_basis`) and the reference routines read them.
+    Assembled by :func:`assemble_chain_complex`, ``d1 @ d2`` vanishes to
+    :data:`COMPLEX_TOL` relative.
     """
 
-    cosheaf: Cosheaf
-    d1: np.ndarray
-    d2: np.ndarray
+    def __init__(self, cosheaf: Cosheaf):
+        self.cosheaf = cosheaf
+        self.blocks = {kind: cosheaf.surface.incidences[kind].sign[:, None, None]
+                       * cosheaf.extensions[kind] for kind in ("ev", "fe")}
+        self._maps = {}
 
     def dim(self, degree: int) -> int:
         return self.cosheaf.chain_dim(degree)
+
+    def _map(self, degree: int) -> IncidenceMap:
+        if degree not in self._maps:
+            kind = ("ev", "fe")[degree - 1]
+            self._maps[degree] = IncidenceMap(kind, self.blocks[kind],
+                                              self.cosheaf, self.cosheaf)
+        return self._maps[degree]
+
+    def apply(self, degree: int, chains) -> np.ndarray:
+        """Boundary of ``chains`` (degree 1 or 2): one chain, or one per
+        column."""
+        return self._map(degree).apply(chains)
+
+    @cached_property
+    def d1(self) -> np.ndarray:
+        return self._map(1).dense()
+
+    @cached_property
+    def d2(self) -> np.ndarray:
+        return self._map(2).dense()
 
     def boundary(self, degree: int) -> np.ndarray:
         if degree == 1:
@@ -255,25 +321,16 @@ class ChainComplex:
         return assemble_chain_complex(self.cosheaf.pinned(dim, cells))
 
     def square_residual(self) -> float:
-        """Relative magnitude of ``d1 @ d2``, read off the surface's
-        vertex < edge < face triples.
+        """Relative magnitude of ``d1 @ d2``, read off the blocks over the
+        surface's vertex < edge < face triples.
 
-        The blocks of ``d1`` at the live edge-vertex incidences and of
-        ``d2`` at the live face-edge incidences are gathered from the
-        assembled matrices.  A nonzero outside them, counted exactly,
-        makes the residual ``inf``.  Otherwise every nonzero of the
-        product sits at a vertex of a face, and its block there is the
-        sum, over the triples through that face-vertex incidence, of the
-        edge's two blocks multiplied: that is the whole product.  The
-        scale is the largest block entry, or 1.0 if that is larger.
+        Nothing sits outside a block, so every nonzero of the product
+        sits at a vertex of a face, and its block there is the sum, over
+        the triples through that face-vertex incidence, of the edge's two
+        blocks multiplied: that is the whole product.  The scale is the
+        largest block entry, or 1.0 if that is larger.
         """
-        if self.d1.size == 0 or self.d2.size == 0:
-            return 0.0
-        b1 = _incidence_blocks("ev", self.d1, self.cosheaf)
-        b2 = _incidence_blocks("fe", self.d2, self.cosheaf)
-        if (np.count_nonzero(self.d1) != np.count_nonzero(b1)
-                or np.count_nonzero(self.d2) != np.count_nonzero(b2)):
-            return float("inf")
+        b1, b2 = self.blocks["ev"], self.blocks["fe"]
         surface = self.cosheaf.surface
         ev, fe, fv = surface.incidence_triples.T
         product = np.zeros((len(surface.incidences["fv"].upper),
@@ -283,9 +340,7 @@ class ChainComplex:
 
 
 def assemble_chain_complex(cosheaf: Cosheaf) -> ChainComplex:
-    """Assemble signed block boundary matrices from a cosheaf.
-
-    The block at incidence ``(upper, lower)`` is the surface incidence
+    """The chain complex of a cosheaf, its blocks the surface incidence
     sign times the extension map.  Raises
     :class:`FunctorialityViolation` when composed extensions disagree
     with the direct ones.
@@ -294,19 +349,17 @@ def assemble_chain_complex(cosheaf: Cosheaf) -> ChainComplex:
     if residual > FUNCTORIALITY_TOL:
         raise FunctorialityViolation(
             f"worst relative composition residual {residual:.3e}")
-    d1, d2 = (scatter_incidences(
-        kind, cosheaf.surface.incidences[kind].sign[:, None, None]
-        * cosheaf.extensions[kind], cosheaf, cosheaf) for kind in ("ev", "fe"))
-    return ChainComplex(cosheaf=cosheaf, d1=d1, d2=d2)
+    return ChainComplex(cosheaf)
 
 
 def cycle_residuals(cc: ChainComplex, chains: np.ndarray) -> np.ndarray:
     """Relative residual of ``d2 @ chains``, one per column of face
-    chains, under the module's policy: zero exactly on cycles."""
-    image = cc.d2 @ chains
+    chains, under the module's policy (the largest entry of ``d2`` is
+    its largest block entry): zero exactly on cycles."""
+    image = cc.apply(2, chains)
     column = np.abs(chains).max(axis=0, initial=0.0)
     return _relative_gap(image, np.zeros_like(image),
-                         _magnitude(cc.d2) * column, axis=0)
+                         _magnitude(cc.blocks["fe"]) * column, axis=0)
 
 
 def homology_basis(cc: ChainComplex, degree: int) -> np.ndarray:
@@ -375,6 +428,21 @@ class CosheafMap:
         if residual > NATURALITY_TOL:
             raise NaturalityViolation(f"naturality residual {residual:.3e}")
         return self
+
+    def apply(self, degree: int, chains) -> np.ndarray:
+        """:meth:`block_matrix` times ``chains`` (one chain, or one per
+        column), one block product per cell."""
+        chains = np.asarray(chains, dtype=float)
+        if len(chains) != self.source.chain_dim(degree):
+            raise ShapeMismatch(f"chains have {len(chains)} rows, "
+                                f"want {self.source.chain_dim(degree)}")
+        cells = self._live[degree]
+        columns = chains.reshape(len(chains), int(np.prod(chains.shape[1:])))
+        out = np.zeros((self.target.chain_dim(degree), columns.shape[1]))
+        out[self.target._coordinates(degree, cells)] = (
+            self.components[degree][cells]
+            @ columns[self.source._coordinates(degree, cells)])
+        return out.reshape(out.shape[:1] + chains.shape[1:])
 
     def block_matrix(self, degree: int) -> np.ndarray:
         """Map between chain spaces in one degree (block diagonal)."""
@@ -503,7 +571,7 @@ def induced_map(phi: CosheafMap, degree: int, source_basis: np.ndarray,
     Harmonic target bases are orthogonal to the incoming image, so the
     class of a mapped cycle is read off by plain projection.
     """
-    return target_basis.T @ phi.block_matrix(degree) @ source_basis
+    return target_basis.T @ phi.apply(degree, source_basis)
 
 
 def connecting_map(iota: CosheafMap, pi: CosheafMap, degree: int,

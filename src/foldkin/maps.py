@@ -35,11 +35,11 @@ from .cosheaf import (
     Cosheaf,
     CosheafMap,
     ExactnessReport,
+    IncidenceMap,
     assemble_chain_complex,
     constant_cosheaf,
     cycle_residuals,
     homology_basis,
-    scatter_incidences,
     verify_exact_sequence,
 )
 from .errors import (
@@ -61,7 +61,7 @@ from .models import (
     corner_velocities,
 )
 from .spatial import axis_projection, hinge_twist, point_velocity_blocks, transfer_matrix
-from .surface import OrigamiSurface
+from .surface import OrigamiSurface, constant_homology
 
 CYCLE_TOL = 1e-7
 OBSTRUCTION_TOL = 1e-8
@@ -123,11 +123,14 @@ class ExactSequence:
 
     ``hinge``, ``rigid`` and ``spatial`` are the models' chain
     complexes; each homology method returns an orthonormal basis array.
-    Only the hinge complex and the support complex are decomposed.
-    Rigid homology is read off the support complex, the constant
-    ``R^1`` complex on the rigid model's cells: the rigid cosheaf is six
-    copies of it through :func:`models.constant_rigid_isomorphism`,
-    which moves spatial velocities from the origin to cell centroids.
+    Only the hinge complex is decomposed, and the support complex's
+    degree 1 where it is nonzero.  Rigid homology is read off the
+    support complex, the constant ``R^1`` complex on the rigid model's
+    cells: the rigid cosheaf is six copies of it through
+    :func:`models.constant_rigid_isomorphism`, which moves spatial
+    velocities from the origin to cell centroids.  The support complex
+    is an integer complex, so its homology is counted
+    (:meth:`_support_h`).
     :meth:`rigid_h2` is a basis of rigid chains, but :meth:`rigid_h1`,
     like the rows of :meth:`loop_obstruction_matrix`, is in the
     origin-anchored constant frame.  Spatial homology is built from the
@@ -208,11 +211,30 @@ class ExactSequence:
         return basis, r, image
 
     def _support_h(self, degree: int) -> np.ndarray:
-        """Harmonic basis of the support complex in one degree."""
-        support = self._cached("support", lambda: assemble_chain_complex(
-            constant_cosheaf(self.surface, 1, support=self.rigid.cosheaf.support)))
-        return self._cached(f"support_h{degree}",
-                            lambda: homology_basis(support, degree))
+        """Harmonic basis of the support complex in degree 1 or 2."""
+        z1, cycles = self._cached("support_h", self._support_homology)
+        return z1 if degree == 1 else cycles / np.sqrt(cycles.sum(axis=0))
+
+    def _support_homology(self):
+        """``Z1`` of the support complex and its integer 2-cycles, from
+        component counts (:func:`surface.constant_homology`).  The
+        2-cycles are the 0/1 indicators of the free dual components,
+        certified exactly: their integer boundary is 0.  Degree 1 is
+        decomposed only when its counted dimension is nonzero, and must
+        have that dimension; either failure raises
+        :class:`ExactnessViolation`."""
+        cells = self.rigid.cosheaf.support
+        support = assemble_chain_complex(constant_cosheaf(self.surface, 1, support=cells))
+        r1, r2, cycles = constant_homology(self.surface, cells)
+        z2 = cycles[cells[2]]
+        if np.any(support.apply(2, z2)):
+            raise ExactnessViolation("a counted support 2-cycle has a boundary")
+        n1 = support.dim(1) - r1 - r2
+        z1 = homology_basis(support, 1) if n1 else np.zeros((support.dim(1), 0))
+        if z1.shape[1] != n1:
+            raise ExactnessViolation(
+                f"support degree 1 has dimension {z1.shape[1]}, counted {n1}")
+        return z1, z2
 
     def rigid_h1(self) -> np.ndarray:
         """Degree-1 rigid homology, ``kron(Z1, I6)`` for the support
@@ -224,10 +246,15 @@ class ExactSequence:
     def rigid_h2(self) -> np.ndarray:
         """Degree-2 rigid homology: the constant classes ``kron(Z2, I6)``
         carried onto rigid chains by the isomorphism, then orthonormalised.
-        Nothing enters degree 2, so this spans the face boundary's kernel."""
-        return self._cached("rigid_h2", lambda: np.linalg.qr(
-            constant_rigid_isomorphism(self.rigid).block_matrix(2)
-            @ np.kron(self._support_h(2), np.eye(6)))[0])
+        Nothing enters degree 2, so this spans the face boundary's kernel.
+        The 0/1 indicators stand for ``Z2``: they carry each face's
+        transfer exactly, unrounded by a normalisation."""
+        return self._cached("rigid_h2", self._rigid_h2)
+
+    def _rigid_h2(self) -> np.ndarray:
+        cycles = self._cached("support_h", self._support_homology)[1]
+        chains = constant_rigid_isomorphism(self.rigid).apply(2, np.kron(cycles, np.eye(6)))
+        return np.linalg.qr(chains)[0]
 
     def _cached(self, key, fn):
         if key not in self._cache:
@@ -267,9 +294,9 @@ class ExactSequence:
         fe = surface.incidences["fe"]
         blocks = np.zeros((len(fe.upper), 1, 6))
         blocks[:, 0, :3] = fe.sign[:, None] * surface.edge_triads[fe.lower, 0]
-        block = scatter_incidences("fe", blocks, self.hinge.cosheaf,
-                                   self.spatial.cosheaf)
-        return self.hinge_h1().T @ block @ self.spatial_h2()
+        rates = IncidenceMap("fe", blocks, self.hinge.cosheaf,
+                             self.spatial.cosheaf).apply(self.spatial_h2())
+        return self.hinge_h1().T @ rates
 
     def loop_obstruction_matrix(self) -> np.ndarray:
         """Induced map from hinge classes to rigid-body classes in
@@ -316,9 +343,7 @@ def _tree_lift(surface: OrigamiSurface, roots: np.ndarray,
     loop.
     """
     fe = surface.incidences["fe"]
-    inner = np.flatnonzero(surface.interior_edge[fe.lower])
-    # Two incidences per interior edge, side by side.
-    pairs = inner[np.argsort(fe.lower[inner], kind="stable")].reshape(-1, 2)
+    pairs = surface.dual_links()
     edge, face, sign = fe.lower[pairs[:, 0]], fe.upper[pairs], fe.sign[pairs]
     steps = _hinge_lines(surface, edge)[:, :, None] * rates[edge][:, None, :]
     nu = np.zeros((surface.num_faces, 6, rates.shape[1]))
@@ -374,7 +399,7 @@ def hinge_solution(seq: ExactSequence, rates) -> ModelSolution:
     if rates.shape != (n,):
         raise NotACycle(f"expected {n} hinge rates, got shape {rates.shape}")
     _require_finite("hinge", rates)
-    residual = float(np.max(np.abs(seq.hinge.d1 @ rates), initial=0.0))
+    residual = float(np.max(np.abs(seq.hinge.apply(1, rates)), initial=0.0))
     return ModelSolution(model="hinge", coefficients=rates, residual=residual)
 
 
@@ -384,7 +409,7 @@ def spatial_solution(seq: ExactSequence, values) -> ModelSolution:
     if values.shape != (n,):
         raise NotACycle(f"expected {n} spatial values, got shape {values.shape}")
     _require_finite("spatial", values)
-    residual = float(np.max(np.abs(seq.spatial.d2 @ values), initial=0.0))
+    residual = float(np.max(np.abs(seq.spatial.apply(2, values)), initial=0.0))
     return ModelSolution(model="spatial", coefficients=values, residual=residual)
 
 

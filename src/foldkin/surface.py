@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate, IndexOutOfRange, NonManifold, NonOrientable
-from .linalg import RANK_TOL, svd_rank
+from .linalg import RANK_TOL
 from .spatial import orthonormal_triad
 
 # Cell handles are (dim, index) pairs, e.g. (1, 4) is edge number 4.
@@ -127,18 +127,13 @@ class OrigamiSurface:
 
     # --- base topology ---
 
-    def signed_incidence_matrices(self):
-        """Integer boundary matrices of the underlying complex.
-
-        Returns ``(d1, d2)`` with ``d1`` of shape (V, E) and ``d2`` of
-        shape (E, F); ``d1 @ d2`` vanishes identically.
-        """
-        d1 = np.zeros((self.num_vertices, self.num_edges), dtype=int)
-        d2 = np.zeros((self.num_edges, self.num_faces), dtype=int)
-        for d, kind in ((d1, "ev"), (d2, "fe")):
-            inc = self.incidences[kind]
-            d[inc.lower, inc.upper] = inc.sign
-        return d1, d2
+    def dual_links(self) -> np.ndarray:
+        """The links of the dual graph, whose nodes are the faces: for
+        each interior edge in edge order, the positions in the ``fe``
+        incidences of its two faces."""
+        fe = self.incidences["fe"]
+        inner = np.flatnonzero(self.interior_edge[fe.lower])
+        return inner[np.argsort(fe.lower[inner], kind="stable")].reshape(-1, 2)
 
 
 def _derive_edges(faces):
@@ -363,16 +358,64 @@ def _incidence_arrays(edges, faces):
     return {"ev": ev, "fe": fe, "fv": fv}, triples
 
 
+def _free_components(num_nodes: int, ends: np.ndarray, blocked: np.ndarray):
+    """Components of the graph with links ``ends`` ``(L, 2)``: each
+    node's label (the lowest node id of its component) and the labels of
+    the components that hold no node of the bool mask ``blocked``.
+
+    Every round hooks the larger label at each end of a link onto the
+    smaller one, then follows labels until each names itself; rounds
+    repeat until no link joins two labels."""
+    labels = np.arange(num_nodes)
+    while True:
+        a, b = labels[ends[:, 0]], labels[ends[:, 1]]
+        split = a != b
+        if not split.any():
+            break
+        np.minimum.at(labels, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+    hit = np.zeros(num_nodes, dtype=bool)
+    hit[labels[blocked]] = True
+    return labels, np.flatnonzero((labels == np.arange(num_nodes)) & ~hit)
+
+
+def constant_homology(surface: OrigamiSurface, support=(True, True, True)):
+    """Ranks ``(r1, r2)`` of the boundary maps of the constant ``R^1``
+    complex on the cells in the bool masks ``support``, and its 2-cycles,
+    read off component counts.
+
+    Faces are oriented consistently, so a face chain is a 2-cycle
+    exactly when it takes one value on each component of the dual graph
+    (faces, linked by the supported interior edges) and 0 on a component
+    holding an unsupported face or a face with a supported boundary edge.
+    The cycles are the indicators of the other, free, components, as
+    ``(faces, k)`` 0/1 columns; ``r2`` is the supported faces less their
+    count.  Likewise a vertex chain orthogonal to every edge boundary is
+    constant on each component of the graph of vertices and supported
+    edges, and 0 on a component holding an unsupported vertex, so ``r1``
+    is the supported vertices less the components with none.
+    """
+    vs, es, fs = (np.broadcast_to(mask, (surface.num_cells(d),))
+                  for d, mask in enumerate(support))
+    fe = surface.incidences["fe"]
+    links = surface.dual_links()
+    links = links[es[fe.lower[links[:, 0]]]]
+    open_face = ~fs
+    open_face[fe.upper[es[fe.lower] & ~surface.interior_edge[fe.lower]]] = True
+    labels, free = _free_components(surface.num_faces, fe.upper[links], open_face)
+    ends = surface.incidences["ev"].lower.reshape(-1, 2)[es]
+    _, closed = _free_components(surface.num_vertices, ends, ~vs)
+    return (int(vs.sum()) - len(closed), int(fs.sum()) - len(free),
+            (labels[:, None] == free).astype(float))
+
+
 def base_homology(surface: OrigamiSurface):
     """Dimensions ``(dim H0, dim H1, dim H2)`` of real cellular homology.
 
-    Computed from the signed incidence matrices; degree 2 is the kernel
-    of the face boundary map.
+    Read off :func:`constant_homology` on every cell: ``b0`` counts the
+    components, ``b2`` the closed ones, and ``b1 = b0 + b2 - chi``.
     """
-    d1, d2 = surface.signed_incidence_matrices()
-    r1 = svd_rank(d1)
-    r2 = svd_rank(d2)
-    b0 = surface.num_vertices - r1
-    b1 = surface.num_edges - r1 - r2
-    b2 = surface.num_faces - r2
-    return b0, b1, b2
+    r1, r2, _ = constant_homology(surface)
+    return (surface.num_vertices - r1, surface.num_edges - r1 - r2,
+            surface.num_faces - r2)

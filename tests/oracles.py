@@ -3,16 +3,25 @@
 Each dense route decomposes a whole assembled matrix where the library
 reads the same answer off a smaller structure.  The generic connecting
 map and the per-face boundary product stand for the tree-lift θ and the
-incidence-triple ``d1 @ d2``.  Each per-cell route builds one cell's
+incidence-triple ``d1 @ d2``; the integer incidence matrices and their
+decompositions stand for the component counts of base and support
+homology.  Each per-cell route builds one cell's
 geometry at a time where the library runs one array pass over every
 cell.  Tests compare the two.
 """
 
 import numpy as np
 
-from foldkin import CosheafMap, connecting_map, homology_basis, induced_map
+from foldkin import (
+    CosheafMap,
+    assemble_chain_complex,
+    connecting_map,
+    constant_cosheaf,
+    homology_basis,
+    induced_map,
+)
 from foldkin.errors import Degenerate, DegenerateFace
-from foldkin.linalg import RANK_TOL, nullspace
+from foldkin.linalg import RANK_TOL, nullspace, svd_rank
 
 
 def rigid_h1(seq):
@@ -59,6 +68,32 @@ def square_residual(cc):
                 for f, rows in enumerate(map(np.flatnonzero, reach)))
     scale = max(np.max(np.abs(cc.d1)), np.max(np.abs(cc.d2)), 1.0)
     return worst / scale
+
+
+def signed_incidence_matrices(surface):
+    """Integer boundary matrices ``(d1, d2)`` of the underlying complex,
+    ``d1`` of shape (V, E) and ``d2`` of shape (E, F)."""
+    d1 = np.zeros((surface.num_vertices, surface.num_edges), dtype=int)
+    d2 = np.zeros((surface.num_edges, surface.num_faces), dtype=int)
+    for d, kind in ((d1, "ev"), (d2, "fe")):
+        inc = surface.incidences[kind]
+        d[inc.lower, inc.upper] = inc.sign
+    return d1, d2
+
+
+def base_homology(surface):
+    """Betti numbers from the ranks of :func:`signed_incidence_matrices`."""
+    d1, d2 = signed_incidence_matrices(surface)
+    r1, r2 = svd_rank(d1), svd_rank(d2)
+    return (surface.num_vertices - r1, surface.num_edges - r1 - r2,
+            surface.num_faces - r2)
+
+
+def support_h(seq, degree):
+    """Harmonic basis of the support complex in one degree."""
+    support = assemble_chain_complex(
+        constant_cosheaf(seq.surface, 1, support=seq.rigid.cosheaf.support))
+    return homology_basis(support, degree)
 
 
 def column_space(a, *, scale=0.0):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from foldkin import (
+    ChainComplex,
     analyze_surface,
     build_exact_sequence,
     constant_rigid_isomorphism,
     document_from_surface,
     hinge_solution,
     hinge_to_truss,
+    pinned_chain_connecting_matrix,
+    serial_chain_operators,
     spatial_solution,
     spatial_to_truss,
     stiffen,
@@ -108,6 +111,39 @@ def test_no_decomposition_as_large_as_a_whole_model(monkeypatch, spec):
     hinge_to_truss(seq, stiffen(s), hinge_solution(seq, rates))
     assert sizes
     assert max(sizes) < limit
+
+
+def _analyze(make):
+    return lambda: analyze_surface(make())
+
+
+def _pinned_chain():
+    s = surface_of("chain", 10)
+    pinned_chain_connecting_matrix(s, serial_chain_operators(s))
+
+
+@pytest.mark.parametrize("run, held", [
+    (_analyze(lambda: surface_of("grid", 8, 8)), [(3, 1, 0)]),
+    (_analyze(lambda: surface_of("torus", 6, 6)), [(1, 1, 1), (3, 1, 0)]),
+    (_analyze(jessen), [(3, 1, 0)]),
+    (_pinned_chain, [(3, 1, 0)]),
+], ids=["grid_8_8", "torus_6_6", "jessen", "pinned_chain_10"])
+def test_only_decomposed_complexes_form_dense_boundaries(monkeypatch, run, held):
+    # Boundaries are applied from their blocks.  A dense d1 or d2 is
+    # formed only to be decomposed: on the hinge complex, and on the
+    # support complex (stalks R^1) where its degree 1 is nonzero.
+    built = []
+    init = ChainComplex.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ChainComplex, "__init__", recording)
+    run()
+    assert built
+    dense = [cc.cosheaf.stalk_sizes for cc in built if {"d1", "d2"} & set(vars(cc))]
+    assert sorted(dense) == held
 
 
 def test_report_text_contains_verdict():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from foldkin import build_exact_sequence, generate, serialize_fold, surface_from_document
+from foldkin import analysis, cli
 from foldkin.cli import main
 
 from conftest import BOWTIE
@@ -93,6 +94,29 @@ def test_serial_json_residuals(capsys):
     assert payload["ok"] is True
     for value in payload["residuals"].values():
         assert value < 1e-10
+
+
+def test_analyze_failed_check_exits_1_and_prints_the_report(tmp_path, capsys,
+                                                            monkeypatch):
+    # A Gram floor above 1 fails the truss-transfer check on any sheet.
+    monkeypatch.setattr(analysis, "GRAM_RELATIVE_FLOOR", 2.0)
+    path = write_doc(tmp_path, generate("grid", 3, 3))
+    assert main(["analyze", path, "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"]["spatial_truss_transfer_full_rank"] is False
+    assert payload["all_ok"] is False
+
+
+def test_serial_check_exits_1_on_a_failed_residual(capsys, monkeypatch):
+    # Steps that miss the closed-form operator by 1e-6 fail the check.
+    propagate = cli.propagate_chain
+    monkeypatch.setattr(cli, "propagate_chain",
+                        lambda ops, rates: propagate(ops, rates) + 1e-6)
+    assert main(["serial", "5", "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "recurrence_vs_operator" in out
+    assert "FAIL" in out
+    assert main(["serial", "5"]) == 0
 
 
 def test_serial_zero_exits_2(capsys):

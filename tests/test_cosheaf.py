@@ -13,11 +13,12 @@ from foldkin import (
     build_spatial_model,
     connecting_map,
     constant_cosheaf,
+    constant_rigid_isomorphism,
     homology_basis,
     induced_map,
     verify_exact_sequence,
 )
-from foldkin.cosheaf import COMPLEX_TOL, scatter_incidences
+from foldkin.cosheaf import COMPLEX_TOL
 from foldkin.errors import (
     ExactnessViolation,
     FunctorialityViolation,
@@ -26,7 +27,6 @@ from foldkin.errors import (
     ShapeMismatch,
 )
 from foldkin.linalg import nullspace, svd_rank
-from foldkin.surface import INCIDENCE_DIMS
 
 import oracles
 from conftest import (
@@ -42,7 +42,7 @@ from conftest import (
 def test_constant_boundary_is_signed_incidence():
     s = two_triangles()
     cc = assemble_chain_complex(constant_cosheaf(s, 1))
-    d1, d2 = s.signed_incidence_matrices()
+    d1, d2 = oracles.signed_incidence_matrices(s)
     assert np.array_equal(cc.d1, d1.astype(float))
     assert np.array_equal(cc.d2, d2.astype(float))
 
@@ -323,6 +323,38 @@ def test_restrict_rejects_unsupported_cells():
             pinned.restrict(2, chains, [keep, pin])
 
 
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES],
+                         ids=[n for n, _ in ORACLE_SURFACES])
+def test_apply_matches_the_dense_product(make, rng):
+    # Boundaries and cosheaf maps are applied from their blocks; the
+    # dense matrices are the reference.  The scale of an entry of the
+    # product is the same entry of |matrix| @ |chains|.
+    s = make()
+    seq = build_exact_sequence(s)
+    free = (seq.hinge, seq.rigid, seq.spatial, build_constant_model(s, 1))
+    cases = [(cc.apply, degree, cc.boundary(degree))
+             for cc in free + tuple(cc.pinned(2, [0]) for cc in free)
+             for degree in (1, 2)]
+    cases += [(phi.apply, degree, phi.block_matrix(degree))
+              for phi in (seq.iota, seq.pi, constant_rigid_isomorphism(seq.rigid))
+              for degree in (0, 1, 2)]
+    for apply, degree, dense in cases:
+        for chains in (rng.normal(size=dense.shape[1]),
+                       rng.normal(size=(dense.shape[1], 4))):
+            got, want = apply(degree, chains), dense @ chains
+            assert got.shape == want.shape
+            scale = (np.abs(dense) @ np.abs(chains)).max(initial=0.0)
+            assert np.abs(got - want).max(initial=0.0) <= 1e-15 * scale
+
+
+def test_apply_rejects_chains_of_the_wrong_length():
+    seq = build_exact_sequence(two_panels())
+    with pytest.raises(ShapeMismatch):
+        seq.spatial.apply(2, np.zeros(seq.spatial.dim(2) + 1))
+    with pytest.raises(ShapeMismatch):
+        seq.pi.apply(2, np.zeros((seq.spatial.dim(2) - 1, 2)))
+
+
 def test_complex_square_residual_small():
     for s in (two_panels(), surface_of("torus", 4, 4),
               surface_of("miura", 2, 3)):
@@ -339,38 +371,35 @@ def test_square_residual_matches_the_per_face_product(make):
         assert abs(cc.square_residual() - oracles.square_residual(cc)) <= 1e-15
 
 
-def test_square_residual_sees_an_entry_off_the_incidence_blocks():
-    # One small nonzero where no incidence puts a block: first in d1,
-    # then in d2.
-    cc = build_spatial_model(surface_of("grid", 3, 3))
-    cosheaf = cc.cosheaf
-    assert cc.square_residual() <= COMPLEX_TOL
-    for kind, matrix in (("ev", cc.d1), ("fe", cc.d2)):
-        inc = cosheaf.surface.incidences[kind]
-        up, lo = INCIDENCE_DIMS[kind]
-        ones = np.ones((len(inc.upper), cosheaf.stalk_sizes[lo], cosheaf.stalk_sizes[up]))
-        outside = np.argwhere(scatter_incidences(kind, ones, cosheaf, cosheaf) == 0)
-        row, col = outside[len(outside) // 2]
-        changed = matrix.copy()
-        changed[row, col] = 1e-6
-        d1, d2 = (changed, cc.d2) if kind == "ev" else (cc.d1, changed)
-        assert ChainComplex(cosheaf, d1, d2).square_residual() > COMPLEX_TOL, kind
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES],
+                         ids=[n for n, _ in ORACLE_SURFACES])
+def test_dense_views_hold_exactly_the_block_nonzeros(make):
+    # d1 @ d2 is read off the blocks alone, which is sound only if the
+    # dense views have no nonzero outside them.
+    s = make()
+    seq = build_exact_sequence(s)
+    for cc in (seq.hinge, seq.rigid, seq.spatial, build_constant_model(s, 1)):
+        for matrix, kind in ((cc.d1, "ev"), (cc.d2, "fe")):
+            assert np.count_nonzero(matrix) == np.count_nonzero(cc.blocks[kind])
 
 
 def test_square_residual_sees_one_flipped_block():
-    # Flip the sign of one face-edge block of the assembled d2 at a time;
-    # wherever the edge meets an interior vertex, d1 @ d2 stops vanishing.
+    # Flip the sign of one face-edge block in a copy of the cosheaf at a
+    # time; wherever the edge meets an interior vertex, d1 @ d2 stops
+    # vanishing.
     cc = build_spatial_model(surface_of("grid", 3, 3))
+    cosheaf = cc.cosheaf
     assert cc.square_residual() <= COMPLEX_TOL
+    fe, ev = (cosheaf.surface.incidences[kind] for kind in ("fe", "ev"))
+    touched = np.bincount(ev.upper, np.abs(cc.blocks["ev"]).sum(axis=(1, 2)),
+                          minlength=cosheaf.surface.num_edges) > 0
     flipped = 0
-    for face in range(cc.d2.shape[1] // 6):
-        cols = slice(6 * face, 6 * face + 6)
-        for edge in np.unique(np.flatnonzero(cc.d2[:, cols].any(axis=1)) // 5):
-            rows = slice(5 * edge, 5 * edge + 5)
-            if not cc.d1[:, rows].any():
-                continue
-            d2 = cc.d2.copy()
-            d2[rows, cols] *= -1
-            assert ChainComplex(cc.cosheaf, cc.d1, d2).square_residual() > COMPLEX_TOL
-            flipped += 1
+    for i in np.flatnonzero(touched[fe.lower]):
+        extensions = dict(cosheaf.extensions)
+        extensions["fe"] = extensions["fe"].copy()
+        extensions["fe"][i] *= -1
+        copy = Cosheaf(cosheaf.surface, cosheaf.stalk_sizes, cosheaf.support,
+                       extensions)
+        assert ChainComplex(copy).square_residual() > COMPLEX_TOL
+        flipped += 1
     assert flipped >= 9

@@ -5,6 +5,7 @@ import pytest
 
 from foldkin import (
     ExactSequence,
+    base_homology,
     ModelSolution,
     build_exact_sequence,
     build_surface,
@@ -121,6 +122,42 @@ def test_rigid_homology_matches_the_dense_route(make):
     # unobstructed hinge classes, their common kernel, agree.
     assert subspace_residual(nullspace(got, scale=1.0),
                              nullspace(dense, scale=1.0)) < 1e-12
+
+
+COUNTED_SEQUENCES = [
+    (name, lambda make=make: build_exact_sequence(make())) for name, make in ORACLE_SURFACES
+] + [(f"pinned_chain_{n}", lambda n=n: pinned_chain_sequence(n)) for n in (1, 2, 40)]
+
+
+@pytest.mark.parametrize("make", [m for _, m in COUNTED_SEQUENCES],
+                         ids=[n for n, _ in COUNTED_SEQUENCES])
+def test_counted_support_homology_matches_the_decomposition(make):
+    # The support complex's homology and the Betti numbers are read off
+    # component counts; the SVDs of the integer matrices are the
+    # reference.
+    seq = make()
+    for degree in (1, 2):
+        got, want = seq._support_h(degree), oracles.support_h(seq, degree)
+        assert got.shape == want.shape
+        assert np.abs(got.T @ got - np.eye(got.shape[1])).max(initial=0.0) < 1e-12
+        assert subspace_residual(got, want) < 1e-12
+    assert base_homology(seq.surface) == oracles.base_homology(seq.surface)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda r1, r2, cycles: (r1, r2, np.vstack([0 * cycles[:1], cycles[1:]])),
+     "has a boundary"),
+    (lambda r1, r2, cycles: (r1, r2 - 1, cycles), "dimension 1, counted 2"),
+], ids=["cycle", "count"])
+def test_counted_support_homology_is_certified(monkeypatch, fault, message):
+    # A counted 2-cycle with a boundary, or a degree-1 count that the
+    # decomposition does not confirm, is a fault, not a dimension.
+    count = maps.constant_homology
+    monkeypatch.setattr(maps, "constant_homology",
+                        lambda surface, support: fault(*count(surface, support)))
+    seq = build_exact_sequence(square_hole_grid(3))
+    with pytest.raises(ExactnessViolation, match=message):
+        seq.rigid_h2()
 
 
 def assert_spatial_basis_matches_the_dense_route(seq):

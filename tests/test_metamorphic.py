@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldkin import analyze_surface, build_surface, generate
+from foldkin import (
+    analyze_surface,
+    build_exact_sequence,
+    build_surface,
+    generate,
+    hinge_solution,
+    hinge_to_truss,
+    stiffen,
+)
+from foldkin.errors import FunctorialityViolation, NaturalityViolation
 
 from conftest import scaled, surface_of
 
@@ -101,3 +110,51 @@ def test_report_invariant_under_scaling(shape, factor):
     s = surface_of(*shape)
     assert analyze_surface(scaled(s, factor)).to_dict() \
         == analyze_surface(s).to_dict()
+
+
+# Translation.  The lever arms are differences of coordinates, so at an
+# offset of 1e4 they carry rounding of about 1e4 x 2.2e-16 against
+# entries of order 1, over the 1e-12 naturality and functoriality bounds
+# (ROADMAP item 5).
+@pytest.mark.parametrize("shape, error", [
+    (("annulus", 2, 8), NaturalityViolation),
+    (("torus", 4, 4), NaturalityViolation),
+    (("cylinder", 3, 8), FunctorialityViolation),
+], ids=lambda v: "_".join(map(str, v)) if isinstance(v, tuple) else v.__name__)
+def test_report_invariant_under_translation(request, shape, error):
+    request.applymarker(pytest.mark.xfail(
+        strict=True, raises=error,
+        reason="translation rounding over the 1e-12 residual bounds"))
+    s = surface_of(*shape)
+    moved = build_surface(s.vertices + 1e4, s.faces)
+    assert analyze_surface(moved).to_dict() == analyze_surface(s).to_dict()
+
+
+@pytest.mark.parametrize("shape", [("grid", 4, 4), ("miura", 3, 4), ("annulus", 2, 8)],
+                         ids=lambda v: "_".join(map(str, v)))
+def test_converted_solutions_move_with_the_sheet(shape):
+    # Face velocities are anchored at the centroids, so a rotation R and
+    # a translation rotate every angular and linear part by R, and every
+    # truss velocity.  Hinge rates are scalars and stay.
+    s = surface_of(*shape)
+    r = rotation([0.3, -0.5, 0.8, 0.1])
+    moved = build_surface(s.vertices @ r.T + [0.7, -1.3, 2.1], s.faces)
+    classes = build_exact_sequence(s).hinge_h1()
+    rates = classes @ np.linspace(1.0, 2.0, classes.shape[1])
+
+    def convert(surface):
+        seq = build_exact_sequence(surface)
+        return hinge_to_truss(seq, stiffen(surface), hinge_solution(seq, rates))
+
+    here, there = convert(s), convert(moved)
+    assert here.obstructed == there.obstructed
+    if here.obstructed:
+        return
+
+    def gap(a, b):
+        return np.abs(a - b).max() / np.abs(a).max()
+
+    nu = here.spatial.coefficients.reshape(-1, 2, 3)
+    assert gap(there.spatial.coefficients.reshape(-1, 2, 3), nu @ r.T) < 1e-12
+    y = here.truss.coefficients.reshape(-1, 3)
+    assert gap(there.truss.coefficients.reshape(-1, 3), y @ r.T) < 1e-12
