@@ -22,8 +22,8 @@ from .errors import WellDefinednessViolation
 from .fold_io import canonical_json
 from .linalg import RANK_TOL, svd_rank
 from .maps import ExactSequence, build_exact_sequence
-from .models import build_constant_model, corner_velocities, stiffen, truss_kernel
-from .surface import OrigamiSurface, base_homology
+from .models import corner_velocities, stiffen, truss_kernel
+from .surface import OrigamiSurface, base_homology, base_square_vanishes
 
 GRAM_RELATIVE_FLOOR = 1e-12
 
@@ -133,9 +133,8 @@ def analyze_surface(surface: OrigamiSurface) -> AnalysisReport:
         gram_ok = bool(eigs[0] >= GRAM_RELATIVE_FLOOR * max(eigs[-1], 1e-300))
     eta_ok = gram_ok and svd_rank(image) == dims["spatial_h2"]
 
-    square_ok = bool(all(
-        cc.square_residual() <= COMPLEX_TOL
-        for cc in (seq.hinge, seq.rigid, seq.spatial, build_constant_model(surface, 1))))
+    square_ok = base_square_vanishes(surface) and all(
+        cc.square_residual() <= COMPLEX_TOL for cc in (seq.hinge, seq.rigid, seq.spatial))
 
     obstruction_free = dims["hinge_h1"] - ranks["loop_obstruction"]
     checks = {

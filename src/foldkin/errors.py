@@ -67,10 +67,6 @@ class DegenerateFace(FoldkinError):
     """A face has no usable best-fit plane normal."""
 
 
-class DegenerateHinge(FoldkinError):
-    """A serial-chain hinge axis is degenerate."""
-
-
 # --- io / cli ---
 
 class InvalidParams(FoldkinError):

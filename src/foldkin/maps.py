@@ -43,7 +43,6 @@ from .cosheaf import (
     verify_exact_sequence,
 )
 from .errors import (
-    DegenerateHinge,
     ExactnessViolation,
     FoldkinError,
     InvalidParams,
@@ -253,6 +252,8 @@ class ExactSequence:
 
     def _rigid_h2(self) -> np.ndarray:
         cycles = self._cached("support_h", self._support_homology)[1]
+        if not cycles.shape[1]:
+            return np.zeros((self.rigid.dim(2), 0))
         chains = constant_rigid_isomorphism(self.rigid).apply(2, np.kron(cycles, np.eye(6)))
         return np.linalg.qr(chains)[0]
 
@@ -332,34 +333,65 @@ def _tree_lift(surface: OrigamiSurface, roots: np.ndarray,
     face centroids.
 
     The dual graph has the faces as nodes and the interior edges as
-    links.  Its breadth-first spanning forest grows from the faces in
-    the bool mask ``roots``; a component without one is rooted at its
-    lowest-index face.  Roots stand still.  Stepping across tree edge
-    ``e`` from face ``f`` to face ``g`` adds ``s_ge * rate_e`` times the
-    hinge's line coordinates, in the origin frame; one transfer per face
-    then moves each velocity to its centroid.  All faces of one level
-    are stepped at once.  Rates on edges outside the tree are not read:
-    a hinge class lifts to a cycle exactly when it closes around every
-    loop.
+    links.  Its breadth-first spanning forest (:func:`_dual_forest`)
+    grows from the faces in the bool mask ``roots``; a component without
+    one is rooted at its lowest-index face.  Roots stand still.  Stepping
+    across tree edge ``e`` from face ``f`` to face ``g`` adds
+    ``s_ge * rate_e`` times the hinge's line coordinates, in the origin
+    frame; one transfer per face then moves each velocity to its
+    centroid.  The forest is found once; then all faces of one level
+    are stepped at once, one gather-add per level.  Rates on edges
+    outside the tree are not read: a hinge class lifts to a cycle
+    exactly when it closes around every loop.
     """
     fe = surface.incidences["fe"]
     pairs = surface.dual_links()
     edge, face, sign = fe.lower[pairs[:, 0]], fe.upper[pairs], fe.sign[pairs]
-    steps = _hinge_lines(surface, edge)[:, :, None] * rates[edge][:, None, :]
+    links, side, bounds = _dual_forest(face, np.asarray(roots, dtype=bool))
+    child, parent, edge = face[links, side], face[links, 1 - side], edge[links]
+    turns = _hinge_lines(surface, edge)[:, :, None] * rates[edge][:, None, :]
+    turns *= sign[links, side][:, None, None]
     nu = np.zeros((surface.num_faces, 6, rates.shape[1]))
-    seen = np.array(roots, dtype=bool)
-    while not seen.all():
-        links = np.flatnonzero(seen[face[:, 0]] != seen[face[:, 1]])
-        if not links.size:
-            seen[np.argmin(seen)] = True
-            continue
-        side = (~seen[face[links, 1]]).astype(int)
-        child, first = np.unique(face[links, side], return_index=True)
-        links, side = links[first], side[first]
-        nu[child] = (nu[face[links, 1 - side]]
-                     + sign[links, side][:, None, None] * steps[links])
-        seen[child] = True
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        nu[child[start:stop]] = nu[parent[start:stop]] + turns[start:stop]
     return transfer_matrix(np.zeros(3), surface.face_centroids) @ nu
+
+
+def _dual_forest(face: np.ndarray, roots: np.ndarray):
+    """Breadth-first spanning forest of the dual graph whose links join
+    the face pairs ``face`` (one row per link), grown from the faces in
+    the bool mask ``roots``; once those are exhausted, each component
+    still unreached is rooted at its lowest-index face.
+
+    A face at depth ``k + 1`` hangs from the lowest-index link joining
+    it to depth ``k``; roots have depth 0.  Returns ``(links, side,
+    bounds)``: the tree links sorted by the depth of their child face,
+    then by index; the column (0 or 1) of each link's child in ``face``;
+    and the bounds of each depth, so the links into depth ``k + 1`` are
+    ``links[bounds[k]:bounds[k + 1]]``.
+    """
+    neighbours = [[] for _ in roots]
+    for link, (f, g) in enumerate(face.tolist()):
+        neighbours[f].append((link, g, 1))
+        neighbours[g].append((link, f, 0))
+    seen = roots.tolist()
+    tree, frontier, level = [], np.flatnonzero(roots).tolist(), 0
+    while frontier or not all(seen):
+        if not frontier:
+            frontier, level = [seen.index(False)], 0
+            seen[frontier[0]] = True
+        reached = {}
+        for f in frontier:
+            for link, g, side in neighbours[f]:
+                if not seen[g] and (g not in reached or link < reached[g][0]):
+                    reached[g] = (link, side)
+        for g in reached:
+            seen[g] = True
+        tree += [(level, link, side) for link, side in reached.values()]
+        frontier, level = list(reached), level + 1
+    tree = np.array(sorted(tree), dtype=int).reshape(-1, 3)
+    bounds = np.flatnonzero(np.diff(tree[:, 0], prepend=-1, append=-1))
+    return tree[:, 1], tree[:, 2], bounds
 
 
 def build_exact_sequence(surface: OrigamiSurface) -> ExactSequence:
@@ -596,9 +628,11 @@ class SerialChainOperators:
     ``accumulate`` is the lower-triangular operator collecting hinge
     contributions from base to tip, ``accumulate_inverse`` its block
     bidiagonal inverse, ``d`` the hinge-rates-to-body-velocities matrix
-    and ``d_pinv`` its left inverse.  ``inverse_gap`` is the largest
-    entry of ``accumulate_inverse @ accumulate - I``, formed block row
-    by block row when the operators were verified.
+    and ``d_pinv`` its left inverse.  The two ``(6n, 6n)`` operators are
+    views of ``(n, 6, n, 6)`` block arrays, written in place.
+    ``inverse_gap`` is the largest entry of
+    ``accumulate_inverse @ accumulate - I``, formed a few block rows at a
+    time when the operators were verified.
     """
 
     chain: SerialChain
@@ -610,7 +644,13 @@ class SerialChainOperators:
 
 
 def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
-    """Assemble and verify the serial-chain block operators."""
+    """Assemble and verify the serial-chain block operators.
+
+    The accumulation operator is written block row by block row into its
+    ``(n, 6, n, 6)`` layout, in chunks of about ``sqrt(n)`` block rows,
+    and the inverse is checked chunk by chunk as it is written, so no
+    temporary is as large as an operator.
+    """
     chain = chain_structure(surface)
     n = chain.num_hinges
     if n == 0:
@@ -620,17 +660,6 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     p_face = surface.face_centroids[faces]
     p_edge = surface.edge_midpoints[hinges]
 
-    ends = np.array(surface.edges)[hinges]
-    short = np.flatnonzero(np.linalg.norm(surface.vertices[ends[:, 1]]
-                                          - surface.vertices[ends[:, 0]], axis=1) == 0.0)
-    if short.size:
-        raise DegenerateHinge(f"hinge {hinges[short[0]]} has zero length")
-
-    # Block (i, j): hinge e_{j+1} seen from body f_{i+1}, zero for j > i.
-    blocks = transfer_matrix(p_edge[None, :], p_face[1:, None])
-    blocks[np.triu_indices(n, 1)] = 0.0
-    psi = blocks.transpose(0, 2, 1, 3).reshape(6 * n, 6 * n)
-
     # The inverse is block bidiagonal: diagonal blocks ``diag``, and
     # ``sub[i]`` at block (i + 1, i).
     diag = transfer_matrix(p_face[1:], p_edge)
@@ -639,29 +668,38 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     psi_inv = np.zeros((n, 6, n, 6))
     psi_inv[idx, :, idx] = diag
     psi_inv[idx[1:], :, idx[:-1]] = sub
-    psi_inv = psi_inv.reshape(6 * n, 6 * n)
+
+    # Block (i, j): hinge e_{j+1} seen from body f_{i+1}, zero for j > i.
+    # Block row i of psi_inv @ psi is diag[i] @ (block row i of psi)
+    # + sub[i - 1] @ (block row i - 1); both vanish right of block i.
+    psi = np.zeros((n, 6, n, 6))
+    size = inverse_gap = 0.0
+    step = int(np.ceil(np.sqrt(n)))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        blocks = transfer_matrix(p_edge[:hi], p_face[lo + 1:hi + 1, None])
+        blocks[idx[:hi] > idx[lo:hi, None]] = 0.0
+        psi[lo:hi, :, :hi] = blocks.transpose(0, 2, 1, 3)
+        size = max(size, np.abs(blocks).max())
+        first = max(lo, 1)
+        product = diag[lo:hi] @ psi[lo:hi, :, :hi].reshape(hi - lo, 6, 6 * hi)
+        product[first - lo:] += (sub[first - 1:hi - 1]
+                                 @ psi[first - 1:hi - 1, :, :hi].reshape(-1, 6, 6 * hi))
+        product.reshape(hi - lo, 6, hi, 6)[idx[:hi - lo], :, idx[lo:hi]] -= np.eye(6)
+        inverse_gap = max(inverse_gap, float(np.abs(product).max()))
+    if inverse_gap > 1e-12 * max(1.0, size):
+        raise FoldkinError(f"chain operator inverse failed ({inverse_gap:.3e})")
 
     # iota is block diagonal, one hinge twist per block.
     twists = hinge_twist(surface.edge_triads[hinges, 0])
     d = np.einsum("rjb,jb->rj", psi.reshape(6 * n, n, 6), twists)
-    d_pinv = np.einsum("ia,iajb->ijb", twists, psi_inv.reshape(n, 6, n, 6)).reshape(n, 6 * n)
-
-    # Block row i of psi_inv @ psi is diag[i] @ (block row i of psi)
-    # + sub[i - 1] @ (block row i - 1).
-    rows = psi.reshape(n, 6, 6 * n)
-    product = diag @ rows
-    product[1:] += sub @ rows[:-1]
-    product = product.reshape(6 * n, 6 * n)
-    product[np.diag_indices(6 * n)] -= 1.0
-    inverse_gap = float(np.max(np.abs(product)))
-    if inverse_gap > 1e-12 * max(1.0, np.max(np.abs(psi))):
-        raise FoldkinError(f"chain operator inverse failed ({inverse_gap:.3e})")
+    d_pinv = np.einsum("ia,iajb->ijb", twists, psi_inv).reshape(n, 6 * n)
     gap = np.max(np.abs(d_pinv @ d - np.eye(n)))
     if gap > 1e-11 * max(1.0, np.max(np.abs(d))):
         raise FoldkinError(f"chain left inverse failed ({gap:.3e})")
-    return SerialChainOperators(chain=chain, accumulate=psi,
-                                accumulate_inverse=psi_inv, d=d, d_pinv=d_pinv,
-                                inverse_gap=inverse_gap)
+    return SerialChainOperators(chain=chain, accumulate=psi.reshape(6 * n, 6 * n),
+                                accumulate_inverse=psi_inv.reshape(6 * n, 6 * n),
+                                d=d, d_pinv=d_pinv, inverse_gap=inverse_gap)
 
 
 def propagate_chain(ops: SerialChainOperators, rates) -> np.ndarray:
@@ -687,18 +725,20 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
     pinned, expressed directly in hinge-rate and stacked-body-velocity
     coordinates for comparison with the closed-form left inverse.
 
-    The pinned sequence is verified like any other: naturality,
+    The three models are built once and pinned, and only the pinned
+    sequence is built and verified, like any other: naturality,
     stalk-wise exactness, the spatial cycle and rank certificates and
-    the certificate of theta against the tree lifts.
+    the certificate of theta against the tree lifts.  The free sequence
+    would add only the base face's cells to the exactness check, where
+    the hinge model has no stalk and the quotient map is the identity.
     Returns ``(theta, cycles)`` where ``cycles`` columns are pinned
     spatial cycles over the moving bodies in chain order and ``theta``
     takes those cycles (its columns) to hinge rates in chain order.
     """
     chain = ops.chain
     base = [chain.face_order[0]]
-    seq = build_exact_sequence(surface)
-    pinned = _verified_sequence(*(cc.pinned(2, base)
-                                  for cc in (seq.hinge, seq.rigid, seq.spatial)))
+    pinned = _verified_sequence(*(build(surface).pinned(2, base) for build in (
+        build_hinge_model, build_rigid_model, build_spatial_model)))
     rates = pinned.hinge_h1() @ pinned.spatial_to_hinge_matrix()
     # Hinge rows in chain hinge order, cycle rows as the moving bodies in
     # chain order.

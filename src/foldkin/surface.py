@@ -410,6 +410,19 @@ def constant_homology(surface: OrigamiSurface, support=(True, True, True)):
             (labels[:, None] == free).astype(float))
 
 
+def base_square_vanishes(surface: OrigamiSurface) -> bool:
+    """Whether the integer boundaries of the surface compose to zero.
+
+    ``d1 @ d2`` is read off the vertex < edge < face triples: at every
+    face-vertex incidence, the products of the ``ev`` and ``fe`` signs
+    over the triples through it must sum to 0.  The signs are integers,
+    so the check is exact.
+    """
+    ev, fe, fv = surface.incidence_triples.T
+    signs = surface.incidences["ev"].sign[ev] * surface.incidences["fe"].sign[fe]
+    return not np.bincount(fv, weights=signs).any()
+
+
 def base_homology(surface: OrigamiSurface):
     """Dimensions ``(dim H0, dim H1, dim H2)`` of real cellular homology.
 

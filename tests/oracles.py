@@ -7,7 +7,10 @@ incidence-triple ``d1 @ d2``; the integer incidence matrices and their
 decompositions stand for the component counts of base and support
 homology.  Each per-cell route builds one cell's
 geometry at a time where the library runs one array pass over every
-cell.  Tests compare the two.
+cell.  The level-by-level tree lift rescans every dual link at each
+level where the library finds its forest once, and the dense chain
+operators form every ``(6n, 6n)`` product where the library writes and
+checks a few block rows at a time.  Tests compare the two.
 """
 
 import numpy as np
@@ -20,8 +23,10 @@ from foldkin import (
     homology_basis,
     induced_map,
 )
-from foldkin.errors import Degenerate, DegenerateFace
+from foldkin.errors import Degenerate, DegenerateFace, FoldkinError, InvalidParams
 from foldkin.linalg import RANK_TOL, nullspace, svd_rank
+from foldkin.maps import _hinge_lines, chain_structure
+from foldkin.spatial import hinge_twist, transfer_matrix
 
 
 def rigid_h1(seq):
@@ -55,6 +60,65 @@ def theta(seq):
     classes to hinge classes."""
     return connecting_map(seq.iota, seq.pi, 2, seq.spatial_h2(), seq.hinge_h1(),
                           seq.rigid)
+
+
+def tree_lift(surface, roots, rates):
+    """The tree lift stepped level by level, each level found by scanning
+    every dual link for one seen and one unseen face."""
+    fe = surface.incidences["fe"]
+    pairs = surface.dual_links()
+    edge, face, sign = fe.lower[pairs[:, 0]], fe.upper[pairs], fe.sign[pairs]
+    steps = _hinge_lines(surface, edge)[:, :, None] * rates[edge][:, None, :]
+    nu = np.zeros((surface.num_faces, 6, rates.shape[1]))
+    seen = np.array(roots, dtype=bool)
+    while not seen.all():
+        links = np.flatnonzero(seen[face[:, 0]] != seen[face[:, 1]])
+        if not links.size:
+            seen[np.argmin(seen)] = True
+            continue
+        side = (~seen[face[links, 1]]).astype(int)
+        child, first = np.unique(face[links, side], return_index=True)
+        links, side = links[first], side[first]
+        nu[child] = (nu[face[links, 1 - side]]
+                     + sign[links, side][:, None, None] * steps[links])
+        seen[child] = True
+    return transfer_matrix(np.zeros(3), surface.face_centroids) @ nu
+
+
+def serial_chain_operators(surface):
+    """The serial-chain operators as dense ``(6n, 6n)`` matrices, checked
+    with the whole block-row product: ``(accumulate, accumulate_inverse,
+    d, d_pinv, inverse_gap)``."""
+    chain = chain_structure(surface)
+    n = chain.num_hinges
+    if n == 0:
+        raise InvalidParams("chain needs at least one hinge")
+    faces = chain.face_order
+    hinges = np.array(chain.hinge_order)
+    p_face = surface.face_centroids[faces]
+    p_edge = surface.edge_midpoints[hinges]
+    blocks = transfer_matrix(p_edge[None, :], p_face[1:, None])
+    blocks[np.triu_indices(n, 1)] = 0.0
+    psi = blocks.transpose(0, 2, 1, 3).reshape(6 * n, 6 * n)
+    diag = transfer_matrix(p_face[1:], p_edge)
+    sub = -transfer_matrix(p_face[1:-1], p_edge[1:])
+    idx = np.arange(n)
+    psi_inv = np.zeros((n, 6, n, 6))
+    psi_inv[idx, :, idx] = diag
+    psi_inv[idx[1:], :, idx[:-1]] = sub
+    psi_inv = psi_inv.reshape(6 * n, 6 * n)
+    twists = hinge_twist(surface.edge_triads[hinges, 0])
+    d = np.einsum("rjb,jb->rj", psi.reshape(6 * n, n, 6), twists)
+    d_pinv = np.einsum("ia,iajb->ijb", twists, psi_inv.reshape(n, 6, n, 6)).reshape(n, 6 * n)
+    rows = psi.reshape(n, 6, 6 * n)
+    product = diag @ rows
+    product[1:] += sub @ rows[:-1]
+    product = product.reshape(6 * n, 6 * n)
+    product[np.diag_indices(6 * n)] -= 1.0
+    inverse_gap = float(np.max(np.abs(product)))
+    if inverse_gap > 1e-12 * max(1.0, np.max(np.abs(psi))):
+        raise FoldkinError(f"chain operator inverse failed ({inverse_gap:.3e})")
+    return psi, psi_inv, d, d_pinv, inverse_gap
 
 
 def square_residual(cc):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -21,9 +22,11 @@ from foldkin.analysis import eta_image
 from foldkin.cosheaf import cycle_residuals
 from foldkin.errors import WellDefinednessViolation
 from foldkin.maps import _tree_lift
+from foldkin.surface import Incidences, base_square_vanishes
 
 import oracles
 from conftest import (
+    ORACLE_SURFACES,
     flipped_icosahedron,
     jessen,
     octahedron,
@@ -144,6 +147,38 @@ def test_only_decomposed_complexes_form_dense_boundaries(monkeypatch, run, held)
     assert built
     dense = [cc.cosheaf.stalk_sizes for cc in built if {"d1", "d2"} & set(vars(cc))]
     assert sorted(dense) == held
+
+
+def _with_fe_signs(surface, sign):
+    fe = surface.incidences["fe"]
+    return dataclasses.replace(surface, incidences={
+        **surface.incidences, "fe": Incidences(fe.upper, fe.lower, sign)})
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES],
+                         ids=[n for n, _ in ORACLE_SURFACES])
+def test_base_square_is_the_integer_product(make):
+    s = make()
+    d1, d2 = oracles.signed_incidence_matrices(s)
+    assert not (d1 @ d2).any()
+    assert base_square_vanishes(s)
+
+
+def test_base_square_sees_one_flipped_sign():
+    # Every single flipped face-edge sign breaks d1 @ d2.  On a boundary
+    # edge the models never see it (no hinge, rigid or spatial stalk
+    # lives there), so only the exact check of the base complex fails.
+    s = surface_of("grid", 3, 3)
+    fe = s.incidences["fe"]
+    for k in range(len(fe.sign)):
+        sign = fe.sign.copy()
+        sign[k] = -sign[k]
+        assert not base_square_vanishes(_with_fe_signs(s, sign))
+    sign = fe.sign.copy()
+    k = np.flatnonzero(~s.interior_edge[fe.lower])[0]
+    sign[k] = -sign[k]
+    checks = analyze_surface(_with_fe_signs(s, sign)).checks
+    assert [name for name, ok in checks.items() if not ok] == ["boundary_squares_vanish"]
 
 
 def test_report_text_contains_verdict():

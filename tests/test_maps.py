@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from foldkin import (
+    CosheafMap,
     ExactSequence,
     base_homology,
     ModelSolution,
     build_exact_sequence,
     build_surface,
     chain_structure,
+    generate,
     hinge_solution,
     hinge_to_spatial,
     hinge_to_truss,
@@ -21,6 +23,7 @@ from foldkin import (
     spatial_solution,
     spatial_to_truss,
     stiffen,
+    surface_from_document,
     transfer_matrix,
     truss_to_spatial,
 )
@@ -30,8 +33,11 @@ from foldkin.cosheaf import cycle_residuals
 from foldkin.maps import _verified_sequence
 from foldkin.models import truss_kernel
 from foldkin.errors import (
+    Degenerate,
     ExactnessViolation,
+    FoldkinError,
     InvalidParams,
+    NaturalityViolation,
     NonRigidMotion,
     NotACycle,
     WellDefinednessViolation,
@@ -193,6 +199,46 @@ def pinned_chain_sequence(n):
 @pytest.mark.parametrize("n", [1, 2, 40])
 def test_pinned_chain_spatial_basis_matches_the_dense_route(n):
     assert_spatial_basis_matches_the_dense_route(pinned_chain_sequence(n))
+
+
+def two_sheets():
+    """Two disjoint ``grid 2 2`` sheets, the second moved clear of the first."""
+    s = surface_of("grid", 2, 2)
+    nv = s.num_vertices
+    return build_surface(np.vstack([s.vertices, s.vertices + [10.0, 0.0, 0.0]]),
+                         list(s.faces) + [tuple(v + nv for v in f) for f in s.faces])
+
+
+LIFT_SURFACES = ORACLE_SURFACES + [
+    (f"chain_{n}", lambda n=n: surface_of("chain", n)) for n in (1, 2, 40, 160)
+] + [("two_sheets", two_sheets)]
+
+
+@pytest.mark.parametrize("roots", ["no_root", "one_face", "two_faces"])
+@pytest.mark.parametrize("make", [m for _, m in LIFT_SURFACES],
+                         ids=[n for n, _ in LIFT_SURFACES])
+def test_tree_lift_matches_the_level_loop(make, roots, rng):
+    # The forest is found once, then stepped level by level; the oracle
+    # rescans every link per level.  Both pick the same tree link for
+    # each face, so the lifts agree bit for bit.
+    s = make()
+    mask = np.zeros(s.num_faces, dtype=bool)
+    mask[{"no_root": [], "one_face": [0],
+          "two_faces": [s.num_faces // 2, s.num_faces - 1]}[roots]] = True
+    rates = rng.normal(size=(s.num_edges, 3))
+    lift = maps._tree_lift(s, mask, rates)
+    assert lift.shape == (s.num_faces, 6, 3)
+    assert np.array_equal(lift, oracles.tree_lift(s, mask, rates))
+
+
+def test_tree_lift_roots_a_free_component_at_its_lowest_face(rng):
+    s = two_sheets()
+    half = s.num_faces // 2
+    pinned = np.zeros(s.num_faces, dtype=bool)
+    pinned[0] = True
+    lift = maps._tree_lift(s, pinned, rng.normal(size=(s.num_edges, 2)))
+    still = np.flatnonzero(np.abs(lift).max(axis=(1, 2)) == 0)
+    assert still.tolist() == [0, half]
 
 
 def test_spatial_basis_certificate_names_a_column_that_is_no_cycle(monkeypatch):
@@ -621,7 +667,7 @@ def test_single_hinge_chain_operator():
 
 
 def test_chain_recurrence_matches_operator(rng):
-    for n in (2, 5):
+    for n in (2, 5, 40, 160):
         s = surface_of("chain", n, seed=11)
         ops = serial_chain_operators(s)
         rates = rng.normal(size=n)
@@ -631,7 +677,7 @@ def test_chain_recurrence_matches_operator(rng):
 
 
 def test_chain_inverse_identities():
-    for n in (1, 4, 7):
+    for n in (1, 4, 7, 40, 160):
         s = surface_of("chain", n, seed=23)
         ops = serial_chain_operators(s)
         n6 = 6 * n
@@ -656,10 +702,106 @@ def test_pinned_chain_runs_the_sequence_checks(monkeypatch):
     s = surface_of("chain", 4, seed=2)
     ops = serial_chain_operators(s)
     direct = ExactSequence._theta_direct
-    monkeypatch.setattr(ExactSequence, "_theta_direct",
-                        lambda seq: direct(seq) + 1e-6)
-    with pytest.raises(ExactnessViolation, match="direct formula"):
-        pinned_chain_connecting_matrix(s, ops)
+    with monkeypatch.context() as patch:
+        patch.setattr(ExactSequence, "_theta_direct", lambda seq: direct(seq) + 1e-6)
+        with pytest.raises(ExactnessViolation, match="direct formula"):
+            pinned_chain_connecting_matrix(s, ops)
+    # The pinned sequence is the only one verified, so its naturality
+    # and exactness checks must run: a quotient map that is off at the
+    # hinges, and a hinge embedding that is zero (natural, but not
+    # injective), are both caught.
+    pi_map = maps._pi_map
+
+    def skewed_pi(rigid, spatial):
+        pi = pi_map(rigid, spatial)
+        return CosheafMap(source=rigid, target=spatial,
+                          components=(pi.components[0], pi.components[1] * (1 + 1e-6),
+                                      pi.components[2]))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(maps, "_pi_map", skewed_pi)
+        with pytest.raises(NaturalityViolation, match="naturality residual"):
+            pinned_chain_connecting_matrix(s, ops)
+    with monkeypatch.context() as patch:
+        patch.setattr(maps, "_iota_map", lambda hinge, rigid: CosheafMap(
+            source=hinge, target=rigid,
+            components=(np.zeros((6, 3)), np.zeros((6, 1)), np.zeros((6, 0)))))
+        with pytest.raises(ExactnessViolation, match="^sequence fails at cell"):
+            pinned_chain_connecting_matrix(s, ops)
+
+
+def test_pinned_chain_verifies_one_sequence(monkeypatch):
+    # The free sequence is neither built nor verified.
+    faces = []
+    verify = maps.verify_exact_sequence
+
+    def recording(iota, pi):
+        faces.append(iota.target.support[2])
+        return verify(iota, pi)
+
+    monkeypatch.setattr(maps, "verify_exact_sequence", recording)
+    monkeypatch.setattr(maps, "build_exact_sequence", None)
+    s = surface_of("chain", 6, seed=4)
+    ops = serial_chain_operators(s)
+    pinned_chain_connecting_matrix(s, ops)
+    assert len(faces) == 1
+    assert not faces[0][ops.chain.face_order[0]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 160])
+def test_chain_operators_match_the_dense_construction(n):
+    s = surface_of("chain", n, seed=n)
+    ops = serial_chain_operators(s)
+    psi, psi_inv, d, d_pinv, gap = oracles.serial_chain_operators(s)
+    for got, want in ((ops.accumulate, psi), (ops.accumulate_inverse, psi_inv),
+                      (ops.d, d), (ops.d_pinv, d_pinv)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert ops.inverse_gap == gap
+
+
+@pytest.mark.parametrize("block", [0, 6, 7, 38])
+def test_chain_inverse_certificate_sees_a_faulty_sub_block(monkeypatch, block):
+    # n = 40 checks its inverse seven block rows at a time, so blocks 6
+    # and 7 sit at the seam of the first two chunks.
+    n = 40
+    s = surface_of("chain", n, seed=3)
+    transfer = maps.transfer_matrix
+
+    def faulty(from_point, to_point):
+        out = transfer(from_point, to_point)
+        if out.shape == (n - 1, 6, 6):  # the sub-diagonal blocks
+            out[block, 4, 1] += 1e-9
+        return out
+
+    monkeypatch.setattr(maps, "transfer_matrix", faulty)
+    with pytest.raises(FoldkinError, match="^chain operator inverse failed"):
+        serial_chain_operators(s)
+
+
+def test_chain_left_inverse_certificate_sees_a_faulty_entry(monkeypatch):
+    einsum = np.einsum
+
+    def faulty(subscripts, *operands, **kwargs):
+        out = einsum(subscripts, *operands, **kwargs)
+        if subscripts == "ia,iajb->ijb":  # d_pinv
+            out[3, 5, 0] += 1e-9
+        return out
+
+    monkeypatch.setattr(np, "einsum", faulty)
+    with pytest.raises(FoldkinError, match="^chain left inverse failed"):
+        serial_chain_operators(surface_of("chain", 40, seed=3))
+
+
+def test_collapsed_hinge_is_rejected_as_degenerate():
+    # A hinge of zero length never reaches the chain operators: building
+    # the surface rejects its edge first.
+    doc = generate("chain", 5, seed=1)
+    s = surface_from_document(doc)
+    u, v = s.edges[chain_structure(s).hinge_order[2]]
+    doc.vertices_coords[v] = list(doc.vertices_coords[u])
+    with pytest.raises(Degenerate, match=rf"^edge \d+ = \({u}, {v}\) has zero length"):
+        surface_from_document(doc)
 
 
 def test_chain_structure_requires_path():
