@@ -60,7 +60,7 @@ from .models import (
     corner_velocities,
 )
 from .spatial import axis_projection, hinge_twist, point_velocity_blocks, transfer_matrix
-from .surface import OrigamiSurface, constant_homology
+from .surface import OrigamiSurface, _dual_forest, constant_homology
 
 CYCLE_TOL = 1e-7
 OBSTRUCTION_TOL = 1e-8
@@ -333,7 +333,7 @@ def _tree_lift(surface: OrigamiSurface, roots: np.ndarray,
     face centroids.
 
     The dual graph has the faces as nodes and the interior edges as
-    links.  Its breadth-first spanning forest (:func:`_dual_forest`)
+    links.  Its breadth-first spanning forest (:func:`surface._dual_forest`)
     grows from the faces in the bool mask ``roots``; a component without
     one is rooted at its lowest-index face.  Roots stand still.  Stepping
     across tree edge ``e`` from face ``f`` to face ``g`` adds
@@ -355,43 +355,6 @@ def _tree_lift(surface: OrigamiSurface, roots: np.ndarray,
     for start, stop in zip(bounds[:-1], bounds[1:]):
         nu[child[start:stop]] = nu[parent[start:stop]] + turns[start:stop]
     return transfer_matrix(np.zeros(3), surface.face_centroids) @ nu
-
-
-def _dual_forest(face: np.ndarray, roots: np.ndarray):
-    """Breadth-first spanning forest of the dual graph whose links join
-    the face pairs ``face`` (one row per link), grown from the faces in
-    the bool mask ``roots``; once those are exhausted, each component
-    still unreached is rooted at its lowest-index face.
-
-    A face at depth ``k + 1`` hangs from the lowest-index link joining
-    it to depth ``k``; roots have depth 0.  Returns ``(links, side,
-    bounds)``: the tree links sorted by the depth of their child face,
-    then by index; the column (0 or 1) of each link's child in ``face``;
-    and the bounds of each depth, so the links into depth ``k + 1`` are
-    ``links[bounds[k]:bounds[k + 1]]``.
-    """
-    neighbours = [[] for _ in roots]
-    for link, (f, g) in enumerate(face.tolist()):
-        neighbours[f].append((link, g, 1))
-        neighbours[g].append((link, f, 0))
-    seen = roots.tolist()
-    tree, frontier, level = [], np.flatnonzero(roots).tolist(), 0
-    while frontier or not all(seen):
-        if not frontier:
-            frontier, level = [seen.index(False)], 0
-            seen[frontier[0]] = True
-        reached = {}
-        for f in frontier:
-            for link, g, side in neighbours[f]:
-                if not seen[g] and (g not in reached or link < reached[g][0]):
-                    reached[g] = (link, side)
-        for g in reached:
-            seen[g] = True
-        tree += [(level, link, side) for link, side in reached.values()]
-        frontier, level = list(reached), level + 1
-    tree = np.array(sorted(tree), dtype=int).reshape(-1, 3)
-    bounds = np.flatnonzero(np.diff(tree[:, 0], prepend=-1, append=-1))
-    return tree[:, 1], tree[:, 2], bounds
 
 
 def build_exact_sequence(surface: OrigamiSurface) -> ExactSequence:
@@ -589,36 +552,26 @@ class SerialChain:
 def chain_structure(surface: OrigamiSurface) -> SerialChain:
     """Discover the path ordering of a chain surface.
 
-    The dual graph (faces joined by interior edges) must be a path; the
-    endpoint with the smaller face index becomes the fixed base.
+    The dual graph (faces joined by interior edges) must be a path: two
+    faces of degree at most 1 and none above 2.  The end with the
+    smaller face index becomes the fixed base, and the dual forest
+    (:func:`surface._dual_forest`) rooted there lists the faces and
+    hinges in path order, one per depth; it must reach every face.
     """
-    interior = surface.interior_edges()
-    adjacency = {f: [] for f in range(surface.num_faces)}
-    for e in interior:
-        f, g = surface.edge_faces[e]
-        adjacency[f].append((g, e))
-        adjacency[g].append((f, e))
-    degrees = {f: len(nbrs) for f, nbrs in adjacency.items()}
-    ends = sorted(f for f, d in degrees.items() if d <= 1)
     if surface.num_faces == 1:
         return SerialChain(surface, [0], [])
-    if len(ends) != 2 or any(d > 2 for d in degrees.values()):
+    fe = surface.incidences["fe"]
+    pairs = surface.dual_links()
+    face = fe.upper[pairs]
+    degree = np.bincount(face.reshape(-1), minlength=surface.num_faces)
+    ends = np.flatnonzero(degree <= 1)
+    if len(ends) != 2 or degree.max() > 2:
         raise InvalidParams("surface is not a serial chain")
-    face_order = [ends[0]]
-    hinge_order = []
-    prev = None
-    while True:
-        here = face_order[-1]
-        step = [(g, e) for g, e in adjacency[here] if g != prev]
-        if not step:
-            break
-        nxt, e = step[0]
-        face_order.append(nxt)
-        hinge_order.append(e)
-        prev = here
-    if len(face_order) != surface.num_faces:
+    links, side, _ = _dual_forest(face, np.arange(surface.num_faces) == ends[0])
+    if len(links) != surface.num_faces - 1:
         raise InvalidParams("chain dual graph is not connected")
-    return SerialChain(surface, face_order, hinge_order)
+    return SerialChain(surface, [int(ends[0])] + face[links, side].tolist(),
+                       fe.lower[pairs[links, 0]].tolist())
 
 
 @dataclass

@@ -9,6 +9,17 @@ incidence as index arrays, assigns centroid coordinates to every cell,
 and validates the span condition on cells (edges have nonzero length,
 faces are planar and not collinear).
 
+Topology is read off the incidence arrays with two graph routines, and
+no walk of its own.  The corners are listed face by face; the edges are
+their distinct vertex pairs, from one sort.  The dual graph has the
+faces as nodes and the interior edges as links, and its breadth-first
+forest (:func:`_dual_forest`) carries each face's flip from its
+component's lowest-index face.  Two corners at a vertex are linked when
+their faces share an interior edge there; the components of that graph
+(:func:`_free_components`) are the vertex's fans, and more than one is a
+pinch.  The same two routines order serial chains, root tree lifts and
+count the components behind base and support homology.
+
 Per-cell geometry is computed in array passes, not cell by cell.  Edge
 triads come from one broadcast :func:`spatial.orthonormal_triad` call.
 Faces have cycles of different lengths, so their corners are laid out
@@ -36,11 +47,6 @@ Cell = tuple[int, int]
 
 # Incidence kinds by name: (dimension of the upper cell, of the lower cell).
 INCIDENCE_DIMS = {"ev": (1, 0), "fe": (2, 1), "fv": (2, 0)}
-
-
-def _face_directed_edges(cycle):
-    k = len(cycle)
-    return [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
 
 
 @dataclass(frozen=True)
@@ -101,10 +107,10 @@ class OrigamiSurface:
         return (self.num_vertices, self.num_edges, self.num_faces)[dim]
 
     def interior_edges(self) -> list[int]:
-        return [e for e in range(self.num_edges) if self.interior_edge[e]]
+        return np.flatnonzero(self.interior_edge).tolist()
 
     def interior_vertices(self) -> list[int]:
-        return [v for v in range(self.num_vertices) if self.interior_vertex[v]]
+        return np.flatnonzero(self.interior_vertex).tolist()
 
     def edge_index(self, u: int, v: int) -> int:
         return self._edge_index[(min(u, v), max(u, v))]
@@ -131,67 +137,7 @@ class OrigamiSurface:
         """The links of the dual graph, whose nodes are the faces: for
         each interior edge in edge order, the positions in the ``fe``
         incidences of its two faces."""
-        fe = self.incidences["fe"]
-        inner = np.flatnonzero(self.interior_edge[fe.lower])
-        return inner[np.argsort(fe.lower[inner], kind="stable")].reshape(-1, 2)
-
-
-def _derive_edges(faces):
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for f, cycle in enumerate(faces):
-        for a, b in _face_directed_edges(cycle):
-            key = (min(a, b), max(a, b))
-            edge_faces.setdefault(key, []).append(f)
-    edges = sorted(edge_faces)
-    return edges, [edge_faces[e] for e in edges]
-
-
-def _orient_faces(faces, edges, edge_faces, edge_index):
-    """Flip face cycles to a consistent global orientation.
-
-    The first face of each connected component keeps its input
-    orientation.  Raises :class:`NonOrientable` when no consistent
-    choice exists.
-    """
-
-    def traversal(cycle, e):
-        u, v = edges[e]
-        for a, b in _face_directed_edges(cycle):
-            if (a, b) == (u, v):
-                return 1
-            if (a, b) == (v, u):
-                return -1
-        raise KeyError
-
-    oriented = [tuple(c) for c in faces]
-    state = [0] * len(faces)  # 0 unseen, 1 fixed
-    face_edge_ids = [
-        [edge_index[(min(a, b), max(a, b))] for a, b in _face_directed_edges(c)]
-        for c in oriented
-    ]
-    for start in range(len(faces)):
-        if state[start]:
-            continue
-        state[start] = 1
-        queue = [start]
-        while queue:
-            f = queue.pop()
-            for e in face_edge_ids[f]:
-                for g in edge_faces[e]:
-                    if g == f:
-                        continue
-                    same = traversal(oriented[f], e) == traversal(oriented[g], e)
-                    if state[g] == 0:
-                        if same:
-                            oriented[g] = tuple(reversed(oriented[g]))
-                        state[g] = 1
-                        queue.append(g)
-                    elif same:
-                        raise NonOrientable(
-                            f"faces {f} and {g} induce the same orientation "
-                            f"on shared edge {edges[e]}"
-                        )
-    return oriented
+        return _dual_links(self.incidences["fe"].lower, self.interior_edge)
 
 
 def _face_layout(fv: Incidences):
@@ -230,38 +176,6 @@ def _check_spans(vertices, edges, edge_vectors, corners):
         raise Degenerate(f"face {f} is not planar (affine rank {rank[f]})")
 
 
-def _interior_vertices(nv, edge_index, faces):
-    """Walk the faces around each vertex, joining two faces when they
-    share an edge there.  The walk must reach every face at the vertex:
-    faces that form several fans meet only at the vertex, a pinch, and
-    raise :class:`NonManifold`.  The vertex is interior when its fan
-    closes: every edge at it lies in two faces."""
-    # Each face at a vertex contributes the two of its edges meeting there.
-    corners = [[] for _ in range(nv)]
-    for cycle in faces:
-        ids = [edge_index[tuple(sorted(p))] for p in _face_directed_edges(cycle)]
-        for i, v in enumerate(cycle):
-            corners[v].append((ids[i - 1], ids[i]))
-    interior = np.zeros(nv, dtype=bool)
-    for v, pairs in enumerate(corners):
-        if not pairs:
-            continue
-        faces_at = {}
-        for k, pair in enumerate(pairs):
-            for e in pair:
-                faces_at.setdefault(e, []).append(k)
-        seen, stack = {0}, [0]
-        while stack:
-            for e in pairs[stack.pop()]:
-                fresh = [k for k in faces_at[e] if k not in seen]
-                seen.update(fresh)
-                stack.extend(fresh)
-        if len(seen) < len(pairs):
-            raise NonManifold(f"the faces at vertex {v} form more than one fan")
-        interior[v] = all(len(ks) == 2 for ks in faces_at.values())
-    return interior
-
-
 def build_surface(vertices, faces) -> OrigamiSurface:
     """Build and validate an origami surface from positions and face cycles.
 
@@ -279,26 +193,24 @@ def build_surface(vertices, faces) -> OrigamiSurface:
         raise Degenerate("vertex array must have shape (n, 3)")
     if not np.all(np.isfinite(vertices)):
         raise Degenerate("vertex positions must be finite")
-    faces = [tuple(int(v) for v in cycle) for cycle in faces]
+    faces = [tuple(cycle) for cycle in faces]
     if not faces:
         raise Degenerate("surface needs at least one face")
     nv = len(vertices)
     for f, cycle in enumerate(faces):
         if len(cycle) < 3 or len(set(cycle)) != len(cycle):
             raise Degenerate(f"face {f} must list at least 3 distinct vertices")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in cycle):
+            raise IndexOutOfRange(f"face {f} lists a vertex id that is not an integer")
         if any(v < 0 or v >= nv for v in cycle):
             raise IndexOutOfRange(f"face {f} references a missing vertex")
+    faces = [tuple(map(int, cycle)) for cycle in faces]
 
-    edges, edge_faces = _derive_edges(faces)
-    for i, fs in enumerate(edge_faces):
-        if len(fs) > 2:
-            raise NonManifold(f"edge {edges[i]} lies in {len(fs)} faces")
-
-    edge_index = {e: i for i, e in enumerate(edges)}
-    faces = _orient_faces(faces, edges, edge_faces, edge_index)
-    incidences, triples = _incidence_arrays(edges, faces)
+    edges, edge_faces, faces, interior_edge, incidences, triples = \
+        _oriented_incidences(nv, faces)
     corners, live = _face_layout(incidences["fv"])
-    ends = vertices[np.array(edges)]
+    ends = vertices[incidences["ev"].lower.reshape(-1, 2)]
     edge_vectors = ends[:, 1] - ends[:, 0]
     _check_spans(vertices, edges, edge_vectors, corners)
 
@@ -306,8 +218,7 @@ def build_surface(vertices, faces) -> OrigamiSurface:
         dict(zip(zip(inc.lower.tolist(), inc.upper.tolist()), inc.sign.tolist()))
         for inc in (incidences["ev"], incidences["fe"]))
 
-    interior_edge = np.array([len(fs) == 2 for fs in edge_faces])
-    interior_vertex = _interior_vertices(nv, edge_index, faces)
+    interior_vertex = _vertex_fans(nv, incidences, triples, interior_edge)
     corner_sum = np.where(live[:, :, None], vertices[corners], 0.0).sum(axis=1)
     return OrigamiSurface(
         vertices=vertices,
@@ -325,37 +236,125 @@ def build_surface(vertices, faces) -> OrigamiSurface:
         edge_triads=orthonormal_triad(edge_vectors),
         edge_midpoints=0.5 * (ends[:, 0] + ends[:, 1]),
         face_centroids=corner_sum / live.sum(axis=1)[:, None],
-        _edge_index=edge_index,
+        _edge_index={e: i for i, e in enumerate(edges)},
     )
 
 
-def _incidence_arrays(edges, faces):
-    """The ev, fe and fv incidences, ordered as :class:`Incidences` says,
-    and every vertex < edge < face chain as positions in those three."""
-    pairs = np.array(edges)
-    ev = Incidences(upper=np.repeat(np.arange(len(edges)), 2),
-                    lower=pairs.reshape(-1), sign=np.tile([-1, 1], len(edges)))
+def _oriented_incidences(nv, faces):
+    """Edges, the faces on each edge, the oriented face cycles, the
+    interior-edge mask, the incidences and the triples of ``faces``.
+
+    The corners are listed face by face in cycle order.  The edges are
+    the distinct sorted vertex pairs of consecutive corners, from one
+    sort whose inverse is the edge each corner leaves by.  A face's flip
+    is its parent's in the dual forest (:func:`_dual_forest`, no roots),
+    toggled when the two run their shared edge the same way, so each
+    component's lowest-index face keeps its cycle.  Raises
+    :class:`NonManifold` at an edge in more than two faces, then
+    :class:`NonOrientable` at a dual link whose faces still run their
+    edge the same way.
+    """
     sizes = np.array([len(c) for c in faces])
     corner = np.arange(sizes.sum())
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    nxt = first + (corner - first + 1) % np.repeat(sizes, sizes)
+    size = np.repeat(sizes, sizes)
+    slot = corner - first
+    nxt = first + (slot + 1) % size
     face = np.repeat(np.arange(len(faces)), sizes)
     start = np.concatenate(faces)
     end = start[nxt]
-    # Edges are sorted pairs, so their keys sort the same way.
-    base = pairs.max() + 1
-    edge = np.searchsorted(pairs @ [base, 1],
-                           np.minimum(start, end) * base + np.maximum(start, end))
+    keys, edge, counts = np.unique(np.minimum(start, end) * nv + np.maximum(start, end),
+                                   return_inverse=True, return_counts=True)
+    pairs = np.stack([keys // nv, keys % nv], axis=1)
+    edges = list(map(tuple, pairs.tolist()))
+    crowded = np.flatnonzero(counts > 2)
+    if crowded.size:
+        e = crowded[0]
+        raise NonManifold(f"edge {edges[e]} lies in {counts[e]} faces")
+    grouped = face[np.argsort(edge, kind="stable")].tolist()
+    stops = np.cumsum(counts).tolist()
+    edge_faces = [grouped[stop - n:stop] for stop, n in zip(stops, counts.tolist())]
+
+    interior = counts == 2
+    links = _dual_links(edge, interior)
+    linked = face[links]
     forward = start < end
+    same = forward[links[:, 0]] == forward[links[:, 1]]
+    tree, side, levels = _dual_forest(linked, np.zeros(len(faces), dtype=bool))
+    child, parent = linked[tree, side], linked[tree, 1 - side]
+    flip = np.zeros(len(faces), dtype=bool)
+    for lo, hi in zip(levels[:-1], levels[1:]):
+        flip[child[lo:hi]] = flip[parent[lo:hi]] ^ same[tree[lo:hi]]
+    clash = np.flatnonzero(same ^ flip[linked[:, 0]] ^ flip[linked[:, 1]])
+    if clash.size:
+        (f, g), e = linked[clash[0]], edge[links[clash[0], 0]]
+        raise NonOrientable(f"faces {f} and {g} induce the same orientation "
+                            f"on shared edge {edges[e]}")
+    # A turned cycle lists its corners backwards, so its corner at slot
+    # j is the input's at -1 - j and leaves by the input's edge at -2 - j.
+    turned = flip[face]
+    start = start[np.where(turned, first + size - 1 - slot, corner)]
+    edge = edge[np.where(turned, first + (size - 2 - slot) % size, corner)]
+    faces = [c[::-1] if r else c for c, r in zip(faces, flip.tolist())]
+    return (edges, edge_faces, faces, interior,
+            *_incidence_arrays(pairs, face, start, nxt, edge))
+
+
+def _incidence_arrays(pairs, face, start, nxt, edge):
+    """The ev, fe and fv incidences, ordered as :class:`Incidences` says,
+    and every vertex < edge < face chain as positions in those three:
+    with ``n`` face-edge pairs, rows ``i`` and ``n + i`` are the chains
+    through pair ``i`` and its edge's lower and upper end.
+
+    ``pairs`` holds the edges' sorted vertex pairs; ``face``, ``start``,
+    ``nxt`` and ``edge`` give each corner's face, vertex, the position
+    of the next corner of its cycle and the edge it leaves by."""
+    ev = Incidences(upper=np.repeat(np.arange(len(pairs)), 2),
+                    lower=pairs.reshape(-1), sign=np.tile([-1, 1], len(pairs)))
+    forward = start < start[nxt]
     fe = Incidences(upper=face, lower=edge, sign=np.where(forward, 1, -1))
     fv = Incidences(upper=face, lower=start, sign=np.ones_like(face))
     # A face-edge pair leaves its own corner and enters the next one; the
     # edge's lower endpoint is whichever of the two has the smaller id.
+    corner = np.arange(len(start))
     low = np.where(forward, corner, nxt)
     high = np.where(forward, nxt, corner)
     triples = np.concatenate([np.stack([2 * edge, corner, low], axis=1),
                               np.stack([2 * edge + 1, corner, high], axis=1)])
     return {"ev": ev, "fe": fe, "fv": fv}, triples
+
+
+def _dual_links(edge, interior):
+    """The links of the dual graph: for each interior edge in edge
+    order, the positions in ``edge`` (the edge of each face-edge pair)
+    of its two faces."""
+    inner = np.flatnonzero(interior[edge])
+    return inner[np.argsort(edge[inner], kind="stable")].reshape(-1, 2)
+
+
+def _vertex_fans(nv, incidences, triples, interior_edge):
+    """Interior-vertex mask; raises :class:`NonManifold` at a pinch.
+
+    Two corners (``fv`` incidences) at a vertex are linked when their
+    faces share an interior edge there: the corners at one end of the
+    edge, in the triples of a dual link's two face-edge pairs.  The
+    components of that graph (:func:`_free_components`) are the fans.
+    A vertex whose corners form more than one fan is a pinch: its faces
+    meet only at the vertex.  A vertex is interior when it has a corner
+    and no boundary edge touches it.
+    """
+    ev, fe, fv = incidences["ev"], incidences["fe"], incidences["fv"]
+    at_end = triples[:, 2].reshape(2, -1)
+    links = at_end[:, _dual_links(fe.lower, interior_edge)].reshape(-1, 2)
+    num = len(fv.lower)
+    labels, _ = _free_components(num, links, np.zeros(num, dtype=bool))
+    fans = np.bincount(fv.lower[labels == np.arange(num)], minlength=nv)
+    pinch = np.flatnonzero(fans > 1)
+    if pinch.size:
+        raise NonManifold(f"the faces at vertex {pinch[0]} form more than one fan")
+    interior = fans > 0
+    interior[ev.lower[~interior_edge[ev.upper]]] = False
+    return interior
 
 
 def _free_components(num_nodes: int, ends: np.ndarray, blocked: np.ndarray):
@@ -378,6 +377,48 @@ def _free_components(num_nodes: int, ends: np.ndarray, blocked: np.ndarray):
     hit = np.zeros(num_nodes, dtype=bool)
     hit[labels[blocked]] = True
     return labels, np.flatnonzero((labels == np.arange(num_nodes)) & ~hit)
+
+
+def _dual_forest(face: np.ndarray, roots: np.ndarray):
+    """Breadth-first spanning forest of the dual graph whose links join
+    the face pairs ``face`` (one row per link), grown from the faces in
+    the bool mask ``roots``; once those are exhausted, each component
+    still unreached is rooted at its lowest-index face.
+
+    A face at depth ``k + 1`` hangs from the lowest-index link joining
+    it to depth ``k``; roots have depth 0.  Returns ``(links, side,
+    bounds)``: the tree links sorted by the depth of their child face,
+    then by index; the column (0 or 1) of each link's child in ``face``;
+    and the bounds of each depth, so the links into depth ``k + 1`` are
+    ``links[bounds[k]:bounds[k + 1]]``.
+
+    It is the one walk over the dual graph.  With no roots it carries
+    the face flips of :func:`build_surface`; rooted at pinned faces it
+    is the tree of :func:`maps._tree_lift`; rooted at one end of a path
+    it orders :func:`maps.chain_structure`.
+    """
+    neighbours = [[] for _ in roots]
+    for link, (f, g) in enumerate(face.tolist()):
+        neighbours[f].append((link, g, 1))
+        neighbours[g].append((link, f, 0))
+    seen = roots.tolist()
+    tree, frontier, level = [], np.flatnonzero(roots).tolist(), 0
+    while frontier or not all(seen):
+        if not frontier:
+            frontier, level = [seen.index(False)], 0
+            seen[frontier[0]] = True
+        reached = {}
+        for f in frontier:
+            for link, g, side in neighbours[f]:
+                if not seen[g] and (g not in reached or link < reached[g][0]):
+                    reached[g] = (link, side)
+        for g in reached:
+            seen[g] = True
+        tree += [(level, link, side) for link, side in reached.values()]
+        frontier, level = list(reached), level + 1
+    tree = np.array(sorted(tree), dtype=int).reshape(-1, 3)
+    bounds = np.flatnonzero(np.diff(tree[:, 0], prepend=-1, append=-1))
+    return tree[:, 1], tree[:, 2], bounds
 
 
 def constant_homology(surface: OrigamiSurface, support=(True, True, True)):

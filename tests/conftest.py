@@ -63,6 +63,43 @@ BOWTIE = {
 }
 
 
+def moebius_band(k=6):
+    """Vertices and faces of a triangulated Moebius strip: ``2k``
+    triangles around a loop, closed with a half twist."""
+    verts = []
+    for i in range(k):
+        angle = np.pi * i / k
+        twist = angle / 2
+        center = np.array([np.cos(2 * angle), np.sin(2 * angle), 0.0])
+        arm = np.array([np.cos(2 * angle) * np.cos(twist),
+                        np.sin(2 * angle) * np.cos(twist),
+                        np.sin(twist)])
+        verts.append(center + 0.4 * arm)
+        verts.append(center - 0.4 * arm)
+    faces = []
+    for i in range(k):
+        a, b = 2 * i, 2 * i + 1
+        if i < k - 1:
+            c, d = 2 * i + 2, 2 * i + 3
+        else:
+            c, d = 1, 0  # identify with a flip
+        faces.append([a, b, c])
+        faces.append([b, d, c])
+    return np.array(verts), faces
+
+
+def disjoint_union(*parts):
+    """Vertices and faces of the ``(vertices, faces)`` parts side by
+    side: each part's vertices are renumbered after the previous ones
+    and moved 10 further along x."""
+    verts, faces, offset = [], [], 0
+    for i, (v, fs) in enumerate(parts):
+        verts.append(np.asarray(v, dtype=float) + [10.0 * i, 0.0, 0.0])
+        faces += [[offset + int(x) for x in cycle] for cycle in fs]
+        offset += len(v)
+    return np.vstack(verts), faces
+
+
 def one_face():
     """A single triangle: no interior edge, so no hinge class and no loop."""
     return build_surface([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 1.0, 0.0]],

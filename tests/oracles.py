@@ -10,7 +10,12 @@ geometry at a time where the library runs one array pass over every
 cell.  The level-by-level tree lift rescans every dual link at each
 level where the library finds its forest once, and the dense chain
 operators form every ``(6n, 6n)`` product where the library writes and
-checks a few block rows at a time.  Tests compare the two.
+checks a few block rows at a time.  The topology walks answer each graph
+question of surface construction with a walk of its own: a depth-first
+orientation, a fan walk around every vertex, an edge dict and an
+adjacency-dict chain walk, and they list the incidences one cell at a
+time; the library reads all of it off the sorted corner arrays, the
+dual forest and one component labelling.  Tests compare the two.
 """
 
 import numpy as np
@@ -23,7 +28,14 @@ from foldkin import (
     homology_basis,
     induced_map,
 )
-from foldkin.errors import Degenerate, DegenerateFace, FoldkinError, InvalidParams
+from foldkin.errors import (
+    Degenerate,
+    DegenerateFace,
+    FoldkinError,
+    InvalidParams,
+    NonManifold,
+    NonOrientable,
+)
 from foldkin.linalg import RANK_TOL, nullspace, svd_rank
 from foldkin.maps import _hinge_lines, chain_structure
 from foldkin.spatial import hinge_twist, transfer_matrix
@@ -252,3 +264,171 @@ def stiffen(surface):
     corner_slot = np.concatenate([np.arange(len(g)) for g in groups])
     return (points, bars, list(range(nv, len(points))), corner_face,
             np.concatenate(groups), corner_slot)
+
+
+# --- topology walks ---
+
+def face_directed_edges(cycle):
+    k = len(cycle)
+    return [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
+
+
+def derive_edges(faces):
+    """Sorted edges and, per edge, the faces on it in face order."""
+    edge_faces = {}
+    for f, cycle in enumerate(faces):
+        for a, b in face_directed_edges(cycle):
+            edge_faces.setdefault((min(a, b), max(a, b)), []).append(f)
+    edges = sorted(edge_faces)
+    return edges, [edge_faces[e] for e in edges]
+
+
+def orient_faces(faces, edges, edge_faces, edge_index):
+    """Flip face cycles to a consistent global orientation by a
+    depth-first walk; the first face of each component keeps its cycle.
+    Raises :class:`NonOrientable` when no consistent choice exists."""
+
+    def traversal(cycle, e):
+        u, v = edges[e]
+        for a, b in face_directed_edges(cycle):
+            if (a, b) == (u, v):
+                return 1
+            if (a, b) == (v, u):
+                return -1
+        raise KeyError
+
+    oriented = [tuple(c) for c in faces]
+    state = [0] * len(faces)  # 0 unseen, 1 fixed
+    face_edge_ids = [
+        [edge_index[(min(a, b), max(a, b))] for a, b in face_directed_edges(c)]
+        for c in oriented
+    ]
+    for start in range(len(faces)):
+        if state[start]:
+            continue
+        state[start] = 1
+        queue = [start]
+        while queue:
+            f = queue.pop()
+            for e in face_edge_ids[f]:
+                for g in edge_faces[e]:
+                    if g == f:
+                        continue
+                    same = traversal(oriented[f], e) == traversal(oriented[g], e)
+                    if state[g] == 0:
+                        if same:
+                            oriented[g] = tuple(reversed(oriented[g]))
+                        state[g] = 1
+                        queue.append(g)
+                    elif same:
+                        raise NonOrientable(
+                            f"faces {f} and {g} induce the same orientation "
+                            f"on shared edge {edges[e]}"
+                        )
+    return oriented
+
+
+def interior_vertices(nv, edge_index, faces):
+    """Walk the faces around each vertex, joining two faces when they
+    share an edge there.  Faces that form several fans raise
+    :class:`NonManifold`; the vertex is interior when every edge at it
+    lies in two faces."""
+    corners = [[] for _ in range(nv)]
+    for cycle in faces:
+        ids = [edge_index[tuple(sorted(p))] for p in face_directed_edges(cycle)]
+        for i, v in enumerate(cycle):
+            corners[v].append((ids[i - 1], ids[i]))
+    interior = np.zeros(nv, dtype=bool)
+    for v, pairs in enumerate(corners):
+        if not pairs:
+            continue
+        faces_at = {}
+        for k, pair in enumerate(pairs):
+            for e in pair:
+                faces_at.setdefault(e, []).append(k)
+        seen, stack = {0}, [0]
+        while stack:
+            for e in pairs[stack.pop()]:
+                fresh = [k for k in faces_at[e] if k not in seen]
+                seen.update(fresh)
+                stack.extend(fresh)
+        if len(seen) < len(pairs):
+            raise NonManifold(f"the faces at vertex {v} form more than one fan")
+        interior[v] = all(len(ks) == 2 for ks in faces_at.values())
+    return interior
+
+
+def incidence_arrays(edges, faces):
+    """The ev, fe and fv incidences as ``(upper, lower, sign)`` rows and
+    the vertex < edge < face triples, one cell at a time."""
+    index = {e: i for i, e in enumerate(edges)}
+    ev = [(e, v, s) for e, pair in enumerate(edges) for v, s in zip(pair, (-1, 1))]
+    fe, fv, low, high = [], [], [], []
+    for f, cycle in enumerate(faces):
+        for i, (a, b) in enumerate(face_directed_edges(cycle)):
+            here = len(fv)
+            there = here - i + (i + 1) % len(cycle)
+            e = index[(min(a, b), max(a, b))]
+            fe.append((f, e, 1 if a < b else -1))
+            fv.append((f, a, 1))
+            low.append((2 * e, here, here if a < b else there))
+            high.append((2 * e + 1, here, there if a < b else here))
+    rows = {"ev": ev, "fe": fe, "fv": fv}
+    return {kind: np.array(r).T for kind, r in rows.items()}, np.array(low + high)
+
+
+def topology(nv, faces):
+    """Everything :func:`foldkin.build_surface` derives from the face
+    cycles alone, by the walks, with its checks in its order (the span
+    check aside)."""
+    faces = [tuple(int(v) for v in cycle) for cycle in faces]
+    edges, edge_faces = derive_edges(faces)
+    for i, fs in enumerate(edge_faces):
+        if len(fs) > 2:
+            raise NonManifold(f"edge {edges[i]} lies in {len(fs)} faces")
+    edge_index = {e: i for i, e in enumerate(edges)}
+    faces = orient_faces(faces, edges, edge_faces, edge_index)
+    incidences, triples = incidence_arrays(edges, faces)
+    k = max(len(c) for c in faces)
+    return {
+        "edges": edges,
+        "edge_faces": edge_faces,
+        "faces": faces,
+        "interior_edge": np.array([len(fs) == 2 for fs in edge_faces]),
+        "interior_vertex": interior_vertices(nv, edge_index, faces),
+        "incidences": incidences,
+        "incidence_triples": triples,
+        "face_corners": np.array([list(c) + [c[0]] * (k - len(c)) for c in faces]),
+    }
+
+
+def chain_walk(surface):
+    """Face and hinge order of a chain surface, walked from the end with
+    the smaller face index along an adjacency dict."""
+    interior = surface.interior_edges()
+    adjacency = {f: [] for f in range(surface.num_faces)}
+    for e in interior:
+        f, g = surface.edge_faces[e]
+        adjacency[f].append((g, e))
+        adjacency[g].append((f, e))
+    degrees = {f: len(nbrs) for f, nbrs in adjacency.items()}
+    ends = sorted(f for f, d in degrees.items() if d <= 1)
+    if surface.num_faces == 1:
+        return [0], []
+    if len(ends) != 2 or any(d > 2 for d in degrees.values()):
+        raise InvalidParams("surface is not a serial chain")
+    face_order = [ends[0]]
+    hinge_order = []
+    prev = None
+    while True:
+        here = face_order[-1]
+        step = [(g, e) for g, e in adjacency[here] if g != prev]
+        if not step:
+            break
+        nxt, e = step[0]
+        face_order.append(nxt)
+        hinge_order.append(e)
+        prev = here
+    if len(face_order) != surface.num_faces:
+        raise InvalidParams("chain dual graph is not connected")
+    return face_order, hinge_order

@@ -47,7 +47,9 @@ from foldkin.linalg import nullspace, subspace_residual, svd_rank
 import oracles
 from conftest import (
     ORACLE_SURFACES,
+    disjoint_union,
     jessen,
+    one_face,
     scaled,
     square_hole_grid,
     surface_of,
@@ -805,8 +807,19 @@ def test_collapsed_hinge_is_rejected_as_degenerate():
 
 
 def test_chain_structure_requires_path():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="^surface is not a serial chain$"):
         chain_structure(surface_of("grid", 2, 2))
+
+
+@pytest.mark.parametrize("parts", [
+    # Two ends and no face of degree 3, but the ring is a second component.
+    lambda: [surface_of("chain", 2), surface_of("annulus", 1, 8)],
+    lambda: 2 * [one_face()],
+], ids=["chain_and_ring", "two_triangles"])
+def test_chain_structure_requires_one_component(parts):
+    s = build_surface(*disjoint_union(*((p.vertices, p.faces) for p in parts())))
+    with pytest.raises(InvalidParams, match="^chain dual graph is not connected$"):
+        chain_structure(s)
 
 
 def test_chain_solutions_live_in_hinge_space():

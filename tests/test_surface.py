@@ -1,11 +1,27 @@
 import numpy as np
 import pytest
 
-from foldkin import base_homology, build_surface
-from foldkin.errors import Degenerate, IndexOutOfRange, NonManifold, NonOrientable
+from foldkin import base_homology, build_surface, chain_structure
+from foldkin.errors import (
+    Degenerate,
+    FoldkinError,
+    IndexOutOfRange,
+    InvalidParams,
+    NonManifold,
+    NonOrientable,
+)
 
 import oracles
-from conftest import BOWTIE, square_hole_grid, surface_of, two_triangles
+from conftest import (
+    BOWTIE,
+    ORACLE_SURFACES,
+    disjoint_union,
+    moebius_band,
+    square_hole_grid,
+    surface_of,
+    two_panels,
+    two_triangles,
+)
 
 
 def grid_surface(rows, cols):
@@ -47,11 +63,16 @@ def test_zero_length_edge_is_degenerate():
         build_surface(verts, [[0, 1, 2]])
 
 
+# Three triangles on edge (0, 1).
+THREE_ON_AN_EDGE = ([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0.3], [0.5, 0.2, 1.1]],
+                    [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+
+TRIANGLE = ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 1.0, 0.2]], [[0, 1, 2]])
+
+
 def test_three_faces_on_one_edge_is_nonmanifold():
-    verts = [[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0.3], [0.5, 0.2, 1.1]]
-    faces = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
-    with pytest.raises(NonManifold):
-        build_surface(verts, faces)
+    with pytest.raises(NonManifold, match=r"^edge \(0, 1\) lies in 3 faces$"):
+        build_surface(*THREE_ON_AN_EDGE)
 
 
 def test_pinched_vertex_is_nonmanifold():
@@ -60,29 +81,33 @@ def test_pinched_vertex_is_nonmanifold():
 
 
 def test_moebius_band_is_nonorientable():
-    # Triangulated Moebius strip: 6 outer triangles with a half twist.
-    k = 6
-    verts = []
-    for i in range(k):
-        angle = np.pi * i / k
-        twist = angle / 2
-        center = np.array([np.cos(2 * angle), np.sin(2 * angle), 0.0])
-        arm = np.array([np.cos(2 * angle) * np.cos(twist),
-                        np.sin(2 * angle) * np.cos(twist),
-                        np.sin(twist)])
-        verts.append(center + 0.4 * arm)
-        verts.append(center - 0.4 * arm)
-    faces = []
-    for i in range(k):
-        a, b = 2 * i, 2 * i + 1
-        if i < k - 1:
-            c, d = 2 * i + 2, 2 * i + 3
-        else:
-            c, d = 1, 0  # identify with a flip
-        faces.append([a, b, c])
-        faces.append([b, d, c])
+    # The dual graph is one loop of 12 faces; the breadth-first fronts
+    # from face 0 meet at faces 6 and 7, which share edge (7, 8).
+    verts, faces = moebius_band()
+    with pytest.raises(NonOrientable, match=r"^faces 6 and 7 induce the same "
+                                            r"orientation on shared edge \(7, 8\)$"):
+        build_surface(verts, faces)
+
+
+def test_orientation_is_checked_before_the_spans():
+    # A Moebius band beside a triangle with collinear corners.
+    verts, faces = disjoint_union(moebius_band(),
+                                  ([[0, 0, 0], [1, 1, 1], [2, 2, 2]], [[0, 1, 2]]))
     with pytest.raises(NonOrientable):
         build_surface(verts, faces)
+
+
+@pytest.mark.parametrize("cycle", [(0, 1.9, 2), (0, 1.0, 2), (False, True, 2), ("0", 1, 2)],
+                         ids=["fraction", "float", "bool", "string"])
+def test_vertex_ids_must_be_integers(cycle):
+    with pytest.raises(IndexOutOfRange, match="^face 0 lists a vertex id that is not"):
+        build_surface(TRIANGLE[0], [cycle])
+
+
+def test_numpy_integer_vertex_ids_are_accepted():
+    s = build_surface(TRIANGLE[0], np.array(TRIANGLE[1], dtype=np.int32))
+    assert s.faces == [(0, 1, 2)]
+    assert all(type(v) is int for v in s.faces[0])
 
 
 def test_grid_3x3_hand_count():
@@ -173,3 +198,81 @@ def test_centroids():
 def test_face_referencing_missing_vertex():
     with pytest.raises(IndexOutOfRange):
         build_surface([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 99]])
+
+
+# --- the topology walks ---
+
+def _given(make):
+    """A built surface's vertices and oriented faces, as new input."""
+    s = make()
+    return s.vertices, s.faces
+
+
+CHAINS = [(f"chain_{n}", lambda n=n: surface_of("chain", n, seed=n)) for n in (1, 2, 40, 160)]
+
+TOPOLOGY_INPUTS = [(name, lambda make=make: _given(make))
+                   for name, make in ORACLE_SURFACES + CHAINS] + [
+    ("two_triangles", lambda: _given(two_triangles)),
+    ("two_panels", lambda: _given(two_panels)),
+    ("moebius", moebius_band),
+    ("bowtie", lambda: (BOWTIE["vertices_coords"], BOWTIE["faces_vertices"])),
+    ("three_on_an_edge", lambda: THREE_ON_AN_EDGE),
+    ("chain_and_ring", lambda: disjoint_union(_given(lambda: surface_of("chain", 2)),
+                                              _given(lambda: surface_of("annulus", 1, 8)))),
+    ("two_triangles_apart", lambda: disjoint_union(TRIANGLE, TRIANGLE)),
+]
+
+
+def _varied(vertices, faces, how):
+    """The same surface given another way: some cycles reversed, every
+    cycle started at another corner, or the vertices relabelled."""
+    rng = np.random.default_rng(len(faces))
+    faces = [list(c) for c in faces]
+    if how == "reversed":
+        faces = [c[::-1] if r else c for c, r in zip(faces, rng.random(len(faces)) < 0.5)]
+    elif how == "rotated":
+        faces = [c[k:] + c[:k] for c, k in zip(faces, rng.integers(0, 3, len(faces)))]
+    elif how == "relabelled":
+        label = rng.permutation(len(vertices))
+        moved = np.empty_like(np.asarray(vertices, dtype=float))
+        moved[label] = vertices
+        vertices, faces = moved, [[int(label[v]) for v in c] for c in faces]
+    return vertices, faces
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except FoldkinError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("how", ["as_given", "reversed", "rotated", "relabelled"])
+@pytest.mark.parametrize("make", [m for _, m in TOPOLOGY_INPUTS],
+                         ids=[n for n, _ in TOPOLOGY_INPUTS])
+def test_topology_matches_the_walks(make, how):
+    vertices, faces = _varied(*make(), how)
+    s = _outcome(build_surface, vertices, faces)
+    want = _outcome(oracles.topology, len(vertices), faces)
+    if isinstance(want, FoldkinError):
+        # The dual forest meets a twist elsewhere than the depth-first
+        # walk does, so only the orientation message may differ.
+        assert type(s) is type(want)
+        if not isinstance(want, NonOrientable):
+            assert str(s) == str(want)
+        return
+    for name in ("edges", "edge_faces", "faces"):
+        assert getattr(s, name) == want[name], name
+    for name in ("interior_edge", "interior_vertex", "incidence_triples", "face_corners"):
+        got = getattr(s, name)
+        assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
+    for kind, (upper, lower, sign) in want["incidences"].items():
+        inc = s.incidences[kind]
+        assert np.array_equal(inc.upper, upper), kind
+        assert np.array_equal(inc.lower, lower), kind
+        assert np.array_equal(inc.sign, sign), kind
+    chain, walk = _outcome(chain_structure, s), _outcome(oracles.chain_walk, s)
+    if isinstance(walk, InvalidParams):
+        assert type(chain) is InvalidParams and str(chain) == str(walk)
+    else:
+        assert (chain.face_order, chain.hinge_order) == walk
