@@ -29,8 +29,9 @@ def _keep(s: np.ndarray, scale: float) -> np.ndarray:
     return s > RANK_TOL * np.maximum(s[..., :1], scale)
 
 
-def svd_rank(a, *, scale: float = 0.0) -> int:
-    """Numerical rank with a relative singular-value cutoff.
+def svd_rank(a, *, scale: float = 0.0):
+    """Numerical rank with a relative singular-value cutoff, from the
+    singular values alone; a stack gives one rank per matrix.
 
     ``scale`` optionally anchors the cutoff: singular values must exceed
     ``RANK_TOL * max(largest, scale)``.  Pass the natural magnitude of a
@@ -41,10 +42,8 @@ def svd_rank(a, *, scale: float = 0.0) -> int:
     a = _as_matrix(a)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(_keep(s, scale)))
+    rank = _keep(np.linalg.svd(a, compute_uv=False), scale).sum(axis=-1)
+    return int(rank) if a.ndim == 2 else rank
 
 
 def nullspace(a, *, scale: float = 0.0) -> np.ndarray:

@@ -471,7 +471,7 @@ def spatial_to_truss(linkage: StiffenedLinkage, sol: ModelSolution,
         raise WellDefinednessViolation(
             f"vertex {linkage.corner_point[c]} velocity differs across faces "
             f"by {gaps[c]:.3e}")
-    residual = float(np.max(np.abs(linkage.matrix @ y), initial=0.0))
+    residual = float(np.max(np.abs(linkage.stretch(y)), initial=0.0))
     return ModelSolution(model="truss", coefficients=y, residual=residual)
 
 
@@ -490,7 +490,7 @@ def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
         raise NotACycle(
             f"expected {3 * linkage.num_points} coordinates, got {y.shape}")
     _require_finite("truss", y)
-    residual = float(np.max(np.abs(linkage.matrix @ y), initial=0.0))
+    residual = float(np.max(np.abs(linkage.stretch(y)), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(y), initial=0.0)))
     if residual > cycle_tol * scale:
         raise NotACycle(f"truss vector stretches a bar (residual {residual:.3e})")
@@ -602,7 +602,8 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     The accumulation operator is written block row by block row into its
     ``(n, 6, n, 6)`` layout, in chunks of about ``sqrt(n)`` block rows,
     and the inverse is checked chunk by chunk as it is written, so no
-    temporary is as large as an operator.
+    temporary is as large as an operator.  ``d`` is written from the same
+    chunks, and ``d_pinv @ d`` from the two block diagonals of ``d_pinv``.
     """
     chain = chain_structure(surface)
     n = chain.num_hinges
@@ -625,7 +626,10 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     # Block (i, j): hinge e_{j+1} seen from body f_{i+1}, zero for j > i.
     # Block row i of psi_inv @ psi is diag[i] @ (block row i of psi)
     # + sub[i - 1] @ (block row i - 1); both vanish right of block i.
+    # d = psi @ iota takes the same blocks, iota holding one twist each.
+    twists = hinge_twist(surface.edge_triads[hinges, 0])
     psi = np.zeros((n, 6, n, 6))
+    d = np.zeros((n, 6, n))
     size = inverse_gap = 0.0
     step = int(np.ceil(np.sqrt(n)))
     for lo in range(0, n, step):
@@ -633,6 +637,7 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
         blocks = transfer_matrix(p_edge[:hi], p_face[lo + 1:hi + 1, None])
         blocks[idx[:hi] > idx[lo:hi, None]] = 0.0
         psi[lo:hi, :, :hi] = blocks.transpose(0, 2, 1, 3)
+        d[lo:hi, :, :hi] = np.einsum("iajb,jb->iaj", psi[lo:hi, :, :hi], twists[:hi])
         size = max(size, np.abs(blocks).max())
         first = max(lo, 1)
         product = diag[lo:hi] @ psi[lo:hi, :, :hi].reshape(hi - lo, 6, 6 * hi)
@@ -643,16 +648,24 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     if inverse_gap > 1e-12 * max(1.0, size):
         raise FoldkinError(f"chain operator inverse failed ({inverse_gap:.3e})")
 
-    # iota is block diagonal, one hinge twist per block.
-    twists = hinge_twist(surface.edge_triads[hinges, 0])
-    d = np.einsum("rjb,jb->rj", psi.reshape(6 * n, n, 6), twists)
-    d_pinv = np.einsum("ia,iajb->ijb", twists, psi_inv).reshape(n, 6 * n)
-    gap = np.max(np.abs(d_pinv @ d - np.eye(n)))
-    if gap > 1e-11 * max(1.0, np.max(np.abs(d))):
+    # Row i of d_pinv @ d reads block rows i - 1 and i of d, d_pinv's two
+    # block diagonals.  Laid flat, those are runs of 12 entries 6n + 6
+    # apart, so the entries between them are one strided view; each would
+    # add at most 6n |entry| max |d|.
+    d_pinv = np.einsum("ia,iajb->ijb", twists, psi_inv)
+    product = np.einsum("ib,ibk->ik", d_pinv[idx, idx], d)
+    product[1:] += np.einsum("ib,ibk->ik", d_pinv[idx[1:], idx[:-1]], d[:-1])
+    product[idx, idx] -= 1.0
+    off = d_pinv.reshape(-1)[6:].reshape(n - 1, 6 * n + 6)[:, :6 * n - 6]
+    reach = np.abs(d).max()
+    gap = (np.abs(product).max()
+           + 6 * n * max(off.max(initial=0.0), -off.min(initial=0.0)) * reach)
+    if gap > 1e-11 * max(1.0, reach):
         raise FoldkinError(f"chain left inverse failed ({gap:.3e})")
     return SerialChainOperators(chain=chain, accumulate=psi.reshape(6 * n, 6 * n),
                                 accumulate_inverse=psi_inv.reshape(6 * n, 6 * n),
-                                d=d, d_pinv=d_pinv, inverse_gap=inverse_gap)
+                                d=d.reshape(6 * n, n), d_pinv=d_pinv.reshape(n, 6 * n),
+                                inverse_gap=inverse_gap)
 
 
 def propagate_chain(ops: SerialChainOperators, rates) -> np.ndarray:

@@ -29,8 +29,8 @@ from .cosheaf import (
     assemble_chain_complex,
     constant_cosheaf,
 )
-from .errors import DegenerateFace
-from .linalg import RANK_TOL, stacked_svd
+from .errors import DegenerateFace, WellDefinednessViolation
+from .linalg import RANK_TOL, svd_rank
 from .spatial import axis_projection, point_velocity_blocks, transfer_matrix
 from .surface import INCIDENCE_DIMS, OrigamiSurface
 
@@ -123,9 +123,11 @@ class StiffenedLinkage:
 
     One apex vertex is added above each face centroid and the vertex set
     of each face plus its apex is joined into a complete graph.  Bars
-    are deduplicated.  ``matrix`` is the length-preservation Jacobian:
-    one row per bar, three columns per vertex of the extended complex,
-    row entries ``+l_e`` at the head and ``-l_e`` at the tail.
+    are deduplicated: ``bars`` holds each bar's ends ``u < v`` over the
+    extended vertex ids, sorted, and ``directions`` its unit axis from
+    ``u`` to ``v``.  Together they are the length-preservation Jacobian,
+    row ``+axis`` at ``v`` and ``-axis`` at ``u``, which :meth:`stretch`
+    applies; it is never formed.
 
     A corner is one point of one face's group (its vertices in cycle
     order, then its apex); corners are listed face by face, and
@@ -137,9 +139,9 @@ class StiffenedLinkage:
 
     surface: OrigamiSurface
     points: np.ndarray                   # (|V'|, 3); originals first
-    bars: list[tuple[int, int]]          # u < v over extended ids
+    bars: np.ndarray                     # (|E'|, 2) int, u < v
+    directions: np.ndarray               # (|E'|, 3) unit axes from u to v
     apex_of_face: list[int]              # face index -> extended vertex id
-    matrix: np.ndarray                   # (|E'|, 3 |V'|)
     corner_face: np.ndarray              # (C,) face of each corner
     corner_point: np.ndarray             # (C,) extended vertex id
     corner_slot: np.ndarray              # (C,) place in the face's group
@@ -149,9 +151,12 @@ class StiffenedLinkage:
     def num_points(self) -> int:
         return len(self.points)
 
-    def apex_slice(self, f: int) -> slice:
-        a = self.apex_of_face[f]
-        return slice(3 * a, 3 * a + 3)
+    def stretch(self, y: np.ndarray) -> np.ndarray:
+        """Bar-length rates of truss velocities ``y``: the Jacobian
+        times ``y``, for one vector ``(3 |V'|,)`` or one per column."""
+        at = y.reshape(self.num_points, 3, -1)
+        delta = at.take(self.bars[:, 1], axis=0) - at.take(self.bars[:, 0], axis=0)
+        return (self.directions[:, None] @ delta).reshape((len(self.bars),) + y.shape[1:])
 
 
 def _face_normals(points: np.ndarray, live: np.ndarray,
@@ -191,7 +196,7 @@ def _face_groups(surface: OrigamiSurface) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
-    """Build the stiffened linkage and its constraint matrix.
+    """Build the stiffened linkage: its points, bars and corners.
 
     The apex of a face sits one mean-incident-edge-length above the face
     centroid along the face normal, guaranteeing it leaves the face
@@ -199,7 +204,6 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
     array pass: a face's group is its row of the surface's padded face
     layout with its apex added.
     """
-    nv = surface.num_vertices
     edge_ends = surface.vertices[np.array(surface.edges)]
     lengths = np.linalg.norm(edge_ends[:, 1] - edge_ends[:, 0], axis=1)
     fe = surface.incidences["fe"]
@@ -208,7 +212,6 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
                             surface.face_centroids)
     points = np.vstack([surface.vertices,
                         surface.face_centroids + mean_length[:, None] * normals])
-    apex_of_face = list(range(nv, len(points)))
 
     # The face's vertices and its apex form a complete graph, which
     # holds the face's edges.
@@ -216,20 +219,16 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
     i, j = np.triu_indices(group.shape[1], 1)
     both = live[:, i] & live[:, j]
     pairs = np.stack([group[:, i][both], group[:, j][both]], axis=1)
-    ends = np.unique(np.sort(pairs, axis=1), axis=0)
-    bars = [tuple(bar) for bar in ends.tolist()]
-    axis = points[ends[:, 1]] - points[ends[:, 0]]
+    bars = np.unique(np.sort(pairs, axis=1), axis=0)
+    axis = points[bars[:, 1]] - points[bars[:, 0]]
     axis = axis / np.sqrt(axis[:, None, :] @ axis[:, :, None])[:, 0]
-    m = np.zeros((len(bars), 3 * len(points)))
-    m[np.arange(len(bars))[:, None, None], 3 * ends[:, :, None] + np.arange(3)] = \
-        np.stack([-axis, axis], axis=1)
 
     corner_face, corner_slot = np.nonzero(live)
     corner_point = group[live]
     corner_block = point_velocity_blocks(points[corner_point]
                                          - surface.face_centroids[corner_face])
-    return StiffenedLinkage(surface=surface, points=points, bars=bars,
-                            apex_of_face=apex_of_face, matrix=m,
+    return StiffenedLinkage(surface=surface, points=points, bars=bars, directions=axis,
+                            apex_of_face=list(range(surface.num_vertices, len(points))),
                             corner_face=corner_face, corner_point=corner_point,
                             corner_slot=corner_slot, corner_block=corner_block)
 
@@ -255,23 +254,23 @@ def corner_velocities(linkage: StiffenedLinkage,
 
 
 def _certify_groups(linkage: StiffenedLinkage):
-    """Raise :class:`DegenerateFace` unless every face group is
-    infinitesimally rigid: the rows of ``matrix`` for the bars inside a
-    group of ``n`` points, restricted to those points, have rank
-    ``3n - 6``.  The bars are looked up in ``bars``, so a missing one
-    leaves a zero row; groups are padded to the largest with zero rows
-    and columns, which add no rank, and decomposed as one stack."""
+    """Raise :class:`DegenerateFace` unless every face group of ``n``
+    points has Jacobian rank ``3n - 6`` on those points.  Rows are filled
+    from ``directions``, signed by slot (no change of rank); a bar missing
+    from ``bars`` leaves a zero row, and padding to the largest group adds
+    zero rows and columns.  One stack of singular values decides."""
     group, live = _face_groups(linkage.surface)
     i, j = np.triu_indices(group.shape[1], 1)
-    keys = np.array(linkage.bars) @ [linkage.num_points, 1]
+    keys = linkage.bars @ [linkage.num_points, 1]
     want = (np.minimum(group[:, i], group[:, j]) * linkage.num_points
             + np.maximum(group[:, i], group[:, j]))
     rows = np.searchsorted(keys, want).clip(max=len(keys) - 1)
     found = (keys[rows] == want) & live[:, i] & live[:, j]
-    cols = (3 * group[:, :, None] + np.arange(3)).reshape(len(group), -1)
-    blocks = (linkage.matrix[rows[:, :, None], cols[:, None, :]]
-              * found[:, :, None] * np.repeat(live, 3, axis=1)[:, None, :])
-    rank = stacked_svd(blocks)[1].sum(axis=-1)
+    axes = linkage.directions[rows] * found[:, :, None]
+    blocks = np.zeros((len(group), len(i), group.shape[1], 3))
+    blocks[:, np.arange(len(i)), i] = -axes
+    blocks[:, np.arange(len(i)), j] = axes
+    rank = svd_rank(blocks.reshape(len(group), len(i), -1))
     need = 3 * live.sum(axis=1) - 6
     bad = np.flatnonzero(rank != need)
     if bad.size:
@@ -280,22 +279,34 @@ def _certify_groups(linkage: StiffenedLinkage):
             f"truss group of face {f} has rank {rank[f]}, want {need[f]}")
 
 
-def truss_kernel(linkage: StiffenedLinkage, spatial_basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of motions preserving every bar
-    length: the thin QR of the truss image of ``spatial_basis``, an
-    orthonormal basis of spatial solutions.
+def eta_image(linkage: StiffenedLinkage, spatial_basis: np.ndarray) -> np.ndarray:
+    """Truss image of ``spatial_basis``, an orthonormal basis of spatial
+    solutions: the map η of the truss/hinge isomorphism, certified.
 
-    This is the truss/hinge isomorphism.  Every bar lies inside one face
-    group, so when each group is infinitesimally rigid (certified here,
-    one stacked decomposition of small matrices) a bar-preserving motion
-    moves each face rigidly, and two faces sharing an edge agree at both
-    its ends, so they turn about it: the kernel is exactly the truss
-    image of the spatial solutions, and rigid groups make that image
-    injective.  Conversely a spatial solution gives each vertex one
-    velocity because the faces around a vertex form one fan joined
-    through edges, which surface construction guarantees (a pinch raises
-    :class:`NonManifold`).
+    Every bar lies in one face group.  When each group is
+    infinitesimally rigid (certified first) a bar-preserving motion
+    moves each face rigidly and two faces on an edge turn about it, so
+    the truss kernel is exactly this image and η is injective; a spatial
+    solution gives each vertex one velocity because the faces around it
+    form one fan (a pinch raises :class:`NonManifold`).  No bar may
+    stretch, relative to the largest entry the product can reach,
+    ``max|directions| * max|corner_block| * max|basis|``; the lever arms
+    carry the coordinate size (policy in :mod:`foldkin.cosheaf`).
     """
     _certify_groups(linkage)
+    if spatial_basis.shape[1] == 0:
+        return np.zeros((3 * linkage.num_points, 0))
     _, image = corner_velocities(linkage, spatial_basis)
-    return np.linalg.qr(image)[0]
+    reach = (np.abs(linkage.directions).max() * np.abs(linkage.corner_block).max()
+             * np.abs(spatial_basis).max())
+    residual = np.abs(linkage.stretch(image)).max() / reach
+    if residual > 1e-8:
+        raise WellDefinednessViolation(
+            f"spatial basis maps outside the truss kernel ({residual:.3e})")
+    return image
+
+
+def truss_kernel(linkage: StiffenedLinkage, spatial_basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of motions preserving every bar
+    length: the thin QR of :func:`eta_image`."""
+    return np.linalg.qr(eta_image(linkage, spatial_basis))[0]

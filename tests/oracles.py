@@ -1,7 +1,10 @@
 """Reference routes that the library no longer runs.
 
 Each dense route decomposes a whole assembled matrix where the library
-reads the same answer off a smaller structure.  The generic connecting
+reads the same answer off a smaller structure.  The dense bar Jacobian
+stands for the linkage's bar ends and unit axes, and the truss kernel
+decomposed whole for the certified η image; the Gram floor with an SVD
+rank of η stands for the floor alone.  The generic connecting
 map and the per-face boundary product stand for the tree-lift θ and the
 incidence-triple ``d1 @ d2``; the integer incidence matrices and their
 decompositions stand for the component counts of base and support
@@ -28,6 +31,7 @@ from foldkin import (
     homology_basis,
     induced_map,
 )
+from foldkin.analysis import GRAM_RELATIVE_FLOOR
 from foldkin.errors import (
     Degenerate,
     DegenerateFace,
@@ -56,9 +60,29 @@ def spatial_h2(seq):
     return homology_basis(seq.spatial, 2)
 
 
+def bar_jacobian(linkage):
+    """The bar-length Jacobian as one dense matrix: a row per bar,
+    ``-axis`` at its first end and ``+axis`` at its second."""
+    ends, axis = linkage.bars, linkage.directions
+    m = np.zeros((len(ends), 3 * linkage.num_points))
+    m[np.arange(len(ends))[:, None, None], 3 * ends[:, :, None] + np.arange(3)] = \
+        np.stack([-axis, axis], axis=1)
+    return m
+
+
 def truss_kernel(linkage):
     """Kernel of the whole bar-length Jacobian."""
-    return nullspace(linkage.matrix)
+    return nullspace(bar_jacobian(linkage))
+
+
+def eta_full_rank(image):
+    """The η verdict by two decisions: the Gram floor of the analysis
+    and an SVD rank of the image equal to its column count."""
+    if not image.shape[1]:
+        return True
+    eigs = np.linalg.eigvalsh(image.T @ image)
+    return bool(eigs[0] >= GRAM_RELATIVE_FLOOR * max(eigs[-1], 1e-300)
+                and svd_rank(image) == image.shape[1])
 
 
 def loop_obstruction_matrix(seq):

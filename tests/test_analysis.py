@@ -18,7 +18,7 @@ from foldkin import (
     spatial_to_truss,
     stiffen,
 )
-from foldkin.analysis import eta_image
+from foldkin import analysis, maps, models
 from foldkin.cosheaf import cycle_residuals
 from foldkin.errors import WellDefinednessViolation
 from foldkin.maps import _tree_lift
@@ -98,7 +98,7 @@ def test_no_decomposition_as_large_as_a_whole_model(monkeypatch, spec):
     s = surface_of(*spec)
     seq = build_exact_sequence(s)
     linkage = stiffen(s)
-    limit = min(seq.spatial.d2.size, linkage.matrix.size)
+    limit = min(seq.spatial.d2.size, len(linkage.bars) * 3 * linkage.num_points)
     sizes = []
     svd = np.linalg.svd
 
@@ -211,10 +211,29 @@ def test_eta_gate_catches_a_basis_column_off_the_cycle_space(factor):
     push = np.random.default_rng(3).normal(size=len(basis))
     push -= cycles @ (cycles.T @ push)
     basis[:, -1] += 1e-6 * push / np.linalg.norm(push)
-    seq._cache["spatial_h2"] = basis
     with pytest.raises(WellDefinednessViolation,
                        match="^spatial basis maps outside the truss kernel"):
-        eta_image(seq, stiffen(s))
+        models.eta_image(stiffen(s), basis)
+
+
+@pytest.mark.parametrize("spec", [("grid", 4, 4), ("torus", 4, 4)],
+                         ids=lambda spec: "_".join(map(str, spec)))
+def test_analysis_evaluates_eta_once(monkeypatch, spec):
+    # One η image per analysis: the corners are evaluated once and the
+    # face groups certified once, in whichever module the name is read.
+    calls = []
+    for name in ("corner_velocities", "_certify_groups"):
+        original = getattr(models, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (analysis, maps, models):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    assert analyze_surface(surface_of(*spec)).all_ok
+    assert sorted(calls) == ["_certify_groups", "corner_velocities"]
 
 
 def test_global_motions_lie_in_every_kernel(rng):
@@ -236,7 +255,7 @@ def test_global_motions_lie_in_every_kernel(rng):
         sol = spatial_solution(seq, chain)
         assert sol.residual < 1e-12 * max(1.0, np.abs(chain).max())
         truss = spatial_to_truss(linkage, sol)
-        assert np.abs(linkage.matrix @ truss.coefficients).max() < 1e-10 * max(
+        assert np.abs(linkage.stretch(truss.coefficients)).max() < 1e-10 * max(
             1.0, np.abs(chain).max())
 
 

@@ -28,10 +28,10 @@ from foldkin import (
     truss_to_spatial,
 )
 from foldkin import cosheaf, maps
-from foldkin.analysis import analyze_surface, eta_image
+from foldkin.analysis import analyze_surface
 from foldkin.cosheaf import cycle_residuals
 from foldkin.maps import _verified_sequence
-from foldkin.models import truss_kernel
+from foldkin.models import eta_image, truss_kernel
 from foldkin.errors import (
     Degenerate,
     ExactnessViolation,
@@ -481,7 +481,7 @@ def test_spatial_basis_maps_to_truss_kernel_basis(any_surface):
         images.append(out.coefficients)
     image = np.column_stack(images)
     assert svd_rank(image) == kernel.shape[1] == basis.shape[1]
-    assert np.abs(image - eta_image(seq, linkage)).max() < 1e-12
+    assert np.abs(image - eta_image(linkage, basis)).max() < 1e-12
 
 
 def test_spatial_to_truss_rejects_disagreeing_faces(rng):
@@ -541,7 +541,7 @@ def test_truss_to_spatial_names_the_face_that_fails_its_fit(rng):
         seq, basis @ rng.normal(size=basis.shape[1]))).coefficients
     for f in (0, 3, s.num_faces - 1):
         bent = y.copy()
-        bent[linkage.apex_slice(f)] += 0.1
+        bent.reshape(-1, 3)[linkage.apex_of_face[f]] += 0.1
         with pytest.raises(NonRigidMotion, match=f"^face {f} velocities "):
             truss_to_spatial(seq, linkage, ModelSolution("truss", bent, 0.0),
                              cycle_tol=np.inf)
@@ -586,7 +586,7 @@ def test_hinge_to_truss_pipeline_on_fan(rng):
     report = hinge_to_truss(seq, linkage, hinge_solution(seq, rates))
     assert not report.obstructed
     assert report.truss is not None
-    assert np.abs(linkage.matrix @ report.truss.coefficients).max() < 1e-9
+    assert np.abs(linkage.stretch(report.truss.coefficients)).max() < 1e-9
 
 
 def test_hinge_to_truss_zero():
@@ -782,17 +782,23 @@ def test_chain_inverse_certificate_sees_a_faulty_sub_block(monkeypatch, block):
 
 
 def test_chain_left_inverse_certificate_sees_a_faulty_entry(monkeypatch):
+    # d_pinv[i, j, b] is entry b of block j in row i.  Blocks i - 1 and i
+    # enter the product; a fault of either sign anywhere else, at either
+    # edge of the band or in a corner, must still be seen.
     einsum = np.einsum
+    n = 40
+    for k, entry in enumerate([(3, 5, 0), (3, 4, 5), (5, 3, 0), (0, 1, 0), (0, n - 1, 5),
+                               (n - 1, 0, 0), (n - 1, n - 3, 5), (7, 7, 2), (7, 6, 3)]):
+        def faulty(subscripts, *operands, **kwargs):
+            out = einsum(subscripts, *operands, **kwargs)
+            if subscripts == "ia,iajb->ijb":  # d_pinv
+                out[entry] += (-1) ** k * 1e-9
+            return out
 
-    def faulty(subscripts, *operands, **kwargs):
-        out = einsum(subscripts, *operands, **kwargs)
-        if subscripts == "ia,iajb->ijb":  # d_pinv
-            out[3, 5, 0] += 1e-9
-        return out
-
-    monkeypatch.setattr(np, "einsum", faulty)
-    with pytest.raises(FoldkinError, match="^chain left inverse failed"):
-        serial_chain_operators(surface_of("chain", 40, seed=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "einsum", faulty)
+            with pytest.raises(FoldkinError, match="^chain left inverse failed"):
+                serial_chain_operators(surface_of("chain", n, seed=3))
 
 
 def test_collapsed_hinge_is_rejected_as_degenerate():

@@ -25,7 +25,9 @@ from foldkin import (
     stiffen,
 )
 from foldkin.errors import ExactnessViolation, FunctorialityViolation, NaturalityViolation
+from foldkin.models import eta_image
 
+import oracles
 from conftest import scaled, surface_of
 
 SHAPES = [
@@ -110,6 +112,24 @@ def test_report_invariant_under_scaling(shape, factor):
     s = surface_of(*shape)
     assert analyze_surface(scaled(s, factor)).to_dict() \
         == analyze_surface(s).to_dict()
+
+
+# One decision for η: the Gram floor alone.  A Gram ratio of 1e-12 is
+# a singular-value ratio of 1e-6, so the SVD rank under RANK_TOL that the
+# analysis once also required cannot change a verdict; the ladder holds
+# the small scales where the floor fails.
+@pytest.mark.parametrize("shape", [("grid", 4, 4), ("torus", 6, 6)],
+                         ids=lambda v: "_".join(map(str, v)))
+def test_eta_verdict_matches_the_two_decision_rule(shape):
+    s = surface_of(*shape)
+    verdicts = []
+    for exponent in range(-7, 7):
+        moved = scaled(s, 10.0 ** exponent)
+        image = eta_image(stiffen(moved), build_exact_sequence(moved).spatial_h2())
+        verdict = analyze_surface(moved).checks["spatial_truss_transfer_full_rank"]
+        assert verdict == oracles.eta_full_rank(image), exponent
+        verdicts.append(verdict)
+    assert not verdicts[0] and verdicts[-1]
 
 
 # Translation.  The lever arms are differences of coordinates, so at an

@@ -22,11 +22,12 @@ from foldkin import (
     transfer_matrix,
 )
 from foldkin import models
-from foldkin.errors import DegenerateFace
+from foldkin.errors import DegenerateFace, WellDefinednessViolation
 from foldkin.linalg import svd_rank
 from foldkin.surface import INCIDENCE_DIMS
 
-from conftest import square_hole_grid, surface_of, two_panels, two_triangles
+import oracles
+from conftest import ORACLE_SURFACES, square_hole_grid, surface_of, two_panels, two_triangles
 from oracles import truss_kernel
 
 
@@ -204,8 +205,8 @@ def test_stiffen_triangle_adds_apex_only():
     x = stiffen(s)
     assert x.num_points == 4
     # Triangle boundary already complete: 3 original + 3 apex bars.
-    assert len(x.bars) == 6
-    assert x.matrix.shape == (6, 12)
+    assert x.bars.shape == (6, 2)
+    assert x.directions.shape == (6, 3)
 
 
 def test_stiffen_quad_adds_diagonals():
@@ -215,10 +216,11 @@ def test_stiffen_quad_adds_diagonals():
     # Oracle: complete graph on 5 nodes has 10 bars; 4 already exist as
     # boundary edges, so 4 apex bars + 2 diagonals are new.
     assert x.num_points == 5
-    assert len(x.bars) == 10
-    new = [b for b in x.bars if 4 in b]
+    bars = x.bars.tolist()
+    assert len(bars) == 10
+    new = [b for b in bars if 4 in b]
     assert len(new) == 4
-    diagonals = [b for b in x.bars if b in ((0, 2), (1, 3))]
+    diagonals = [b for b in bars if b in ([0, 2], [1, 3])]
     assert len(diagonals) == 2
 
 
@@ -254,7 +256,7 @@ def test_truss_kernel_certifies_every_face_group(monkeypatch):
     assert models.truss_kernel(linkage, basis).shape == (3 * linkage.num_points, 7)
     # Without its first bar, the group holding it bends.
     missing = dataclasses.replace(linkage, bars=linkage.bars[1:],
-                                  matrix=linkage.matrix[1:])
+                                  directions=linkage.directions[1:])
     with pytest.raises(DegenerateFace, match="^truss group of face 0 has rank 5, want 6"):
         models.truss_kernel(missing, basis)
     # An apex in its face's plane leaves a flat group.
@@ -268,25 +270,47 @@ def test_uniform_translation_in_truss_kernel(rng):
     x = stiffen(two_panels())
     beta = rng.normal(size=3)
     y = np.tile(beta, x.num_points)
-    assert np.abs(x.matrix @ y).max() < 1e-12
+    assert np.abs(x.stretch(y)).max() < 1e-12
 
 
 def test_uniform_rotation_in_truss_kernel(rng):
     x = stiffen(surface_of("grid", 2, 2))
     omega = rng.normal(size=3)
     y = np.concatenate([np.cross(omega, p) for p in x.points])
-    assert np.abs(x.matrix @ y).max() < 1e-12
+    assert np.abs(x.stretch(y)).max() < 1e-12
 
 
 def test_truss_rows_are_unit_direction_differences(rng):
     s = two_triangles()
     x = stiffen(s)
     y = rng.normal(size=3 * x.num_points)
+    rates = x.stretch(y)
     for row, (u, v) in enumerate(x.bars):
         axis = x.points[v] - x.points[u]
         axis /= np.linalg.norm(axis)
         expect = axis @ (y[3 * v:3 * v + 3] - y[3 * u:3 * u + 3])
-        assert abs(x.matrix[row] @ y - expect) < 1e-12
+        assert abs(rates[row] - expect) < 1e-12
+    # The per-bar product is the dense Jacobian's, on one vector and on
+    # a block of columns.
+    for _, make in ORACLE_SURFACES:
+        x = stiffen(make())
+        jacobian = oracles.bar_jacobian(x)
+        for y in (rng.normal(size=3 * x.num_points), rng.normal(size=(3 * x.num_points, 4))):
+            got = x.stretch(y)
+            assert got.shape == (len(x.bars),) + y.shape[1:]
+            assert np.abs(got - jacobian @ y).max() < 1e-14 * np.abs(y).max()
+
+
+def test_truss_kernel_rejects_a_basis_that_stretches_a_bar():
+    # A rotation rate of face 0 alone is no spatial solution: the shared
+    # edge's ends move with face 0, and face 1's bars to them stretch.
+    s = two_triangles()
+    linkage = stiffen(s)
+    e0 = np.eye(6 * s.num_faces)[:, :1]
+    for route in (models.eta_image, models.truss_kernel):
+        with pytest.raises(WellDefinednessViolation,
+                           match="^spatial basis maps outside the truss kernel"):
+            route(linkage, e0)
 
 
 def test_stiffen_degenerate_face_rejected():
