@@ -101,17 +101,14 @@ def hinge_vector_dict(surface: OrigamiSurface, rates: np.ndarray) -> dict:
 
 
 def spatial_vector_dict(surface: OrigamiSurface, values: np.ndarray) -> dict:
-    return {f"f{f}": [float(x) for x in values[6 * f:6 * f + 6]]
-            for f in range(surface.num_faces)}
+    rows = values.reshape(surface.num_faces, 6).tolist()
+    return {f"f{f}": row for f, row in enumerate(rows)}
 
 
 def truss_vector_dict(linkage, values: np.ndarray) -> dict:
-    out = {}
-    nv = linkage.surface.num_vertices
-    for v in range(nv):
-        out[f"v{v}"] = [float(x) for x in values[3 * v:3 * v + 3]]
-    for f, apex in enumerate(linkage.apex_of_face):
-        out[f"a{f}"] = [float(x) for x in values[3 * apex:3 * apex + 3]]
+    rows = values.reshape(linkage.num_points, 3).tolist()
+    out = {f"v{v}": rows[v] for v in range(linkage.surface.num_vertices)}
+    out.update((f"a{f}", rows[apex]) for f, apex in enumerate(linkage.apex_of_face))
     return out
 
 

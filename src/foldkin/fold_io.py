@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -156,8 +157,52 @@ def document_from_surface(surface: OrigamiSurface, metadata: dict | None = None
 
 # --- canonical JSON ---
 
+def _format_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not a JSON number")
+    return f"{value:.17g}"
+
+
+def _format_list(value) -> str:
+    # A solution vector is a list of finite plain floats: one join, with
+    # no per-value dispatch.  Anything else, a non-finite float included,
+    # goes value by value.
+    if {*map(type, value)} == {float} and all(map(math.isfinite, value)):
+        return "[" + ",".join([f"{v:.17g}" for v in value]) + "]"
+    return "[" + ",".join(map(_format_value, value)) + "]"
+
+
+def _format_dict(value: dict) -> str:
+    body = ",".join(f"{encode_basestring_ascii(str(k))}:{_format_value(v)}"
+                    for k, v in sorted(value.items()))
+    return "{" + body + "}"
+
+
 def _format_value(value) -> str:
-    # numpy scalars and arrays normalize to their Python equivalents
+    # Dispatch on the exact type first: these are the types the payloads
+    # are built from.  ``encode_basestring_ascii`` is what ``json.dumps``
+    # runs on a string.
+    kind = type(value)
+    if kind is float:
+        return _format_float(value)
+    if kind is list or kind is tuple:
+        return _format_list(value)
+    if kind is dict:
+        return _format_dict(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
+    return _format_other(value)
+
+
+def _format_other(value) -> str:
+    """numpy scalars and arrays, normalised to their Python equivalents,
+    and subclasses of the built-in types."""
     if isinstance(value, np.bool_):
         value = bool(value)
     elif isinstance(value, np.integer):
@@ -169,29 +214,24 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{value} is not a JSON number")
-        return f"{value:.17g}"
+        return _format_float(value)
     if isinstance(value, int):
         return str(value)
-    if value is None:
-        return "null"
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_format_value(v) for v in value) + "]"
+        return _format_list(value)
     if isinstance(value, dict):
-        items = sorted(value.items())
-        body = ",".join(f"{json.dumps(str(k))}:{_format_value(v)}"
-                        for k, v in items)
-        return "{" + body + "}"
-    raise ParseError(f"cannot serialize value of type {type(value).__name__}")
+        return _format_dict(value)
+    # foldkin builds every payload it prints, so this is a fault in
+    # foldkin, not bad input.
+    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
     A NaN or infinite float raises ``ValueError``: JSON has no such
-    numbers."""
+    numbers.  A value of any other type raises ``TypeError``."""
     return _format_value(obj)
 
 

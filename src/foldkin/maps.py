@@ -135,7 +135,10 @@ class ExactSequence:
     origin-anchored constant frame.  Spatial homology is built from the
     other two (:meth:`spatial_h2`), and the connecting map
     (:meth:`spatial_to_hinge_matrix`) is the direct per-edge formula,
-    certified by the value that construction fixes for it.
+    certified by the value that construction fixes for it.  Every
+    result, the connecting map's pseudoinverse
+    (:meth:`hinge_to_spatial_matrix`) included, is computed on first use
+    and kept, so a conversion after the first decomposes nothing.
     """
 
     surface: OrigamiSurface
@@ -278,6 +281,14 @@ class ExactSequence:
         condition number of ``R``.
         """
         return self._cached("theta", self._theta)
+
+    def hinge_to_spatial_matrix(self) -> np.ndarray:
+        """Pseudoinverse of :meth:`spatial_to_hinge_matrix`, hinge classes
+        to the minimum-norm spatial classes mapping onto them; the
+        cutoff is anchored at 1, the size of a map between orthonormal
+        bases."""
+        return self._cached("theta_pinv", lambda: pseudoinverse(
+            self.spatial_to_hinge_matrix(), scale=1.0))
 
     def _theta(self) -> np.ndarray:
         theta = self._theta_direct()
@@ -440,7 +451,7 @@ def hinge_to_spatial(seq: ExactSequence, sol: ModelSolution,
     if obstructed:
         return report
     theta = seq.spatial_to_hinge_matrix()
-    q = pseudoinverse(theta, scale=1.0) @ coords
+    q = seq.hinge_to_spatial_matrix() @ coords
     values = seq.spatial_h2() @ q
     report.spatial = spatial_solution(seq, values)
     back = theta @ q
@@ -495,18 +506,13 @@ def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
     if residual > cycle_tol * scale:
         raise NotACycle(f"truss vector stretches a bar (residual {residual:.3e})")
 
-    # One fit per face, all in one stack: corners are listed face by
-    # face, and each face's rows are padded with zero rows, which change
-    # neither its fit nor its residual, to the largest corner count.
-    faces, slot = linkage.corner_face, linkage.corner_slot
-    shape = (seq.surface.num_faces, slot.max() + 1, 3)
-    a = np.zeros(shape + (6,))
-    a[faces, slot] = linkage.corner_block
-    b = np.zeros(shape)
-    b[faces, slot] = y.reshape(-1, 3)[linkage.corner_point]
-    a = a.reshape(shape[0], -1, 6)
-    b = b.reshape(shape[0], -1, 1)
-    fits = pseudoinverse(a) @ b
+    # One fit per face, all in one stack laid out as the linkage's
+    # ``fit_blocks``.
+    a = linkage.fit_blocks
+    b = np.zeros((len(a), a.shape[1] // 3, 3))
+    b[linkage.corner_face, linkage.corner_slot] = y.reshape(-1, 3)[linkage.corner_point]
+    b = b.reshape(len(a), -1, 1)
+    fits = linkage.fit_inverse @ b
     errs = np.abs(a @ fits - b).max(axis=(1, 2))
     bad = np.flatnonzero(errs > FIT_TOL * scale)
     if bad.size:

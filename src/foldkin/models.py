@@ -19,6 +19,7 @@ constraint side; faces always carry full stalks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .cosheaf import (
     constant_cosheaf,
 )
 from .errors import DegenerateFace, WellDefinednessViolation
-from .linalg import RANK_TOL, svd_rank
+from .linalg import RANK_TOL, pseudoinverse, svd_rank
 from .spatial import axis_projection, point_velocity_blocks, transfer_matrix
 from .surface import INCIDENCE_DIMS, OrigamiSurface
 
@@ -134,7 +135,10 @@ class StiffenedLinkage:
     ``corner_slot`` is a corner's place in its group.  A face's
     spatial velocity gives the corner point the velocity
     ``corner_block @ nu``, which is how spatial solutions are read off
-    at truss points and fitted back.
+    at truss points and fitted back.  What depends on the linkage alone,
+    the rigid-fit stack, its pseudoinverse and each point's first
+    corner, is computed on first use and kept, so every conversion
+    after the first does only the work of its own vector.
     """
 
     surface: OrigamiSurface
@@ -150,6 +154,25 @@ class StiffenedLinkage:
     @property
     def num_points(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def fit_blocks(self) -> np.ndarray:
+        """The faces' corner blocks as one ``(F, 3k, 6)`` stack of rigid
+        fits, ``k`` the largest group: a smaller face's rows are padded
+        with zero rows, which change neither its fit nor its residual."""
+        a = np.zeros((self.surface.num_faces, self.corner_slot.max() + 1, 3, 6))
+        a[self.corner_face, self.corner_slot] = self.corner_block
+        return a.reshape(len(a), -1, 6)
+
+    @cached_property
+    def fit_inverse(self) -> np.ndarray:
+        """The stacked pseudoinverse of :attr:`fit_blocks`."""
+        return pseudoinverse(self.fit_blocks)
+
+    @cached_property
+    def _first_corner(self) -> np.ndarray:
+        """Each point's first corner, in point order."""
+        return np.unique(self.corner_point, return_index=True)[1]
 
     def stretch(self, y: np.ndarray) -> np.ndarray:
         """Bar-length rates of truss velocities ``y``: the Jacobian
@@ -247,7 +270,7 @@ def corner_velocities(linkage: StiffenedLinkage,
     motions = values.shape[1]
     at_corner = np.einsum("cij,cjk->cik", linkage.corner_block,
                           values.reshape(-1, 6, motions)[linkage.corner_face])
-    _, first = np.unique(linkage.corner_point, return_index=True)
+    first = linkage._first_corner
     at_point = np.zeros((linkage.num_points, 3, motions))
     at_point[linkage.corner_point[first]] = at_corner[first]
     return at_corner, at_point.reshape(-1, motions)

@@ -18,8 +18,15 @@ question of surface construction with a walk of its own: a depth-first
 orientation, a fan walk around every vertex, an edge dict and an
 adjacency-dict chain walk, and they list the incidences one cell at a
 time; the library reads all of it off the sorted corner arrays, the
-dual forest and one component labelling.  Tests compare the two.
+dual forest and one component labelling.  The pseudoinverse of θ, the
+rigid-fit stack and the first-corner index are taken afresh on every
+call where a sequence and a linkage keep them, and the recursive
+formatter checks every value's type where canonical JSON joins a list
+of plain floats at once.  Tests compare the two.
 """
+
+import json
+import math
 
 import numpy as np
 
@@ -40,7 +47,7 @@ from foldkin.errors import (
     NonManifold,
     NonOrientable,
 )
-from foldkin.linalg import RANK_TOL, nullspace, svd_rank
+from foldkin.linalg import RANK_TOL, nullspace, pseudoinverse, svd_rank
 from foldkin.maps import _hinge_lines, chain_structure
 from foldkin.spatial import hinge_twist, transfer_matrix
 
@@ -83,6 +90,25 @@ def eta_full_rank(image):
     eigs = np.linalg.eigvalsh(image.T @ image)
     return bool(eigs[0] >= GRAM_RELATIVE_FLOOR * max(eigs[-1], 1e-300)
                 and svd_rank(image) == image.shape[1])
+
+
+def hinge_to_spatial_matrix(seq):
+    """Pseudoinverse of the connecting map, taken afresh."""
+    return pseudoinverse(seq.spatial_to_hinge_matrix(), scale=1.0)
+
+
+def rigid_fit(linkage):
+    """The padded ``(F, 3k, 6)`` rigid-fit stack of the corner blocks and
+    its pseudoinverse, built afresh."""
+    a = np.zeros((linkage.surface.num_faces, linkage.corner_slot.max() + 1, 3, 6))
+    a[linkage.corner_face, linkage.corner_slot] = linkage.corner_block
+    a = a.reshape(len(a), -1, 6)
+    return a, pseudoinverse(a)
+
+
+def first_corner(linkage):
+    """Each truss point's first corner, found afresh."""
+    return np.unique(linkage.corner_point, return_index=True)[1]
 
 
 def loop_obstruction_matrix(seq):
@@ -456,3 +482,37 @@ def chain_walk(surface):
     if len(face_order) != surface.num_faces:
         raise InvalidParams("chain dual graph is not connected")
     return face_order, hinge_order
+
+
+def canonical_json(value):
+    """Canonical JSON by recursion with an ``isinstance`` chain on every
+    value: numpy values normalised to Python ones, sorted keys, floats
+    at 17 significant digits."""
+    if isinstance(value, np.bool_):
+        value = bool(value)
+    elif isinstance(value, np.integer):
+        value = int(value)
+    elif isinstance(value, np.floating):
+        value = float(value)
+    elif isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not a JSON number")
+        return f"{value:.17g}"
+    if isinstance(value, int):
+        return str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(canonical_json(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        body = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}"
+                        for k, v in items)
+        return "{" + body + "}"
+    raise TypeError(f"cannot serialize value of type {type(value).__name__}")

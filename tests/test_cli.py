@@ -261,6 +261,21 @@ def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
+def test_unprintable_payload_exits_3(tmp_path, capsys, monkeypatch):
+    # A payload value canonical JSON cannot print is a fault in foldkin,
+    # never bad input.
+    path, surface, seq = convert_setup(tmp_path, ("single_vertex", 4, 0.5))
+    sol_path = tmp_path / "rates.json"
+    sol_path.write_text(json.dumps(
+        {f"e{e}": r for e, r in zip(surface.interior_edges(), seq.hinge_h1()[:, 0])}))
+    monkeypatch.setattr(cli, "truss_vector_dict", lambda linkage, values: {"v0": {1.0}})
+    code = main(["convert", path, "--input-solution", str(sol_path),
+                 "--from", "hinge", "--to", "truss"])
+    assert code == 3
+    assert "internal error: TypeError: cannot serialize value of type set" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "{g}", "--seed", "1"],
     ["convert", "{g}", "--input-solution", "{s}", "--from", "hinge",

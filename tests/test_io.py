@@ -1,4 +1,5 @@
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from foldkin import (
     surface_from_document,
 )
 from foldkin.errors import IndexOutOfRange, InvalidParams, ParseError
+
+import oracles
 
 MINIMAL = {
     "vertices_coords": [[0, 0, 0], [1, 0, 0.1], [0.5, 1, 0], [1.5, 1, 0.3]],
@@ -129,14 +132,42 @@ def test_canonical_json_normalizes_numpy_scalars():
     assert canonical_json(payload) == '{"flag":true,"n":3,"v":[1,2],"x":0.5}'
 
 
+@pytest.mark.parametrize("value", [
+    np.bool_(True), np.bool_(False), np.int8(-7), np.int64(2**62), np.float32(0.1),
+    np.float64(1 / 3),
+    np.array(2.5), np.array([[1.0, -0.0], [5e-324, 1e308]]), np.array([[1, 2], [3, 4]]),
+    np.array([True, False]), np.array([]), np.zeros((2, 0)),
+    (0.5, 2, "x"), ((1.0, 2.0), []), [0.1, 2, 3.5], [np.float64(0.1), 0.2],
+    [0.2, np.float64(0.1)], [0.1, True, None],
+    -0.0, 5e-324, 1e308, [-0.0, 5e-324, 1e308, -1e-300],
+    2**63, -(2**64), [2**70, 1.5],
+    "h\u00e9llo \u2603", "tab\tline\nnul\x00\x1f\x7f", 'quote" back\\', np.str_("abc"),
+    {"\u00e9": 1.0, "\x01": [2.0, 3.0], "z": {"a": None}},
+    {3: "c", 1: "a"}, {0.5: 1}, {(1, 2): [0.25]}, {None: True}, {}, [],
+    OrderedDict([("b", 1), ("a", [np.int8(1)])]),
+    {"from": "hinge", "obstruction": [1e-17, -2.5e-9], "residuals": {"truss": 3e-16},
+     "solution": {"v0": [0.1, -0.2, 0.3], "a0": [1.0, 2.0, 3.0]}},
+])
+def test_canonical_json_matches_the_recursive_formatter(value):
+    assert canonical_json(value) == oracles.canonical_json(value)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_canonical_json_refuses_non_finite_floats(bad):
     # JSON has no NaN or infinity; printing Python's spelling of them
     # would give text no JSON reader accepts.
-    with pytest.raises(ValueError):
-        canonical_json({"residuals": {"truss": bad}})
-    with pytest.raises(ValueError):
-        canonical_json([np.float64(bad)])
+    for value in ({"residuals": {"truss": bad}}, [np.float64(bad)], [0.5, float(bad)],
+                  np.array([0.5, bad])):
+        with pytest.raises(ValueError, match="is not a JSON number"):
+            canonical_json(value)
+
+
+@pytest.mark.parametrize("value", [{"x": {1.0}}, [0.5, object()]], ids=["set", "object"])
+def test_canonical_json_refuses_other_types_as_a_fault(value):
+    # foldkin builds every payload it prints, so a value it cannot print
+    # is its own fault, not bad input.
+    with pytest.raises(TypeError, match="cannot serialize value of type"):
+        canonical_json(value)
 
 
 # --- generators ---

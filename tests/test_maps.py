@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -572,6 +573,68 @@ def test_conversions_reject_non_finite_vectors(bad):
         hinge_to_truss(seq, linkage, ModelSolution("hinge", rates, 0.0))
     with pytest.raises(NotACycle, match="^spatial vector has non-finite"):
         spatial_to_truss(linkage, ModelSolution("spatial", values, 0.0))
+
+
+# --- per-sheet caches ---
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES],
+                         ids=[n for n, _ in ORACLE_SURFACES])
+def test_cached_conversion_data_matches_the_fresh_route(make):
+    s = make()
+    seq, linkage = build_exact_sequence(s), stiffen(s)
+    a, inverse = oracles.rigid_fit(linkage)
+    assert np.array_equal(seq.hinge_to_spatial_matrix(), oracles.hinge_to_spatial_matrix(seq))
+    assert np.array_equal(linkage.fit_blocks, a)
+    assert np.array_equal(linkage.fit_inverse, inverse)
+    assert np.array_equal(linkage._first_corner, oracles.first_corner(linkage))
+
+
+@pytest.mark.parametrize("spec", [("grid", 4, 4), ("miura", 3, 4), ("single_vertex", 12)],
+                         ids=lambda spec: "_".join(map(str, spec)))
+def test_conversions_after_the_first_decompose_nothing(monkeypatch, rng, spec):
+    # θ's pseudoinverse and the rigid-fit stack are kept on the sequence
+    # and the linkage, so a later request decomposes nothing, wherever a
+    # module holds the SVD.
+    s = surface_of(*spec)
+    seq, linkage = build_exact_sequence(s), stiffen(s)
+    classes = seq.hinge_h1()
+    first = hinge_to_truss(seq, linkage, hinge_solution(seq, classes[:, 0]))
+    truss_to_spatial(seq, linkage, first.truss)
+    calls = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name in ("numpy.linalg", "foldkin") or name.startswith("foldkin."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    report = hinge_to_truss(seq, linkage, hinge_solution(
+        seq, classes @ rng.normal(size=classes.shape[1])))
+    assert not report.obstructed
+    back = truss_to_spatial(seq, linkage, report.truss)
+    assert np.abs(back.coefficients - report.spatial.coefficients).max() < 1e-9
+    assert calls == []
+
+
+def test_a_replaced_linkage_fits_afresh(rng):
+    s = surface_of("grid", 3, 3)
+    seq, linkage = build_exact_sequence(s), stiffen(s)
+    basis = seq.spatial_h2()
+    values = basis @ rng.normal(size=basis.shape[1])
+    truss = spatial_to_truss(linkage, spatial_solution(seq, values))
+    truss_to_spatial(seq, linkage, truss)
+    # Doubling every corner block halves the fitted velocities.
+    doubled = dataclasses.replace(linkage, corner_block=2 * linkage.corner_block)
+    a, inverse = oracles.rigid_fit(doubled)
+    assert np.array_equal(doubled.fit_blocks, a)
+    assert np.array_equal(doubled.fit_inverse, inverse)
+    assert np.array_equal(doubled.fit_blocks, 2 * linkage.fit_blocks)
+    back = truss_to_spatial(seq, doubled, truss, cycle_tol=np.inf)
+    assert np.abs(2 * back.coefficients - values).max() < 1e-9
 
 
 # --- full pipeline ---
