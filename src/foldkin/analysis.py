@@ -89,7 +89,7 @@ def analyze_surface(surface: OrigamiSurface) -> AnalysisReport:
         "hinge_h1": seq.hinge_h1().shape[1],
         "spatial_h2": seq.spatial_h2().shape[1],
         "rigid_h2": seq.rigid_h2().shape[1],
-        "rigid_h1": seq.rigid_h1().shape[1],
+        "rigid_h1": 6 * seq.loop_cocycles().shape[1],
         "truss_kernel": image.shape[1],
     }
     theta = seq.spatial_to_hinge_matrix()

@@ -24,8 +24,9 @@ zero; every value is a JSON number.
 ``convert --from hinge`` prints the ``obstruction`` vector: six values
 per independent surface loop, the net angular velocity and the net
 moment about the coordinate origin that the hinge rates accumulate
-around that loop.  The loops are an orthonormal basis of the loops
-through interior edges.
+around that loop.  Each loop is counted by one integer cocycle, one per
+interior edge left over by a tree-cotree split of the surface: the
+signed sum of the hinges' line coordinates across that cut.
 """
 
 from __future__ import annotations

@@ -36,10 +36,9 @@ from .cosheaf import (
     CosheafMap,
     ExactnessReport,
     IncidenceMap,
-    assemble_chain_complex,
     constant_cosheaf,
     cycle_residuals,
-    homology_basis,
+    glued_cycles,
     verify_exact_sequence,
 )
 from .errors import (
@@ -60,7 +59,7 @@ from .models import (
     corner_velocities,
 )
 from .spatial import axis_projection, hinge_twist, point_velocity_blocks, transfer_matrix
-from .surface import OrigamiSurface, _dual_forest, constant_homology
+from .surface import OrigamiSurface, _dual_forest, constant_homology, loop_cocycles
 
 CYCLE_TOL = 1e-7
 OBSTRUCTION_TOL = 1e-8
@@ -121,17 +120,18 @@ class ExactSequence:
     """Verified hinge -> rigid -> spatial sequence with cached homology.
 
     ``hinge``, ``rigid`` and ``spatial`` are the models' chain
-    complexes; each homology method returns an orthonormal basis array.
-    Only the hinge complex is decomposed, and the support complex's
-    degree 1 where it is nonzero.  Rigid homology is read off the
-    support complex, the constant ``R^1`` complex on the rigid model's
-    cells: the rigid cosheaf is six copies of it through
+    complexes.  No whole complex is decomposed.  Hinge homology is
+    ``ker d1`` of the hinge complex, glued from its vertex stars
+    (:meth:`hinge_h1`).  Rigid homology is read off the support complex,
+    the constant ``R^1`` complex on the rigid model's cells: the rigid
+    cosheaf is six copies of it through
     :func:`models.constant_rigid_isomorphism`, which moves spatial
     velocities from the origin to cell centroids.  The support complex
-    is an integer complex, so its homology is counted
-    (:meth:`_support_h`).
-    :meth:`rigid_h2` is a basis of rigid chains, but :meth:`rigid_h1`,
-    like the rows of :meth:`loop_obstruction_matrix`, is in the
+    is an integer complex, so its 2-cycles are counted and its loops
+    found by a tree-cotree split, one integer cocycle each
+    (:meth:`loop_cocycles`).  :meth:`rigid_h2` is an orthonormal basis
+    of rigid chains; :meth:`rigid_h1`, like the rows of
+    :meth:`loop_obstruction_matrix`, holds the loop cocycles in the
     origin-anchored constant frame.  Spatial homology is built from the
     other two (:meth:`spatial_h2`), and the connecting map
     (:meth:`spatial_to_hinge_matrix`) is the direct per-edge formula,
@@ -151,8 +151,10 @@ class ExactSequence:
     _cache: dict = field(default_factory=dict)
 
     def hinge_h1(self) -> np.ndarray:
-        return self._cached("hinge_h1",
-                            lambda: homology_basis(self.hinge, 1))
+        """Hinge solutions: nothing enters degree 1 of the hinge complex,
+        so its homology is ``ker d1``, glued from the vertex stars and
+        certified (:func:`cosheaf.glued_cycles`)."""
+        return self._cached("hinge_h1", lambda: glued_cycles(self.hinge))
 
     def spatial_h2(self) -> np.ndarray:
         """Spatial solutions: the thin QR of the global motions
@@ -212,38 +214,47 @@ class ExactSequence:
                            kernel]) / size
         return basis, r, image
 
-    def _support_h(self, degree: int) -> np.ndarray:
-        """Harmonic basis of the support complex in degree 1 or 2."""
-        z1, cycles = self._cached("support_h", self._support_homology)
-        return z1 if degree == 1 else cycles / np.sqrt(cycles.sum(axis=0))
+    def loop_cocycles(self) -> np.ndarray:
+        """Integer cocycles of the support complex, one per independent
+        loop (:func:`surface.loop_cocycles`): 0/±1 columns over the rigid
+        model's edges.  Pairing a cycle with them reads off its class."""
+        return self._cached("support_h", self._support_homology)[0]
 
     def _support_homology(self):
-        """``Z1`` of the support complex and its integer 2-cycles, from
-        component counts (:func:`surface.constant_homology`).  The
-        2-cycles are the 0/1 indicators of the free dual components,
-        certified exactly: their integer boundary is 0.  Degree 1 is
-        decomposed only when its counted dimension is nonzero, and must
-        have that dimension; either failure raises
-        :class:`ExactnessViolation`."""
+        """The loop cocycles of the support complex and its integer
+        2-cycles.  The ranks come from component counts
+        (:func:`surface.constant_homology`) and the 2-cycles are the 0/1
+        indicators of the free dual components; the cocycles come from a
+        tree-cotree split.  Each is certified exactly: the 2-cycles have
+        integer boundary 0, the cocycles vanish on every face boundary,
+        and there is one cocycle per counted dimension of degree 1.
+        Each failure raises :class:`ExactnessViolation`."""
         cells = self.rigid.cosheaf.support
-        support = assemble_chain_complex(constant_cosheaf(self.surface, 1, support=cells))
+        # Identity extensions compose exactly: nothing to check.
+        support = ChainComplex(constant_cosheaf(self.surface, 1, support=cells))
         r1, r2, cycles = constant_homology(self.surface, cells)
         z2 = cycles[cells[2]]
         if np.any(support.apply(2, z2)):
             raise ExactnessViolation("a counted support 2-cycle has a boundary")
+        loops = loop_cocycles(self.surface, cells)
+        fe = self.surface.incidences["fe"]
+        live = cells[1][fe.lower] & cells[2][fe.upper]
+        faces = np.zeros((self.surface.num_faces, loops.shape[1]))
+        np.add.at(faces, fe.upper[live], fe.sign[live, None]
+                  * support.cosheaf.restrict(1, loops, fe.lower[live]))
+        if np.any(faces):
+            raise ExactnessViolation("a support cocycle does not vanish on a face boundary")
         n1 = support.dim(1) - r1 - r2
-        z1 = homology_basis(support, 1) if n1 else np.zeros((support.dim(1), 0))
-        if z1.shape[1] != n1:
+        if loops.shape[1] != n1:
             raise ExactnessViolation(
-                f"support degree 1 has dimension {z1.shape[1]}, counted {n1}")
-        return z1, z2
+                f"support degree 1 has dimension {loops.shape[1]}, counted {n1}")
+        return loops, z2
 
     def rigid_h1(self) -> np.ndarray:
-        """Degree-1 rigid homology, ``kron(Z1, I6)`` for the support
-        complex's harmonic basis ``Z1``: orthonormal and harmonic, shaped
-        like rigid 1-chains, but in the origin-anchored constant frame."""
-        return self._cached("rigid_h1",
-                            lambda: np.kron(self._support_h(1), np.eye(6)))
+        """Degree-1 rigid classes as cochains, ``kron(C, I6)`` for the
+        :meth:`loop_cocycles` ``C``: integer, shaped like rigid 1-chains,
+        in the origin-anchored constant frame."""
+        return self._cached("rigid_h1", lambda: np.kron(self.loop_cocycles(), np.eye(6)))
 
     def rigid_h2(self) -> np.ndarray:
         """Degree-2 rigid homology: the constant classes ``kron(Z2, I6)``
@@ -316,14 +327,17 @@ class ExactSequence:
 
         Through the isomorphism a unit rate on hinge ``e`` becomes its
         line coordinates ``[l_e, m_e x l_e]`` (axis, midpoint), so the
-        six rows of a base loop are the net angular velocity and moment
-        about the origin that a hinge class accumulates around it.
-        Nonzero output means the loop does not close."""
+        six rows of a loop cocycle are the net angular velocity and
+        moment about the origin that a hinge class accumulates across
+        it, that is around the loop it counts.  The cocycles are a basis
+        of the classes' duals, so this map has the rank and the kernel
+        of the map into any other basis of the loops.  Nonzero output
+        means a loop does not close."""
         return self._cached("iota_star", self._loop_obstruction)
 
     def _loop_obstruction(self) -> np.ndarray:
         lines = _hinge_lines(self.surface, self.rigid.cosheaf.support[1])
-        loops, classes = self._support_h(1), self.hinge_h1()
+        loops, classes = self.loop_cocycles(), self.hinge_h1()
         return np.einsum("ea,ei,ej->aij", loops, lines, classes).reshape(
             6 * loops.shape[1], classes.shape[1])
 
@@ -609,7 +623,8 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     ``(n, 6, n, 6)`` layout, in chunks of about ``sqrt(n)`` block rows,
     and the inverse is checked chunk by chunk as it is written, so no
     temporary is as large as an operator.  ``d`` is written from the same
-    chunks, and ``d_pinv @ d`` from the two block diagonals of ``d_pinv``.
+    chunks, ``d_pinv`` from the inverse's two block diagonals only, and
+    ``d_pinv @ d`` is checked from those diagonals.
     """
     chain = chain_structure(surface)
     n = chain.num_hinges
@@ -654,11 +669,15 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     if inverse_gap > 1e-12 * max(1.0, size):
         raise FoldkinError(f"chain operator inverse failed ({inverse_gap:.3e})")
 
-    # Row i of d_pinv @ d reads block rows i - 1 and i of d, d_pinv's two
-    # block diagonals.  Laid flat, those are runs of 12 entries 6n + 6
-    # apart, so the entries between them are one strided view; each would
-    # add at most 6n |entry| max |d|.
-    d_pinv = np.einsum("ia,iajb->ijb", twists, psi_inv)
+    # d_pinv = iota^T psi_inv has psi_inv's two block diagonals, each
+    # block row a twist times a block.  Row i of d_pinv @ d reads block
+    # rows i - 1 and i of d.  Laid flat, the two diagonals are runs of 12
+    # entries 6n + 6 apart, so the entries between them, which nothing
+    # writes, are one strided view; each would add at most
+    # 6n |entry| max |d|.
+    d_pinv = np.zeros((n, n, 6))
+    d_pinv[idx, idx] = np.einsum("ia,iab->ib", twists, diag)
+    d_pinv[idx[1:], idx[:-1]] = np.einsum("ia,iab->ib", twists[1:], sub)
     product = np.einsum("ib,ibk->ik", d_pinv[idx, idx], d)
     product[1:] += np.einsum("ib,ibk->ik", d_pinv[idx[1:], idx[:-1]], d[:-1])
     product[idx, idx] -= 1.0
@@ -697,10 +716,12 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
     pinned, expressed directly in hinge-rate and stacked-body-velocity
     coordinates for comparison with the closed-form left inverse.
 
-    The three models are built once and pinned, and only the pinned
-    sequence is built and verified, like any other: naturality,
-    stalk-wise exactness, the spatial cycle and rank certificates and
-    the certificate of theta against the tree lifts.  The free sequence
+    The three models are built and checked for functoriality once, then
+    pinned (pinning zeroes extensions, so the check covers the pinned
+    copies), and only the pinned sequence is verified, like any other:
+    naturality, stalk-wise exactness, the spatial cycle and rank
+    certificates and the certificate of theta against the tree lifts.
+    The free sequence
     would add only the base face's cells to the exactness check, where
     the hinge model has no stalk and the quotient map is the identity.
     Returns ``(theta, cycles)`` where ``cycles`` columns are pinned
@@ -709,7 +730,7 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
     """
     chain = ops.chain
     base = [chain.face_order[0]]
-    pinned = _verified_sequence(*(build(surface).pinned(2, base) for build in (
+    pinned = _verified_sequence(*(build(surface).pinned(base) for build in (
         build_hinge_model, build_rigid_model, build_spatial_model)))
     rates = pinned.hinge_h1() @ pinned.spatial_to_hinge_matrix()
     # Hinge rows in chain hinge order, cycle rows as the moving bodies in

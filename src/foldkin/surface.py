@@ -18,7 +18,9 @@ component's lowest-index face.  Two corners at a vertex are linked when
 their faces share an interior edge there; the components of that graph
 (:func:`_free_components`) are the vertex's fans, and more than one is a
 pinch.  The same two routines order serial chains, root tree lifts and
-count the components behind base and support homology.
+count the components behind base and support homology; the forest also
+splits the support complex into a tree and a cotree
+(:func:`loop_cocycles`).
 
 Per-cell geometry is computed in array passes, not cell by cell.  Edge
 triads come from one broadcast :func:`spatial.orthonormal_triad` call.
@@ -449,6 +451,57 @@ def constant_homology(surface: OrigamiSurface, support=(True, True, True)):
     _, closed = _free_components(surface.num_vertices, ends, ~vs)
     return (int(vs.sum()) - len(closed), int(fs.sum()) - len(free),
             (labels[:, None] == free).astype(float))
+
+
+def loop_cocycles(surface: OrigamiSurface, support) -> np.ndarray:
+    """Integer degree-1 cocycles of the constant ``R^1`` complex on the
+    cells in the bool masks ``support``, one per generator of its degree-1
+    homology, by a tree-cotree split (Eppstein, SODA 2003).  The
+    supported edges must be interior edges, as in the rigid model.
+
+    The primal forest (:func:`_dual_forest` over the vertex graph) spans
+    the supported vertices from the unsupported ones, which stand
+    together for one node, the boundary.  The cotree spans the faces over
+    the supported edges the forest left out, grown from the unsupported
+    faces, which again stand for one node.  Each supported edge left out
+    of both is one generator.  Its cocycle is its fundamental cycle in
+    the cotree, signed so that it vanishes on the boundary of every
+    supported face.  The loop a leftover edge closes through the forest
+    meets its own cocycle once and no other, so pairing with the
+    cocycles reads off every class.  Returns 0/±1 columns over the
+    supported edges in edge order, one per leftover edge in edge order.
+    """
+    vs, es, fs = (np.broadcast_to(mask, (surface.num_cells(d),))
+                  for d, mask in enumerate(support))
+    edges = np.flatnonzero(es)
+    tree, _, _ = _dual_forest(surface.incidences["ev"].lower.reshape(-1, 2)[edges], ~vs)
+    spare = es.copy()
+    spare[edges[tree]] = False
+    fe = surface.incidences["fe"]
+    links = surface.dual_links()
+    links = links[spare[fe.lower[links[:, 0]]]]
+    edge, face, sign = fe.lower[links[:, 0]], fe.upper[links], fe.sign[links]
+    cotree, side, bounds = _dual_forest(face, ~fs)
+    spare[edge[cotree]] = False
+    left = np.flatnonzero(spare[edge])
+    if not left.size:
+        return np.zeros((len(edges), 0))
+    # The cochain of leftover edge j is its first face's sign there, so
+    # that face needs -1 from its cotree links and the other +1.  Faces
+    # are oriented consistently, so a cotree link carries its child
+    # face's sign times what the child's subtree needs in all; the
+    # subtrees are summed deepest level first.
+    loops = np.arange(len(left))
+    need = np.zeros((surface.num_faces, len(left)))
+    need[face[left, 0], loops] -= 1.0
+    need[face[left, 1], loops] += 1.0
+    child, parent = face[cotree, side], face[cotree, 1 - side]
+    for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+        np.add.at(need, parent[lo:hi], need[child[lo:hi]])
+    cochains = np.zeros((surface.num_edges, len(left)))
+    cochains[edge[left], loops] = sign[left, 0]
+    cochains[edge[cotree]] = sign[cotree, side][:, None] * need[child]
+    return cochains[edges]
 
 
 def base_square_vanishes(surface: OrigamiSurface) -> bool:

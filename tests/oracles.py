@@ -1,7 +1,10 @@
 """Reference routes that the library no longer runs.
 
 Each dense route decomposes a whole assembled matrix where the library
-reads the same answer off a smaller structure.  The dense bar Jacobian
+reads the same answer off a smaller structure.  The kernel of the whole
+hinge ``d1`` stands for the hinge cycles glued from vertex stars, and
+the harmonic degree-1 basis of the support complex for its integer loop
+cocycles from a tree-cotree split.  The dense bar Jacobian
 stands for the linkage's bar ends and unit axes, and the truss kernel
 decomposed whole for the certified η image; the Gram floor with an SVD
 rank of η stands for the floor alone.  The generic connecting
@@ -12,8 +15,9 @@ homology.  Each per-cell route builds one cell's
 geometry at a time where the library runs one array pass over every
 cell.  The level-by-level tree lift rescans every dual link at each
 level where the library finds its forest once, and the dense chain
-operators form every ``(6n, 6n)`` product where the library writes and
-checks a few block rows at a time.  The topology walks answer each graph
+operators form every ``(6n, 6n)`` product, and ``d_pinv`` from all of
+the inverse, where the library writes and checks a few block rows at a
+time and ``d_pinv`` from the inverse's two block diagonals.  The topology walks answer each graph
 question of surface construction with a walk of its own: a depth-first
 orientation, a fan walk around every vertex, an edge dict and an
 adjacency-dict chain walk, and they list the incidences one cell at a
@@ -50,6 +54,11 @@ from foldkin.errors import (
 from foldkin.linalg import RANK_TOL, nullspace, pseudoinverse, svd_rank
 from foldkin.maps import _hinge_lines, chain_structure
 from foldkin.spatial import hinge_twist, transfer_matrix
+
+
+def hinge_h1(seq):
+    """Kernel of the whole hinge boundary ``d1``, one SVD."""
+    return homology_basis(seq.hinge, 1)
 
 
 def rigid_h1(seq):

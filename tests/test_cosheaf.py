@@ -315,7 +315,7 @@ def test_restrict_rejects_unsupported_cells():
     cosheaf = build_spatial_model(two_panels()).cosheaf
     chains = np.arange(6.0)[:, None]
     for pin, keep in ((0, 1), (1, 0)):
-        pinned = cosheaf.pinned(2, [pin])
+        pinned = cosheaf.pinned([pin])
         assert np.array_equal(pinned.restrict(2, chains, [keep]), chains)
         with pytest.raises(ShapeMismatch):
             pinned.restrict(2, chains, [pin])
@@ -333,7 +333,7 @@ def test_apply_matches_the_dense_product(make, rng):
     seq = build_exact_sequence(s)
     free = (seq.hinge, seq.rigid, seq.spatial, build_constant_model(s, 1))
     cases = [(cc.apply, degree, cc.boundary(degree))
-             for cc in free + tuple(cc.pinned(2, [0]) for cc in free)
+             for cc in free + tuple(cc.pinned([0]) for cc in free)
              for degree in (1, 2)]
     cases += [(phi.apply, degree, phi.block_matrix(degree))
               for phi in (seq.iota, seq.pi, constant_rigid_isomorphism(seq.rigid))

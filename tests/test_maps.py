@@ -37,6 +37,7 @@ from foldkin.errors import (
     Degenerate,
     ExactnessViolation,
     FoldkinError,
+    FunctorialityViolation,
     InvalidParams,
     NaturalityViolation,
     NonRigidMotion,
@@ -49,6 +50,7 @@ import oracles
 from conftest import (
     ORACLE_SURFACES,
     disjoint_union,
+    flipped_icosahedron,
     jessen,
     one_face,
     scaled,
@@ -129,8 +131,16 @@ def test_rigid_homology_matches_the_dense_route(make):
     assert svd_rank(got, scale=1.0) == svd_rank(dense, scale=1.0)
     # The two matrices differ by a change of row basis, so the
     # unobstructed hinge classes, their common kernel, agree.
-    assert subspace_residual(nullspace(got, scale=1.0),
-                             nullspace(dense, scale=1.0)) < 1e-12
+    kernel = nullspace(dense, scale=1.0)
+    assert subspace_residual(nullspace(got, scale=1.0), kernel) < 1e-12
+    # So do the verdicts, on unobstructed classes and on obstructed ones
+    # (the complement of the kernel), and the obstruction's length.
+    h1 = seq.hinge_h1()
+    for coords, obstructed in ((kernel, False), (oracles.column_space(dense.T, scale=1.0), True)):
+        for c in coords.T:
+            report = hinge_to_spatial(seq, hinge_solution(seq, h1 @ c))
+            assert report.obstructed is obstructed
+            assert report.obstruction.shape == (len(dense),)
 
 
 COUNTED_SEQUENCES = [
@@ -141,32 +151,136 @@ COUNTED_SEQUENCES = [
 @pytest.mark.parametrize("make", [m for _, m in COUNTED_SEQUENCES],
                          ids=[n for n, _ in COUNTED_SEQUENCES])
 def test_counted_support_homology_matches_the_decomposition(make):
-    # The support complex's homology and the Betti numbers are read off
-    # component counts; the SVDs of the integer matrices are the
-    # reference.
+    # The support complex's 2-cycles and the Betti numbers are read off
+    # component counts, and its loops off a tree-cotree split; the SVDs
+    # of the integer matrices are the reference.
     seq = make()
-    for degree in (1, 2):
-        got, want = seq._support_h(degree), oracles.support_h(seq, degree)
-        assert got.shape == want.shape
-        assert np.abs(got.T @ got - np.eye(got.shape[1])).max(initial=0.0) < 1e-12
-        assert subspace_residual(got, want) < 1e-12
+    cycles = seq._support_homology()[1]
+    got, want = cycles / np.sqrt(cycles.sum(axis=0)), oracles.support_h(seq, 2)
+    assert got.shape == want.shape
+    assert subspace_residual(got, want) < 1e-12
+    # One integer cocycle per harmonic loop: it vanishes exactly on the
+    # integer face boundaries, and pairing with the harmonic cycles is
+    # invertible, so the cocycles read off every class.
+    loops, harmonic = seq.loop_cocycles(), oracles.support_h(seq, 1)
+    assert loops.shape == harmonic.shape
+    assert set(np.unique(loops)) <= {-1.0, 0.0, 1.0}
+    _, d2 = oracles.signed_incidence_matrices(seq.surface)
+    vs, es, fs = seq.rigid.cosheaf.support
+    assert not (loops.T @ d2[es][:, fs]).any()
+    assert svd_rank(loops.T @ harmonic) == loops.shape[1]
+    assert seq.rigid_h1().shape == (6 * len(loops), 6 * loops.shape[1])
     assert base_homology(seq.surface) == oracles.base_homology(seq.surface)
 
 
-@pytest.mark.parametrize("fault, message", [
-    (lambda r1, r2, cycles: (r1, r2, np.vstack([0 * cycles[:1], cycles[1:]])),
+def _drop_last_entry(loops):
+    return np.where(np.arange(loops.size).reshape(loops.shape)
+                    == np.flatnonzero(loops)[-1], 0.0, loops)
+
+
+@pytest.mark.parametrize("name, fault, message", [
+    ("constant_homology",
+     lambda counts: (*counts[:2], np.vstack([0 * counts[2][:1], counts[2][1:]])),
      "has a boundary"),
-    (lambda r1, r2, cycles: (r1, r2 - 1, cycles), "dimension 1, counted 2"),
-], ids=["cycle", "count"])
-def test_counted_support_homology_is_certified(monkeypatch, fault, message):
-    # A counted 2-cycle with a boundary, or a degree-1 count that the
-    # decomposition does not confirm, is a fault, not a dimension.
-    count = maps.constant_homology
-    monkeypatch.setattr(maps, "constant_homology",
-                        lambda surface, support: fault(*count(surface, support)))
+    ("constant_homology", lambda counts: (counts[0], counts[1] - 1, counts[2]),
+     "dimension 1, counted 2"),
+    ("loop_cocycles", _drop_last_entry, "does not vanish on a face boundary"),
+], ids=["cycle", "count", "cocycle"])
+def test_counted_support_homology_is_certified(monkeypatch, name, fault, message):
+    # A counted 2-cycle with a boundary, a degree-1 count that the loops
+    # do not confirm, or a cocycle missing one cotree link, is a fault,
+    # not a dimension.
+    original = getattr(maps, name)
+    monkeypatch.setattr(maps, name,
+                        lambda surface, support: fault(original(surface, support)))
     seq = build_exact_sequence(square_hole_grid(3))
     with pytest.raises(ExactnessViolation, match=message):
         seq.rigid_h2()
+
+
+def relabeled(surface, seed=5):
+    """The same surface with its vertex ids permuted."""
+    perm = np.random.default_rng(seed).permutation(surface.num_vertices)
+    verts = np.empty_like(surface.vertices)
+    verts[perm] = surface.vertices
+    return build_surface(verts, [[int(perm[v]) for v in c] for c in surface.faces])
+
+
+# Hinge homology is glued from vertex stars; the dense kernel of the
+# whole hinge boundary is the reference.  The degenerate sheets have
+# vertices whose axes span less than they generically would.
+HINGE_SURFACES = ORACLE_SURFACES + [
+    (f"{shape}_{a}_{b}", lambda shape=shape, a=a, b=b: surface_of(shape, a, b))
+    for shape, a, b in (("grid", 16, 16), ("torus", 16, 16), ("annulus", 8, 32),
+                        ("miura", 20, 20))
+] + [
+    ("flat_vertex", lambda: surface_of("single_vertex", 4, 0.0, jitter=False)),
+    ("miura_10_10", lambda: surface_of("miura", 10, 10)),
+    ("flat_grid_6_6", lambda: surface_of("grid", 6, 6, jitter=False)),
+    ("flat_grid_12_12", lambda: surface_of("grid", 12, 12, jitter=False)),
+    ("square_hole_12", lambda: square_hole_grid(12)),
+] + [(f"icosahedron_{long:g}", lambda long=long: flipped_icosahedron(long))
+     for long in (1.5, 2.5)
+] + [(f"grid_12_12-{f:g}", lambda f=f: scaled(surface_of("grid", 12, 12), f))
+     for f in (1e-3, 1e-1, 1e3, 1e6)
+] + [(f"torus_16_16-{f:g}", lambda f=f: scaled(surface_of("torus", 16, 16), f))
+     for f in (1e-3, 1e6)
+] + [("grid_12_12-relabeled", lambda: relabeled(surface_of("grid", 12, 12))),
+     ("torus_8_8-relabeled", lambda: relabeled(surface_of("torus", 8, 8)))]
+
+
+@pytest.mark.parametrize("make", [m for _, m in HINGE_SURFACES],
+                         ids=[n for n, _ in HINGE_SURFACES])
+def test_glued_hinge_homology_matches_the_dense_route(make):
+    seq = build_exact_sequence(make())
+    basis, dense = seq.hinge_h1(), oracles.hinge_h1(seq)
+    assert basis.shape == dense.shape
+    assert subspace_residual(basis, dense) <= 1e-11
+    d1 = seq.hinge.d1
+    reach = np.abs(d1).max(initial=0.0) * np.abs(basis).max(initial=0.0)
+    assert np.abs(d1 @ basis).max(initial=0.0) <= 1e-12 * reach
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda k: k + np.where(np.arange(k.size).reshape(k.shape) == 0, 1e-6, 0.0),
+     "^glued column 0 is not a cycle"),
+    (lambda k: k * (1 + 1e-6), "^glued basis is not orthonormal"),
+], ids=["cycle", "orthonormal"])
+def test_glued_hinge_homology_is_certified(monkeypatch, fault, message):
+    # grid 12 12 has more interior vertices than one leaf, so its patches
+    # are glued.  Every interior edge there has an interior end, so the
+    # last merge covers them all; a fault there alone must be seen.
+    s = surface_of("grid", 12, 12)
+    assert s.interior_vertex.sum() > cosheaf.LEAF_VERTICES
+    glue, faulted = cosheaf._VertexStars.glue, []
+
+    def faulty(self, one, two):
+        edges, k = glue(self, one, two)
+        if len(edges) < s.interior_edge.sum():
+            return edges, k
+        faulted.append(1)
+        return edges, fault(k)
+
+    monkeypatch.setattr(cosheaf._VertexStars, "glue", faulty)
+    with pytest.raises(ExactnessViolation, match=message):
+        build_exact_sequence(s).hinge_h1()
+    assert faulted == [1]
+
+
+def test_gluing_counts_no_rounding_noise_as_rank(rng):
+    # Two patches whose kernels vanish on their shared edges 4 and 5 up
+    # to rounding glue into every pair of columns.  The merge's cutoff is
+    # anchored at 1, the size of an orthonormal basis's entries; taken
+    # relative to the merge's own largest singular value, the noise
+    # would count as rank and drop columns.
+    stars = cosheaf._VertexStars(build_exact_sequence(surface_of("grid", 2, 2)).hinge)
+    noise = 1e-17 * rng.normal(size=(2, 2))
+    k1 = np.vstack([np.linalg.qr(rng.normal(size=(4, 2)))[0], noise])
+    k2 = np.vstack([noise.T, np.linalg.qr(rng.normal(size=(4, 2)))[0]])
+    edges, glued = stars.glue((np.arange(6), k1), (np.arange(4, 10), k2))
+    assert np.array_equal(edges, np.arange(10))
+    assert glued.shape == (10, 4)
 
 
 def assert_spatial_basis_matches_the_dense_route(seq):
@@ -195,7 +309,7 @@ def pinned_chain_sequence(n):
     s = surface_of("chain", n)
     seq = build_exact_sequence(s)
     base = [chain_structure(s).face_order[0]]
-    return _verified_sequence(*(cc.pinned(2, base)
+    return _verified_sequence(*(cc.pinned(base)
                                 for cc in (seq.hinge, seq.rigid, seq.spatial)))
 
 
@@ -795,6 +909,27 @@ def test_pinned_chain_runs_the_sequence_checks(monkeypatch):
             pinned_chain_connecting_matrix(s, ops)
 
 
+def test_pinned_chain_checks_functoriality_on_the_free_models(monkeypatch):
+    # The pinned copies are not checked again: a pinned face only zeroes
+    # extensions.  Each free model is checked once, and a fault there
+    # still raises.  A chain has no interior vertex, so no triple carries
+    # a live extension; the fault is planted in the residual.
+    s = surface_of("chain", 6, seed=4)
+    ops = serial_chain_operators(s)
+    residual, checked = cosheaf.Cosheaf.functoriality_residual, []
+
+    def recording(self):
+        checked.append(self.support[2].all())
+        return residual(self)
+
+    monkeypatch.setattr(cosheaf.Cosheaf, "functoriality_residual", recording)
+    pinned_chain_connecting_matrix(s, ops)
+    assert checked == [True, True, True]
+    monkeypatch.setattr(cosheaf.Cosheaf, "functoriality_residual", lambda self: 1e-6)
+    with pytest.raises(FunctorialityViolation, match="composition residual 1.000e-06"):
+        pinned_chain_connecting_matrix(s, ops)
+
+
 def test_pinned_chain_verifies_one_sequence(monkeypatch):
     # The free sequence is neither built nor verified.
     faces = []
@@ -813,7 +948,7 @@ def test_pinned_chain_verifies_one_sequence(monkeypatch):
     assert not faces[0][ops.chain.face_order[0]]
 
 
-@pytest.mark.parametrize("n", [1, 2, 40, 160])
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 160])
 def test_chain_operators_match_the_dense_construction(n):
     s = surface_of("chain", n, seed=n)
     ops = serial_chain_operators(s)
@@ -847,21 +982,36 @@ def test_chain_inverse_certificate_sees_a_faulty_sub_block(monkeypatch, block):
 def test_chain_left_inverse_certificate_sees_a_faulty_entry(monkeypatch):
     # d_pinv[i, j, b] is entry b of block j in row i.  Blocks i - 1 and i
     # enter the product; a fault of either sign anywhere else, at either
-    # edge of the band or in a corner, must still be seen.
-    einsum = np.einsum
+    # edge of the band or in a corner, must still be seen.  Entries off
+    # the band are never written, so a fault there is planted in the
+    # zeros d_pinv starts from; one on the band, in the block row
+    # written there.
+    zeros, einsum = np.zeros, np.einsum
     n = 40
+    s = surface_of("chain", n, seed=3)
     for k, entry in enumerate([(3, 5, 0), (3, 4, 5), (5, 3, 0), (0, 1, 0), (0, n - 1, 5),
                                (n - 1, 0, 0), (n - 1, n - 3, 5), (7, 7, 2), (7, 6, 3)]):
-        def faulty(subscripts, *operands, **kwargs):
+        fault = (-1) ** k * 1e-9
+        i, j, b = entry
+
+        def faulty_zeros(shape, *args, **kwargs):
+            out = zeros(shape, *args, **kwargs)
+            if shape == (n, n, 6):  # d_pinv
+                out[entry] += fault
+            return out
+
+        def faulty_rows(subscripts, *operands, **kwargs):
+            # The diagonal's rows run over i, the sub-diagonal's over j.
             out = einsum(subscripts, *operands, **kwargs)
-            if subscripts == "ia,iajb->ijb":  # d_pinv
-                out[entry] += (-1) ** k * 1e-9
+            if subscripts == "ia,iab->ib" and i - j in (0, 1) and len(out) == n - i + j:
+                out[j, b] += fault
             return out
 
         with monkeypatch.context() as patch:
-            patch.setattr(np, "einsum", faulty)
+            patch.setattr(np, "zeros", faulty_zeros)
+            patch.setattr(np, "einsum", faulty_rows)
             with pytest.raises(FoldkinError, match="^chain left inverse failed"):
-                serial_chain_operators(surface_of("chain", n, seed=3))
+                serial_chain_operators(s)
 
 
 def test_collapsed_hinge_is_rejected_as_degenerate():
