@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from . import generators
 from .analysis import analyze_surface
 from .errors import FoldkinError, InvalidParams, NotACycle, ParseError, UnknownCellId
 from .fold_io import (
+    TEMPLATE_CACHE_SIZE,
     canonical_json,
     json_number,
     parse_fold,
@@ -101,16 +103,31 @@ def hinge_vector_dict(surface: OrigamiSurface, rates: np.ndarray) -> dict:
             for k, e in enumerate(surface.interior_edges())}
 
 
+@lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _face_keys(num_faces: int) -> tuple[str, ...]:
+    return tuple(f"f{f}" for f in range(num_faces))
+
+
+@lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _truss_keys(num_vertices: int, num_faces: int) -> tuple[str, ...]:
+    return (*(f"v{v}" for v in range(num_vertices)), *(f"a{f}" for f in range(num_faces)))
+
+
 def spatial_vector_dict(surface: OrigamiSurface, values: np.ndarray) -> dict:
+    """Six values per face, keyed ``f<i>``.  The keys depend only on the
+    face count, so they are built once per count."""
     rows = values.reshape(surface.num_faces, 6).tolist()
-    return {f"f{f}": row for f, row in enumerate(rows)}
+    return dict(zip(_face_keys(surface.num_faces), rows))
 
 
 def truss_vector_dict(linkage, values: np.ndarray) -> dict:
+    """Three values per truss point, keyed ``v<i>`` for the surface's
+    vertices and ``a<j>`` for the apex of face ``j``.  The apexes follow
+    the vertices in face order, so the keys depend only on the two
+    counts and are built once per pair."""
     rows = values.reshape(linkage.num_points, 3).tolist()
-    out = {f"v{v}": rows[v] for v in range(linkage.surface.num_vertices)}
-    out.update((f"a{f}", rows[apex]) for f, apex in enumerate(linkage.apex_of_face))
-    return out
+    surface = linkage.surface
+    return dict(zip(_truss_keys(surface.num_vertices, surface.num_faces), rows))
 
 
 # --- commands ---

@@ -8,7 +8,14 @@ untouched so files written by other crease-pattern tools survive a
 round trip.
 
 Serialization is canonical: keys sorted, floats printed with 17
-significant digits, so equal documents produce identical bytes.
+significant digits, so equal documents produce identical bytes.  A dict
+whose values are all lists of finite plain floats, the rows of a
+solution vector, is printed by one ``%`` format of a template that holds
+its sorted, escaped keys and one ``%.17g`` per float.  The template
+depends only on the layout (the keys and the row lengths), so it is built
+once per layout and kept in a least-recently-used cache of
+``TEMPLATE_CACHE_SIZE`` layouts; every other value is printed value by
+value.  Both routes print the same bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +23,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -24,6 +34,10 @@ from .errors import IndexOutOfRange, ParseError
 from .surface import OrigamiSurface, build_surface
 
 _GEOMETRY_KEYS = ("vertices_coords", "edges_vertices", "faces_vertices")
+
+# Row layouts whose print template is kept; a conversion payload has
+# one layout per sheet and model.
+TEMPLATE_CACHE_SIZE = 128
 
 
 @dataclass
@@ -172,7 +186,32 @@ def _format_list(value) -> str:
     return "[" + ",".join(map(_format_value, value)) + "]"
 
 
+@lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _row_template(keys: tuple, lengths: tuple) -> tuple[str, itemgetter] | None:
+    """The print template of a dict of float rows with ``keys`` and row
+    ``lengths`` in insertion order, and the getter that takes the dict's
+    floats, flattened in that order, to the template's sorted-key order.
+
+    None unless every key is a plain string: keys that are equal but
+    print differently, such as ``1``, ``1.0`` and ``True``, would share a
+    template."""
+    if {*map(type, keys)} != {str}:
+        return None
+    rows = sorted(zip(keys, accumulate(lengths, initial=0), lengths))
+    body = ",".join(encode_basestring_ascii(k).replace("%", "%%") + ":["
+                    + ",".join(["%.17g"] * n) + "]" for k, _, n in rows)
+    # With one float the getter returns it bare, which ``%`` also takes.
+    return "{" + body + "}", itemgetter(*(s + i for _, s, n in rows for i in range(n)))
+
+
 def _format_dict(value: dict) -> str:
+    rows = value.values()
+    if {*map(type, rows)} == {list}:
+        flat = tuple(chain.from_iterable(rows))
+        if {*map(type, flat)} == {float} and all(map(math.isfinite, flat)):
+            template = _row_template(tuple(value), tuple(map(len, rows)))
+            if template is not None:
+                return template[0] % template[1](flat)
     body = ",".join(f"{encode_basestring_ascii(str(k))}:{_format_value(v)}"
                     for k, v in sorted(value.items()))
     return "{" + body + "}"

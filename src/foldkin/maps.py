@@ -433,13 +433,16 @@ def spatial_solution(seq: ExactSequence, values) -> ModelSolution:
     return ModelSolution(model="spatial", coefficients=values, residual=residual)
 
 
-def _require_cycle(sol: ModelSolution, cycle_tol: float):
+def _require_cycle(sol: ModelSolution, cycle_tol: float) -> float:
+    """Raise :class:`NotACycle` unless ``sol`` is a finite cycle; return
+    the scale its residual was measured against."""
     _require_finite(sol.model, sol.coefficients)
     scale = max(1.0, float(np.max(np.abs(sol.coefficients), initial=0.0)))
     if sol.residual > cycle_tol * scale:
         raise NotACycle(
             f"{sol.model} vector violates its constraints "
             f"(residual {sol.residual:.3e})")
+    return scale
 
 
 # --- hinge -> spatial ---
@@ -484,8 +487,7 @@ def spatial_to_truss(linkage: StiffenedLinkage, sol: ModelSolution,
     for a true solution all incident faces agree, which is asserted.
     Apex vertices take the velocity induced by their own face.
     """
-    _require_cycle(sol, cycle_tol)
-    scale = max(1.0, float(np.max(np.abs(sol.coefficients), initial=0.0)))
+    scale = _require_cycle(sol, cycle_tol)
     at_corner, y = corner_velocities(linkage, sol.coefficients[:, None])
     y = y[:, 0]
     gaps = np.abs(at_corner[:, :, 0]

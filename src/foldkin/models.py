@@ -271,6 +271,10 @@ def corner_velocities(linkage: StiffenedLinkage,
     at_corner = np.einsum("cij,cjk->cik", linkage.corner_block,
                           values.reshape(-1, 6, motions)[linkage.corner_face])
     first = linkage._first_corner
+    if len(first) == linkage.num_points:
+        # First corners are in point order, so they read off every point.
+        return at_corner, at_corner[first].reshape(-1, motions)
+    # A vertex on no face has no corner; it keeps a zero velocity.
     at_point = np.zeros((linkage.num_points, 3, motions))
     at_point[linkage.corner_point[first]] = at_corner[first]
     return at_corner, at_point.reshape(-1, motions)

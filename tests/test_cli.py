@@ -6,7 +6,9 @@ from foldkin import build_exact_sequence, generate, serialize_fold, surface_from
 from foldkin import analysis, cli
 from foldkin.cli import main
 
+import oracles
 from conftest import BOWTIE
+from foldkin.models import stiffen
 from oracles import column_space
 
 
@@ -249,6 +251,49 @@ def test_convert_non_cycle_exits_1(tmp_path, capsys):
     code = main(["convert", path, "--input-solution", str(sol_path),
                  "--from", "hinge", "--to", "spatial"])
     assert code == 1
+
+
+@pytest.mark.parametrize("shape_args", [
+    ("single_vertex", 4, 0.5), ("grid", 2, 2), ("miura", 3, 4), ("miura", 5, 6),
+    ("annulus", 1, 8),
+], ids=lambda a: "_".join(map(str, a)))
+def test_convert_prints_the_bytes_of_the_recursive_formatter(tmp_path, capsys, monkeypatch,
+                                                             shape_args, rng):
+    path, surface, seq = convert_setup(tmp_path, shape_args)
+    hinge = seq.hinge_h1() @ rng.normal(size=seq.hinge_h1().shape[1])
+    spatial = seq.spatial_h2() @ rng.normal(size=seq.spatial_h2().shape[1])
+    hinge_path, spatial_path = tmp_path / "rates.json", tmp_path / "spatial.json"
+    hinge_path.write_text(json.dumps(
+        {f"e{e}": r for e, r in zip(surface.interior_edges(), hinge.tolist())}))
+    spatial_path.write_text(json.dumps(
+        {f"f{f}": row for f, row in enumerate(spatial.reshape(-1, 6).tolist())}))
+    printed = []
+    real = cli.canonical_json
+    monkeypatch.setattr(cli, "canonical_json",
+                        lambda payload: printed.append(payload) or real(payload))
+    for source, target, sol in (("hinge", "truss", hinge_path), ("hinge", "spatial", hinge_path),
+                                ("spatial", "truss", spatial_path)):
+        code = main(["convert", path, "--input-solution", str(sol),
+                     "--from", source, "--to", target])
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        assert out == oracles.canonical_json(printed.pop()) + "\n"
+
+
+def test_vector_dicts_key_every_row_by_its_cell(rng):
+    for shape_args in (("grid", 2, 3), ("torus", 3, 4), ("single_vertex", 5)):
+        surface = surface_from_document(generate(*shape_args))
+        linkage = stiffen(surface)
+        y = rng.normal(size=3 * linkage.num_points)
+        rows = y.reshape(-1, 3).tolist()
+        expect = {f"v{v}": rows[v] for v in range(surface.num_vertices)}
+        expect.update((f"a{f}", rows[apex]) for f, apex in enumerate(linkage.apex_of_face))
+        got = cli.truss_vector_dict(linkage, y)
+        assert list(got.items()) == list(expect.items())
+        values = rng.normal(size=6 * surface.num_faces)
+        got = cli.spatial_vector_dict(surface, values)
+        assert list(got.items()) == [(f"f{f}", values[6 * f:6 * f + 6].tolist())
+                                     for f in range(surface.num_faces)]
 
 
 def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):

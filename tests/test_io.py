@@ -6,6 +6,7 @@ import pytest
 
 from foldkin import (
     base_homology,
+    build_exact_sequence,
     canonical_json,
     chain_structure,
     generate,
@@ -14,7 +15,9 @@ from foldkin import (
     shape_names,
     surface_from_document,
 )
+from foldkin import cli, fold_io
 from foldkin.errors import IndexOutOfRange, InvalidParams, ParseError
+from foldkin.models import stiffen, truss_kernel
 
 import oracles
 
@@ -168,6 +171,98 @@ def test_canonical_json_refuses_other_types_as_a_fault(value):
     # is its own fault, not bad input.
     with pytest.raises(TypeError, match="cannot serialize value of type"):
         canonical_json(value)
+
+
+def row_dict(prefix, lengths, rng, keys=None):
+    """Float rows keyed ``<prefix><i>`` (or ``keys``), inserted in index
+    order, as the CLI's vector dicts are."""
+    keys = keys or [f"{prefix}{i}" for i in range(len(lengths))]
+    return {k: rng.normal(size=n).tolist() for k, n in zip(keys, lengths)}
+
+
+def truss_dict(num_vertices, num_faces, rng):
+    rows = row_dict("v", [3] * num_vertices, rng)
+    rows.update(row_dict("a", [3] * num_faces, rng))
+    return rows
+
+
+def test_canonical_json_prints_float_rows_as_the_recursive_formatter(rng):
+    cases = [truss_dict(7, 6, rng), truss_dict(42, 30, rng), row_dict("f", [6] * 12, rng),
+             row_dict("f", [6] * 1, rng), {"x": [0.5]}]
+    # The same keys with other row lengths need another template.
+    cases += [row_dict("f", [6, 6, 6], rng), row_dict("f", [6, 3, 6], rng),
+              row_dict("f", [2, 6, 6], rng), row_dict("f", [0, 6, 6], rng)]
+    # Keys that need escaping, a percent sign among them, and keys
+    # inserted out of order.
+    cases += [row_dict("", [2, 3, 1, 2], rng,
+                       keys=["\u00e9", "%s", "q\"uote\\", "%%d\n"]),
+              row_dict("", [1, 2, 3], rng, keys=["b", "a10", "a2"])]
+    for value in cases:
+        for nested in (value, {"solution": value, "to": "truss"}):
+            assert canonical_json(nested) == oracles.canonical_json(nested)
+    assert canonical_json({"x": [0.5]}) == '{"x":[0.5]}'
+    assert canonical_json({"%d": [0.25, 1.0]}) == '{"%d":[0.25,1]}'
+
+
+@pytest.mark.parametrize("row", [
+    [-0.0, 1.0, 2.0], [5e-324, -5e-324, 0.1], [1e16, 1e17, -1e16], [1.0, 2, 3.0],
+    [1.0, True, 3.0], [np.float64(0.1), 0.2, 0.3], [], [1e308, -1e-308, 2.5e-310],
+])
+def test_canonical_json_rows_of_any_value_print_as_the_recursive_formatter(row, rng):
+    # Ints, bools and numpy floats are not plain floats; those dicts, and
+    # their layouts with plain floats in place, must print the same.
+    for value in (row_dict("v", [3, 3], rng) | {"v2": row},
+                  {"v2": row} | row_dict("a", [3], rng), {"v0": row}):
+        plain = {k: [float(x) for x in v] for k, v in value.items()}
+        for case in (value, plain):
+            assert canonical_json(case) == oracles.canonical_json(case)
+
+
+@pytest.mark.parametrize("keys", [[1, 0], [1.0, 0.5], [True, False], [None], [(1, 2)]],
+                         ids=["int", "float", "bool", "none", "tuple"])
+def test_canonical_json_rows_under_keys_that_are_not_strings(keys, rng):
+    value = row_dict("", [3] * len(keys), rng, keys=keys)
+    assert canonical_json(value) == oracles.canonical_json(value)
+    # Keys equal to these but printed otherwise share no template.
+    if keys[0] in (1, True):
+        for other in ([int(k) for k in keys], [float(k) for k in keys], [bool(k) for k in keys]):
+            value = dict(zip(other, value.values()))
+            assert canonical_json(value) == oracles.canonical_json(value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_canonical_json_rows_refuse_non_finite_floats(bad, rng):
+    value = row_dict("v", [3, 3], rng)
+    canonical_json(value)  # its layout's template is cached
+    value["v1"][2] = float(bad)
+    with pytest.raises(ValueError, match="is not a JSON number"):
+        canonical_json(value)
+
+
+def test_canonical_json_templates_outlive_a_full_cache(rng):
+    first = truss_dict(4, 3, rng)
+    expect = oracles.canonical_json(first)
+    assert canonical_json(first) == expect
+    for n in range(1, fold_io.TEMPLATE_CACHE_SIZE + 10):
+        value = row_dict("f", [6] * n, rng)
+        assert canonical_json(value) == oracles.canonical_json(value)
+    assert fold_io._row_template.cache_info().currsize == fold_io.TEMPLATE_CACHE_SIZE
+    assert canonical_json(first) == expect
+    first["v0"] = [0.25, -0.0, 3.0]
+    assert canonical_json(first) == oracles.canonical_json(first)
+
+
+def test_canonical_json_prints_a_truss_payload_without_per_row_dispatch(monkeypatch):
+    surface = surface_from_document(generate("miura", 5, 6))
+    linkage = stiffen(surface)
+    y = truss_kernel(linkage, build_exact_sequence(surface).spatial_h2())[:, 0]
+    payload = cli.truss_vector_dict(linkage, y)
+    assert len(payload) == 72
+    calls = []
+    real = fold_io._format_list
+    monkeypatch.setattr(fold_io, "_format_list", lambda value: calls.append(1) or real(value))
+    assert canonical_json(payload) == oracles.canonical_json(payload)
+    assert calls == []
 
 
 # --- generators ---

@@ -301,6 +301,29 @@ def test_truss_rows_are_unit_direction_differences(rng):
             assert np.abs(got - jacobian @ y).max() < 1e-14 * np.abs(y).max()
 
 
+def test_corner_velocities_read_each_point_off_its_first_corner(rng):
+    for _, make in ORACLE_SURFACES[:6]:
+        x = stiffen(make())
+        values = rng.normal(size=(6 * x.surface.num_faces, 3))
+        at_corner, at_point = models.corner_velocities(x, values)
+        first = oracles.first_corner(x)
+        expect = np.zeros((x.num_points, 3, 3))
+        expect[x.corner_point[first]] = at_corner[first]
+        assert np.array_equal(at_point, expect.reshape(-1, 3))
+    # A vertex on no face has no corner and keeps a zero velocity, and
+    # the others are read off as before.
+    s = two_triangles()
+    lone = build_surface(np.vstack([s.vertices, [[5.0, 5.0, 5.0]]]), s.faces)
+    x, lone_x = stiffen(s), stiffen(lone)
+    values = rng.normal(size=(6 * s.num_faces, 2))
+    _, at_point = models.corner_velocities(x, values)
+    _, lone_at = models.corner_velocities(lone_x, values)
+    assert lone_at.shape == (3 * lone_x.num_points, 2)
+    assert np.array_equal(lone_at.reshape(-1, 3, 2)[[0, 1, 2, 3, 5, 6]],
+                          at_point.reshape(-1, 3, 2))
+    assert not lone_at.reshape(-1, 3, 2)[4].any()
+
+
 def test_truss_kernel_rejects_a_basis_that_stretches_a_bar():
     # A rotation rate of face 0 alone is no spatial solution: the shared
     # edge's ends move with face 0, and face 1's bars to them stretch.
