@@ -83,24 +83,16 @@ def read_hinge_vector(surface: OrigamiSurface, obj: dict) -> np.ndarray:
 
 
 def read_spatial_vector(surface: OrigamiSurface, obj: dict) -> np.ndarray:
-    values = np.zeros(6 * surface.num_faces)
+    index = dict(zip(_face_keys(surface.num_faces), range(surface.num_faces)))
+    values = np.zeros((surface.num_faces, 6))
     for key, value in obj.items():
-        try:
-            f = int(key[1:]) if key.startswith("f") else -1
-        except ValueError:
-            f = -1
-        if f < 0 or f >= surface.num_faces:
+        if key not in index:
             raise UnknownCellId(f"{key!r} is not a face of the model")
         if not isinstance(value, list) or len(value) != 6:
             raise ParseError(f"{key!r} must carry a list of six numbers")
-        values[6 * f:6 * f + 6] = [json_number(x, f"{key!r}[{i}]")
-                                   for i, x in enumerate(value)]
-    return values
-
-
-def hinge_vector_dict(surface: OrigamiSurface, rates: np.ndarray) -> dict:
-    return {f"e{e}": float(rates[k])
-            for k, e in enumerate(surface.interior_edges())}
+        values[index[key]] = [json_number(x, f"{key!r}[{i}]")
+                              for i, x in enumerate(value)]
+    return values.reshape(-1)
 
 
 @lru_cache(maxsize=TEMPLATE_CACHE_SIZE)

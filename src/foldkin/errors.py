@@ -17,7 +17,7 @@ class NonManifold(FoldkinError):
 
 class Degenerate(FoldkinError):
     """A cell fails the span condition (zero-length edge, collinear or
-    non-planar face)."""
+    non-planar face), or a vertex lies on no face."""
 
 
 # --- spatial algebra ---
@@ -64,7 +64,9 @@ class NonRigidMotion(FoldkinError):
 
 
 class DegenerateFace(FoldkinError):
-    """A face has no usable best-fit plane normal."""
+    """A face's group of the stiffened truss is not infinitesimally
+    rigid: its bars do not have the rank that bracing a face to an apex
+    off its plane gives."""
 
 
 # --- io / cli ---

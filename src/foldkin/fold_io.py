@@ -240,28 +240,15 @@ def _format_value(value) -> str:
 
 
 def _format_other(value) -> str:
-    """numpy scalars and arrays, normalised to their Python equivalents,
-    and subclasses of the built-in types."""
-    if isinstance(value, np.bool_):
-        value = bool(value)
-    elif isinstance(value, np.integer):
-        value = int(value)
-    elif isinstance(value, np.floating):
-        value = float(value)
-    elif isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, (list, tuple)):
-        return _format_list(value)
-    if isinstance(value, dict):
-        return _format_dict(value)
+    """The one fallback: numpy booleans, numbers and strings print as
+    their ``tolist()``, and a subclass of a built-in as that built-in,
+    a string through ``str.__str__`` so an overridden ``__str__`` does
+    not print."""
+    if isinstance(value, (np.generic, np.ndarray)) and value.dtype.kind in "biufU":
+        return _format_value(value.tolist())
+    for kind in (str, int, float, list, tuple, dict):
+        if isinstance(value, kind):
+            return _format_value(str.__str__(value) if kind is str else kind(value))
     # foldkin builds every payload it prints, so this is a fault in
     # foldkin, not bad input.
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")

@@ -86,7 +86,6 @@ class ModelSolution:
 class ConversionReport:
     """Outcome of a hinge -> spatial (-> truss) conversion."""
 
-    input: ModelSolution
     obstruction: np.ndarray
     obstructed: bool
     spatial: ModelSolution | None = None
@@ -463,8 +462,7 @@ def hinge_to_spatial(seq: ExactSequence, sol: ModelSolution,
     obstruction = seq.loop_obstruction_matrix() @ coords
     norm = float(np.linalg.norm(rates))
     obstructed = norm > 0 and float(np.linalg.norm(obstruction)) > OBSTRUCTION_TOL * norm
-    report = ConversionReport(input=sol, obstruction=obstruction,
-                              obstructed=obstructed)
+    report = ConversionReport(obstruction=obstruction, obstructed=obstructed)
     if obstructed:
         return report
     theta = seq.spatial_to_hinge_matrix()

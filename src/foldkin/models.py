@@ -31,7 +31,7 @@ from .cosheaf import (
     constant_cosheaf,
 )
 from .errors import DegenerateFace, WellDefinednessViolation
-from .linalg import RANK_TOL, pseudoinverse, svd_rank
+from .linalg import pseudoinverse, svd_rank
 from .spatial import axis_projection, point_velocity_blocks, transfer_matrix
 from .surface import INCIDENCE_DIMS, OrigamiSurface
 
@@ -122,8 +122,9 @@ def constant_rigid_isomorphism(rigid: ChainComplex) -> CosheafMap:
 class StiffenedLinkage:
     """Surface braced into a pin-jointed truss.
 
-    One apex vertex is added above each face centroid and the vertex set
-    of each face plus its apex is joined into a complete graph.  Bars
+    One apex vertex is added above each face centroid, the apex of face
+    ``f`` being point ``num_vertices + f``, and the vertex set of each
+    face plus its apex is joined into a complete graph.  Bars
     are deduplicated: ``bars`` holds each bar's ends ``u < v`` over the
     extended vertex ids, sorted, and ``directions`` its unit axis from
     ``u`` to ``v``.  Together they are the length-preservation Jacobian,
@@ -145,7 +146,6 @@ class StiffenedLinkage:
     points: np.ndarray                   # (|V'|, 3); originals first
     bars: np.ndarray                     # (|E'|, 2) int, u < v
     directions: np.ndarray               # (|E'|, 3) unit axes from u to v
-    apex_of_face: list[int]              # face index -> extended vertex id
     corner_face: np.ndarray              # (C,) face of each corner
     corner_point: np.ndarray             # (C,) extended vertex id
     corner_slot: np.ndarray              # (C,) place in the face's group
@@ -182,30 +182,6 @@ class StiffenedLinkage:
         return (self.directions[:, None] @ delta).reshape((len(self.bars),) + y.shape[1:])
 
 
-def _face_normals(points: np.ndarray, live: np.ndarray,
-                  centers: np.ndarray) -> np.ndarray:
-    """Unit normals of the best-fit planes of a stack of faces, oriented
-    by the cycle sense.
-
-    ``points`` holds each face's corners in cycle order, ``(F, k, 3)``,
-    padded as in the surface's face layout (repeats of the first
-    corner, false in ``live``); ``centers`` are the face centroids.
-    Raises :class:`DegenerateFace` naming the first face whose corners
-    span no plane.
-    """
-    rel = np.where(live[:, :, None], points - centers[:, None], 0.0)
-    _, s, vh = np.linalg.svd(rel, full_matrices=False)
-    bad = np.flatnonzero(s[:, 1] <= RANK_TOL * s[:, 0])
-    if bad.size:
-        raise DegenerateFace(f"face {bad[0]} has no well-defined plane")
-    # Newell orientation: make the normal agree with the cycle sense.  A
-    # padded cycle closes on its first corner, so padding adds no term.
-    newell = np.cross(points, np.roll(points, -1, axis=1)).sum(axis=1)
-    normal = vh[:, 2]
-    normal = np.where(np.sum(normal * newell, axis=1, keepdims=True) < 0, -normal, normal)
-    return normal / np.linalg.norm(normal, axis=1, keepdims=True)
-
-
 def _face_groups(surface: OrigamiSurface) -> tuple[np.ndarray, np.ndarray]:
     """Each face's group as a padded ``(F, k + 1)`` array of extended
     vertex ids: the face layout with the face's apex after its last
@@ -222,19 +198,17 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
     """Build the stiffened linkage: its points, bars and corners.
 
     The apex of a face sits one mean-incident-edge-length above the face
-    centroid along the face normal, guaranteeing it leaves the face
-    plane by a scale-proportional margin.  All faces are braced in one
-    array pass: a face's group is its row of the surface's padded face
-    layout with its apex added.
+    centroid along the surface's face normal, guaranteeing it leaves the
+    face plane by a scale-proportional margin; nothing is decomposed
+    here.  All faces are braced in one array pass: a face's group is
+    its row of the surface's padded face layout with its apex added.
     """
     edge_ends = surface.vertices[np.array(surface.edges)]
     lengths = np.linalg.norm(edge_ends[:, 1] - edge_ends[:, 0], axis=1)
     fe = surface.incidences["fe"]
     mean_length = np.bincount(fe.upper, lengths[fe.lower]) / np.bincount(fe.upper)
-    normals = _face_normals(surface.vertices[surface.face_corners], surface.face_live,
-                            surface.face_centroids)
-    points = np.vstack([surface.vertices,
-                        surface.face_centroids + mean_length[:, None] * normals])
+    points = np.vstack([surface.vertices, surface.face_centroids
+                        + mean_length[:, None] * surface.face_normals])
 
     # The face's vertices and its apex form a complete graph, which
     # holds the face's edges.
@@ -251,7 +225,6 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
     corner_block = point_velocity_blocks(points[corner_point]
                                          - surface.face_centroids[corner_face])
     return StiffenedLinkage(surface=surface, points=points, bars=bars, directions=axis,
-                            apex_of_face=list(range(surface.num_vertices, len(points))),
                             corner_face=corner_face, corner_point=corner_point,
                             corner_slot=corner_slot, corner_block=corner_block)
 
@@ -270,14 +243,8 @@ def corner_velocities(linkage: StiffenedLinkage,
     motions = values.shape[1]
     at_corner = np.einsum("cij,cjk->cik", linkage.corner_block,
                           values.reshape(-1, 6, motions)[linkage.corner_face])
-    first = linkage._first_corner
-    if len(first) == linkage.num_points:
-        # First corners are in point order, so they read off every point.
-        return at_corner, at_corner[first].reshape(-1, motions)
-    # A vertex on no face has no corner; it keeps a zero velocity.
-    at_point = np.zeros((linkage.num_points, 3, motions))
-    at_point[linkage.corner_point[first]] = at_corner[first]
-    return at_corner, at_point.reshape(-1, motions)
+    # Every point has a corner, and the first corners are in point order.
+    return at_corner, at_corner[linkage._first_corner].reshape(-1, motions)
 
 
 def _certify_groups(linkage: StiffenedLinkage):

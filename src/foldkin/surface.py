@@ -5,9 +5,9 @@ Faces are input as vertex cycles; edges are derived from face boundaries
 and oriented from the lower to the higher vertex id.  Construction
 reorients faces so that every interior edge receives opposite induced
 orientations from its two faces, flags interior cells, lists every
-incidence as index arrays, assigns centroid coordinates to every cell,
-and validates the span condition on cells (edges have nonzero length,
-faces are planar and not collinear).
+incidence as index arrays, assigns centroids to cells and normals to
+faces, and validates the span condition on cells (edges have nonzero
+length, faces are planar and not collinear, every vertex is on a face).
 
 Topology is read off the incidence arrays with two graph routines, and
 no walk of its own.  The corners are listed face by face; the edges are
@@ -28,15 +28,15 @@ Faces have cycles of different lengths, so their corners are laid out
 once as a padded ``(F, k)`` array, ``k`` the longest cycle: row ``f``
 lists face ``f``'s vertex ids in cycle order, and the slots past its
 own cycle repeat its first vertex and are false in a live mask.
-Repeating the first corner makes padded differences from it zero and
-closes each padded cycle on itself, so a stacked decomposition of those
-differences, or a cyclic sum over a row, sees exactly the real corners.  The span
-check, the face centroids and :func:`models.stiffen` read this layout.
+Repeating the first corner closes each padded cycle on itself, so a
+cyclic sum over a row sees exactly the real corners.  The centroids and
+the span check read this layout, and the span check's one decomposition
+yields the normals that :func:`models.stiffen` reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class OrigamiSurface:
     edge_triads: np.ndarray                 # (E, 3, 3) rows l, m, n
     edge_midpoints: np.ndarray              # (E, 3)
     face_centroids: np.ndarray              # (F, 3)
-    _edge_index: dict[tuple[int, int], int] = field(default_factory=dict)
+    face_normals: np.ndarray                # (F, 3) unit, Newell-oriented
 
     # --- counts ---
 
@@ -114,24 +114,11 @@ class OrigamiSurface:
     def interior_vertices(self) -> list[int]:
         return np.flatnonzero(self.interior_vertex).tolist()
 
-    def edge_index(self, u: int, v: int) -> int:
-        return self._edge_index[(min(u, v), max(u, v))]
-
     # --- geometry ---
 
     def cell_centroids(self, dim: int) -> np.ndarray:
         """Centroids of all cells of one dimension, shape ``(n, 3)``."""
         return (self.vertices, self.edge_midpoints, self.face_centroids)[dim]
-
-    def centroid(self, cell: Cell) -> np.ndarray:
-        return self.cell_centroids(cell[0])[cell[1]]
-
-    def edge_vector(self, e: int) -> np.ndarray:
-        u, v = self.edges[e]
-        return self.vertices[v] - self.vertices[u]
-
-    def edge_axis(self, e: int) -> np.ndarray:
-        return self.edge_triads[e, 0]
 
     # --- base topology ---
 
@@ -154,13 +141,15 @@ def _face_layout(fv: Incidences):
     return corners, live
 
 
-def _check_spans(vertices, edges, edge_vectors, corners):
+def _check_spans(vertices, edges, edge_vectors, corners, live, centroids):
     """Affine span condition: edges have rank 1, faces rank exactly 2.
+    Returns the faces' unit normals, oriented by the cycle sense (Newell).
 
-    All face ranks come from one stacked decomposition of the corner
-    differences; padded corners repeat the first one, so their zero
-    rows add no singular value.  The first failing edge is reported,
-    then the first failing face."""
+    One stacked decomposition of the corners about their centroids, the
+    padding zeroed, decides every face: two singular values above the
+    cutoff, the second not below ``RANK_TOL`` times the first.  Its third
+    right singular vectors are the normals.  The first failing edge is
+    reported, then the first failing face."""
     scale = float(np.max(np.abs(vertices - vertices.mean(axis=0)))) or 1.0
     cutoff = RANK_TOL * scale
     short = np.flatnonzero(np.linalg.norm(edge_vectors, axis=1) <= cutoff)
@@ -168,14 +157,19 @@ def _check_spans(vertices, edges, edge_vectors, corners):
         e = short[0]
         raise Degenerate(f"edge {e} = {edges[e]} has zero length")
     pts = vertices[corners]
-    s = np.linalg.svd(pts[:, 1:] - pts[:, :1], compute_uv=False)
+    _, s, vh = np.linalg.svd(np.where(live[:, :, None], pts - centroids[:, None], 0.0),
+                             full_matrices=False)
     rank = np.sum(s > cutoff, axis=1)
-    bad = np.flatnonzero(rank != 2)
+    bad = np.flatnonzero((rank != 2) | (s[:, 1] <= RANK_TOL * s[:, 0]))
     if bad.size:
         f = bad[0]
-        if rank[f] < 2:
+        if rank[f] <= 2:
             raise Degenerate(f"face {f} has collinear vertices")
         raise Degenerate(f"face {f} is not planar (affine rank {rank[f]})")
+    newell = np.cross(pts, np.roll(pts, -1, axis=1)).sum(axis=1)
+    normal = vh[:, 2]
+    normal = np.where(np.sum(normal * newell, axis=1, keepdims=True) < 0, -normal, normal)
+    return normal / np.linalg.norm(normal, axis=1, keepdims=True)
 
 
 def build_surface(vertices, faces) -> OrigamiSurface:
@@ -214,14 +208,15 @@ def build_surface(vertices, faces) -> OrigamiSurface:
     corners, live = _face_layout(incidences["fv"])
     ends = vertices[incidences["ev"].lower.reshape(-1, 2)]
     edge_vectors = ends[:, 1] - ends[:, 0]
-    _check_spans(vertices, edges, edge_vectors, corners)
+    corner_sum = np.where(live[:, :, None], vertices[corners], 0.0).sum(axis=1)
+    centroids = corner_sum / live.sum(axis=1)[:, None]
+    normals = _check_spans(vertices, edges, edge_vectors, corners, live, centroids)
 
     sign_ve, sign_ef = (
         dict(zip(zip(inc.lower.tolist(), inc.upper.tolist()), inc.sign.tolist()))
         for inc in (incidences["ev"], incidences["fe"]))
 
     interior_vertex = _vertex_fans(nv, incidences, triples, interior_edge)
-    corner_sum = np.where(live[:, :, None], vertices[corners], 0.0).sum(axis=1)
     return OrigamiSurface(
         vertices=vertices,
         edges=edges,
@@ -237,8 +232,8 @@ def build_surface(vertices, faces) -> OrigamiSurface:
         face_live=live,
         edge_triads=orthonormal_triad(edge_vectors),
         edge_midpoints=0.5 * (ends[:, 0] + ends[:, 1]),
-        face_centroids=corner_sum / live.sum(axis=1)[:, None],
-        _edge_index={e: i for i, e in enumerate(edges)},
+        face_centroids=centroids,
+        face_normals=normals,
     )
 
 
@@ -335,15 +330,16 @@ def _dual_links(edge, interior):
 
 
 def _vertex_fans(nv, incidences, triples, interior_edge):
-    """Interior-vertex mask; raises :class:`NonManifold` at a pinch.
+    """Interior-vertex mask; raises :class:`Degenerate` at a vertex on
+    no face, then :class:`NonManifold` at a pinch.
 
     Two corners (``fv`` incidences) at a vertex are linked when their
     faces share an interior edge there: the corners at one end of the
     edge, in the triples of a dual link's two face-edge pairs.  The
     components of that graph (:func:`_free_components`) are the fans.
     A vertex whose corners form more than one fan is a pinch: its faces
-    meet only at the vertex.  A vertex is interior when it has a corner
-    and no boundary edge touches it.
+    meet only at the vertex.  A vertex is interior when no boundary edge
+    touches it.
     """
     ev, fe, fv = incidences["ev"], incidences["fe"], incidences["fv"]
     at_end = triples[:, 2].reshape(2, -1)
@@ -351,10 +347,13 @@ def _vertex_fans(nv, incidences, triples, interior_edge):
     num = len(fv.lower)
     labels, _ = _free_components(num, links, np.zeros(num, dtype=bool))
     fans = np.bincount(fv.lower[labels == np.arange(num)], minlength=nv)
+    lone = np.flatnonzero(fans == 0)
+    if lone.size:
+        raise Degenerate(f"vertex {lone[0]} lies on no face")
     pinch = np.flatnonzero(fans > 1)
     if pinch.size:
         raise NonManifold(f"the faces at vertex {pinch[0]} form more than one fan")
-    interior = fans > 0
+    interior = np.ones(nv, dtype=bool)
     interior[ev.lower[~interior_edge[ev.upper]]] = False
     return interior
 

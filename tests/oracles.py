@@ -273,7 +273,8 @@ def face_centroids(surface):
 
 def check_spans(vertices, edges, faces):
     """Affine span condition, one edge and then one face at a time:
-    edges have rank 1, faces rank exactly 2."""
+    edges have rank 1, faces rank exactly 2, with a second singular
+    value not below ``RANK_TOL`` times the first."""
     scale = float(np.max(np.abs(vertices - vertices.mean(axis=0)))) or 1.0
     cutoff = RANK_TOL * scale
     for e, (u, v) in enumerate(edges):
@@ -281,8 +282,9 @@ def check_spans(vertices, edges, faces):
             raise Degenerate(f"edge {e} = {edges[e]} has zero length")
     for f, cycle in enumerate(faces):
         pts = vertices[list(cycle)]
-        rank = int(np.sum(np.linalg.svd(pts[1:] - pts[0], compute_uv=False) > cutoff))
-        if rank < 2:
+        s = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
+        rank = int(np.sum(s > cutoff))
+        if rank < 2 or (rank == 2 and s[1] <= RANK_TOL * s[0]):
             raise Degenerate(f"face {f} has collinear vertices")
         if rank > 2:
             raise Degenerate(f"face {f} is not planar (affine rank {rank})")
@@ -304,8 +306,7 @@ def face_normal(points):
 
 def stiffen(surface):
     """The stiffened linkage's points, bars and corner arrays, one face
-    at a time: ``(points, bars, apex_of_face, corner_face, corner_point,
-    corner_slot)``."""
+    at a time: ``(points, bars, corner_face, corner_point, corner_slot)``."""
     nv = surface.num_vertices
     apexes, groups, pairs = [], [], [np.array(surface.edges)]
     for f, cycle in enumerate(surface.faces):
@@ -321,8 +322,7 @@ def stiffen(surface):
     bars = [tuple(bar) for bar in np.unique(np.concatenate(pairs), axis=0).tolist()]
     corner_face = np.repeat(np.arange(surface.num_faces), [len(g) for g in groups])
     corner_slot = np.concatenate([np.arange(len(g)) for g in groups])
-    return (points, bars, list(range(nv, len(points))), corner_face,
-            np.concatenate(groups), corner_slot)
+    return points, bars, corner_face, np.concatenate(groups), corner_slot
 
 
 # --- topology walks ---

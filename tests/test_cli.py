@@ -64,6 +64,18 @@ def test_analyze_pinched_vertex_exits_2(tmp_path, capsys):
     assert "form more than one fan" in capsys.readouterr().err
 
 
+def test_analyze_vertex_on_no_face_exits_2(tmp_path, capsys):
+    # An unused vertex is bad input, not a component of its own that
+    # fails the global-motion check (exit 1).
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps({
+        "vertices_coords": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.2], [5, 5, 5]],
+        "faces_vertices": [[0, 1, 2], [1, 3, 2]],
+    }))
+    assert main(["analyze", str(path)]) == 2
+    assert "vertex 4 lies on no face" in capsys.readouterr().err
+
+
 def test_gen_writes_parseable_file(tmp_path, capsys):
     out = tmp_path / "chain.json"
     assert main(["gen", "chain", "5", "--out", str(out), "--seed", "3"]) == 0
@@ -204,6 +216,22 @@ def test_convert_spatial_to_truss(tmp_path, capsys, rng):
     assert payload["residuals"]["truss"] < 1e-9
 
 
+@pytest.mark.parametrize("key", ["f01", "f 1", "f+1", "f\u0661", "f1_0", "f-1", "f4", "F1",
+                                 "e1", "f", ""])
+def test_convert_spatial_keys_must_be_face_ids_exactly(tmp_path, capsys, key):
+    # int() reads each of the first five as 1: a reader built on it puts
+    # "f 1" and "f01" on one face and lets the last one silently win.
+    path, surface, seq = convert_setup(tmp_path, ("grid", 2, 2))
+    sol_path = tmp_path / "spatial.json"
+    sol_path.write_text(json.dumps({"f1": [0.0] * 6, key: [0.0] * 6}))
+    code = main(["convert", path, "--input-solution", str(sol_path),
+                 "--from", "spatial", "--to", "truss"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{key!r} is not a face of the model" in captured.err
+
+
 def test_convert_non_finite_spatial_exits_1(tmp_path, capsys):
     # NaN fails every comparison, so it slipped past the cycle check and
     # printed "nan", which is not JSON.
@@ -287,7 +315,8 @@ def test_vector_dicts_key_every_row_by_its_cell(rng):
         y = rng.normal(size=3 * linkage.num_points)
         rows = y.reshape(-1, 3).tolist()
         expect = {f"v{v}": rows[v] for v in range(surface.num_vertices)}
-        expect.update((f"a{f}", rows[apex]) for f, apex in enumerate(linkage.apex_of_face))
+        expect.update((f"a{f}", rows[surface.num_vertices + f])
+                      for f in range(surface.num_faces))
         got = cli.truss_vector_dict(linkage, y)
         assert list(got.items()) == list(expect.items())
         values = rng.normal(size=6 * surface.num_faces)

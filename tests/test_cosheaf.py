@@ -174,7 +174,7 @@ def test_perturbed_pi_fails_exactness_with_matching_residual():
         e = s.interior_edges()[0]
         vertex, edge, face = seq.pi.components
         edge = edge.copy()
-        edge[e, 0, :3] += 1e-3 * seq.surface.edge_axis(e)
+        edge[e, 0, :3] += 1e-3 * seq.surface.edge_triads[e, 0]
         perturbed = CosheafMap(source=seq.rigid.cosheaf,
                                target=seq.spatial.cosheaf,
                                components=(vertex, edge, face))
@@ -226,7 +226,7 @@ def test_connecting_two_panel_fold_formula():
     s = two_panels()
     seq = build_exact_sequence(s)
     e = s.interior_edges()[0]
-    axis = s.edge_axis(e)
+    axis = s.edge_triads[e, 0]
     basis = seq.spatial_h2()
     theta = seq.spatial_to_hinge_matrix()
     hinge_basis = seq.hinge_h1()  # 1 x 1

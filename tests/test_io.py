@@ -1,5 +1,6 @@
+import enum
 import json
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict, namedtuple
 
 import numpy as np
 import pytest
@@ -135,6 +136,28 @@ def test_canonical_json_normalizes_numpy_scalars():
     assert canonical_json(payload) == '{"flag":true,"n":3,"v":[1,2],"x":0.5}'
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Label(str):
+    def __str__(self):
+        return "not the label"
+
+
+class Ratio(float):
+    pass
+
+
+class Count(int):
+    def __str__(self):
+        return "not the count"
+
+
+Pair = namedtuple("Pair", "left right")
+
+
 @pytest.mark.parametrize("value", [
     np.bool_(True), np.bool_(False), np.int8(-7), np.int64(2**62), np.float32(0.1),
     np.float64(1 / 3),
@@ -150,6 +173,14 @@ def test_canonical_json_normalizes_numpy_scalars():
     OrderedDict([("b", 1), ("a", [np.int8(1)])]),
     {"from": "hinge", "obstruction": [1e-17, -2.5e-9], "residuals": {"truss": 3e-16},
      "solution": {"v0": [0.1, -0.2, 0.3], "a0": [1.0, 2.0, 3.0]}},
+    # Values that miss the exact-type chain and take the one fallback,
+    # nested in lists and dicts.
+    [np.array(-0.0), {"a": np.arange(6, dtype=np.int8).reshape(1, 2, 3)}, np.array(["a", "b"])],
+    {"k": [np.float32(0.1), np.int8(-7), np.bool_(False), np.str_("h\u00e9")],
+     "rows": {"r": [np.array(7), np.array([[0.5, 1e-300], [2.0, -3.0]])]}},
+    Level.HIGH, Label('q"uote'), Ratio(0.1), [Ratio(-2.5), {"e": Level.LOW}],
+    {"s": Label("x"), "o": OrderedDict([("b", [Ratio(1.0)]), ("a", Level.HIGH)])},
+    defaultdict(list, {"x": [Ratio(2.5)]}), Pair(0.25, Level.LOW), [Pair(Label("p"), [])],
 ])
 def test_canonical_json_matches_the_recursive_formatter(value):
     assert canonical_json(value) == oracles.canonical_json(value)
@@ -160,17 +191,28 @@ def test_canonical_json_refuses_non_finite_floats(bad):
     # JSON has no NaN or infinity; printing Python's spelling of them
     # would give text no JSON reader accepts.
     for value in ({"residuals": {"truss": bad}}, [np.float64(bad)], [0.5, float(bad)],
-                  np.array([0.5, bad])):
+                  np.array([0.5, bad]), {"k": [np.float32(bad)]}, [np.array([[1.0, bad]])]):
         with pytest.raises(ValueError, match="is not a JSON number"):
             canonical_json(value)
 
 
-@pytest.mark.parametrize("value", [{"x": {1.0}}, [0.5, object()]], ids=["set", "object"])
+@pytest.mark.parametrize("value", [
+    {"x": {1.0}}, [0.5, object()], 1j, np.complex128(1j), frozenset(), b"x",
+    {"d": np.datetime64("2020-01-01")}, [np.datetime64(1, "ns")],
+    np.array([1], dtype="datetime64[ns]"), np.timedelta64(3, "s"),
+], ids=["set", "object", "complex", "complex128", "frozenset", "bytes", "date",
+        "datetime64_ns", "datetime64_ns_array", "timedelta64"])
 def test_canonical_json_refuses_other_types_as_a_fault(value):
     # foldkin builds every payload it prints, so a value it cannot print
     # is its own fault, not bad input.
     with pytest.raises(TypeError, match="cannot serialize value of type"):
         canonical_json(value)
+
+
+def test_canonical_json_prints_an_int_subclass_as_its_number():
+    # The fallback prints a subclass as its built-in, so an overridden
+    # __str__ does not leak into the JSON.
+    assert canonical_json({"n": Count(4), "s": Label("x")}) == '{"n":4,"s":"x"}'
 
 
 def row_dict(prefix, lengths, rng, keys=None):

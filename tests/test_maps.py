@@ -400,7 +400,7 @@ def test_theta_annihilates_global_motions(rng):
     for _ in range(20):
         vec = rng.normal(size=6)
         chain = np.concatenate([
-            transfer_matrix(np.zeros(3), seq.surface.centroid((2, f))) @ vec
+            transfer_matrix(np.zeros(3), seq.surface.face_centroids[f]) @ vec
             for f in range(seq.surface.num_faces)])
         coords = seq.spatial_h2().T @ chain
         # Global motions are cycles, so projection loses nothing.
@@ -567,14 +567,14 @@ def test_fold_mode_fixes_hinge_line(rng):
     linkage = stiffen(s)
     e = s.interior_edges()[0]
     u, v = s.edges[e]
-    axis = s.edge_axis(e)
-    anchor = s.centroid((1, e))
+    axis = s.edge_triads[e, 0]
+    anchor = s.edge_midpoints[e]
     # Rotation of panel g about the hinge line; panel f stays put.
     f, g = s.edge_faces[e]
     values = np.zeros(6 * s.num_faces)
     omega = axis
     values[6 * g:6 * g + 3] = omega
-    values[6 * g + 3:6 * g + 6] = np.cross(omega, s.centroid((2, g)) - anchor)
+    values[6 * g + 3:6 * g + 6] = np.cross(omega, s.face_centroids[g] - anchor)
     sol = spatial_solution(seq, values)
     assert sol.residual < 1e-12
     truss = spatial_to_truss(linkage, sol)
@@ -656,7 +656,7 @@ def test_truss_to_spatial_names_the_face_that_fails_its_fit(rng):
         seq, basis @ rng.normal(size=basis.shape[1]))).coefficients
     for f in (0, 3, s.num_faces - 1):
         bent = y.copy()
-        bent.reshape(-1, 3)[linkage.apex_of_face[f]] += 0.1
+        bent.reshape(-1, 3)[s.num_vertices + f] += 0.1
         with pytest.raises(NonRigidMotion, match=f"^face {f} velocities "):
             truss_to_spatial(seq, linkage, ModelSolution("truss", bent, 0.0),
                              cycle_tol=np.inf)
@@ -839,8 +839,8 @@ def test_single_hinge_chain_operator():
     chain = ops.chain
     e = chain.hinge_order[0]
     f = chain.face_order[1]
-    expect = transfer_matrix(s.centroid((1, e)), s.centroid((2, f))) \
-        @ hinge_twist(s.edge_axis(e))[:, None]
+    expect = transfer_matrix(s.edge_midpoints[e], s.face_centroids[f]) \
+        @ hinge_twist(s.edge_triads[e, 0])[:, None]
     assert ops.d.shape == (6, 1)
     assert np.abs(ops.d - expect).max() < 1e-13
 

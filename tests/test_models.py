@@ -71,7 +71,7 @@ def test_hinge_blocks_are_signed_axes():
     cc = build_hinge_model(s)
     v = s.interior_vertices()[0]
     for col, e in enumerate(s.interior_edges()):
-        expect = s.sign_ve[(v, e)] * s.edge_axis(e)
+        expect = s.sign_ve[(v, e)] * s.edge_triads[e, 0]
         assert np.allclose(cc.d1[:, col], expect)
 
 
@@ -151,11 +151,12 @@ def test_assembled_blocks_match_incidence_formulas():
             "rigid": (np.zeros((6 * nv, 6 * ne)), np.zeros((6 * ne, 6 * nf))),
         }
         for e, k in erow.items():
-            c_e = s.centroid((1, e))
-            proj = axis_projection(orthonormal_triad(s.edge_vector(e)))
+            c_e = s.edge_midpoints[e]
+            ends = s.vertices[list(s.edges[e])]
+            proj = axis_projection(orthonormal_triad(ends[1] - ends[0]))
             for f in s.edge_faces[e]:
                 sign = s.sign_ef[(e, f)]
-                psi = transfer_matrix(s.centroid((2, f)), c_e)
+                psi = transfer_matrix(s.face_centroids[f], c_e)
                 expect["spatial"][1][5 * k:5 * k + 5, 6 * f:6 * f + 6] = sign * proj @ psi
                 expect["rigid"][1][6 * k:6 * k + 6, 6 * f:6 * f + 6] = sign * psi
             for v in s.edges[e]:
@@ -231,7 +232,7 @@ def test_stiffen_apex_leaves_face_plane():
         pts = s.vertices[list(cycle)]
         normal = np.cross(pts[1] - pts[0], pts[2] - pts[0])
         normal /= np.linalg.norm(normal)
-        gap = abs(normal @ (x.points[x.apex_of_face[f]] - pts[0]))
+        gap = abs(normal @ (x.points[s.num_vertices + f] - pts[0]))
         assert gap > 0.5
 
 
@@ -248,7 +249,7 @@ def test_truss_two_panels_dimension():
     assert truss_kernel(stiffen(two_panels())).shape[1] == 7
 
 
-def test_truss_kernel_certifies_every_face_group(monkeypatch):
+def test_truss_kernel_certifies_every_face_group():
     # A triangle and its apex are braced by exactly 3n - 6 = 6 bars.
     s = two_triangles()
     basis = build_exact_sequence(s).spatial_h2()
@@ -260,10 +261,9 @@ def test_truss_kernel_certifies_every_face_group(monkeypatch):
     with pytest.raises(DegenerateFace, match="^truss group of face 0 has rank 5, want 6"):
         models.truss_kernel(missing, basis)
     # An apex in its face's plane leaves a flat group.
-    monkeypatch.setattr(models, "_face_normals",
-                        lambda points, live, centers: np.zeros((len(points), 3)))
+    flat = dataclasses.replace(s, face_normals=0)
     with pytest.raises(DegenerateFace, match="^truss group of face 0 "):
-        models.truss_kernel(stiffen(s), basis)
+        models.truss_kernel(stiffen(flat), basis)
 
 
 def test_uniform_translation_in_truss_kernel(rng):
@@ -310,18 +310,6 @@ def test_corner_velocities_read_each_point_off_its_first_corner(rng):
         expect = np.zeros((x.num_points, 3, 3))
         expect[x.corner_point[first]] = at_corner[first]
         assert np.array_equal(at_point, expect.reshape(-1, 3))
-    # A vertex on no face has no corner and keeps a zero velocity, and
-    # the others are read off as before.
-    s = two_triangles()
-    lone = build_surface(np.vstack([s.vertices, [[5.0, 5.0, 5.0]]]), s.faces)
-    x, lone_x = stiffen(s), stiffen(lone)
-    values = rng.normal(size=(6 * s.num_faces, 2))
-    _, at_point = models.corner_velocities(x, values)
-    _, lone_at = models.corner_velocities(lone_x, values)
-    assert lone_at.shape == (3 * lone_x.num_points, 2)
-    assert np.array_equal(lone_at.reshape(-1, 3, 2)[[0, 1, 2, 3, 5, 6]],
-                          at_point.reshape(-1, 3, 2))
-    assert not lone_at.reshape(-1, 3, 2)[4].any()
 
 
 def test_truss_kernel_rejects_a_basis_that_stretches_a_bar():
@@ -335,13 +323,3 @@ def test_truss_kernel_rejects_a_basis_that_stretches_a_bar():
                            match="^spatial basis maps outside the truss kernel"):
             route(linkage, e0)
 
-
-def test_stiffen_degenerate_face_rejected():
-    # A valid surface never triggers this, so call the normal helper
-    # directly with collinear points.
-    from foldkin.errors import DegenerateFace
-    from foldkin.models import _face_normals
-
-    points = np.array([[[0., 0, 0], [1, 0, 0], [2, 0, 0]]])
-    with pytest.raises(DegenerateFace):
-        _face_normals(points, np.ones((1, 3), dtype=bool), points.mean(axis=1))

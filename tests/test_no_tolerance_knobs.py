@@ -1,10 +1,15 @@
 """Every rank decision uses the one cutoff ``linalg.RANK_TOL`` and every
-check its own named bound; none of them is a parameter.  A new ``tol``
-argument or field would let callers reach different verdicts on the same
-surface, so it must fail here."""
+check its own named bound; none of them is a parameter.  A new argument
+or field named ``tol`` or ``*_tol`` would let callers reach different
+verdicts on the same surface, so it must fail here.
+
+The one exception is the conversions' ``cycle_tol``: the benchmark reads
+``hinge_to_truss``'s default to check its conversions with it
+(``perfbench/workloads.py``), and ``test_benchmark_contract.py`` pins it."""
 
 import dataclasses
 import inspect
+import types
 
 import pytest
 
@@ -21,25 +26,58 @@ def public_members(module):
             yield name, obj
 
 
+ALLOWED = {f"maps.{fn}(cycle_tol)" for fn in
+           ("hinge_to_spatial", "spatial_to_truss", "truss_to_spatial", "hinge_to_truss")}
+
+
+def is_knob(name):
+    return name == "tol" or name.endswith("_tol")
+
+
 def tol_knobs(module):
+    """Each public parameter or dataclass field of ``module`` that is a
+    tolerance knob, as ``module.owner(name)``."""
+    prefix = module.__name__.rpartition(".")[2]
     hits = []
     for name, obj in public_members(module):
         if inspect.isfunction(obj):
             callables = [(name, obj)]
         else:
             if dataclasses.is_dataclass(obj):
-                hits += [f"{name}.{f.name} (field)" for f in dataclasses.fields(obj)
-                         if f.name == "tol"]
+                hits += [f"{prefix}.{name}({f.name})" for f in dataclasses.fields(obj)
+                         if is_knob(f.name)]
             callables = [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
                          if not attr.startswith("_") and inspect.isfunction(fn)]
-        hits += [qual for qual, fn in callables
-                 if "tol" in inspect.signature(fn).parameters]
+        hits += [f"{prefix}.{qual}({param})" for qual, fn in callables
+                 for param in inspect.signature(fn).parameters if is_knob(param)]
     return hits
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_no_public_tol_parameter_or_field(module):
-    assert tol_knobs(module) == []
+    assert sorted(set(tol_knobs(module)) - ALLOWED) == []
+
+
+def test_the_knob_guard_sees_every_spelling():
+    assert sorted(tol_knobs(maps)) == sorted(ALLOWED)
+    fake = types.ModuleType("foldkin.fake")
+
+    def rank(a, tol=1e-9, *, gap_tol=0.1, tolerance=1.0, stol=2.0):
+        return a
+
+    @dataclasses.dataclass
+    class Check:
+        residual_tol: float
+        tol: float
+
+        def passes(self, value, abs_tol=0.0):
+            return value
+
+    rank.__module__ = Check.__module__ = fake.__name__
+    fake.rank, fake.Check = rank, Check
+    assert sorted(tol_knobs(fake)) == [
+        "fake.Check(residual_tol)", "fake.Check(tol)", "fake.Check.passes(abs_tol)",
+        "fake.rank(gap_tol)", "fake.rank(tol)"]
 
 
 def test_rank_cutoff_is_one_constant():

@@ -41,7 +41,7 @@ def test_two_triangles_counts():
     assert s.num_vertices == 4
     assert s.num_edges == 5
     assert s.num_faces == 2
-    assert s.interior_edges() == [s.edge_index(1, 2)]
+    assert s.interior_edges() == [s.edges.index((1, 2))]
     assert s.interior_vertices() == []
 
 
@@ -61,6 +61,15 @@ def test_zero_length_edge_is_degenerate():
     verts = [[0, 0, 0], [0, 0, 0], [1, 1, 0]]
     with pytest.raises(Degenerate):
         build_surface(verts, [[0, 1, 2]])
+
+
+def test_vertex_on_no_face_is_degenerate():
+    # Two triangles and an unused vertex: not a surface, however the
+    # vertices are numbered.
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.2], [5, 5, 5]]
+    for lone, faces in ((4, [[0, 1, 2], [1, 3, 2]]), (0, [[1, 2, 3], [2, 4, 3]])):
+        with pytest.raises(Degenerate, match=f"^vertex {lone} lies on no face$"):
+            build_surface(verts, faces)
 
 
 # Three triangles on edge (0, 1).
@@ -181,18 +190,18 @@ def test_face_cycles_are_reoriented_consistently():
     # Feed one reversed face; the builder must flip it back.
     verts = [[0, 0, 0], [1, 0, 0.1], [0.5, 1, 0], [1.5, 1, 0.3]]
     s = build_surface(verts, [[0, 1, 2], [1, 2, 3]])
-    e = s.edge_index(1, 2)
+    e = s.edges.index((1, 2))
     f, g = s.edge_faces[e]
     assert s.sign_ef[(e, f)] * s.sign_ef[(e, g)] == -1
 
 
 def test_centroids():
     s = two_triangles()
-    assert np.allclose(s.centroid((0, 1)), s.vertices[1])
-    e = s.edge_index(1, 2)
-    assert np.allclose(s.centroid((1, e)),
+    assert np.allclose(s.cell_centroids(0)[1], s.vertices[1])
+    e = s.edges.index((1, 2))
+    assert np.allclose(s.cell_centroids(1)[e],
                        0.5 * (s.vertices[1] + s.vertices[2]))
-    assert np.allclose(s.centroid((2, 0)), s.vertices[[0, 1, 2]].mean(axis=0))
+    assert np.allclose(s.cell_centroids(2)[0], s.vertices[[0, 1, 2]].mean(axis=0))
 
 
 def test_face_referencing_missing_vertex():
