@@ -51,7 +51,6 @@ from .models import (
     build_hinge_model,
     build_rigid_model,
     build_spatial_model,
-    constant_rigid_isomorphism,
     stiffen,
     truss_kernel,
 )

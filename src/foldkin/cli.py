@@ -32,7 +32,6 @@ signed sum of the hinges' line coordinates across that cut.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 
@@ -46,6 +45,7 @@ from .fold_io import (
     canonical_json,
     json_number,
     parse_fold,
+    read_json,
     serialize_fold,
     surface_from_document,
 )
@@ -141,10 +141,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_convert(args) -> int:
     surface = _load_surface(args.file)
-    with open(args.input_solution, "r", encoding="utf-8") as handle:
+    with open(args.input_solution, "rb") as handle:
         try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
+            raw = read_json(handle.read())
+        except ParseError as exc:
             raise ParseError(f"solution file: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("solution file must be a JSON object")

@@ -9,12 +9,14 @@ whose homology that kernel is, and builds the other models' homology
 from it and from counted integer complexes.  :func:`homology_basis`,
 one SVD of a whole complex, is the reference the tests compare with.
 A cosheaf map is a stalk-wise family of matrices commuting with the
-extension maps; short exact sequences of such maps carry a connecting
-homomorphism between homology spaces.  :func:`connecting_map` is the
-generic routine for it, the usual lift / boundary / restrict recipe on
-any sequence.  The package's own sequence reads its connecting map off
-the tree lifts instead (``maps.ExactSequence``), and the tests use the
-generic routine as the oracle for it.
+extension maps; a short exact sequence of such maps, certified cell by
+cell by :func:`verify_exact_sequence` (it raises on a failing cell),
+carries a connecting homomorphism between homology spaces.
+:func:`connecting_map` is the generic routine for it, the usual lift /
+boundary / restrict recipe on any sequence.  The package's own sequence
+reads its connecting map off the tree lifts instead
+(``maps.ExactSequence``), and the tests use the generic routine as the
+oracle for it.
 
 Layout.  A cosheaf has one stalk size per cell dimension and a support
 mask per dimension: supported cells carry a stalk of that size, the
@@ -75,7 +77,7 @@ from .linalg import (
     stacked_svd,
     subspace_residual,
 )
-from .surface import INCIDENCE_DIMS, Cell, OrigamiSurface
+from .surface import INCIDENCE_DIMS, OrigamiSurface
 
 FUNCTORIALITY_TOL = 1e-12
 NATURALITY_TOL = 1e-12
@@ -626,100 +628,50 @@ class CosheafMap:
             pseudoinverse(self.components[degree][cells]))
 
 
-@dataclass
-class CellExactness:
-    cell: Cell
-    injective: bool
-    surjective: bool
-    composition_residual: float
-    image_kernel_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return self.injective and self.surjective
-
-
-@dataclass
-class ExactnessReport:
-    """Stalk-wise exactness, one array entry per checked cell.
-
-    Cells are vertices, then edges, then faces, each in index order;
-    ``cells`` holds ``(dimension, index)`` rows.  The arrays are the
-    record; :attr:`entries` and :meth:`worst_cell` read
-    :class:`CellExactness` views off them.
-    """
-
-    cells: np.ndarray
-    injective: np.ndarray
-    surjective: np.ndarray
-    composition_residual: np.ndarray
-    image_kernel_residual: np.ndarray
-
-    def _entry(self, k: int) -> CellExactness:
-        d, i = self.cells[k]
-        return CellExactness((int(d), int(i)), bool(self.injective[k]),
-                             bool(self.surjective[k]),
-                             float(self.composition_residual[k]),
-                             float(self.image_kernel_residual[k]))
-
-    @property
-    def entries(self) -> list[CellExactness]:
-        return [self._entry(k) for k in range(len(self.cells))]
-
-    def _residuals(self) -> np.ndarray:
-        return np.maximum(self.composition_residual, self.image_kernel_residual)
-
-    @property
-    def ok(self) -> bool:
-        return (bool(np.all(self.injective & self.surjective))
-                and self.max_residual <= EXACTNESS_TOL)
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(self._residuals(), initial=0.0))
-
-    def worst_cell(self) -> CellExactness | None:
-        residuals = self._residuals()
-        bad = np.flatnonzero(~(self.injective & self.surjective)
-                             | (residuals > EXACTNESS_TOL))
-        if not bad.size:
-            return None
-        return self._entry(bad[np.argmax(residuals[bad])])
-
-
-def verify_exact_sequence(iota: CosheafMap, pi: CosheafMap) -> ExactnessReport:
-    """Check stalk-wise exactness of ``0 -> F -> G -> Q -> 0``.
+def verify_exact_sequence(iota: CosheafMap, pi: CosheafMap) -> float:
+    """Certify stalk-wise exactness of ``0 -> F -> G -> Q -> 0`` and
+    return the worst residual.
 
     Per cell: the first map is injective, the second surjective, their
     composition vanishes, and the image of the first equals the kernel
-    of the second (as subspaces, compared by projector distance).  Cells
-    with zero stalks in all three cosheaves are skipped.  Each map is
-    decomposed once per cell dimension, as one stack.
+    of the second (as subspaces, compared by projector distance).  A
+    cell's residual is the larger of the last two.  Cells with zero
+    stalks in all three cosheaves are skipped.  Each map is decomposed
+    once per cell dimension, as one stack.  A cell that fails a rank or
+    has a residual above :data:`EXACTNESS_TOL` raises
+    :class:`ExactnessViolation`, naming the failing cell (``(dimension,
+    index)``) with the largest residual.
     """
     if iota.target is not pi.source:
         raise ShapeMismatch("maps do not share the middle cosheaf")
-    columns = []
+    cells, residuals, failed = [], [], []
     for dim in (0, 1, 2):
         df, dg, dq = (c.stalk_sizes[dim] * c.support[dim]
                       for c in (iota.source, iota.target, pi.target))
-        cells = np.flatnonzero(df + dg + dq)
-        a = iota.components[dim][cells]
-        b = pi.components[dim][cells]
+        live = np.flatnonzero(df + dg + dq)
+        a = iota.components[dim][live]
+        b = pi.components[dim][live]
         u_a, keep_a, _ = stacked_svd(a)
         _, keep_b, vh_b = stacked_svd(b)
         rank_b = keep_b.sum(axis=-1)
         image = u_a[..., :keep_a.shape[-1]] * keep_a[:, None, :]
         # Rows of vh past the rank span the kernel, inside G's stalk only.
         in_kernel = ((np.arange(vh_b.shape[-1]) >= rank_b[:, None])
-                     & (dg[cells, None] > 0))
+                     & (dg[live, None] > 0))
         kernel = np.swapaxes(vh_b, -1, -2) * in_kernel[:, None, :]
-        columns.append((
-            np.column_stack([np.full(len(cells), dim), cells]),
-            keep_a.sum(axis=-1) == df[cells],
-            rank_b == dq[cells],
-            np.abs(b @ a).max(axis=(1, 2), initial=0.0),
-            subspace_residual(image, kernel)))
-    return ExactnessReport(*(np.concatenate(col) for col in zip(*columns)))
+        residual = np.maximum(np.abs(b @ a).max(axis=(1, 2), initial=0.0),
+                              subspace_residual(image, kernel))
+        cells.append(np.column_stack([np.full(len(live), dim), live]))
+        residuals.append(residual)
+        failed.append((keep_a.sum(axis=-1) != df[live]) | (rank_b != dq[live])
+                      | (residual > EXACTNESS_TOL))
+    residuals, bad = np.concatenate(residuals), np.flatnonzero(np.concatenate(failed))
+    if bad.size:
+        worst = bad[np.argmax(residuals[bad])]
+        d, i = np.concatenate(cells)[worst]
+        raise ExactnessViolation(f"sequence fails at cell {(int(d), int(i))}: "
+                                 f"residual {residuals[worst]:.3e}")
+    return float(residuals.max(initial=0.0))
 
 
 def induced_map(phi: CosheafMap, degree: int, source_basis: np.ndarray,

@@ -109,19 +109,26 @@ def _parse_index_lists(raw, key, arity, nv):
     return out
 
 
+def read_json(data: bytes | str):
+    """The JSON value in ``data``, UTF-8 bytes or text.  Bytes that are
+    not UTF-8, bad JSON, nesting too deep to decode and an integer too
+    long to convert are bad input: each raises :class:`ParseError`."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("input nests too deeply") from None
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 def parse_fold(data: bytes | str) -> FoldSubsetDocument:
     """Parse a FOLD-subset document, validating index ranges."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8: {exc}") from exc
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    obj = read_json(data)
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
     if "vertices_coords" not in obj or "faces_vertices" not in obj:

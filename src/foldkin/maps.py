@@ -34,9 +34,7 @@ from .cosheaf import (
     ChainComplex,
     Cosheaf,
     CosheafMap,
-    ExactnessReport,
     IncidenceMap,
-    constant_cosheaf,
     cycle_residuals,
     glued_cycles,
     verify_exact_sequence,
@@ -55,7 +53,6 @@ from .models import (
     build_hinge_model,
     build_rigid_model,
     build_spatial_model,
-    constant_rigid_isomorphism,
     corner_velocities,
 )
 from .spatial import axis_projection, hinge_twist, point_velocity_blocks, transfer_matrix
@@ -119,13 +116,15 @@ class ExactSequence:
     """Verified hinge -> rigid -> spatial sequence with cached homology.
 
     ``hinge``, ``rigid`` and ``spatial`` are the models' chain
-    complexes.  No whole complex is decomposed.  Hinge homology is
-    ``ker d1`` of the hinge complex, glued from its vertex stars
-    (:meth:`hinge_h1`).  Rigid homology is read off the support complex,
-    the constant ``R^1`` complex on the rigid model's cells: the rigid
-    cosheaf is six copies of it through
-    :func:`models.constant_rigid_isomorphism`, which moves spatial
-    velocities from the origin to cell centroids.  The support complex
+    complexes; the sequence was certified exact at every cell when it
+    was built, with worst residual ``exactness_residual``
+    (:func:`cosheaf.verify_exact_sequence`).  No whole complex is
+    decomposed.  Hinge homology is ``ker d1`` of the hinge complex,
+    glued from its vertex stars (:meth:`hinge_h1`).  Rigid homology is
+    read off the support complex, the constant ``R^1`` complex on the
+    rigid model's cells: the rigid cosheaf is six copies of it, spatial
+    velocities at the origin moved to the cell centroids, a frame
+    chosen in this module alone.  The support complex
     is an integer complex, so its 2-cycles are counted and its loops
     found by a tree-cotree split, one integer cocycle each
     (:meth:`loop_cocycles`).  :meth:`rigid_h2` is an orthonormal basis
@@ -146,7 +145,7 @@ class ExactSequence:
     spatial: ChainComplex
     iota: CosheafMap
     pi: CosheafMap
-    report: ExactnessReport
+    exactness_residual: float
     _cache: dict = field(default_factory=dict)
 
     def hinge_h1(self) -> np.ndarray:
@@ -224,30 +223,31 @@ class ExactSequence:
         2-cycles.  The ranks come from component counts
         (:func:`surface.constant_homology`) and the 2-cycles are the 0/1
         indicators of the free dual components; the cocycles come from a
-        tree-cotree split.  Each is certified exactly: the 2-cycles have
-        integer boundary 0, the cocycles vanish on every face boundary,
-        and there is one cocycle per counted dimension of degree 1.
-        Each failure raises :class:`ExactnessViolation`."""
+        tree-cotree split.  Each is certified exactly, straight from the
+        live ``fe`` incidences: the 2-cycles have integer boundary 0, the
+        cocycles vanish on every face boundary, and there is one cocycle
+        per counted dimension of degree 1, the supported edges less
+        ``r1 + r2``.  Each failure raises :class:`ExactnessViolation`."""
         cells = self.rigid.cosheaf.support
-        # Identity extensions compose exactly: nothing to check.
-        support = ChainComplex(constant_cosheaf(self.surface, 1, support=cells))
         r1, r2, cycles = constant_homology(self.surface, cells)
-        z2 = cycles[cells[2]]
-        if np.any(support.apply(2, z2)):
-            raise ExactnessViolation("a counted support 2-cycle has a boundary")
         loops = loop_cocycles(self.surface, cells)
         fe = self.surface.incidences["fe"]
         live = cells[1][fe.lower] & cells[2][fe.upper]
+        edge, face, sign = fe.lower[live], fe.upper[live], fe.sign[live, None]
+        edges = np.zeros((self.surface.num_edges, cycles.shape[1]))
+        np.add.at(edges, edge, sign * cycles[face])
+        if np.any(edges):
+            raise ExactnessViolation("a counted support 2-cycle has a boundary")
+        # A loop cocycle has one row per supported edge, in edge order.
         faces = np.zeros((self.surface.num_faces, loops.shape[1]))
-        np.add.at(faces, fe.upper[live], fe.sign[live, None]
-                  * support.cosheaf.restrict(1, loops, fe.lower[live]))
+        np.add.at(faces, face, sign * loops[np.cumsum(cells[1])[edge] - 1])
         if np.any(faces):
             raise ExactnessViolation("a support cocycle does not vanish on a face boundary")
-        n1 = support.dim(1) - r1 - r2
+        n1 = np.count_nonzero(cells[1]) - r1 - r2
         if loops.shape[1] != n1:
             raise ExactnessViolation(
                 f"support degree 1 has dimension {loops.shape[1]}, counted {n1}")
-        return loops, z2
+        return loops, cycles[cells[2]]
 
     def rigid_h1(self) -> np.ndarray:
         """Degree-1 rigid classes as cochains, ``kron(C, I6)`` for the
@@ -256,19 +256,22 @@ class ExactSequence:
         return self._cached("rigid_h1", lambda: np.kron(self.loop_cocycles(), np.eye(6)))
 
     def rigid_h2(self) -> np.ndarray:
-        """Degree-2 rigid homology: the constant classes ``kron(Z2, I6)``
-        carried onto rigid chains by the isomorphism, then orthonormalised.
-        Nothing enters degree 2, so this spans the face boundary's kernel.
-        The 0/1 indicators stand for ``Z2``: they carry each face's
-        transfer exactly, unrounded by a normalisation."""
+        """Degree-2 rigid homology: the constant classes ``kron(Z2, I6)``,
+        global motions at the origin, moved to the face centroids as
+        :func:`_tree_lift` moves its lifts, then orthonormalised.  Nothing
+        enters degree 2, so this spans the face boundary's kernel.  The
+        0/1 indicators stand for ``Z2``: they carry each face's transfer
+        exactly, unrounded by a normalisation."""
         return self._cached("rigid_h2", self._rigid_h2)
 
     def _rigid_h2(self) -> np.ndarray:
         cycles = self._cached("support_h", self._support_homology)[1]
         if not cycles.shape[1]:
             return np.zeros((self.rigid.dim(2), 0))
-        chains = constant_rigid_isomorphism(self.rigid).apply(2, np.kron(cycles, np.eye(6)))
-        return np.linalg.qr(chains)[0]
+        centroids = self.surface.face_centroids[self.rigid.cosheaf.support[2]]
+        motions = np.kron(cycles, np.eye(6)).reshape(len(cycles), 6, -1)
+        chains = transfer_matrix(np.zeros(3), centroids) @ motions
+        return np.linalg.qr(chains.reshape(self.rigid.dim(2), -1))[0]
 
     def _cached(self, key, fn):
         if key not in self._cache:
@@ -394,14 +397,9 @@ def _verified_sequence(hinge: ChainComplex, rigid: ChainComplex,
     """The one constructor of every sequence, free or pinned."""
     iota = _iota_map(hinge.cosheaf, rigid.cosheaf).validate()
     pi = _pi_map(rigid.cosheaf, spatial.cosheaf).validate()
-    report = verify_exact_sequence(iota, pi)
-    if not report.ok:
-        worst = report.worst_cell()
-        raise ExactnessViolation(
-            f"sequence fails at cell {worst.cell}: "
-            f"residual {max(worst.composition_residual, worst.image_kernel_residual):.3e}")
     return ExactSequence(surface=hinge.cosheaf.surface, hinge=hinge, rigid=rigid,
-                         spatial=spatial, iota=iota, pi=pi, report=report)
+                         spatial=spatial, iota=iota, pi=pi,
+                         exactness_residual=verify_exact_sequence(iota, pi))
 
 
 # --- solution constructors ---

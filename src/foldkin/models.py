@@ -12,8 +12,10 @@
 Each of the first three is a cosheaf; its builder returns the assembled
 chain complex, which holds the cosheaf.  The boundary matrix is the
 model's constraint Jacobian and the relevant homology space is its
-solution set.  Boundary (non-interior) edges and vertices carry zero stalks on the
-constraint side; faces always carry full stalks.
+solution set, built in ``maps.ExactSequence`` (which also fixes the
+frame of the rigid model's global motions).  Boundary (non-interior)
+edges and vertices carry zero stalks on the constraint side; faces
+always carry full stalks.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from .cosheaf import (
     ChainComplex,
     Cosheaf,
-    CosheafMap,
     assemble_chain_complex,
     constant_cosheaf,
 )
@@ -98,22 +99,6 @@ def build_constant_model(surface: OrigamiSurface, dim: int) -> ChainComplex:
     """Constant cosheaf on all cells; its homology is ``dim`` copies of
     the base homology of the surface."""
     return assemble_chain_complex(constant_cosheaf(surface, dim))
-
-
-def constant_rigid_isomorphism(rigid: ChainComplex) -> CosheafMap:
-    """Isomorphism from an origin-anchored constant cosheaf onto the
-    rigid-body cosheaf.
-
-    The component at a cell transfers a spatial velocity from the origin
-    to the cell centroid.  The constant side is supported on the same
-    cells as the rigid model so every component is invertible.
-    """
-    surface = rigid.cosheaf.surface
-    const = constant_cosheaf(surface, 6, support=rigid.cosheaf.support)
-    comps = tuple(transfer_matrix(np.zeros(3), surface.cell_centroids(d))
-                  for d in range(3))
-    return CosheafMap(source=const, target=rigid.cosheaf,
-                      components=comps).validate()
 
 
 # --- stiffened linkage / truss model ---

@@ -44,9 +44,6 @@ from .errors import Degenerate, IndexOutOfRange, NonManifold, NonOrientable
 from .linalg import RANK_TOL
 from .spatial import orthonormal_triad
 
-# Cell handles are (dim, index) pairs, e.g. (1, 4) is edge number 4.
-Cell = tuple[int, int]
-
 # Incidence kinds by name: (dimension of the upper cell, of the lower cell).
 INCIDENCE_DIMS = {"ev": (1, 0), "fe": (2, 1), "fv": (2, 0)}
 

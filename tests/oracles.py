@@ -24,7 +24,10 @@ adjacency-dict chain walk, and they list the incidences one cell at a
 time; the library reads all of it off the sorted corner arrays, the
 dual forest and one component labelling.  The pseudoinverse of θ, the
 rigid-fit stack and the first-corner index are taken afresh on every
-call where a sequence and a linkage keep them, and the recursive
+call where a sequence and a linkage keep them.  The validated
+constant-to-rigid isomorphism carries the global motions where the
+library moves them from the origin to the face centroids with the tree
+lifts' one transfer per face.  The recursive
 formatter checks every value's type where canonical JSON joins a list
 of plain floats at once.  Tests compare the two.
 """
@@ -239,6 +242,19 @@ def column_space(a, *, scale=0.0):
         return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u[:, s > RANK_TOL * max(s[0], scale)].copy()
+
+
+def constant_rigid_isomorphism(rigid):
+    """Isomorphism from an origin-anchored constant cosheaf onto the
+    rigid-body cosheaf, validated: the component at a cell transfers a
+    spatial velocity from the origin to the cell centroid.  The constant
+    side is supported on the rigid model's cells, so every component is
+    invertible."""
+    surface = rigid.cosheaf.surface
+    const = constant_cosheaf(surface, 6, support=rigid.cosheaf.support)
+    comps = tuple(transfer_matrix(np.zeros(3), surface.cell_centroids(d))
+                  for d in range(3))
+    return CosheafMap(source=const, target=rigid.cosheaf, components=comps).validate()
 
 
 def identity_map(cosheaf):

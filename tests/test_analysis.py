@@ -8,7 +8,6 @@ from foldkin import (
     ChainComplex,
     analyze_surface,
     build_exact_sequence,
-    constant_rigid_isomorphism,
     document_from_surface,
     hinge_solution,
     hinge_to_truss,
@@ -238,6 +237,29 @@ def test_analysis_evaluates_eta_once(monkeypatch, spec):
     assert sorted(calls) == ["_certify_groups", "corner_velocities"]
 
 
+def test_analysis_validates_two_maps_and_builds_three_complexes(monkeypatch):
+    # The maps are the sequence's iota and pi, and the complexes its three
+    # models: the global motions need no isomorphism and the support
+    # homology no complex of its own.
+    validate, init = cosheaf.CosheafMap.validate, cosheaf.ChainComplex.__init__
+    calls = []
+
+    def counting_validate(self):
+        calls.append("map")
+        return validate(self)
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("complex")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cosheaf.CosheafMap, "validate", counting_validate)
+    monkeypatch.setattr(cosheaf.ChainComplex, "__init__", counting_init)
+    for shape in [("grid", 3, 3), ("torus", 4, 4), ("annulus", 2, 8)]:
+        calls.clear()
+        assert analyze_surface(surface_of(*shape)).all_ok
+        assert (calls.count("map"), calls.count("complex")) == (2, 3), shape
+
+
 def test_global_motions_lie_in_every_kernel(rng):
     # The six global motions produced by the constant-cosheaf
     # isomorphism are cycles of both face-based models and transfer to
@@ -245,7 +267,7 @@ def test_global_motions_lie_in_every_kernel(rng):
     s = two_panels()
     seq = build_exact_sequence(s)
     rigid = seq.rigid
-    phi = constant_rigid_isomorphism(rigid)
+    phi = oracles.constant_rigid_isomorphism(rigid)
     linkage = stiffen(s)
     for _ in range(20):
         vec = rng.normal(size=6)

@@ -246,6 +246,48 @@ def test_convert_non_finite_spatial_exits_1(tmp_path, capsys):
     assert "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("which", ["surface", "solution"])
+@pytest.mark.parametrize("data, message", [
+    (b'{"e0": "\xff"}', "input is not UTF-8"),
+    (b"[" * 100000, "input nests too deeply"),
+    (b'{"e0": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
+    (b"{not json", "invalid JSON at line 1, column 2"),
+], ids=["not_utf8", "deep", "long_integer", "malformed"])
+def test_convert_bad_json_bytes_exit_2_on_either_file(tmp_path, capsys, which, data, message):
+    # Both files are read by one routine, and bytes it cannot decode are
+    # bad input, not a fault in foldkin.
+    path, surface, seq = convert_setup(tmp_path, ("grid", 2, 2))
+    sol_path = tmp_path / "rates.json"
+    sol_path.write_text("{}")
+    (tmp_path / ("surface.json" if which == "surface" else "rates.json")).write_bytes(data)
+    code = main(["convert", path, "--input-solution", str(sol_path),
+                 "--from", "hinge", "--to", "spatial"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    prefix = "error: " if which == "surface" else "error: solution file: "
+    assert captured.err.startswith(prefix + message)
+
+
+@pytest.mark.parametrize("source, raw", [
+    ("hinge", '{"e%d": NaN}'), ("hinge", '{"e%d": Infinity}'),
+    ("spatial", '{"f0": [0, 0, -Infinity, 0, 0, 0]}'),
+    ("spatial", '{"f1": [0, 0, 0, 0, Infinity, NaN]}'),
+])
+def test_convert_non_finite_values_exit_1(tmp_path, capsys, source, raw):
+    # JSON has no such numbers, but the decoder reads them; they are no
+    # solution, not unreadable input.
+    path, surface, seq = convert_setup(tmp_path, ("grid", 2, 2))
+    sol_path = tmp_path / "values.json"
+    sol_path.write_text(raw.replace("%d", str(surface.interior_edges()[0])))
+    code = main(["convert", path, "--input-solution", str(sol_path),
+                 "--from", source, "--to", "truss"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
 def test_convert_values_must_be_json_numbers(tmp_path, capsys):
     # A string is no number even when float() reads it, and a six-digit
     # string is not six values; booleans are not numbers either.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from foldkin import (
     build_spatial_model,
     connecting_map,
     constant_cosheaf,
-    constant_rigid_isomorphism,
     homology_basis,
     induced_map,
     verify_exact_sequence,
@@ -122,8 +123,7 @@ def test_rank_nullity_bookkeeping():
 def test_exact_sequence_passes_on_valid_surfaces():
     for s in (two_triangles(), two_panels(), surface_of("grid", 2, 2)):
         seq = build_exact_sequence(s)
-        assert seq.report.ok
-        assert seq.report.max_residual < 1e-12
+        assert seq.exactness_residual < 1e-12
 
 
 def test_exactness_dimensions_per_cell():
@@ -159,10 +159,11 @@ def test_zero_iota_fails_injectivity():
     edge[e] = 0.0
     broken = CosheafMap(source=seq.hinge.cosheaf, target=seq.rigid.cosheaf,
                         components=(vertex, edge, face))
-    report = verify_exact_sequence(broken, seq.pi)
-    assert not report.ok
-    bad = [entry for entry in report.entries if not entry.injective]
-    assert [entry.cell for entry in bad] == [(1, e)]
+    # The broken edge fails with residual 1, the distance from the line
+    # that pi kills to the zero image of iota.
+    with pytest.raises(ExactnessViolation,
+                       match=rf"^sequence fails at cell \(1, {e}\): residual 1\.000e\+00$"):
+        verify_exact_sequence(broken, seq.pi)
 
 
 def test_perturbed_pi_fails_exactness_with_matching_residual():
@@ -178,9 +179,12 @@ def test_perturbed_pi_fails_exactness_with_matching_residual():
         perturbed = CosheafMap(source=seq.rigid.cosheaf,
                                target=seq.spatial.cosheaf,
                                components=(vertex, edge, face))
-        report = verify_exact_sequence(seq.iota, perturbed)
-        assert not report.ok
-        assert 1e-4 < report.max_residual < 1e-2
+        with pytest.raises(ExactnessViolation) as failed:
+            verify_exact_sequence(seq.iota, perturbed)
+        found = re.fullmatch(r"sequence fails at cell \(1, (\d+)\): residual (\S+)",
+                             str(failed.value))
+        assert int(found[1]) == e
+        assert 1e-4 < float(found[2]) < 1e-2
         with pytest.raises(NaturalityViolation):
             perturbed.validate()
 
@@ -255,7 +259,7 @@ def test_connecting_lift_independent(rng):
                       components=(inc, inc, inc)).validate()
     pi = CosheafMap(source=mid, target=quo,
                     components=(prj, prj, prj)).validate()
-    assert verify_exact_sequence(iota, pi).ok
+    assert verify_exact_sequence(iota, pi) == 0.0
 
     mid_cc = assemble_chain_complex(mid)
     quo_cc = assemble_chain_complex(quo)
@@ -336,7 +340,7 @@ def test_apply_matches_the_dense_product(make, rng):
              for cc in free + tuple(cc.pinned([0]) for cc in free)
              for degree in (1, 2)]
     cases += [(phi.apply, degree, phi.block_matrix(degree))
-              for phi in (seq.iota, seq.pi, constant_rigid_isomorphism(seq.rigid))
+              for phi in (seq.iota, seq.pi, oracles.constant_rigid_isomorphism(seq.rigid))
               for degree in (0, 1, 2)]
     for apply, degree, dense in cases:
         for chains in (rng.normal(size=dense.shape[1]),

@@ -45,6 +45,7 @@ from foldkin.errors import (
     WellDefinednessViolation,
 )
 from foldkin.linalg import nullspace, subspace_residual, svd_rank
+from foldkin.surface import constant_homology
 
 import oracles
 from conftest import (
@@ -80,7 +81,7 @@ def any_surface(request):
 
 def test_sequence_residuals_tiny(any_surface):
     seq = build_exact_sequence(any_surface)
-    assert seq.report.max_residual < 1e-12
+    assert seq.exactness_residual < 1e-12
     assert seq.iota.naturality_residual() < 1e-12
     assert seq.pi.naturality_residual() < 1e-12
 
@@ -171,6 +172,25 @@ def test_counted_support_homology_matches_the_decomposition(make):
     assert svd_rank(loops.T @ harmonic) == loops.shape[1]
     assert seq.rigid_h1().shape == (6 * len(loops), 6 * loops.shape[1])
     assert base_homology(seq.surface) == oracles.base_homology(seq.surface)
+
+
+@pytest.mark.parametrize("make", [m for _, m in COUNTED_SEQUENCES],
+                         ids=[n for n, _ in COUNTED_SEQUENCES])
+def test_global_motions_match_the_constant_rigid_isomorphism(make):
+    # The global motions are moved from the origin to the face centroids
+    # by the tree lift's transfer; the validated isomorphism is the
+    # reference, bit for bit.  A pinned chain has no global motion.
+    seq = make()
+    faces = seq.rigid.cosheaf.support[2]
+    z2 = constant_homology(seq.surface, seq.rigid.cosheaf.support)[2][faces]
+    got = seq.rigid_h2()
+    if not z2.shape[1]:
+        assert got.shape == (seq.rigid.dim(2), 0)
+        assert not faces.all()
+        return
+    phi = oracles.constant_rigid_isomorphism(seq.rigid)
+    want = np.linalg.qr(phi.apply(2, np.kron(z2, np.eye(6))))[0]
+    assert np.array_equal(got, want)
 
 
 def _drop_last_entry(loops):

@@ -13,7 +13,6 @@ from foldkin import (
     build_rigid_model,
     build_spatial_model,
     build_surface,
-    constant_rigid_isomorphism,
     homology_basis,
     induced_map,
     orthonormal_triad,
@@ -186,7 +185,7 @@ def test_constant_model_homology_scales_with_betti():
 def test_constant_rigid_iso_natural_and_invertible():
     for s in (two_panels(), fan(4), surface_of("torus", 4, 4)):
         rigid = build_rigid_model(s)
-        phi = constant_rigid_isomorphism(rigid)
+        phi = oracles.constant_rigid_isomorphism(rigid)
         assert phi.naturality_residual() < 1e-12
         for d in range(3):
             comps = phi.components[d][rigid.cosheaf.support[d]]
