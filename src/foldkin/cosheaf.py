@@ -4,19 +4,16 @@ A cosheaf assigns a vector-space stalk to every cell of a surface and a
 linear extension map to every incidence, functorial under composition.
 Extension maps assemble with incidence signs into boundary matrices.
 :func:`glued_cycles` finds ``ker d1`` from the stars of the vertices,
-glued patch by patch; the package runs it only on the hinge complex,
-whose homology that kernel is, and builds the other models' homology
-from it and from counted integer complexes.  :func:`homology_basis`,
-one SVD of a whole complex, is the reference the tests compare with.
+glued patch by patch; the package runs it only on the hinge complex.
 A cosheaf map is a stalk-wise family of matrices commuting with the
-extension maps; a short exact sequence of such maps, certified cell by
-cell by :func:`verify_exact_sequence` (it raises on a failing cell),
-carries a connecting homomorphism between homology spaces.
-:func:`connecting_map` is the generic routine for it, the usual lift /
-boundary / restrict recipe on any sequence.  The package's own sequence
-reads its connecting map off the tree lifts instead
-(``maps.ExactSequence``), and the tests use the generic routine as the
-oracle for it.
+extension maps.  Three generic routines are references that the tests
+compare with, and the package runs none of them: :func:`homology_basis`,
+one SVD of a whole complex; :func:`verify_exact_sequence`, which
+certifies a short exact sequence of cosheaf maps cell by cell, where
+the package certifies its own from the edge triads
+(``maps._verified_sequence``); and :func:`connecting_map`, the usual
+lift / boundary / restrict recipe, where the package reads its
+connecting map off the tree lifts (``maps.ExactSequence``).
 
 Layout.  A cosheaf has one stalk size per cell dimension and a support
 mask per dimension: supported cells carry a stalk of that size, the
@@ -39,9 +36,9 @@ Each check has one fixed bound, defined together below:
 :data:`FUNCTORIALITY_TOL`, :data:`NATURALITY_TOL`, :data:`COMPLEX_TOL`
 for ``d1 @ d2``, for the cycles of :func:`cycle_residuals` and for the
 glued cycles and their orthonormality in :func:`glued_cycles`,
-:data:`EXACTNESS_TOL` for the stalk-wise exactness
-residuals, and :data:`LIFT_TOL` for the lift and pull-back gates of the
-connecting map.  Rank decisions use ``linalg.RANK_TOL``; no function
+:data:`EXACTNESS_TOL` for the stalk-wise exactness residuals and the
+triad certificate, and :data:`LIFT_TOL` for the lift and pull-back
+gates of the connecting map.  Rank decisions use ``linalg.RANK_TOL``; no function
 here takes a tolerance argument.
 
 Homology spaces are represented by harmonic bases: plain arrays whose
@@ -52,9 +49,7 @@ orthogonal complement of the incoming image.  A class's coordinates are
 Boundaries and cosheaf maps stay blocks.  A :class:`ChainComplex` keeps
 one signed block per incidence and applies its boundaries from them
 (:class:`IncidenceMap`); a :class:`CosheafMap` applies one block per
-cell.  The library forms no dense boundary; only the reference routines
-the tests compare against do (:func:`homology_basis`,
-:func:`connecting_map`, :meth:`CosheafMap.block_matrix`).
+cell.  The library forms no dense boundary; only the references do.
 """
 
 from __future__ import annotations

@@ -2,11 +2,15 @@
 
 The hinge, rigid-body, and spatial cosheaves fit into a short exact
 sequence: hinge data embeds into full rigid-body data, and spatial data
-is the quotient.  Its connecting homomorphism turns spatial solutions
-into hinge solutions; the least-squares pseudoinverse goes the other
-way, defined exactly on hinge solutions whose loop obstruction
-vanishes.  A separate evaluation map turns spatial solutions into truss
-solutions (vertex velocities) and a per-face rigid fit inverts it.
+is the quotient.  Both maps are formulas, so an :class:`ExactSequence`
+holds only the hinge and spatial complexes and one triad certificate
+(:func:`_verified_sequence`), on a free sheet or on a chain pinned at
+its base (:func:`pinned_chain_connecting_matrix`).  Its connecting
+homomorphism turns spatial solutions into hinge solutions; the
+least-squares pseudoinverse goes the other way, defined exactly on
+hinge solutions whose loop obstruction vanishes.  A separate
+evaluation map turns spatial solutions into truss solutions (vertex
+velocities) and a per-face rigid fit inverts it.
 
 Spatial solutions are never found by decomposing the spatial boundary.
 The exact sequence says what they are: the global motions plus the
@@ -31,13 +35,11 @@ import numpy as np
 
 from .cosheaf import (
     COMPLEX_TOL,
+    EXACTNESS_TOL,
     ChainComplex,
-    Cosheaf,
-    CosheafMap,
     IncidenceMap,
     cycle_residuals,
     glued_cycles,
-    verify_exact_sequence,
 )
 from .errors import (
     ExactnessViolation,
@@ -51,11 +53,10 @@ from .linalg import nullspace, pseudoinverse, svd_rank
 from .models import (
     StiffenedLinkage,
     build_hinge_model,
-    build_rigid_model,
     build_spatial_model,
     corner_velocities,
 )
-from .spatial import axis_projection, hinge_twist, point_velocity_blocks, transfer_matrix
+from .spatial import hinge_twist, transfer_matrix
 from .surface import OrigamiSurface, _dual_forest, constant_homology, loop_cocycles
 
 CYCLE_TOL = 1e-7
@@ -94,57 +95,26 @@ class ConversionReport:
         return not self.obstructed
 
 
-def _iota_map(hinge: Cosheaf, rigid: Cosheaf) -> CosheafMap:
-    # An edge stalk holds a hinge rate; it enters as the hinge twist.  A
-    # vertex stalk holds an angular velocity; it enters as [omega, 0].
-    twists = hinge_twist(hinge.surface.edge_triads[:, 0])[:, :, None]
-    return CosheafMap(source=hinge, target=rigid,
-                      components=(np.eye(6, 3), twists, np.zeros((6, 0))))
-
-
-def _pi_map(rigid: Cosheaf, spatial: Cosheaf) -> CosheafMap:
-    # Vertices keep the velocity of the anchor point itself: zero lever
-    # arm.  Edges forget rotation about the hinge axis.
-    return CosheafMap(source=rigid, target=spatial,
-                      components=(point_velocity_blocks(np.zeros(3)),
-                                  axis_projection(rigid.surface.edge_triads),
-                                  np.eye(6)))
-
-
 @dataclass
 class ExactSequence:
-    """Verified hinge -> rigid -> spatial sequence with cached homology.
+    """Certified hinge -> rigid -> spatial sequence with cached homology.
 
-    ``hinge``, ``rigid`` and ``spatial`` are the models' chain
-    complexes; the sequence was certified exact at every cell when it
-    was built, with worst residual ``exactness_residual``
-    (:func:`cosheaf.verify_exact_sequence`).  No whole complex is
-    decomposed.  Hinge homology is ``ker d1`` of the hinge complex,
-    glued from its vertex stars (:meth:`hinge_h1`).  Rigid homology is
-    read off the support complex, the constant ``R^1`` complex on the
-    rigid model's cells: the rigid cosheaf is six copies of it, spatial
-    velocities at the origin moved to the cell centroids, a frame
-    chosen in this module alone.  The support complex
-    is an integer complex, so its 2-cycles are counted and its loops
-    found by a tree-cotree split, one integer cocycle each
-    (:meth:`loop_cocycles`).  :meth:`rigid_h2` is an orthonormal basis
-    of rigid chains; :meth:`rigid_h1`, like the rows of
-    :meth:`loop_obstruction_matrix`, holds the loop cocycles in the
-    origin-anchored constant frame.  Spatial homology is built from the
-    other two (:meth:`spatial_h2`), and the connecting map
-    (:meth:`spatial_to_hinge_matrix`) is the direct per-edge formula,
-    certified by the value that construction fixes for it.  Every
-    result, the connecting map's pseudoinverse
-    (:meth:`hinge_to_spatial_matrix`) included, is computed on first use
-    and kept, so a conversion after the first decomposes nothing.
+    ``hinge`` and ``spatial`` are the outer models' chain complexes; the
+    rigid middle term and its two maps are formulas, never built, and
+    ``exactness_residual`` certified them (:func:`_verified_sequence`).
+    No whole complex is decomposed: hinge classes are glued from the
+    vertex stars, rigid classes read off the integer support complex on
+    the spatial model's cells (which are the rigid model's; the rigid
+    cosheaf is six copies of it moved from the origin to the cell
+    centroids, a frame chosen in this module alone), and spatial classes
+    and the connecting map built from those two.  Every result is
+    computed on first use and kept, so a conversion after the first
+    decomposes nothing.
     """
 
     surface: OrigamiSurface
     hinge: ChainComplex
-    rigid: ChainComplex
     spatial: ChainComplex
-    iota: CosheafMap
-    pi: CosheafMap
     exactness_residual: float
     _cache: dict = field(default_factory=dict)
 
@@ -228,7 +198,7 @@ class ExactSequence:
         cocycles vanish on every face boundary, and there is one cocycle
         per counted dimension of degree 1, the supported edges less
         ``r1 + r2``.  Each failure raises :class:`ExactnessViolation`."""
-        cells = self.rigid.cosheaf.support
+        cells = self.spatial.cosheaf.support
         r1, r2, cycles = constant_homology(self.surface, cells)
         loops = loop_cocycles(self.surface, cells)
         fe = self.surface.incidences["fe"]
@@ -267,11 +237,11 @@ class ExactSequence:
     def _rigid_h2(self) -> np.ndarray:
         cycles = self._cached("support_h", self._support_homology)[1]
         if not cycles.shape[1]:
-            return np.zeros((self.rigid.dim(2), 0))
-        centroids = self.surface.face_centroids[self.rigid.cosheaf.support[2]]
+            return np.zeros((self.spatial.dim(2), 0))
+        centroids = self.surface.face_centroids[self.spatial.cosheaf.support[2]]
         motions = np.kron(cycles, np.eye(6)).reshape(len(cycles), 6, -1)
         chains = transfer_matrix(np.zeros(3), centroids) @ motions
-        return np.linalg.qr(chains.reshape(self.rigid.dim(2), -1))[0]
+        return np.linalg.qr(chains.reshape(self.spatial.dim(2), -1))[0]
 
     def _cached(self, key, fn):
         if key not in self._cache:
@@ -338,7 +308,7 @@ class ExactSequence:
         return self._cached("iota_star", self._loop_obstruction)
 
     def _loop_obstruction(self) -> np.ndarray:
-        lines = _hinge_lines(self.surface, self.rigid.cosheaf.support[1])
+        lines = _hinge_lines(self.surface, self.spatial.cosheaf.support[1])
         loops, classes = self.loop_cocycles(), self.hinge_h1()
         return np.einsum("ea,ei,ej->aij", loops, lines, classes).reshape(
             6 * loops.shape[1], classes.shape[1])
@@ -385,21 +355,38 @@ def _tree_lift(surface: OrigamiSurface, roots: np.ndarray,
 
 
 def build_exact_sequence(surface: OrigamiSurface) -> ExactSequence:
-    """Build the three cosheaf models and verify the sequence joining
-    them: naturality of both maps on every incidence and stalk-wise
-    exactness at every cell."""
-    return _verified_sequence(build_hinge_model(surface), build_rigid_model(surface),
-                              build_spatial_model(surface))
+    """Build the hinge and spatial models and certify the sequence
+    joining them through the rigid model (:func:`_verified_sequence`)."""
+    return _verified_sequence(build_hinge_model(surface), build_spatial_model(surface))
 
 
-def _verified_sequence(hinge: ChainComplex, rigid: ChainComplex,
-                       spatial: ChainComplex) -> ExactSequence:
-    """The one constructor of every sequence, free or pinned."""
-    iota = _iota_map(hinge.cosheaf, rigid.cosheaf).validate()
-    pi = _pi_map(rigid.cosheaf, spatial.cosheaf).validate()
-    return ExactSequence(surface=hinge.cosheaf.surface, hinge=hinge, rigid=rigid,
-                         spatial=spatial, iota=iota, pi=pi,
-                         exactness_residual=verify_exact_sequence(iota, pi))
+def _verified_sequence(hinge: ChainComplex, spatial: ChainComplex) -> ExactSequence:
+    """The one constructor of every sequence, free or pinned, certified
+    by one value: the largest entry of ``T T^T - I`` over the interior
+    edges' triads ``T``.  Above :data:`cosheaf.EXACTNESS_TOL` it raises
+    :class:`ExactnessViolation` naming the worst edge as cell ``(1, e)``.
+
+    The maps are formulas.  At a vertex they are ``eye(6, 3)`` and
+    ``[0 | I]``, entries 0 and 1, so exactness holds exactly; at a face,
+    no columns and ``I6``.  At an edge the hinge twist ``[l, 0]`` and the
+    axis projection compose to ``[m.l, n.l, 0]``, and image equals kernel
+    exactly when the triad rows are orthonormal.  The quotient is natural
+    on ``fe`` and ``fv`` bit for bit: :func:`models.build_spatial_model`
+    defines those extensions as the quotient after the rigid transfer.
+    On ``ev`` both maps are natural exactly when each interior vertex
+    lies on its hinge line, which the spatial model's functoriality check
+    already holds.  The rigid model and :func:`cosheaf.verify_exact_sequence`
+    are the tests' reference.
+    """
+    edges = np.flatnonzero(hinge.cosheaf.support[1])
+    triads = hinge.cosheaf.surface.edge_triads[edges]
+    gaps = np.abs(triads @ triads.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2), initial=0.0)
+    residual = float(gaps.max(initial=0.0))
+    if residual > EXACTNESS_TOL:
+        raise ExactnessViolation(f"sequence fails at cell {(1, int(edges[np.argmax(gaps)]))}: "
+                                 f"residual {residual:.3e}")
+    return ExactSequence(surface=hinge.cosheaf.surface, hinge=hinge, spatial=spatial,
+                         exactness_residual=residual)
 
 
 # --- solution constructors ---
@@ -714,22 +701,21 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
     pinned, expressed directly in hinge-rate and stacked-body-velocity
     coordinates for comparison with the closed-form left inverse.
 
-    The three models are built and checked for functoriality once, then
-    pinned (pinning zeroes extensions, so the check covers the pinned
-    copies), and only the pinned sequence is verified, like any other:
-    naturality, stalk-wise exactness, the spatial cycle and rank
-    certificates and the certificate of theta against the tree lifts.
-    The free sequence
-    would add only the base face's cells to the exactness check, where
-    the hinge model has no stalk and the quotient map is the identity.
+    The hinge and spatial models are built and checked for
+    functoriality once, then pinned (pinning zeroes extensions, so the
+    check covers the pinned copies), and only the pinned sequence is
+    certified, like any other: the triad certificate, the spatial cycle
+    and rank certificates and the certificate of theta against the tree
+    lifts.  The free sequence would add nothing: the certificate reads
+    the interior edges alone.
     Returns ``(theta, cycles)`` where ``cycles`` columns are pinned
     spatial cycles over the moving bodies in chain order and ``theta``
     takes those cycles (its columns) to hinge rates in chain order.
     """
     chain = ops.chain
     base = [chain.face_order[0]]
-    pinned = _verified_sequence(*(build(surface).pinned(base) for build in (
-        build_hinge_model, build_rigid_model, build_spatial_model)))
+    pinned = _verified_sequence(build_hinge_model(surface).pinned(base),
+                                build_spatial_model(surface).pinned(base))
     rates = pinned.hinge_h1() @ pinned.spatial_to_hinge_matrix()
     # Hinge rows in chain hinge order, cycle rows as the moving bodies in
     # chain order.

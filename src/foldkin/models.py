@@ -5,7 +5,8 @@
 * spatial model: a 6-dof spatial velocity per face, five constraints per
   interior edge (everything but rotation about the shared hinge);
 * rigid-body model: 6-dof per face with all six constrained per interior
-  edge, leaving only global motions;
+  edge, leaving only global motions: the exact sequence's middle term,
+  built only as the tests' reference (``maps`` certifies by formula);
 * truss model: three velocity components per vertex of the stiffened
   linkage, one length-preservation constraint per bar.
 

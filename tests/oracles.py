@@ -27,7 +27,10 @@ rigid-fit stack and the first-corner index are taken afresh on every
 call where a sequence and a linkage keep them.  The validated
 constant-to-rigid isomorphism carries the global motions where the
 library moves them from the origin to the face centroids with the tree
-lifts' one transfer per face.  The recursive
+lifts' one transfer per face.  The rigid model, with the generic
+embedding and quotient maps validated on it and the generic stalk-wise
+verifier run on them, stands for the one triad certificate of the
+sequence.  The recursive
 formatter checks every value's type where canonical JSON joins a list
 of plain floats at once.  Tests compare the two.
 """
@@ -40,6 +43,7 @@ import numpy as np
 from foldkin import (
     CosheafMap,
     assemble_chain_complex,
+    build_rigid_model,
     connecting_map,
     constant_cosheaf,
     homology_basis,
@@ -56,7 +60,39 @@ from foldkin.errors import (
 )
 from foldkin.linalg import RANK_TOL, nullspace, pseudoinverse, svd_rank
 from foldkin.maps import _hinge_lines, chain_structure
-from foldkin.spatial import hinge_twist, transfer_matrix
+from foldkin.spatial import (
+    axis_projection,
+    hinge_twist,
+    point_velocity_blocks,
+    transfer_matrix,
+)
+
+
+def _iota_map(hinge, rigid):
+    # An edge stalk holds a hinge rate; it enters as the hinge twist.  A
+    # vertex stalk holds an angular velocity; it enters as [omega, 0].
+    twists = hinge_twist(hinge.surface.edge_triads[:, 0])[:, :, None]
+    return CosheafMap(source=hinge, target=rigid,
+                      components=(np.eye(6, 3), twists, np.zeros((6, 0))))
+
+
+def _pi_map(rigid, spatial):
+    # Vertices keep the velocity of the anchor point itself: zero lever
+    # arm.  Edges forget rotation about the hinge axis.
+    return CosheafMap(source=rigid, target=spatial,
+                      components=(point_velocity_blocks(np.zeros(3)),
+                                  axis_projection(rigid.surface.edge_triads),
+                                  np.eye(6)))
+
+
+def sequence_maps(seq):
+    """The sequence's rigid middle term, pinned like ``seq.spatial``,
+    and its embedding and quotient maps, both validated:
+    ``(rigid, iota, pi)``."""
+    rigid = build_rigid_model(seq.surface).pinned(
+        np.flatnonzero(~seq.spatial.cosheaf.support[2]))
+    return (rigid, _iota_map(seq.hinge.cosheaf, rigid.cosheaf).validate(),
+            _pi_map(rigid.cosheaf, seq.spatial.cosheaf).validate())
 
 
 def hinge_h1(seq):
@@ -66,12 +102,12 @@ def hinge_h1(seq):
 
 def rigid_h1(seq):
     """Harmonic degree-1 basis of the rigid complex, in its own chains."""
-    return homology_basis(seq.rigid, 1)
+    return homology_basis(sequence_maps(seq)[0], 1)
 
 
 def rigid_h2(seq):
     """Kernel of the rigid face boundary."""
-    return homology_basis(seq.rigid, 2)
+    return homology_basis(sequence_maps(seq)[0], 2)
 
 
 def spatial_h2(seq):
@@ -126,14 +162,15 @@ def first_corner(linkage):
 def loop_obstruction_matrix(seq):
     """Map induced by the hinge embedding, hinge classes to the classes
     of :func:`rigid_h1`."""
-    return induced_map(seq.iota, 1, seq.hinge_h1(), rigid_h1(seq))
+    rigid, iota, _ = sequence_maps(seq)
+    return induced_map(iota, 1, seq.hinge_h1(), homology_basis(rigid, 1))
 
 
 def theta(seq):
     """Connecting homomorphism by lift / boundary / restrict, spatial
     classes to hinge classes."""
-    return connecting_map(seq.iota, seq.pi, 2, seq.spatial_h2(), seq.hinge_h1(),
-                          seq.rigid)
+    rigid, iota, pi = sequence_maps(seq)
+    return connecting_map(iota, pi, 2, seq.spatial_h2(), seq.hinge_h1(), rigid)
 
 
 def tree_lift(surface, roots, rates):
@@ -230,7 +267,7 @@ def base_homology(surface):
 def support_h(seq, degree):
     """Harmonic basis of the support complex in one degree."""
     support = assemble_chain_complex(
-        constant_cosheaf(seq.surface, 1, support=seq.rigid.cosheaf.support))
+        constant_cosheaf(seq.surface, 1, support=seq.spatial.cosheaf.support))
     return homology_basis(support, degree)
 
 

@@ -237,11 +237,13 @@ def test_analysis_evaluates_eta_once(monkeypatch, spec):
     assert sorted(calls) == ["_certify_groups", "corner_velocities"]
 
 
-def test_analysis_validates_two_maps_and_builds_three_complexes(monkeypatch):
-    # The maps are the sequence's iota and pi, and the complexes its three
-    # models: the global motions need no isomorphism and the support
-    # homology no complex of its own.
+def test_analysis_validates_no_map_and_builds_two_complexes(monkeypatch):
+    # The complexes are the sequence's hinge and spatial models.  The
+    # rigid model and its two maps are certified from the edge triads,
+    # the global motions need no isomorphism and the support homology no
+    # complex of its own; building the sequence decomposes nothing.
     validate, init = cosheaf.CosheafMap.validate, cosheaf.ChainComplex.__init__
+    svd, build = np.linalg.svd, maps.build_exact_sequence
     calls = []
 
     def counting_validate(self):
@@ -252,12 +254,26 @@ def test_analysis_validates_two_maps_and_builds_three_complexes(monkeypatch):
         calls.append("complex")
         init(self, *args, **kwargs)
 
+    def counting_svd(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    def counting_build(surface):
+        calls.append("build")
+        seq = build(surface)
+        calls.append("built")
+        return seq
+
     monkeypatch.setattr(cosheaf.CosheafMap, "validate", counting_validate)
     monkeypatch.setattr(cosheaf.ChainComplex, "__init__", counting_init)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(analysis, "build_exact_sequence", counting_build)
     for shape in [("grid", 3, 3), ("torus", 4, 4), ("annulus", 2, 8)]:
         calls.clear()
         assert analyze_surface(surface_of(*shape)).all_ok
-        assert (calls.count("map"), calls.count("complex")) == (2, 3), shape
+        assert (calls.count("map"), calls.count("complex")) == (0, 2), shape
+        building = calls[calls.index("build"):calls.index("built")]
+        assert building.count("svd") == 0, shape
 
 
 def test_global_motions_lie_in_every_kernel(rng):
@@ -266,7 +282,7 @@ def test_global_motions_lie_in_every_kernel(rng):
     # bar-preserving truss motions.
     s = two_panels()
     seq = build_exact_sequence(s)
-    rigid = seq.rigid
+    rigid = oracles.sequence_maps(seq)[0]
     phi = oracles.constant_rigid_isomorphism(rigid)
     linkage = stiffen(s)
     for _ in range(20):
@@ -274,7 +290,7 @@ def test_global_motions_lie_in_every_kernel(rng):
         chain = np.zeros(6 * s.num_faces)
         for f in range(s.num_faces):
             chain[6 * f:6 * f + 6] = phi.components[2][f] @ vec
-        assert np.abs(seq.rigid.d2 @ chain).max() < 1e-12 * max(
+        assert np.abs(rigid.d2 @ chain).max() < 1e-12 * max(
             1.0, np.abs(chain).max())
         sol = spatial_solution(seq, chain)
         assert sol.residual < 1e-12 * max(1.0, np.abs(chain).max())

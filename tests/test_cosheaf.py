@@ -128,10 +128,10 @@ def test_exact_sequence_passes_on_valid_surfaces():
 
 def test_exactness_dimensions_per_cell():
     s = two_panels()
-    seq = build_exact_sequence(s)
+    _, iota, pi = oracles.sequence_maps(build_exact_sequence(s))
     e = s.interior_edges()[0]
-    a = seq.iota.components[1][e]
-    b = seq.pi.components[1][e]
+    a = iota.components[1][e]
+    b = pi.components[1][e]
     # Image of the embedding equals the kernel of the projection: the
     # hinge-axis line inside the 6-dimensional edge stalk.
     assert svd_rank(a) == 1
@@ -141,10 +141,10 @@ def test_exactness_dimensions_per_cell():
 
 def test_exactness_dimensions_at_interior_vertex():
     s = surface_of("single_vertex", 4, 0.5)
-    seq = build_exact_sequence(s)
+    _, iota, pi = oracles.sequence_maps(build_exact_sequence(s))
     v = s.interior_vertices()[0]
-    a = seq.iota.components[0][v]
-    b = seq.pi.components[0][v]
+    a = iota.components[0][v]
+    b = pi.components[0][v]
     assert svd_rank(a) == 3
     assert nullspace(b).shape[1] == 3
     assert np.abs(b @ a).max() < 1e-13
@@ -153,17 +153,18 @@ def test_exactness_dimensions_at_interior_vertex():
 def test_zero_iota_fails_injectivity():
     s = two_panels()
     seq = build_exact_sequence(s)
+    rigid, iota, pi = oracles.sequence_maps(seq)
     e = s.interior_edges()[0]
-    vertex, edge, face = seq.iota.components
+    vertex, edge, face = iota.components
     edge = edge.copy()
     edge[e] = 0.0
-    broken = CosheafMap(source=seq.hinge.cosheaf, target=seq.rigid.cosheaf,
+    broken = CosheafMap(source=seq.hinge.cosheaf, target=rigid.cosheaf,
                         components=(vertex, edge, face))
     # The broken edge fails with residual 1, the distance from the line
     # that pi kills to the zero image of iota.
     with pytest.raises(ExactnessViolation,
                        match=rf"^sequence fails at cell \(1, {e}\): residual 1\.000e\+00$"):
-        verify_exact_sequence(broken, seq.pi)
+        verify_exact_sequence(broken, pi)
 
 
 def test_perturbed_pi_fails_exactness_with_matching_residual():
@@ -172,15 +173,16 @@ def test_perturbed_pi_fails_exactness_with_matching_residual():
     for scale in (1.0, 1e4):
         s = scaled(two_panels(), scale)
         seq = build_exact_sequence(s)
+        rigid, iota, pi = oracles.sequence_maps(seq)
         e = s.interior_edges()[0]
-        vertex, edge, face = seq.pi.components
+        vertex, edge, face = pi.components
         edge = edge.copy()
         edge[e, 0, :3] += 1e-3 * seq.surface.edge_triads[e, 0]
-        perturbed = CosheafMap(source=seq.rigid.cosheaf,
+        perturbed = CosheafMap(source=rigid.cosheaf,
                                target=seq.spatial.cosheaf,
                                components=(vertex, edge, face))
         with pytest.raises(ExactnessViolation) as failed:
-            verify_exact_sequence(seq.iota, perturbed)
+            verify_exact_sequence(iota, perturbed)
         found = re.fullmatch(r"sequence fails at cell \(1, (\d+)\): residual (\S+)",
                              str(failed.value))
         assert int(found[1]) == e
@@ -201,7 +203,7 @@ def test_induced_identity_is_identity():
 def test_induced_pi_injective_in_degree_two():
     s = surface_of("grid", 2, 2)
     seq = build_exact_sequence(s)
-    m = induced_map(seq.pi, 2, source_basis=seq.rigid_h2(),
+    m = induced_map(oracles.sequence_maps(seq)[2], 2, source_basis=seq.rigid_h2(),
                     target_basis=seq.spatial_h2())
     assert m.shape[1] == 6
     assert svd_rank(m) == 6
@@ -218,7 +220,7 @@ def test_connecting_vanishes_on_global_motions(rng):
     # Classes coming from the rigid-body model fold no hinges.
     s = two_panels()
     seq = build_exact_sequence(s)
-    pi_star = induced_map(seq.pi, 2, source_basis=seq.rigid_h2(),
+    pi_star = induced_map(oracles.sequence_maps(seq)[2], 2, source_basis=seq.rigid_h2(),
                           target_basis=seq.spatial_h2())
     theta = seq.spatial_to_hinge_matrix()
     assert np.abs(theta @ pi_star).max() < 1e-10
@@ -335,12 +337,13 @@ def test_apply_matches_the_dense_product(make, rng):
     # product is the same entry of |matrix| @ |chains|.
     s = make()
     seq = build_exact_sequence(s)
-    free = (seq.hinge, seq.rigid, seq.spatial, build_constant_model(s, 1))
+    rigid, iota, pi = oracles.sequence_maps(seq)
+    free = (seq.hinge, rigid, seq.spatial, build_constant_model(s, 1))
     cases = [(cc.apply, degree, cc.boundary(degree))
              for cc in free + tuple(cc.pinned([0]) for cc in free)
              for degree in (1, 2)]
     cases += [(phi.apply, degree, phi.block_matrix(degree))
-              for phi in (seq.iota, seq.pi, oracles.constant_rigid_isomorphism(seq.rigid))
+              for phi in (iota, pi, oracles.constant_rigid_isomorphism(rigid))
               for degree in (0, 1, 2)]
     for apply, degree, dense in cases:
         for chains in (rng.normal(size=dense.shape[1]),
@@ -356,7 +359,7 @@ def test_apply_rejects_chains_of_the_wrong_length():
     with pytest.raises(ShapeMismatch):
         seq.spatial.apply(2, np.zeros(seq.spatial.dim(2) + 1))
     with pytest.raises(ShapeMismatch):
-        seq.pi.apply(2, np.zeros((seq.spatial.dim(2) - 1, 2)))
+        oracles.sequence_maps(seq)[2].apply(2, np.zeros((seq.spatial.dim(2) - 1, 2)))
 
 
 def test_complex_square_residual_small():
@@ -371,7 +374,8 @@ def test_complex_square_residual_small():
 def test_square_residual_matches_the_per_face_product(make):
     s = make()
     seq = build_exact_sequence(s)
-    for cc in (seq.hinge, seq.rigid, seq.spatial, build_constant_model(s, 1)):
+    for cc in (seq.hinge, oracles.sequence_maps(seq)[0], seq.spatial,
+               build_constant_model(s, 1)):
         assert abs(cc.square_residual() - oracles.square_residual(cc)) <= 1e-15
 
 
@@ -382,7 +386,8 @@ def test_dense_views_hold_exactly_the_block_nonzeros(make):
     # dense views have no nonzero outside them.
     s = make()
     seq = build_exact_sequence(s)
-    for cc in (seq.hinge, seq.rigid, seq.spatial, build_constant_model(s, 1)):
+    for cc in (seq.hinge, oracles.sequence_maps(seq)[0], seq.spatial,
+               build_constant_model(s, 1)):
         for matrix, kind in ((cc.d1, "ev"), (cc.d2, "fe")):
             assert np.count_nonzero(matrix) == np.count_nonzero(cc.blocks[kind])
 

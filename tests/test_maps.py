@@ -27,6 +27,7 @@ from foldkin import (
     surface_from_document,
     transfer_matrix,
     truss_to_spatial,
+    verify_exact_sequence,
 )
 from foldkin import cosheaf, maps
 from foldkin.analysis import analyze_surface
@@ -81,15 +82,38 @@ def any_surface(request):
 
 def test_sequence_residuals_tiny(any_surface):
     seq = build_exact_sequence(any_surface)
+    _, iota, pi = oracles.sequence_maps(seq)
     assert seq.exactness_residual < 1e-12
-    assert seq.iota.naturality_residual() < 1e-12
-    assert seq.pi.naturality_residual() < 1e-12
+    assert iota.naturality_residual() < 1e-12
+    assert pi.naturality_residual() < 1e-12
+
+
+# The sequence is certified from the edge triads and the spatial model's
+# functoriality; each fault on interior edge 9 of grid 4 4 must raise.
+# ``change`` takes the edge's value and its triad rows l, m, n.  A scaled
+# axis leaves the axis projection, and so every model, as it was: the
+# triad certificate alone sees it.
+@pytest.mark.parametrize("field, change, error, message", [
+    ("edge_triads", lambda t, l, m, n: np.array([(1 + 1e-6) * l, m, n]),
+     ExactnessViolation, r"^sequence fails at cell \(1, 9\): residual 2\.000e-06$"),
+    ("edge_triads", lambda t, l, m, n: np.array([l, m + 1e-6 * l, n]),
+     FunctorialityViolation, "^worst relative composition residual 5.000e-07$"),
+    ("edge_midpoints", lambda p, l, m, n: p + 1e-6 * m,
+     FunctorialityViolation, "^worst relative composition residual 1.000e-06$"),
+], ids=["scaled_axis", "tilted_m", "midpoint_off_hinge"])
+def test_faulted_triads_and_midpoints_fail_the_sequence(field, change, error, message):
+    s = surface_of("grid", 4, 4)
+    assert s.interior_edge[9]
+    values = getattr(s, field).copy()
+    values[9] = change(values[9], *s.edge_triads[9])
+    with pytest.raises(error, match=message):
+        build_exact_sequence(dataclasses.replace(s, **{field: values}))
 
 
 def test_exactness_at_spatial_classes(any_surface):
     # Image of the rigid classes equals the kernel of the connecting map.
     seq = build_exact_sequence(any_surface)
-    pi_star = induced_map(seq.pi, 2, source_basis=seq.rigid_h2(),
+    pi_star = induced_map(oracles.sequence_maps(seq)[2], 2, source_basis=seq.rigid_h2(),
                           target_basis=seq.spatial_h2())
     theta = seq.spatial_to_hinge_matrix()
     assert subspace_residual(oracles.column_space(pi_star, scale=1.0),
@@ -167,7 +191,7 @@ def test_counted_support_homology_matches_the_decomposition(make):
     assert loops.shape == harmonic.shape
     assert set(np.unique(loops)) <= {-1.0, 0.0, 1.0}
     _, d2 = oracles.signed_incidence_matrices(seq.surface)
-    vs, es, fs = seq.rigid.cosheaf.support
+    vs, es, fs = oracles.sequence_maps(seq)[0].cosheaf.support
     assert not (loops.T @ d2[es][:, fs]).any()
     assert svd_rank(loops.T @ harmonic) == loops.shape[1]
     assert seq.rigid_h1().shape == (6 * len(loops), 6 * loops.shape[1])
@@ -181,14 +205,15 @@ def test_global_motions_match_the_constant_rigid_isomorphism(make):
     # by the tree lift's transfer; the validated isomorphism is the
     # reference, bit for bit.  A pinned chain has no global motion.
     seq = make()
-    faces = seq.rigid.cosheaf.support[2]
-    z2 = constant_homology(seq.surface, seq.rigid.cosheaf.support)[2][faces]
+    rigid = oracles.sequence_maps(seq)[0]
+    faces = rigid.cosheaf.support[2]
+    z2 = constant_homology(seq.surface, rigid.cosheaf.support)[2][faces]
     got = seq.rigid_h2()
     if not z2.shape[1]:
-        assert got.shape == (seq.rigid.dim(2), 0)
+        assert got.shape == (rigid.dim(2), 0)
         assert not faces.all()
         return
-    phi = oracles.constant_rigid_isomorphism(seq.rigid)
+    phi = oracles.constant_rigid_isomorphism(rigid)
     want = np.linalg.qr(phi.apply(2, np.kron(z2, np.eye(6))))[0]
     assert np.array_equal(got, want)
 
@@ -325,12 +350,11 @@ def test_spatial_and_truss_bases_match_the_dense_route(make):
     assert subspace_residual(kernel, dense) < 1e-12
 
 
-def pinned_chain_sequence(n):
-    s = surface_of("chain", n)
+def pinned_chain_sequence(n, seed=0):
+    s = surface_of("chain", n, seed=seed)
     seq = build_exact_sequence(s)
     base = [chain_structure(s).face_order[0]]
-    return _verified_sequence(*(cc.pinned(base)
-                                for cc in (seq.hinge, seq.rigid, seq.spatial)))
+    return _verified_sequence(seq.hinge.pinned(base), seq.spatial.pinned(base))
 
 
 @pytest.mark.parametrize("n", [1, 2, 40])
@@ -519,7 +543,7 @@ def test_hinge_to_spatial_output_orthogonal_to_global(rng):
     h1 = seq.hinge_h1()
     rates = h1 @ rng.normal(size=h1.shape[1])
     report = hinge_to_spatial(seq, hinge_solution(seq, rates))
-    pi_star = induced_map(seq.pi, 2, source_basis=seq.rigid_h2(),
+    pi_star = induced_map(oracles.sequence_maps(seq)[2], 2, source_basis=seq.rigid_h2(),
                           target_basis=seq.spatial_h2())
     coords = seq.spatial_h2().T @ report.spatial.coefficients
     assert np.abs(pi_star.T @ coords).max() < 1e-9
@@ -905,28 +929,26 @@ def test_pinned_chain_runs_the_sequence_checks(monkeypatch):
         patch.setattr(ExactSequence, "_theta_direct", lambda seq: direct(seq) + 1e-6)
         with pytest.raises(ExactnessViolation, match="direct formula"):
             pinned_chain_connecting_matrix(s, ops)
-    # The pinned sequence is the only one verified, so its naturality
-    # and exactness checks must run: a quotient map that is off at the
-    # hinges, and a hinge embedding that is zero (natural, but not
+    # The pinned sequence is the only one certified, so its triad
+    # certificate must run: an axis scaled at one hinge is caught.
+    hinge = ops.chain.hinge_order[0]
+    triads = s.edge_triads.copy()
+    triads[hinge, 0] *= 1 + 1e-6
+    with pytest.raises(ExactnessViolation, match=rf"^sequence fails at cell \(1, {hinge}\)"):
+        pinned_chain_connecting_matrix(dataclasses.replace(s, edge_triads=triads), ops)
+    # On the pinned sequence's reference maps, a quotient map that is off
+    # at the hinges, and a hinge embedding that is zero (natural, but not
     # injective), are both caught.
-    pi_map = maps._pi_map
-
-    def skewed_pi(rigid, spatial):
-        pi = pi_map(rigid, spatial)
-        return CosheafMap(source=rigid, target=spatial,
-                          components=(pi.components[0], pi.components[1] * (1 + 1e-6),
-                                      pi.components[2]))
-
-    with monkeypatch.context() as patch:
-        patch.setattr(maps, "_pi_map", skewed_pi)
-        with pytest.raises(NaturalityViolation, match="naturality residual"):
-            pinned_chain_connecting_matrix(s, ops)
-    with monkeypatch.context() as patch:
-        patch.setattr(maps, "_iota_map", lambda hinge, rigid: CosheafMap(
-            source=hinge, target=rigid,
-            components=(np.zeros((6, 3)), np.zeros((6, 1)), np.zeros((6, 0)))))
-        with pytest.raises(ExactnessViolation, match="^sequence fails at cell"):
-            pinned_chain_connecting_matrix(s, ops)
+    rigid, iota, pi = oracles.sequence_maps(pinned_chain_sequence(4, seed=2))
+    skewed = CosheafMap(source=rigid.cosheaf, target=pi.target,
+                        components=(pi.components[0], pi.components[1] * (1 + 1e-6),
+                                    pi.components[2]))
+    with pytest.raises(NaturalityViolation, match="naturality residual"):
+        skewed.validate()
+    zero = CosheafMap(source=iota.source, target=rigid.cosheaf,
+                      components=(np.zeros((6, 3)), np.zeros((6, 1)), np.zeros((6, 0))))
+    with pytest.raises(ExactnessViolation, match="^sequence fails at cell"):
+        verify_exact_sequence(zero.validate(), pi)
 
 
 def test_pinned_chain_checks_functoriality_on_the_free_models(monkeypatch):
@@ -944,26 +966,31 @@ def test_pinned_chain_checks_functoriality_on_the_free_models(monkeypatch):
 
     monkeypatch.setattr(cosheaf.Cosheaf, "functoriality_residual", recording)
     pinned_chain_connecting_matrix(s, ops)
-    assert checked == [True, True, True]
+    assert checked == [True, True]
     monkeypatch.setattr(cosheaf.Cosheaf, "functoriality_residual", lambda self: 1e-6)
     with pytest.raises(FunctorialityViolation, match="composition residual 1.000e-06"):
         pinned_chain_connecting_matrix(s, ops)
 
 
 def test_pinned_chain_verifies_one_sequence(monkeypatch):
-    # The free sequence is neither built nor verified.
-    faces = []
-    verify = maps.verify_exact_sequence
+    # The free sequence is neither built nor certified: the two free
+    # models are built, then pinned, and one sequence is certified.
+    faces, built = [], []
+    verified = maps._verified_sequence
 
-    def recording(iota, pi):
-        faces.append(iota.target.support[2])
-        return verify(iota, pi)
+    def recording(hinge, spatial):
+        faces.append(spatial.cosheaf.support[2])
+        return verified(hinge, spatial)
 
-    monkeypatch.setattr(maps, "verify_exact_sequence", recording)
+    for name in ("build_hinge_model", "build_spatial_model"):
+        monkeypatch.setattr(maps, name, lambda surface, _name=name, _build=getattr(maps, name):
+                            built.append(_name) or _build(surface))
+    monkeypatch.setattr(maps, "_verified_sequence", recording)
     monkeypatch.setattr(maps, "build_exact_sequence", None)
     s = surface_of("chain", 6, seed=4)
     ops = serial_chain_operators(s)
     pinned_chain_connecting_matrix(s, ops)
+    assert built == ["build_hinge_model", "build_spatial_model"]
     assert len(faces) == 1
     assert not faces[0][ops.chain.face_order[0]]
 
