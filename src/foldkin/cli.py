@@ -177,7 +177,7 @@ def cmd_convert(args) -> int:
         if args.to != "truss":
             raise InvalidParams("spatial solutions convert to truss only")
         sol = spatial_solution(seq, read_spatial_vector(surface, raw))
-        truss = spatial_to_truss(linkage, sol)
+        truss = spatial_to_truss(seq, linkage, sol)
         payload = {
             "from": "spatial",
             "to": "truss",

@@ -38,6 +38,17 @@ def _document(shape, vertices, faces, seed, params) -> FoldSubsetDocument:
         metadata=meta)
 
 
+def _quads(rows: int, cols: int, width: int) -> list:
+    """The ``rows * cols`` quads of a lattice whose vertex rows hold
+    ``width`` ids each, counterclockwise from the lower left corner; a
+    ring (``width == cols``) wraps its last column onto its first."""
+    def vid(i, j):
+        return j * width + i % width
+
+    return [[vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
+            for j in range(rows) for i in range(cols)]
+
+
 def _require(cond, message):
     if not cond:
         raise InvalidParams(message)
@@ -140,13 +151,7 @@ def grid(rows: int, cols: int, seed: int = 0,
                 x += rng.uniform(-1, 1) * JITTER_SCALE
                 y += rng.uniform(-1, 1) * JITTER_SCALE
             vertices.append([x, y, 0.0])
-
-    def vid(i, j):
-        return j * (cols + 1) + i
-
-    faces = [[vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-             for j in range(rows) for i in range(cols)]
-    return _document("grid", np.array(vertices), faces, seed,
+    return _document("grid", np.array(vertices), _quads(rows, cols, cols + 1), seed,
                      {"rows": rows, "cols": cols, "jitter": jitter})
 
 
@@ -166,13 +171,7 @@ def _polar_ring(shape, rows, cols, radii, heights, seed, jitter, params):
             vertices.append([radii[j] * math.cos(angles[i]),
                              radii[j] * math.sin(angles[i]),
                              heights[j]])
-
-    def vid(i, j):
-        return j * cols + (i % cols)
-
-    faces = [[vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-             for j in range(rows) for i in range(cols)]
-    return _document(shape, np.array(vertices), faces, seed, params)
+    return _document(shape, np.array(vertices), _quads(rows, cols, cols), seed, params)
 
 
 def annulus(rows: int, cols: int, hole: float = 1.0, seed: int = 0,
@@ -254,13 +253,7 @@ def miura(rows: int, cols: int, angle: float = 0.7, seed: int = 0,
                 float(j) + (i % 2) * shear,
                 (j % 2) * height,
             ])
-
-    def vid(i, j):
-        return j * (cols + 1) + i
-
-    faces = [[vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-             for j in range(rows) for i in range(cols)]
-    return _document("miura", np.array(vertices), faces, seed,
+    return _document("miura", np.array(vertices), _quads(rows, cols, cols + 1), seed,
                      {"rows": rows, "cols": cols, "angle": angle,
                       "jitter": jitter})
 

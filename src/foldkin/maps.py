@@ -6,9 +6,9 @@ is the quotient.  Both maps are formulas, so an :class:`ExactSequence`
 holds only the hinge and spatial complexes and one triad certificate
 (:func:`_verified_sequence`), on a free sheet or on a chain pinned at
 its base (:func:`pinned_chain_connecting_matrix`).  Its connecting
-homomorphism turns spatial solutions into hinge solutions; the
-least-squares pseudoinverse goes the other way, defined exactly on
-hinge solutions whose loop obstruction vanishes.  A separate
+homomorphism turns spatial solutions into hinge solutions; the other
+way, a hinge solution whose loop obstruction vanishes is realised by
+its tree lift less its global-motion part.  A separate
 evaluation map turns spatial solutions into truss solutions (vertex
 velocities) and a per-face rigid fit inverts it.
 
@@ -30,6 +30,7 @@ the base face pinned must reproduce them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .errors import (
     NotACycle,
     WellDefinednessViolation,
 )
-from .linalg import nullspace, pseudoinverse, svd_rank
+from .linalg import nullspace, svd_rank
 from .models import (
     StiffenedLinkage,
     build_hinge_model,
@@ -72,7 +73,9 @@ class ModelSolution:
     hinge: one rate per interior edge (surface edge order);
     spatial: six values per face;
     truss: three values per vertex of the stiffened linkage.
-    ``residual`` is the constraint residual of the owning model.
+    ``residual`` is the constraint residual of the owning model, as the
+    constructor or conversion that returned it measured it; no
+    conversion reads it from its input (see :func:`_measured`).
     """
 
     model: str
@@ -90,10 +93,6 @@ class ConversionReport:
     truss: ModelSolution | None = None
     residuals: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.obstructed
-
 
 @dataclass
 class ExactSequence:
@@ -107,9 +106,11 @@ class ExactSequence:
     the spatial model's cells (which are the rigid model's; the rigid
     cosheaf is six copies of it moved from the origin to the cell
     centroids, a frame chosen in this module alone), and spatial classes
-    and the connecting map built from those two.  Every result is
-    computed on first use and kept, so a conversion after the first
-    decomposes nothing.
+    and the connecting map built from those two.  A hinge class converts
+    through the tree lifts that the spatial classes are built from
+    (:meth:`_realisation`), never through the connecting map.  Every
+    result is computed on first use and kept, so a conversion after the
+    first decomposes nothing.
     """
 
     surface: OrigamiSurface
@@ -143,12 +144,13 @@ class ExactSequence:
         return self._cached("spatial_h2", lambda: self._lifts()[0])
 
     def _lifts(self):
-        """``(basis, R, image)``: the orthonormal :meth:`spatial_h2`, the
-        triangular factor ``R`` of the unit-scaled chains
-        ``[rigid_h2 | lifts] / D``, and ``[0 | N] / D``, the value the
-        exact sequence gives the connecting map on them.  ``N`` holds
-        the lifted classes' coordinates in :meth:`hinge_h1` and ``D``
-        the chains' column norms."""
+        """``(basis, R, image, L, N)``: the orthonormal :meth:`spatial_h2`,
+        the triangular factor ``R`` of the unit-scaled chains
+        ``[rigid_h2 | L] / D``, and ``[0 | N] / D``, the value the exact
+        sequence gives the connecting map on them.  ``L`` holds the
+        unscaled tree lifts, ``N`` the lifted classes' coordinates in
+        :meth:`hinge_h1` (an orthonormal basis of the loop obstruction's
+        kernel) and ``D`` the chains' column norms."""
         return self._cached("lifts", self._spatial_h2)
 
     def _spatial_h2(self):
@@ -158,9 +160,9 @@ class ExactSequence:
         classes = h1 @ kernel
         rates = np.zeros((self.surface.num_edges, classes.shape[1]))
         rates[self.hinge.cosheaf.support[1]] = classes
-        lifts = _tree_lift(self.surface, ~faces, rates)[faces]
-        chains = np.hstack([self.rigid_h2(),
-                            lifts.reshape(self.spatial.dim(2), classes.shape[1])])
+        lifts = _tree_lift(self.surface, ~faces, rates)[faces].reshape(
+            self.spatial.dim(2), classes.shape[1])
+        chains = np.hstack([self.rigid_h2(), lifts])
         residuals = cycle_residuals(self.spatial, chains)
         if residuals.max(initial=0.0) > COMPLEX_TOL:
             worst = int(np.argmax(residuals))
@@ -180,7 +182,7 @@ class ExactSequence:
         # folds them at the rates of class ``n``.
         image = np.hstack([np.zeros((len(kernel), self.rigid_h2().shape[1])),
                            kernel]) / size
-        return basis, r, image
+        return basis, r, image, lifts, kernel
 
     def loop_cocycles(self) -> np.ndarray:
         """Integer cocycles of the support complex, one per independent
@@ -265,17 +267,34 @@ class ExactSequence:
         """
         return self._cached("theta", self._theta)
 
-    def hinge_to_spatial_matrix(self) -> np.ndarray:
-        """Pseudoinverse of :meth:`spatial_to_hinge_matrix`, hinge classes
-        to the minimum-norm spatial classes mapping onto them; the
-        cutoff is anchored at 1, the size of a map between orthonormal
-        bases."""
-        return self._cached("theta_pinv", lambda: pseudoinverse(
-            self.spatial_to_hinge_matrix(), scale=1.0))
+    def _realisation(self) -> np.ndarray:
+        """Hinge class coordinates to their minimum-norm spatial motions,
+        ``(I - G G^T) L N^T`` for ``L`` and ``N`` of :meth:`_lifts` and the
+        global motions ``G`` (:meth:`rigid_h2`): the tree lift of a class
+        in the span of ``N`` less its global-motion part.  The connecting
+        map takes the lift to the class and vanishes exactly on the global
+        motions, so this is the preimage its pseudoinverse gives, and a
+        class off that span loses its obstructed part."""
+        def realisation():
+            _, _, _, lifts, kernel = self._lifts()
+            rigid = self.rigid_h2()
+            return (lifts - rigid @ (rigid.T @ lifts)) @ kernel.T
+        return self._cached("realisation", realisation)
+
+    def _axis_map(self) -> IncidenceMap:
+        """Spatial 2-chains to hinge 1-chains by the per-edge formula: the
+        rate at an edge is the signed axis component of the angular
+        velocity of either incident face."""
+        def axis_map():
+            fe = self.surface.incidences["fe"]
+            blocks = np.zeros((len(fe.upper), 1, 6))
+            blocks[:, 0, :3] = fe.sign[:, None] * self.surface.edge_triads[fe.lower, 0]
+            return IncidenceMap("fe", blocks, self.hinge.cosheaf, self.spatial.cosheaf)
+        return self._cached("axis_map", axis_map)
 
     def _theta(self) -> np.ndarray:
         theta = self._theta_direct()
-        _, r, image = self._lifts()
+        _, r, image, _, _ = self._lifts()
         gap = float(np.max(np.abs(theta @ r - image), initial=0.0))
         if gap > 1e-10:
             raise ExactnessViolation(
@@ -283,15 +302,9 @@ class ExactSequence:
         return theta
 
     def _theta_direct(self) -> np.ndarray:
-        """Direct evaluation: rate at an edge is the signed axis
-        component of the angular velocity of either incident face."""
-        surface = self.surface
-        fe = surface.incidences["fe"]
-        blocks = np.zeros((len(fe.upper), 1, 6))
-        blocks[:, 0, :3] = fe.sign[:, None] * surface.edge_triads[fe.lower, 0]
-        rates = IncidenceMap("fe", blocks, self.hinge.cosheaf,
-                             self.spatial.cosheaf).apply(self.spatial_h2())
-        return self.hinge_h1().T @ rates
+        """Direct evaluation: the :meth:`_axis_map` of the spatial classes,
+        in hinge class coordinates."""
+        return self.hinge_h1().T @ self._axis_map().apply(self.spatial_h2())
 
     def loop_obstruction_matrix(self) -> np.ndarray:
         """Induced map from hinge classes to rigid-body classes in
@@ -391,10 +404,22 @@ def _verified_sequence(hinge: ChainComplex, spatial: ChainComplex) -> ExactSeque
 
 # --- solution constructors ---
 
-def _require_finite(model: str, values: np.ndarray):
+def _measured(model: str, values: np.ndarray, constraints,
+              cycle_tol: float = np.inf) -> ModelSolution:
+    """The one gate of every vector a constructor or conversion reads:
+    raise :class:`NotACycle` unless ``values`` is finite and its residual,
+    the largest entry of ``constraints(values)``, is at most ``cycle_tol``
+    times ``max(1, max |values|)``.  Returns the solution with that
+    residual."""
+    values = np.asarray(values, dtype=float)
     # NaN fails every comparison, so no later gate would reject it.
     if not np.isfinite(values).all():
         raise NotACycle(f"{model} vector has non-finite entries")
+    residual = float(np.abs(constraints(values)).max(initial=0.0))
+    # The scale is at least 1, so a residual within ``cycle_tol`` passes.
+    if residual > cycle_tol and residual > cycle_tol * np.abs(values).max(initial=1.0):
+        raise NotACycle(f"{model} vector violates its constraints (residual {residual:.3e})")
+    return ModelSolution(model=model, coefficients=values, residual=residual)
 
 
 def hinge_solution(seq: ExactSequence, rates) -> ModelSolution:
@@ -402,9 +427,7 @@ def hinge_solution(seq: ExactSequence, rates) -> ModelSolution:
     n = len(seq.surface.interior_edges())
     if rates.shape != (n,):
         raise NotACycle(f"expected {n} hinge rates, got shape {rates.shape}")
-    _require_finite("hinge", rates)
-    residual = float(np.max(np.abs(seq.hinge.apply(1, rates)), initial=0.0))
-    return ModelSolution(model="hinge", coefficients=rates, residual=residual)
+    return _measured("hinge", rates, partial(seq.hinge.apply, 1))
 
 
 def spatial_solution(seq: ExactSequence, values) -> ModelSolution:
@@ -412,37 +435,25 @@ def spatial_solution(seq: ExactSequence, values) -> ModelSolution:
     n = 6 * seq.surface.num_faces
     if values.shape != (n,):
         raise NotACycle(f"expected {n} spatial values, got shape {values.shape}")
-    _require_finite("spatial", values)
-    residual = float(np.max(np.abs(seq.spatial.apply(2, values)), initial=0.0))
-    return ModelSolution(model="spatial", coefficients=values, residual=residual)
-
-
-def _require_cycle(sol: ModelSolution, cycle_tol: float) -> float:
-    """Raise :class:`NotACycle` unless ``sol`` is a finite cycle; return
-    the scale its residual was measured against."""
-    _require_finite(sol.model, sol.coefficients)
-    scale = max(1.0, float(np.max(np.abs(sol.coefficients), initial=0.0)))
-    if sol.residual > cycle_tol * scale:
-        raise NotACycle(
-            f"{sol.model} vector violates its constraints "
-            f"(residual {sol.residual:.3e})")
-    return scale
+    return _measured("spatial", values, partial(seq.spatial.apply, 2))
 
 
 # --- hinge -> spatial ---
 
 def hinge_to_spatial(seq: ExactSequence, sol: ModelSolution,
                      cycle_tol: float = CYCLE_TOL) -> ConversionReport:
-    """Least-squares spatial realization of a hinge solution.
+    """Minimum-norm spatial realization of a hinge solution.
 
-    Projects the input onto hinge homology, evaluates the loop
-    obstruction, and (when it vanishes relative to the input size)
-    returns the minimum-norm spatial class mapping back onto the input.
-    The output lies in the orthogonal complement of the global-motion
-    classes.
+    Measures the input against the hinge constraints, projects it onto
+    hinge homology and evaluates the loop obstruction.  When that
+    vanishes relative to the input size, the class's tree lift less its
+    global-motion part is returned (:meth:`ExactSequence._realisation`),
+    so the output lies in the orthogonal complement of the global
+    motions.  ``round_trip`` reads the output's hinge rates back by the
+    per-edge axis formula and compares them with the input rates.
     """
-    _require_cycle(sol, cycle_tol)
-    rates = sol.coefficients
+    rates = _measured("hinge", sol.coefficients, partial(seq.hinge.apply, 1),
+                      cycle_tol).coefficients
     coords = seq.hinge_h1().T @ rates
     obstruction = seq.loop_obstruction_matrix() @ coords
     norm = float(np.linalg.norm(rates))
@@ -450,19 +461,15 @@ def hinge_to_spatial(seq: ExactSequence, sol: ModelSolution,
     report = ConversionReport(obstruction=obstruction, obstructed=obstructed)
     if obstructed:
         return report
-    theta = seq.spatial_to_hinge_matrix()
-    q = seq.hinge_to_spatial_matrix() @ coords
-    values = seq.spatial_h2() @ q
-    report.spatial = spatial_solution(seq, values)
-    back = theta @ q
-    report.residuals["round_trip"] = float(
-        np.linalg.norm(back - coords) / max(1.0, np.linalg.norm(coords)))
+    report.spatial = spatial_solution(seq, seq._realisation() @ coords)
+    back = seq._axis_map().apply(report.spatial.coefficients)
+    report.residuals["round_trip"] = float(np.linalg.norm(back - rates) / max(1.0, norm))
     return report
 
 
 # --- spatial <-> truss ---
 
-def spatial_to_truss(linkage: StiffenedLinkage, sol: ModelSolution,
+def spatial_to_truss(seq: ExactSequence, linkage: StiffenedLinkage, sol: ModelSolution,
                      cycle_tol: float = CYCLE_TOL) -> ModelSolution:
     """Evaluate a spatial solution as vertex velocities of the truss.
 
@@ -470,7 +477,13 @@ def spatial_to_truss(linkage: StiffenedLinkage, sol: ModelSolution,
     for a true solution all incident faces agree, which is asserted.
     Apex vertices take the velocity induced by their own face.
     """
-    scale = _require_cycle(sol, cycle_tol)
+    return _truss_velocities(linkage, _measured(
+        "spatial", sol.coefficients, partial(seq.spatial.apply, 2), cycle_tol))
+
+
+def _truss_velocities(linkage: StiffenedLinkage, sol: ModelSolution) -> ModelSolution:
+    """:func:`spatial_to_truss` of a solution already measured."""
+    scale = np.abs(sol.coefficients).max(initial=1.0)
     at_corner, y = corner_velocities(linkage, sol.coefficients[:, None])
     y = y[:, 0]
     gaps = np.abs(at_corner[:, :, 0]
@@ -499,11 +512,8 @@ def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
     if y.shape != (3 * linkage.num_points,):
         raise NotACycle(
             f"expected {3 * linkage.num_points} coordinates, got {y.shape}")
-    _require_finite("truss", y)
-    residual = float(np.max(np.abs(linkage.stretch(y)), initial=0.0))
-    scale = max(1.0, float(np.max(np.abs(y), initial=0.0)))
-    if residual > cycle_tol * scale:
-        raise NotACycle(f"truss vector stretches a bar (residual {residual:.3e})")
+    _measured("truss", y, linkage.stretch, cycle_tol)
+    scale = np.abs(y).max(initial=1.0)
 
     # One fit per face, all in one stack laid out as the linkage's
     # ``fit_blocks``.
@@ -518,23 +528,18 @@ def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
         f = bad[0]
         raise NonRigidMotion(
             f"face {f} velocities admit no rigid fit (residual {errs[f]:.3e})")
-
-    out = spatial_solution(seq, fits.ravel())
-    if out.residual > cycle_tol * scale:
-        raise NotACycle(
-            f"recovered face velocities violate the spatial constraints "
-            f"(residual {out.residual:.3e})")
-    return out
+    return _measured("spatial", fits.ravel(), partial(seq.spatial.apply, 2), cycle_tol)
 
 
 def hinge_to_truss(seq: ExactSequence, linkage: StiffenedLinkage,
                    sol: ModelSolution,
                    cycle_tol: float = CYCLE_TOL) -> ConversionReport:
-    """Full hinge -> spatial -> truss pipeline with residual report."""
+    """Full hinge -> spatial -> truss pipeline with residual report; the
+    spatial motion is not measured again."""
     report = hinge_to_spatial(seq, sol, cycle_tol=cycle_tol)
-    if report.obstructed or report.spatial is None:
+    if report.spatial is None:
         return report
-    report.truss = spatial_to_truss(linkage, report.spatial, cycle_tol=cycle_tol)
+    report.truss = _truss_velocities(linkage, report.spatial)
     report.residuals["truss"] = report.truss.residual
     return report
 

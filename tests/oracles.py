@@ -22,9 +22,11 @@ question of surface construction with a walk of its own: a depth-first
 orientation, a fan walk around every vertex, an edge dict and an
 adjacency-dict chain walk, and they list the incidences one cell at a
 time; the library reads all of it off the sorted corner arrays, the
-dual forest and one component labelling.  The pseudoinverse of θ, the
-rigid-fit stack and the first-corner index are taken afresh on every
-call where a sequence and a linkage keep them.  The validated
+dual forest and one component labelling.  The pseudoinverse of θ
+takes hinge classes to spatial motions where the library reads the
+tree lifts less their global-motion part.  The rigid-fit stack and the
+first-corner index are taken afresh on every call where a linkage
+keeps them.  The validated
 constant-to-rigid isomorphism carries the global motions where the
 library moves them from the origin to the face centroids with the tree
 lifts' one transfer per face.  The rigid model, with the generic
@@ -59,7 +61,7 @@ from foldkin.errors import (
     NonOrientable,
 )
 from foldkin.linalg import RANK_TOL, nullspace, pseudoinverse, svd_rank
-from foldkin.maps import _hinge_lines, chain_structure
+from foldkin.maps import OBSTRUCTION_TOL, _hinge_lines, chain_structure
 from foldkin.spatial import (
     axis_projection,
     hinge_twist,
@@ -141,8 +143,24 @@ def eta_full_rank(image):
 
 
 def hinge_to_spatial_matrix(seq):
-    """Pseudoinverse of the connecting map, taken afresh."""
+    """Pseudoinverse of the connecting map, hinge classes to the
+    minimum-norm spatial classes mapping onto them; the cutoff is
+    anchored at 1, the size of a map between orthonormal bases."""
     return pseudoinverse(seq.spatial_to_hinge_matrix(), scale=1.0)
+
+
+def hinge_to_spatial(seq, rates):
+    """The θ⁺ class route of a hinge conversion: ``(obstruction,
+    obstructed, values)``, the loop obstruction of the rates' class and,
+    unless it is obstructed, ``spatial_h2 @ θ⁺ @ hinge_h1ᵀ @ rates``
+    (else None)."""
+    coords = seq.hinge_h1().T @ rates
+    obstruction = seq.loop_obstruction_matrix() @ coords
+    norm = np.linalg.norm(rates)
+    obstructed = bool(norm > 0 and np.linalg.norm(obstruction) > OBSTRUCTION_TOL * norm)
+    if obstructed:
+        return obstruction, obstructed, None
+    return obstruction, obstructed, seq.spatial_h2() @ hinge_to_spatial_matrix(seq) @ coords
 
 
 def rigid_fit(linkage):

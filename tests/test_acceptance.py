@@ -86,7 +86,7 @@ def test_criterion_4_truss_ledger(sequences):
         basis = seq.spatial_h2()
         assert kernel.shape[1] == basis.shape[1], name
         images = np.column_stack([
-            spatial_to_truss(linkage,
+            spatial_to_truss(seq, linkage,
                              spatial_solution(seq, basis[:, j])).coefficients
             for j in range(basis.shape[1])])
         gram = images.T @ images

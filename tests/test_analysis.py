@@ -294,7 +294,7 @@ def test_global_motions_lie_in_every_kernel(rng):
             1.0, np.abs(chain).max())
         sol = spatial_solution(seq, chain)
         assert sol.residual < 1e-12 * max(1.0, np.abs(chain).max())
-        truss = spatial_to_truss(linkage, sol)
+        truss = spatial_to_truss(seq, linkage, sol)
         assert np.abs(linkage.stretch(truss.coefficients)).max() < 1e-10 * max(
             1.0, np.abs(chain).max())
 

@@ -29,7 +29,7 @@ from foldkin import (
     truss_to_spatial,
     verify_exact_sequence,
 )
-from foldkin import cosheaf, maps
+from foldkin import cosheaf, linalg, maps
 from foldkin.analysis import analyze_surface
 from foldkin.cosheaf import cycle_residuals
 from foldkin.maps import _verified_sequence
@@ -484,7 +484,8 @@ def test_theta_matches_the_connecting_map(make):
 
 def test_theta_certificate_sees_lifts_out_of_class_order(monkeypatch):
     # Reversed lift columns are still independent cycles, but column j
-    # no longer lifts hinge class j, so theta @ R misses [0 | N] / D.
+    # no longer lifts hinge class j, so theta @ R misses [0 | N] / D, and
+    # a conversion's round trip misses its input rates.
     tree_lift = maps._tree_lift
     monkeypatch.setattr(maps, "_tree_lift",
                         lambda *args: tree_lift(*args)[:, :, ::-1])
@@ -492,6 +493,8 @@ def test_theta_certificate_sees_lifts_out_of_class_order(monkeypatch):
     assert seq.spatial_h2().shape[1] == 6 + 4
     with pytest.raises(ExactnessViolation, match="direct formula"):
         seq.spatial_to_hinge_matrix()
+    report = hinge_to_spatial(seq, hinge_solution(seq, seq.hinge_h1()[:, 0]))
+    assert report.residuals["round_trip"] > 0.1
 
 
 def test_runtime_path_runs_no_connecting_map(monkeypatch):
@@ -587,6 +590,98 @@ def test_non_cycle_input_rejected(rng):
             hinge_to_spatial(seq, sol)
 
 
+# The θ⁺ class route, which decomposes θ, is the reference for the lift
+# route.
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_SURFACES],
+                         ids=[n for n, _ in ORACLE_SURFACES])
+def test_hinge_to_spatial_matches_the_pseudoinverse_route(make, rng):
+    seq = build_exact_sequence(make())
+    h1 = seq.hinge_h1()
+    kernel = nullspace(seq.loop_obstruction_matrix(), scale=1.0)
+    for coords in (kernel @ rng.normal(size=kernel.shape[1]), rng.normal(size=h1.shape[1])):
+        rates = h1 @ coords
+        report = hinge_to_spatial(seq, hinge_solution(seq, rates))
+        obstruction, obstructed, values = oracles.hinge_to_spatial(seq, rates)
+        assert report.obstructed == obstructed
+        assert np.array_equal(report.obstruction, obstruction)
+        if obstructed:
+            assert report.spatial is None
+            continue
+        scale = max(1.0, np.abs(values).max(initial=0.0))
+        assert np.abs(report.spatial.coefficients - values).max(initial=0.0) <= 1e-12 * scale
+        assert report.residuals["round_trip"] <= 1e-12
+
+
+def test_conversions_measure_a_hand_built_non_cycle(rng):
+    # A hand-built solution may carry any residual.  Each conversion
+    # measures the vector it reads, so a non-cycle that claims 0.0 is
+    # rejected as such, not converted or failed downstream.
+    s = surface_of("grid", 3, 4)
+    seq, linkage = build_exact_sequence(s), stiffen(s)
+    rates = rng.normal(size=len(s.interior_edges()))
+    assert hinge_solution(seq, rates).residual > 1e-3
+    sol = ModelSolution("hinge", rates, 0.0)
+    with pytest.raises(NotACycle, match="^hinge vector violates its constraints"):
+        hinge_to_spatial(seq, sol)
+    with pytest.raises(NotACycle, match="^hinge vector violates its constraints"):
+        hinge_to_truss(seq, linkage, sol)
+    values = rng.normal(size=6 * s.num_faces)
+    assert spatial_solution(seq, values).residual > 1e-3
+    with pytest.raises(NotACycle, match="^spatial vector violates its constraints"):
+        spatial_to_truss(seq, linkage, ModelSolution("spatial", values, 0.0))
+
+
+def test_every_gate_is_relative_to_its_vector():
+    # A class at 1e9 carries rounding residuals over the bound in
+    # absolute terms; each gate scales the bound by max(1, max |x|).
+    s = surface_of("grid", 3, 4)
+    seq, linkage = build_exact_sequence(s), stiffen(s)
+    sol = hinge_solution(seq, 1e9 * seq.hinge_h1()[:, 0])
+    assert sol.residual > maps.CYCLE_TOL
+    report = hinge_to_truss(seq, linkage, sol)
+    assert not report.obstructed
+    back = truss_to_spatial(seq, linkage, report.truss)
+    assert back.residual > maps.CYCLE_TOL
+    assert spatial_to_truss(seq, linkage, back).residual > maps.CYCLE_TOL
+
+
+@pytest.mark.parametrize("spec", [("grid", 4, 4), ("annulus", 2, 8), ("single_vertex", 12)],
+                         ids=lambda spec: "_".join(map(str, spec)))
+def test_a_conversion_neither_inverts_nor_evaluates_theta(monkeypatch, rng, spec):
+    # The first conversion on a fresh sequence reads the tree lifts: it
+    # takes no pseudoinverse, wherever a module holds it, and evaluates
+    # no connecting map.
+    calls = []
+    pseudoinverse, theta_direct = linalg.pseudoinverse, ExactSequence._theta_direct
+
+    def counting(*args, **kwargs):
+        calls.append("pseudoinverse")
+        return pseudoinverse(*args, **kwargs)
+
+    def counting_theta(self):
+        calls.append("theta")
+        return theta_direct(self)
+
+    for name, module in list(sys.modules.items()):
+        if name == "foldkin" or name.startswith("foldkin."):
+            for attr, value in list(vars(module).items()):
+                if value is pseudoinverse:
+                    monkeypatch.setattr(module, attr, counting)
+    monkeypatch.setattr(ExactSequence, "_theta_direct", counting_theta)
+    s = surface_of(*spec)
+    seq = build_exact_sequence(s)
+    kernel = nullspace(seq.loop_obstruction_matrix(), scale=1.0)
+    rates = seq.hinge_h1() @ (kernel @ rng.normal(size=kernel.shape[1]))
+    report = hinge_to_spatial(seq, hinge_solution(seq, rates))
+    assert not report.obstructed
+    assert report.residuals["round_trip"] <= 1e-12
+    assert calls == []
+    # The counters see both routes.
+    seq.spatial_to_hinge_matrix()
+    stiffen(s).fit_inverse
+    assert calls == ["theta", "pseudoinverse"]
+
+
 # --- spatial <-> truss ---
 
 def test_translation_maps_to_uniform_vertex_velocity(rng):
@@ -597,7 +692,7 @@ def test_translation_maps_to_uniform_vertex_velocity(rng):
     values = np.concatenate([np.concatenate([np.zeros(3), beta])
                              for _ in range(s.num_faces)])
     sol = spatial_solution(seq, values)
-    truss = spatial_to_truss(linkage, sol)
+    truss = spatial_to_truss(seq, linkage, sol)
     expect = np.tile(beta, linkage.num_points)
     assert np.abs(truss.coefficients - expect).max() < 1e-12
     assert truss.residual < 1e-12
@@ -621,7 +716,7 @@ def test_fold_mode_fixes_hinge_line(rng):
     values[6 * g + 3:6 * g + 6] = np.cross(omega, s.face_centroids[g] - anchor)
     sol = spatial_solution(seq, values)
     assert sol.residual < 1e-12
-    truss = spatial_to_truss(linkage, sol)
+    truss = spatial_to_truss(seq, linkage, sol)
     assert truss.residual < 1e-12
     for vertex in (u, v):
         assert np.abs(truss.coefficients[3 * vertex:3 * vertex + 3]).max() < 1e-12
@@ -635,7 +730,7 @@ def test_spatial_basis_maps_to_truss_kernel_basis(any_surface):
     images = []
     for j in range(basis.shape[1]):
         sol = spatial_solution(seq, basis[:, j])
-        out = spatial_to_truss(linkage, sol)
+        out = spatial_to_truss(seq, linkage, sol)
         assert out.residual < 1e-9
         images.append(out.coefficients)
     image = np.column_stack(images)
@@ -652,7 +747,7 @@ def test_spatial_to_truss_rejects_disagreeing_faces(rng):
     linkage = stiffen(s)
     sol = spatial_solution(seq, rng.normal(size=6 * s.num_faces))
     with pytest.raises(WellDefinednessViolation):
-        spatial_to_truss(linkage, sol, cycle_tol=np.inf)
+        spatial_to_truss(seq, linkage, sol, cycle_tol=np.inf)
 
 
 def test_truss_round_trip(rng, any_surface):
@@ -661,7 +756,7 @@ def test_truss_round_trip(rng, any_surface):
     basis = seq.spatial_h2()
     values = basis @ rng.normal(size=basis.shape[1])
     sol = spatial_solution(seq, values)
-    truss = spatial_to_truss(linkage, sol)
+    truss = spatial_to_truss(seq, linkage, sol)
     back = truss_to_spatial(seq, linkage, truss)
     scale = max(1.0, np.abs(values).max())
     assert np.abs(back.coefficients - values).max() < 1e-9 * scale
@@ -696,7 +791,7 @@ def test_truss_to_spatial_names_the_face_that_fails_its_fit(rng):
     seq = build_exact_sequence(s)
     linkage = stiffen(s)
     basis = seq.spatial_h2()
-    y = spatial_to_truss(linkage, spatial_solution(
+    y = spatial_to_truss(seq, linkage, spatial_solution(
         seq, basis @ rng.normal(size=basis.shape[1]))).coefficients
     for f in (0, 3, s.num_faces - 1):
         bent = y.copy()
@@ -720,7 +815,7 @@ def test_conversions_reject_non_finite_vectors(bad):
     values = np.zeros(6 * s.num_faces)
     values[0] = bad
     with pytest.raises(NotACycle, match="^spatial vector has non-finite"):
-        spatial_to_truss(linkage, spatial_solution(seq, values))
+        spatial_to_truss(seq, linkage, spatial_solution(seq, values))
     y = np.zeros(3 * linkage.num_points)
     y[4] = bad
     for truss in (y, np.full_like(y, bad)):
@@ -730,7 +825,7 @@ def test_conversions_reject_non_finite_vectors(bad):
     with pytest.raises(NotACycle, match="^hinge vector has non-finite"):
         hinge_to_truss(seq, linkage, ModelSolution("hinge", rates, 0.0))
     with pytest.raises(NotACycle, match="^spatial vector has non-finite"):
-        spatial_to_truss(linkage, ModelSolution("spatial", values, 0.0))
+        spatial_to_truss(seq, linkage, ModelSolution("spatial", values, 0.0))
 
 
 # --- per-sheet caches ---
@@ -741,7 +836,6 @@ def test_cached_conversion_data_matches_the_fresh_route(make):
     s = make()
     seq, linkage = build_exact_sequence(s), stiffen(s)
     a, inverse = oracles.rigid_fit(linkage)
-    assert np.array_equal(seq.hinge_to_spatial_matrix(), oracles.hinge_to_spatial_matrix(seq))
     assert np.array_equal(linkage.fit_blocks, a)
     assert np.array_equal(linkage.fit_inverse, inverse)
     assert np.array_equal(linkage._first_corner, oracles.first_corner(linkage))
@@ -750,9 +844,10 @@ def test_cached_conversion_data_matches_the_fresh_route(make):
 @pytest.mark.parametrize("spec", [("grid", 4, 4), ("miura", 3, 4), ("single_vertex", 12)],
                          ids=lambda spec: "_".join(map(str, spec)))
 def test_conversions_after_the_first_decompose_nothing(monkeypatch, rng, spec):
-    # θ's pseudoinverse and the rigid-fit stack are kept on the sequence
-    # and the linkage, so a later request decomposes nothing, wherever a
-    # module holds the SVD.
+    # A hinge class converts through the tree lifts kept on the sequence
+    # and a truss vector through the rigid-fit stack kept on the linkage,
+    # so a later request decomposes nothing, wherever a module holds the
+    # SVD.
     s = surface_of(*spec)
     seq, linkage = build_exact_sequence(s), stiffen(s)
     classes = seq.hinge_h1()
@@ -783,7 +878,7 @@ def test_a_replaced_linkage_fits_afresh(rng):
     seq, linkage = build_exact_sequence(s), stiffen(s)
     basis = seq.spatial_h2()
     values = basis @ rng.normal(size=basis.shape[1])
-    truss = spatial_to_truss(linkage, spatial_solution(seq, values))
+    truss = spatial_to_truss(seq, linkage, spatial_solution(seq, values))
     truss_to_spatial(seq, linkage, truss)
     # Doubling every corner block halves the fitted velocities.
     doubled = dataclasses.replace(linkage, corner_block=2 * linkage.corner_block)
