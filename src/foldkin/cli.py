@@ -221,7 +221,7 @@ def cmd_gen(args) -> int:
 def cmd_serial(args) -> int:
     if args.n < 1:
         raise InvalidParams("serial chain needs n >= 1")
-    doc = generators.chain(args.n, seed=args.seed, jitter=not args.no_jitter)
+    doc = generators.generate("chain", args.n, seed=args.seed, jitter=not args.no_jitter)
     surface = surface_from_document(doc)
     ops = serial_chain_operators(surface)
     rng = np.random.default_rng(args.seed + 1)

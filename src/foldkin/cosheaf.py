@@ -11,7 +11,7 @@ compare with, and the package runs none of them: :func:`homology_basis`,
 one SVD of a whole complex; :func:`verify_exact_sequence`, which
 certifies a short exact sequence of cosheaf maps cell by cell, where
 the package certifies its own from the edge triads
-(``maps._verified_sequence``); and :func:`connecting_map`, the usual
+(``maps.build_exact_sequence``); and :func:`connecting_map`, the usual
 lift / boundary / restrict recipe, where the package reads its
 connecting map off the tree lifts (``maps.ExactSequence``).
 
@@ -23,7 +23,8 @@ incidence arrays, and the components of a cosheaf map as one stack per
 cell dimension; entries that touch an unsupported cell are zero.  The
 chain space of a dimension lists the stalks of its supported cells in
 index order.  Only this module knows that order; other modules reach
-chains through :meth:`Cosheaf.restrict` and the ``apply`` methods.
+chains through :meth:`Cosheaf.restrict` and the ``apply`` methods.  The
+models mask only constraint cells: every face carries its stalk.
 
 Residual policy.  A check compares a matrix product with the value it
 should equal.  Its residual is the largest entry of the difference,
@@ -169,15 +170,6 @@ class Cosheaf:
         cell in the given order."""
         return chains[self._coordinates(dim, cells).ravel()]
 
-    def pinned(self, faces) -> Cosheaf:
-        """Copy with the stalks over ``faces`` forced to zero, so their
-        blocks leave every assembled matrix.  Used to fix a face of a
-        chain in space."""
-        support = self.support[2].copy()
-        support[faces] = False
-        return Cosheaf(self.surface, self.stalk_sizes,
-                       self.support[:2] + (support,), self.extensions)
-
     def functoriality_residual(self) -> float:
         """Relative mismatch of composed against direct extension maps
         over every vertex < edge < face chain."""
@@ -313,14 +305,6 @@ class ChainComplex:
         if degree == 2:
             return self.d2
         return np.zeros((0, self.dim(0)))
-
-    def pinned(self, faces) -> ChainComplex:
-        """Complex of the cosheaf pinned over ``faces`` (see
-        :meth:`Cosheaf.pinned`).  A pinned face zeroes both ``ev @ fe``
-        and ``fv`` on every triple through it and leaves the others as
-        they were, so the functoriality check that assembled this
-        complex covers the pinned copy; it is not run again."""
-        return ChainComplex(self.cosheaf.pinned(faces))
 
     def square_residual(self) -> float:
         """Relative magnitude of ``d1 @ d2``, read off the blocks over the

@@ -284,6 +284,8 @@ def generate(shape: str, *args, seed: int = 0, jitter: bool = True,
     if shape not in _GENERATORS:
         raise InvalidParams(
             f"unknown shape {shape!r}; choose from {', '.join(shape_names())}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
     fn, names = _GENERATORS[shape]
     if len(args) > len(names):
         raise InvalidParams(f"{shape} takes at most {len(names)} parameters")

@@ -4,8 +4,7 @@ The hinge, rigid-body, and spatial cosheaves fit into a short exact
 sequence: hinge data embeds into full rigid-body data, and spatial data
 is the quotient.  Both maps are formulas, so an :class:`ExactSequence`
 holds only the hinge and spatial complexes and one triad certificate
-(:func:`_verified_sequence`), on a free sheet or on a chain pinned at
-its base (:func:`pinned_chain_connecting_matrix`).  Its connecting
+(:func:`build_exact_sequence`).  Its connecting
 homomorphism turns spatial solutions into hinge solutions; the other
 way, a hinge solution whose loop obstruction vanishes is realised by
 its tree lift less its global-motion part.  A separate
@@ -23,8 +22,10 @@ is 0 on a global motion and ``n`` on the lift of the hinge class
 Also here: the closed-form block operators of a serial chain (the
 lower-triangular accumulation operator, its bidiagonal inverse, and the
 hinge-to-body matrix with its left inverse).  They are an independent
-reference: a chain is a dual tree with one path, so the tree lift with
-the base face pinned must reproduce them.
+reference: a chain is a dual tree with one path, so the tree lift must
+reproduce them.  The chain pinned at its base is the free chain modulo
+the global motions, which the connecting map kills, so it is read off
+the free sequence less the motion that carries the base (:func:`_based`).
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class ExactSequence:
 
     ``hinge`` and ``spatial`` are the outer models' chain complexes; the
     rigid middle term and its two maps are formulas, never built, and
-    ``exactness_residual`` certified them (:func:`_verified_sequence`).
+    ``exactness_residual`` certified them (:func:`build_exact_sequence`).
     No whole complex is decomposed: hinge classes are glued from the
     vertex stars, rigid classes read off the integer support complex on
     the spatial model's cells (which are the rigid model's; the rigid
@@ -137,9 +138,7 @@ class ExactSequence:
         cycles (relative ``d2`` residual within :data:`COMPLEX_TOL`) and
         independent (full rank under ``linalg.RANK_TOL``); either failure
         raises :class:`ExactnessViolation` naming the worst column,
-        counted from the global motions through the lifts.  Pinned faces
-        stay fixed: they root the tree, and the pinned model has no
-        global motion.
+        counted from the global motions through the lifts.
         """
         return self._cached("spatial_h2", lambda: self._lifts()[0])
 
@@ -154,14 +153,11 @@ class ExactSequence:
         return self._cached("lifts", self._spatial_h2)
 
     def _spatial_h2(self):
-        faces = self.spatial.cosheaf.support[2]
-        h1 = self.hinge_h1()
         kernel = nullspace(self.loop_obstruction_matrix(), scale=1.0)
-        classes = h1 @ kernel
+        classes = self.hinge_h1() @ kernel
         rates = np.zeros((self.surface.num_edges, classes.shape[1]))
         rates[self.hinge.cosheaf.support[1]] = classes
-        lifts = _tree_lift(self.surface, ~faces, rates)[faces].reshape(
-            self.spatial.dim(2), classes.shape[1])
+        lifts = _tree_lift(self.surface, rates).reshape(self.spatial.dim(2), classes.shape[1])
         chains = np.hstack([self.rigid_h2(), lifts])
         residuals = cycle_residuals(self.spatial, chains)
         if residuals.max(initial=0.0) > COMPLEX_TOL:
@@ -219,7 +215,7 @@ class ExactSequence:
         if loops.shape[1] != n1:
             raise ExactnessViolation(
                 f"support degree 1 has dimension {loops.shape[1]}, counted {n1}")
-        return loops, cycles[cells[2]]
+        return loops, cycles
 
     def rigid_h1(self) -> np.ndarray:
         """Degree-1 rigid classes as cochains, ``kron(C, I6)`` for the
@@ -238,11 +234,8 @@ class ExactSequence:
 
     def _rigid_h2(self) -> np.ndarray:
         cycles = self._cached("support_h", self._support_homology)[1]
-        if not cycles.shape[1]:
-            return np.zeros((self.spatial.dim(2), 0))
-        centroids = self.surface.face_centroids[self.spatial.cosheaf.support[2]]
         motions = np.kron(cycles, np.eye(6)).reshape(len(cycles), 6, -1)
-        chains = transfer_matrix(np.zeros(3), centroids) @ motions
+        chains = transfer_matrix(np.zeros(3), self.surface.face_centroids) @ motions
         return np.linalg.qr(chains.reshape(self.spatial.dim(2), -1))[0]
 
     def _cached(self, key, fn):
@@ -335,21 +328,20 @@ def _hinge_lines(surface: OrigamiSurface, edges) -> np.ndarray:
                      hinge_twist(surface.edge_triads[edges, 0]))
 
 
-def _tree_lift(surface: OrigamiSurface, roots: np.ndarray,
-               rates: np.ndarray) -> np.ndarray:
+def _tree_lift(surface: OrigamiSurface, rates: np.ndarray) -> np.ndarray:
     """Face velocities that turn each tree hinge of the dual graph at its
     given rate; ``rates`` holds one row per edge id and one column per
     motion.  Returns shape ``(faces, 6, motions)``, anchored at the
     face centroids.
 
     The dual graph has the faces as nodes and the interior edges as
-    links.  Its breadth-first spanning forest (:func:`surface._dual_forest`)
-    grows from the faces in the bool mask ``roots``; a component without
-    one is rooted at its lowest-index face.  Roots stand still.  Stepping
-    across tree edge ``e`` from face ``f`` to face ``g`` adds
-    ``s_ge * rate_e`` times the hinge's line coordinates, in the origin
-    frame; one transfer per face then moves each velocity to its
-    centroid.  The forest is found once; then all faces of one level
+    links.  Its tree is the breadth-first spanning forest that
+    :func:`surface.build_surface` oriented the faces with and kept
+    (``surface.dual_forest``): each component is rooted at its
+    lowest-index face, which stands still.  Stepping across tree edge
+    ``e`` from face ``f`` to face ``g`` adds ``s_ge * rate_e`` times the
+    hinge's line coordinates, in the origin frame; one transfer per face
+    then moves each velocity to its centroid.  All faces of one level
     are stepped at once, one gather-add per level.  Rates on edges
     outside the tree are not read: a hinge class lifts to a cycle
     exactly when it closes around every loop.
@@ -357,7 +349,7 @@ def _tree_lift(surface: OrigamiSurface, roots: np.ndarray,
     fe = surface.incidences["fe"]
     pairs = surface.dual_links()
     edge, face, sign = fe.lower[pairs[:, 0]], fe.upper[pairs], fe.sign[pairs]
-    links, side, bounds = _dual_forest(face, np.asarray(roots, dtype=bool))
+    links, side, bounds = surface.dual_forest
     child, parent, edge = face[links, side], face[links, 1 - side], edge[links]
     turns = _hinge_lines(surface, edge)[:, :, None] * rates[edge][:, None, :]
     turns *= sign[links, side][:, None, None]
@@ -367,17 +359,20 @@ def _tree_lift(surface: OrigamiSurface, roots: np.ndarray,
     return transfer_matrix(np.zeros(3), surface.face_centroids) @ nu
 
 
+def _based(surface: OrigamiSurface, nu: np.ndarray, base: int) -> np.ndarray:
+    """Face velocities ``nu`` (``(faces, 6, motions)``, at the centroids)
+    of a connected surface less the global motion that carries face
+    ``base``, one transfer per face: exactly ``nu`` if ``base`` is still."""
+    centroids = surface.face_centroids
+    return nu - transfer_matrix(centroids[base], centroids) @ nu[base]
+
+
 def build_exact_sequence(surface: OrigamiSurface) -> ExactSequence:
     """Build the hinge and spatial models and certify the sequence
-    joining them through the rigid model (:func:`_verified_sequence`)."""
-    return _verified_sequence(build_hinge_model(surface), build_spatial_model(surface))
-
-
-def _verified_sequence(hinge: ChainComplex, spatial: ChainComplex) -> ExactSequence:
-    """The one constructor of every sequence, free or pinned, certified
-    by one value: the largest entry of ``T T^T - I`` over the interior
-    edges' triads ``T``.  Above :data:`cosheaf.EXACTNESS_TOL` it raises
-    :class:`ExactnessViolation` naming the worst edge as cell ``(1, e)``.
+    joining them through the rigid model by one value: the largest entry
+    of ``T T^T - I`` over the interior edges' triads ``T``.  Above
+    :data:`cosheaf.EXACTNESS_TOL` it raises :class:`ExactnessViolation`
+    naming the worst edge as cell ``(1, e)``.
 
     The maps are formulas.  At a vertex they are ``eye(6, 3)`` and
     ``[0 | I]``, entries 0 and 1, so exactness holds exactly; at a face,
@@ -391,14 +386,15 @@ def _verified_sequence(hinge: ChainComplex, spatial: ChainComplex) -> ExactSeque
     already holds.  The rigid model and :func:`cosheaf.verify_exact_sequence`
     are the tests' reference.
     """
+    hinge, spatial = build_hinge_model(surface), build_spatial_model(surface)
     edges = np.flatnonzero(hinge.cosheaf.support[1])
-    triads = hinge.cosheaf.surface.edge_triads[edges]
+    triads = surface.edge_triads[edges]
     gaps = np.abs(triads @ triads.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2), initial=0.0)
     residual = float(gaps.max(initial=0.0))
     if residual > EXACTNESS_TOL:
         raise ExactnessViolation(f"sequence fails at cell {(1, int(edges[np.argmax(gaps)]))}: "
                                  f"residual {residual:.3e}")
-    return ExactSequence(surface=hinge.cosheaf.surface, hinge=hinge, spatial=spatial,
+    return ExactSequence(surface=surface, hinge=hinge, spatial=spatial,
                          exactness_residual=residual)
 
 
@@ -469,8 +465,8 @@ def hinge_to_spatial(seq: ExactSequence, sol: ModelSolution,
 
 # --- spatial <-> truss ---
 
-def spatial_to_truss(seq: ExactSequence, linkage: StiffenedLinkage, sol: ModelSolution,
-                     cycle_tol: float = CYCLE_TOL) -> ModelSolution:
+def spatial_to_truss(seq: ExactSequence, linkage: StiffenedLinkage,
+                     sol: ModelSolution) -> ModelSolution:
     """Evaluate a spatial solution as vertex velocities of the truss.
 
     Every vertex takes the velocity induced by its first incident face;
@@ -478,7 +474,7 @@ def spatial_to_truss(seq: ExactSequence, linkage: StiffenedLinkage, sol: ModelSo
     Apex vertices take the velocity induced by their own face.
     """
     return _truss_velocities(linkage, _measured(
-        "spatial", sol.coefficients, partial(seq.spatial.apply, 2), cycle_tol))
+        "spatial", sol.coefficients, partial(seq.spatial.apply, 2), CYCLE_TOL))
 
 
 def _truss_velocities(linkage: StiffenedLinkage, sol: ModelSolution) -> ModelSolution:
@@ -486,21 +482,20 @@ def _truss_velocities(linkage: StiffenedLinkage, sol: ModelSolution) -> ModelSol
     scale = np.abs(sol.coefficients).max(initial=1.0)
     at_corner, y = corner_velocities(linkage, sol.coefficients[:, None])
     y = y[:, 0]
-    gaps = np.abs(at_corner[:, :, 0]
-                  - y.reshape(-1, 3)[linkage.corner_point]).max(axis=1)
+    gaps = np.where(linkage.live, np.abs(at_corner[..., 0]
+                                         - y.reshape(-1, 3)[linkage.group]).max(axis=2), 0.0)
     bad = np.flatnonzero(gaps > AGREEMENT_TOL * scale)
     if bad.size:
         c = bad[0]
         raise WellDefinednessViolation(
-            f"vertex {linkage.corner_point[c]} velocity differs across faces "
-            f"by {gaps[c]:.3e}")
+            f"vertex {linkage.group.flat[c]} velocity differs across faces "
+            f"by {gaps.flat[c]:.3e}")
     residual = float(np.max(np.abs(linkage.stretch(y)), initial=0.0))
     return ModelSolution(model="truss", coefficients=y, residual=residual)
 
 
 def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
-                     sol: ModelSolution,
-                     cycle_tol: float = CYCLE_TOL) -> ModelSolution:
+                     sol: ModelSolution) -> ModelSolution:
     """Recover face spatial velocities from truss vertex velocities.
 
     Each face's velocity is the least-squares rigid fit to the observed
@@ -512,14 +507,13 @@ def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
     if y.shape != (3 * linkage.num_points,):
         raise NotACycle(
             f"expected {3 * linkage.num_points} coordinates, got {y.shape}")
-    _measured("truss", y, linkage.stretch, cycle_tol)
+    _measured("truss", y, linkage.stretch, CYCLE_TOL)
     scale = np.abs(y).max(initial=1.0)
 
-    # One fit per face, all in one stack laid out as the linkage's
-    # ``fit_blocks``.
-    a = linkage.fit_blocks
-    b = np.zeros((len(a), a.shape[1] // 3, 3))
-    b[linkage.corner_face, linkage.corner_slot] = y.reshape(-1, 3)[linkage.corner_point]
+    # One fit per face, all in one stack laid out as the face groups; the
+    # padding's zero blocks fit zero velocities.
+    a = linkage.corner_block.reshape(len(linkage.group), -1, 6)
+    b = np.where(linkage.live[:, :, None], y.reshape(-1, 3)[linkage.group], 0.0)
     b = b.reshape(len(a), -1, 1)
     fits = linkage.fit_inverse @ b
     errs = np.abs(a @ fits - b).max(axis=(1, 2))
@@ -528,7 +522,7 @@ def truss_to_spatial(seq: ExactSequence, linkage: StiffenedLinkage,
         f = bad[0]
         raise NonRigidMotion(
             f"face {f} velocities admit no rigid fit (residual {errs[f]:.3e})")
-    return _measured("spatial", fits.ravel(), partial(seq.spatial.apply, 2), cycle_tol)
+    return _measured("spatial", fits.ravel(), partial(seq.spatial.apply, 2), CYCLE_TOL)
 
 
 def hinge_to_truss(seq: ExactSequence, linkage: StiffenedLinkage,
@@ -548,11 +542,13 @@ def hinge_to_truss(seq: ExactSequence, linkage: StiffenedLinkage,
 
 @dataclass
 class SerialChain:
-    """Face/hinge ordering of a chain surface, base face first."""
+    """Face/hinge ordering of a chain surface, base face first, and each
+    hinge's ``fe`` sign on the face after it, which it turns that way."""
 
     surface: OrigamiSurface
     face_order: list[int]
     hinge_order: list[int]
+    hinge_sign: list[int]
 
     @property
     def num_hinges(self) -> int:
@@ -569,7 +565,7 @@ def chain_structure(surface: OrigamiSurface) -> SerialChain:
     hinges in path order, one per depth; it must reach every face.
     """
     if surface.num_faces == 1:
-        return SerialChain(surface, [0], [])
+        return SerialChain(surface, [0], [], [])
     fe = surface.incidences["fe"]
     pairs = surface.dual_links()
     face = fe.upper[pairs]
@@ -581,7 +577,8 @@ def chain_structure(surface: OrigamiSurface) -> SerialChain:
     if len(links) != surface.num_faces - 1:
         raise InvalidParams("chain dual graph is not connected")
     return SerialChain(surface, [int(ends[0])] + face[links, side].tolist(),
-                       fe.lower[pairs[links, 0]].tolist())
+                       fe.lower[pairs[links, 0]].tolist(),
+                       fe.sign[pairs[links, side]].tolist())
 
 
 @dataclass
@@ -637,8 +634,9 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
     # Block (i, j): hinge e_{j+1} seen from body f_{i+1}, zero for j > i.
     # Block row i of psi_inv @ psi is diag[i] @ (block row i of psi)
     # + sub[i - 1] @ (block row i - 1); both vanish right of block i.
-    # d = psi @ iota takes the same blocks, iota holding one twist each.
-    twists = hinge_twist(surface.edge_triads[hinges, 0])
+    # d = psi @ iota takes the same blocks, iota holding one twist each,
+    # turned by the hinge's sign on the face it moves.
+    twists = hinge_twist(surface.edge_triads[hinges, 0]) * np.array(chain.hinge_sign)[:, None]
     psi = np.zeros((n, 6, n, 6))
     d = np.zeros((n, 6, n))
     size = inverse_gap = 0.0
@@ -686,7 +684,8 @@ def serial_chain_operators(surface: OrigamiSurface) -> SerialChainOperators:
 def propagate_chain(ops: SerialChainOperators, rates) -> np.ndarray:
     """Turn the chain's hinges at ``rates`` (in chain hinge order) with
     the base face pinned: the tree lift of the rates, whose dual tree is
-    the chain itself.
+    the chain itself, less the global motion that carries the base
+    (:func:`_based`).
 
     Returns stacked spatial velocities of the moving bodies in chain
     order, for comparison against ``ops.d @ rates``.
@@ -695,9 +694,8 @@ def propagate_chain(ops: SerialChainOperators, rates) -> np.ndarray:
     surface = chain.surface
     per_edge = np.zeros((surface.num_edges, 1))
     per_edge[chain.hinge_order, 0] = rates
-    base = np.zeros(surface.num_faces, dtype=bool)
-    base[chain.face_order[0]] = True
-    return _tree_lift(surface, base, per_edge)[chain.face_order[1:]].ravel()
+    lift = _based(surface, _tree_lift(surface, per_edge), chain.face_order[0])
+    return lift[chain.face_order[1:]].ravel()
 
 
 def pinned_chain_connecting_matrix(surface: OrigamiSurface,
@@ -706,23 +704,20 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
     pinned, expressed directly in hinge-rate and stacked-body-velocity
     coordinates for comparison with the closed-form left inverse.
 
-    The hinge and spatial models are built and checked for
-    functoriality once, then pinned (pinning zeroes extensions, so the
-    check covers the pinned copies), and only the pinned sequence is
-    certified, like any other: the triad certificate, the spatial cycle
-    and rank certificates and the certificate of theta against the tree
-    lifts.  The free sequence would add nothing: the certificate reads
-    the interior edges alone.
+    Only the free sequence is built, with all of its certificates.  Its
+    :meth:`ExactSequence.spatial_h2` columns past the global motions,
+    less the motion that carries the base (:func:`_based`), are the
+    pinned cycles; theta vanishes on global motions, so theta of those
+    columns is their hinge rates.
     Returns ``(theta, cycles)`` where ``cycles`` columns are pinned
     spatial cycles over the moving bodies in chain order and ``theta``
     takes those cycles (its columns) to hinge rates in chain order.
     """
     chain = ops.chain
-    base = [chain.face_order[0]]
-    pinned = _verified_sequence(build_hinge_model(surface).pinned(base),
-                                build_spatial_model(surface).pinned(base))
-    rates = pinned.hinge_h1() @ pinned.spatial_to_hinge_matrix()
-    # Hinge rows in chain hinge order, cycle rows as the moving bodies in
-    # chain order.
-    return (pinned.hinge.cosheaf.restrict(1, rates, chain.hinge_order),
-            pinned.spatial.cosheaf.restrict(2, pinned.spatial_h2(), chain.face_order[1:]))
+    seq = build_exact_sequence(surface)
+    motions = seq.rigid_h2().shape[1]
+    rates = seq.hinge_h1() @ seq.spatial_to_hinge_matrix()[:, motions:]
+    cycles = _based(surface, seq.spatial_h2()[:, motions:].reshape(surface.num_faces, 6, -1),
+                    chain.face_order[0])
+    return (seq.hinge.cosheaf.restrict(1, rates, chain.hinge_order),
+            cycles[chain.face_order[1:]].reshape(-1, cycles.shape[2]))

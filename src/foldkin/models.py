@@ -117,48 +117,40 @@ class StiffenedLinkage:
     row ``+axis`` at ``v`` and ``-axis`` at ``u``, which :meth:`stretch`
     applies; it is never formed.
 
-    A corner is one point of one face's group (its vertices in cycle
-    order, then its apex); corners are listed face by face, and
-    ``corner_slot`` is a corner's place in its group.  A face's
-    spatial velocity gives the corner point the velocity
-    ``corner_block @ nu``, which is how spatial solutions are read off
-    at truss points and fitted back.  What depends on the linkage alone,
-    the rigid-fit stack, its pseudoinverse and each point's first
-    corner, is computed on first use and kept, so every conversion
-    after the first does only the work of its own vector.
+    The face groups (vertices in cycle order, then the apex) are laid
+    out once, padded to the largest: each ``live`` entry of ``group`` is
+    a corner.  A face's spatial velocity gives a corner the velocity
+    ``corner_block @ nu``, which is how spatial solutions are read off at
+    truss points and fitted back; padding has zero blocks, which change
+    no fit.  The fits' pseudoinverse and each point's first corner are
+    computed on first use and kept, so every conversion after the first
+    does only the work of its own vector.
     """
 
     surface: OrigamiSurface
     points: np.ndarray                   # (|V'|, 3); originals first
     bars: np.ndarray                     # (|E'|, 2) int, u < v
     directions: np.ndarray               # (|E'|, 3) unit axes from u to v
-    corner_face: np.ndarray              # (C,) face of each corner
-    corner_point: np.ndarray             # (C,) extended vertex id
-    corner_slot: np.ndarray              # (C,) place in the face's group
-    corner_block: np.ndarray             # (C, 3, 6) [-[r]x, I], r from centroid
+    group: np.ndarray                    # (F, k) extended vertex ids, padded
+    live: np.ndarray                     # (F, k) bool, real corners
+    corner_block: np.ndarray             # (F, k, 3, 6) [-[r]x, I], r from centroid
 
     @property
     def num_points(self) -> int:
         return len(self.points)
 
     @cached_property
-    def fit_blocks(self) -> np.ndarray:
-        """The faces' corner blocks as one ``(F, 3k, 6)`` stack of rigid
-        fits, ``k`` the largest group: a smaller face's rows are padded
-        with zero rows, which change neither its fit nor its residual."""
-        a = np.zeros((self.surface.num_faces, self.corner_slot.max() + 1, 3, 6))
-        a[self.corner_face, self.corner_slot] = self.corner_block
-        return a.reshape(len(a), -1, 6)
-
-    @cached_property
     def fit_inverse(self) -> np.ndarray:
-        """The stacked pseudoinverse of :attr:`fit_blocks`."""
-        return pseudoinverse(self.fit_blocks)
+        """The stacked pseudoinverse of the faces' rigid fits, the corner
+        blocks as one ``(F, 3k, 6)`` stack."""
+        return pseudoinverse(self.corner_block.reshape(len(self.group), -1, 6))
 
     @cached_property
     def _first_corner(self) -> np.ndarray:
-        """Each point's first corner, in point order."""
-        return np.unique(self.corner_point, return_index=True)[1]
+        """Each point's first corner, in point order, as a position in
+        the flat ``(F * k)`` layout."""
+        corners = np.flatnonzero(self.live)
+        return corners[np.unique(self.group.flat[corners], return_index=True)[1]]
 
     def stretch(self, y: np.ndarray) -> np.ndarray:
         """Bar-length rates of truss velocities ``y``: the Jacobian
@@ -168,18 +160,6 @@ class StiffenedLinkage:
         return (self.directions[:, None] @ delta).reshape((len(self.bars),) + y.shape[1:])
 
 
-def _face_groups(surface: OrigamiSurface) -> tuple[np.ndarray, np.ndarray]:
-    """Each face's group as a padded ``(F, k + 1)`` array of extended
-    vertex ids: the face layout with the face's apex after its last
-    real corner, and the mask of real entries."""
-    corners = surface.face_corners
-    nf, k = corners.shape
-    sizes = surface.face_live.sum(axis=1)
-    group = np.hstack([corners, corners[:, :1]])
-    group[np.arange(nf), sizes] = surface.num_vertices + np.arange(nf)
-    return group, np.arange(k + 1) <= sizes[:, None]
-
-
 def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
     """Build the stiffened linkage: its points, bars and corners.
 
@@ -187,7 +167,8 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
     centroid along the surface's face normal, guaranteeing it leaves the
     face plane by a scale-proportional margin; nothing is decomposed
     here.  All faces are braced in one array pass: a face's group is
-    its row of the surface's padded face layout with its apex added.
+    its row of the surface's padded face layout with its apex after its
+    last real corner.
     """
     edge_ends = surface.vertices[np.array(surface.edges)]
     lengths = np.linalg.norm(edge_ends[:, 1] - edge_ends[:, 0], axis=1)
@@ -198,7 +179,12 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
 
     # The face's vertices and its apex form a complete graph, which
     # holds the face's edges.
-    group, live = _face_groups(surface)
+    corners = surface.face_corners
+    nf, k = corners.shape
+    sizes = surface.face_live.sum(axis=1)
+    group = np.hstack([corners, corners[:, :1]])
+    group[np.arange(nf), sizes] = surface.num_vertices + np.arange(nf)
+    live = np.arange(k + 1) <= sizes[:, None]
     i, j = np.triu_indices(group.shape[1], 1)
     both = live[:, i] & live[:, j]
     pairs = np.stack([group[:, i][both], group[:, j][both]], axis=1)
@@ -206,13 +192,10 @@ def stiffen(surface: OrigamiSurface) -> StiffenedLinkage:
     axis = points[bars[:, 1]] - points[bars[:, 0]]
     axis = axis / np.sqrt(axis[:, None, :] @ axis[:, :, None])[:, 0]
 
-    corner_face, corner_slot = np.nonzero(live)
-    corner_point = group[live]
-    corner_block = point_velocity_blocks(points[corner_point]
-                                         - surface.face_centroids[corner_face])
+    corner_block = np.where(live[:, :, None, None], point_velocity_blocks(
+        points[group] - surface.face_centroids[:, None]), 0.0)
     return StiffenedLinkage(surface=surface, points=points, bars=bars, directions=axis,
-                            corner_face=corner_face, corner_point=corner_point,
-                            corner_slot=corner_slot, corner_block=corner_block)
+                            group=group, live=live, corner_block=corner_block)
 
 
 def corner_velocities(linkage: StiffenedLinkage,
@@ -220,17 +203,19 @@ def corner_velocities(linkage: StiffenedLinkage,
     """Evaluate face spatial velocities at the truss corners.
 
     ``values`` holds six rows per face and one column per motion.
-    Returns the velocity every corner receives from its own face, shape
-    ``(corners, 3, motions)``, and the truss vectors, shape
-    ``(3 * points, motions)``, in which each point takes the velocity of
-    its first corner: its first incident face, or its own face for an
-    apex.  On solution cycles all corners of a point agree.
+    Returns the velocity every corner receives from its own face, in the
+    face groups' layout ``(F, k, 3, motions)`` (zero on the padding), and
+    the truss vectors, shape ``(3 * points, motions)``, in which each
+    point takes the velocity of its first corner: its first incident
+    face, or its own face for an apex.  On solution cycles all corners of
+    a point agree.
     """
     motions = values.shape[1]
-    at_corner = np.einsum("cij,cjk->cik", linkage.corner_block,
-                          values.reshape(-1, 6, motions)[linkage.corner_face])
+    at_corner = np.einsum("fcij,fjk->fcik", linkage.corner_block,
+                          values.reshape(-1, 6, motions))
     # Every point has a corner, and the first corners are in point order.
-    return at_corner, at_corner[linkage._first_corner].reshape(-1, motions)
+    first = at_corner.reshape(-1, 3, motions)[linkage._first_corner]
+    return at_corner, first.reshape(-1, motions)
 
 
 def _certify_groups(linkage: StiffenedLinkage):
@@ -239,7 +224,7 @@ def _certify_groups(linkage: StiffenedLinkage):
     from ``directions``, signed by slot (no change of rank); a bar missing
     from ``bars`` leaves a zero row, and padding to the largest group adds
     zero rows and columns.  One stack of singular values decides."""
-    group, live = _face_groups(linkage.surface)
+    group, live = linkage.group, linkage.live
     i, j = np.triu_indices(group.shape[1], 1)
     keys = linkage.bars @ [linkage.num_points, 1]
     want = (np.minimum(group[:, i], group[:, j]) * linkage.num_points

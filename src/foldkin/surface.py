@@ -14,10 +14,11 @@ no walk of its own.  The corners are listed face by face; the edges are
 their distinct vertex pairs, from one sort.  The dual graph has the
 faces as nodes and the interior edges as links, and its breadth-first
 forest (:func:`_dual_forest`) carries each face's flip from its
-component's lowest-index face.  Two corners at a vertex are linked when
-their faces share an interior edge there; the components of that graph
-(:func:`_free_components`) are the vertex's fans, and more than one is a
-pinch.  The same two routines order serial chains, root tree lifts and
+component's lowest-index face; the surface keeps that forest
+(``dual_forest``) for the tree lifts.  Two corners at a vertex are
+linked when their faces share an interior edge there; the components of
+that graph (:func:`_free_components`) are the vertex's fans, and more
+than one is a pinch.  The same two routines order serial chains and
 count the components behind base and support homology; the forest also
 splits the support complex into a tree and a cotree
 (:func:`loop_cocycles`).
@@ -87,6 +88,7 @@ class OrigamiSurface:
     edge_midpoints: np.ndarray              # (E, 3)
     face_centroids: np.ndarray              # (F, 3)
     face_normals: np.ndarray                # (F, 3) unit, Newell-oriented
+    dual_forest: tuple                      # (links, side, bounds), no roots
 
     # --- counts ---
 
@@ -200,7 +202,7 @@ def build_surface(vertices, faces) -> OrigamiSurface:
             raise IndexOutOfRange(f"face {f} references a missing vertex")
     faces = [tuple(map(int, cycle)) for cycle in faces]
 
-    edges, edge_faces, faces, interior_edge, incidences, triples = \
+    edges, edge_faces, faces, interior_edge, forest, incidences, triples = \
         _oriented_incidences(nv, faces)
     corners, live = _face_layout(incidences["fv"])
     ends = vertices[incidences["ev"].lower.reshape(-1, 2)]
@@ -231,19 +233,21 @@ def build_surface(vertices, faces) -> OrigamiSurface:
         edge_midpoints=0.5 * (ends[:, 0] + ends[:, 1]),
         face_centroids=centroids,
         face_normals=normals,
+        dual_forest=forest,
     )
 
 
 def _oriented_incidences(nv, faces):
     """Edges, the faces on each edge, the oriented face cycles, the
-    interior-edge mask, the incidences and the triples of ``faces``.
+    interior-edge mask, dual forest, incidences and triples of ``faces``.
 
     The corners are listed face by face in cycle order.  The edges are
     the distinct sorted vertex pairs of consecutive corners, from one
     sort whose inverse is the edge each corner leaves by.  A face's flip
     is its parent's in the dual forest (:func:`_dual_forest`, no roots),
     toggled when the two run their shared edge the same way, so each
-    component's lowest-index face keeps its cycle.  Raises
+    component's lowest-index face keeps its cycle; turned faces keep
+    their places, so the forest is that of the oriented surface.  Raises
     :class:`NonManifold` at an edge in more than two faces, then
     :class:`NonOrientable` at a dual link whose faces still run their
     edge the same way.
@@ -290,7 +294,7 @@ def _oriented_incidences(nv, faces):
     start = start[np.where(turned, first + size - 1 - slot, corner)]
     edge = edge[np.where(turned, first + (size - 2 - slot) % size, corner)]
     faces = [c[::-1] if r else c for c, r in zip(faces, flip.tolist())]
-    return (edges, edge_faces, faces, interior,
+    return (edges, edge_faces, faces, interior, (tree, side, levels),
             *_incidence_arrays(pairs, face, start, nxt, edge))
 
 
@@ -391,9 +395,9 @@ def _dual_forest(face: np.ndarray, roots: np.ndarray):
     ``links[bounds[k]:bounds[k + 1]]``.
 
     It is the one walk over the dual graph.  With no roots it carries
-    the face flips of :func:`build_surface`; rooted at pinned faces it
-    is the tree of :func:`maps._tree_lift`; rooted at one end of a path
-    it orders :func:`maps.chain_structure`.
+    the face flips of :func:`build_surface`, which keeps it as the tree
+    of :func:`maps._tree_lift`; rooted at one end of a path it orders
+    :func:`maps.chain_structure`.
     """
     neighbours = [[] for _ in roots]
     for link, (f, g) in enumerate(face.tolist()):

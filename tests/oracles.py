@@ -13,8 +13,10 @@ incidence-triple ``d1 @ d2``; the integer incidence matrices and their
 decompositions stand for the component counts of base and support
 homology.  Each per-cell route builds one cell's
 geometry at a time where the library runs one array pass over every
-cell.  The level-by-level tree lift rescans every dual link at each
-level where the library finds its forest once, and the dense chain
+cell.  The level-by-level tree lift, grown from any roots, rescans
+every dual link at each level where the library steps the forest that
+surface construction kept; rooted at a chain's base, it stands for the
+free lift less the global motion carrying the base.  The dense chain
 operators form every ``(6n, 6n)`` product, and ``d_pinv`` from all of
 the inverse, where the library writes and checks a few block rows at a
 time and ``d_pinv`` from the inverse's two block diagonals.  The topology walks answer each graph
@@ -24,8 +26,8 @@ adjacency-dict chain walk, and they list the incidences one cell at a
 time; the library reads all of it off the sorted corner arrays, the
 dual forest and one component labelling.  The pseudoinverse of θ
 takes hinge classes to spatial motions where the library reads the
-tree lifts less their global-motion part.  The rigid-fit stack and the
-first-corner index are taken afresh on every call where a linkage
+tree lifts less their global-motion part.  The rigid-fit pseudoinverse
+and the first-corner index are taken afresh on every call where a linkage
 keeps them.  The validated
 constant-to-rigid isomorphism carries the global motions where the
 library moves them from the origin to the face centroids with the tree
@@ -88,11 +90,9 @@ def _pi_map(rigid, spatial):
 
 
 def sequence_maps(seq):
-    """The sequence's rigid middle term, pinned like ``seq.spatial``,
-    and its embedding and quotient maps, both validated:
-    ``(rigid, iota, pi)``."""
-    rigid = build_rigid_model(seq.surface).pinned(
-        np.flatnonzero(~seq.spatial.cosheaf.support[2]))
+    """The sequence's rigid middle term and its embedding and quotient
+    maps, both validated: ``(rigid, iota, pi)``."""
+    rigid = build_rigid_model(seq.surface)
     return (rigid, _iota_map(seq.hinge.cosheaf, rigid.cosheaf).validate(),
             _pi_map(rigid.cosheaf, seq.spatial.cosheaf).validate())
 
@@ -164,17 +164,23 @@ def hinge_to_spatial(seq, rates):
 
 
 def rigid_fit(linkage):
-    """The padded ``(F, 3k, 6)`` rigid-fit stack of the corner blocks and
-    its pseudoinverse, built afresh."""
-    a = np.zeros((linkage.surface.num_faces, linkage.corner_slot.max() + 1, 3, 6))
-    a[linkage.corner_face, linkage.corner_slot] = linkage.corner_block
+    """The padded ``(F, 3k, 6)`` rigid-fit stack of the live corner
+    blocks, zero rows elsewhere, and its pseudoinverse, built afresh."""
+    a = np.zeros(linkage.corner_block.shape)
+    a[linkage.live] = linkage.corner_block[linkage.live]
     a = a.reshape(len(a), -1, 6)
     return a, pseudoinverse(a)
 
 
 def first_corner(linkage):
-    """Each truss point's first corner, found afresh."""
-    return np.unique(linkage.corner_point, return_index=True)[1]
+    """Each truss point's first corner, as a position in the flat face
+    group layout, found by one scan of the live corners."""
+    first = {}
+    for c, (point, live) in enumerate(zip(linkage.group.ravel().tolist(),
+                                          linkage.live.ravel().tolist())):
+        if live:
+            first.setdefault(point, c)
+    return np.array([first[p] for p in range(linkage.num_points)])
 
 
 def loop_obstruction_matrix(seq):
@@ -236,7 +242,11 @@ def serial_chain_operators(surface):
     psi_inv[idx, :, idx] = diag
     psi_inv[idx[1:], :, idx[:-1]] = sub
     psi_inv = psi_inv.reshape(6 * n, 6 * n)
-    twists = hinge_twist(surface.edge_triads[hinges, 0])
+    # Each hinge turns the face after it by its sign there.
+    fe = surface.incidences["fe"]
+    signs = dict(zip(zip(fe.lower.tolist(), fe.upper.tolist()), fe.sign.tolist()))
+    twists = hinge_twist(surface.edge_triads[hinges, 0]) * np.array(
+        [signs[e, f] for e, f in zip(hinges.tolist(), faces[1:])])[:, None]
     d = np.einsum("rjb,jb->rj", psi.reshape(6 * n, n, 6), twists)
     d_pinv = np.einsum("ia,iajb->ijb", twists, psi_inv.reshape(n, 6, n, 6)).reshape(n, 6 * n)
     rows = psi.reshape(n, 6, 6 * n)
@@ -376,8 +386,8 @@ def face_normal(points):
 
 
 def stiffen(surface):
-    """The stiffened linkage's points, bars and corner arrays, one face
-    at a time: ``(points, bars, corner_face, corner_point, corner_slot)``."""
+    """The stiffened linkage's points, bars and face groups (each face's
+    cycle, then its apex), one face at a time: ``(points, bars, groups)``."""
     nv = surface.num_vertices
     apexes, groups, pairs = [], [], [np.array(surface.edges)]
     for f, cycle in enumerate(surface.faces):
@@ -391,9 +401,7 @@ def stiffen(surface):
         pairs.append(np.sort(np.stack([group[i], group[j]], axis=1), axis=1))
     points = np.vstack([surface.vertices] + apexes)
     bars = [tuple(bar) for bar in np.unique(np.concatenate(pairs), axis=0).tolist()]
-    corner_face = np.repeat(np.arange(surface.num_faces), [len(g) for g in groups])
-    corner_slot = np.concatenate([np.arange(len(g)) for g in groups])
-    return points, bars, corner_face, np.concatenate(groups), corner_slot
+    return points, bars, groups
 
 
 # --- topology walks ---

@@ -78,7 +78,7 @@ def test_jessen_icosahedron_is_shaky():
     seq = build_exact_sequence(s)
     rates = np.zeros((s.num_edges, 1))
     rates[s.interior_edge] = seq.hinge_h1()
-    lift = _tree_lift(s, np.zeros(s.num_faces, dtype=bool), rates)
+    lift = _tree_lift(s, rates)
     assert np.abs(lift).max() > 0.1
     assert cycle_residuals(seq.spatial, lift.reshape(-1, 1))[0] <= 1e-12
     # The same faces on the regular icosahedron's vertices are rigid.

@@ -9,7 +9,14 @@ and must not grow their decomposition count with the number of faces.
 import numpy as np
 import pytest
 
-from foldkin import build_surface, stiffen
+from foldkin import (
+    build_exact_sequence,
+    build_surface,
+    spatial_solution,
+    spatial_to_truss,
+    stiffen,
+    truss_to_spatial,
+)
 from foldkin.errors import Degenerate
 
 import oracles
@@ -51,11 +58,11 @@ def test_stacked_geometry_matches_per_cell(make):
     assert relative_gap(s.face_normals, per_face) <= 1e-14
 
     linkage = stiffen(s)
-    points, bars, corner_face, corner_point, corner_slot = oracles.stiffen(s)
+    points, bars, groups = oracles.stiffen(s)
     assert linkage.bars.tolist() == [list(bar) for bar in bars]
-    assert np.array_equal(linkage.corner_face, corner_face)
-    assert np.array_equal(linkage.corner_point, corner_point)
-    assert np.array_equal(linkage.corner_slot, corner_slot)
+    assert [g[m].tolist() for g, m in zip(linkage.group, linkage.live)] == \
+        [g.tolist() for g in groups]
+    assert not linkage.corner_block[~linkage.live].any()
     assert relative_gap(linkage.points, points) <= 1e-14
 
 
@@ -63,7 +70,23 @@ def test_mixed_cycles_pad_to_the_longest():
     s = mixed_cycles()
     assert s.face_corners.shape == (3, 6)
     assert s.face_live.sum(axis=1).tolist() == [6, 4, 3]
-    assert stiffen(s).corner_slot.tolist() == [*range(7), *range(5), *range(4)]
+    linkage = stiffen(s)
+    assert linkage.group.shape == (3, 7)
+    assert linkage.live.tolist() == [[True] * 7, [True] * 5 + [False] * 2,
+                                     [True] * 4 + [False] * 3]
+
+
+def test_mixed_cycles_fit_through_their_padded_groups(rng):
+    # The padding of the smaller groups has zero blocks and reads zero
+    # velocities, so a spatial solution passes the agreement and fit
+    # gates there and comes back.
+    s = mixed_cycles()
+    seq, linkage = build_exact_sequence(s), stiffen(s)
+    basis = seq.spatial_h2()
+    values = basis @ rng.normal(size=basis.shape[1])
+    truss = spatial_to_truss(seq, linkage, spatial_solution(seq, values))
+    back = truss_to_spatial(seq, linkage, truss)
+    assert np.abs(back.coefficients - values).max() <= 1e-9 * max(1.0, np.abs(values).max())
 
 
 # Each surface has valid faces before the failing cell, so the message

@@ -96,6 +96,17 @@ def test_gen_bad_params_exit_2(capsys):
     assert main(["gen", "chain", "two"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "grid", "2", "2"], ["gen", "miura", "2", "2"], ["gen", "chain", "3"],
+    ["gen", "grid", "2", "2", "--no-jitter"], ["serial", "2"], ["serial", "2", "--no-jitter"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_negative_seed_is_bad_input(capsys, argv):
+    # Every shape rejects a negative seed as its input, whether or not it
+    # draws from it, before any generator runs.
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
 def test_serial_check_passes(capsys):
     assert main(["serial", "5", "--seed", "42", "--check"]) == 0
     out = capsys.readouterr().out

@@ -30,9 +30,9 @@ from foldkin import (
     verify_exact_sequence,
 )
 from foldkin import cosheaf, linalg, maps
+from foldkin import surface as surface_module
 from foldkin.analysis import analyze_surface
 from foldkin.cosheaf import cycle_residuals
-from foldkin.maps import _verified_sequence
 from foldkin.models import eta_image, truss_kernel
 from foldkin.errors import (
     Degenerate,
@@ -203,16 +203,11 @@ def test_counted_support_homology_matches_the_decomposition(make):
 def test_global_motions_match_the_constant_rigid_isomorphism(make):
     # The global motions are moved from the origin to the face centroids
     # by the tree lift's transfer; the validated isomorphism is the
-    # reference, bit for bit.  A pinned chain has no global motion.
+    # reference, bit for bit.
     seq = make()
     rigid = oracles.sequence_maps(seq)[0]
-    faces = rigid.cosheaf.support[2]
-    z2 = constant_homology(seq.surface, rigid.cosheaf.support)[2][faces]
+    z2 = constant_homology(seq.surface, rigid.cosheaf.support)[2]
     got = seq.rigid_h2()
-    if not z2.shape[1]:
-        assert got.shape == (rigid.dim(2), 0)
-        assert not faces.all()
-        return
     phi = oracles.constant_rigid_isomorphism(rigid)
     want = np.linalg.qr(phi.apply(2, np.kron(z2, np.eye(6))))[0]
     assert np.array_equal(got, want)
@@ -351,15 +346,27 @@ def test_spatial_and_truss_bases_match_the_dense_route(make):
 
 
 def pinned_chain_sequence(n, seed=0):
-    s = surface_of("chain", n, seed=seed)
-    seq = build_exact_sequence(s)
-    base = [chain_structure(s).face_order[0]]
-    return _verified_sequence(seq.hinge.pinned(base), seq.spatial.pinned(base))
+    """The one sequence that a pinned chain is read from: the free
+    chain's, since pinning is the quotient by the global motions
+    (``test_pinned_chain_verifies_one_sequence``)."""
+    return build_exact_sequence(surface_of("chain", n, seed=seed))
 
 
 @pytest.mark.parametrize("n", [1, 2, 40])
 def test_pinned_chain_spatial_basis_matches_the_dense_route(n):
-    assert_spatial_basis_matches_the_dense_route(pinned_chain_sequence(n))
+    # The free basis matches the free kernel; the pinned cycles, its
+    # columns past the global motions less the motion that carries the
+    # base face, span the kernel of the spatial boundary once the base
+    # face's columns are dropped.
+    seq = pinned_chain_sequence(n)
+    assert_spatial_basis_matches_the_dense_route(seq)
+    s = seq.surface
+    ops = serial_chain_operators(s)
+    _, cycles = pinned_chain_connecting_matrix(s, ops)
+    d2 = seq.spatial.d2.reshape(-1, s.num_faces, 6)[:, ops.chain.face_order[1:]]
+    dense = nullspace(d2.reshape(len(d2), -1))
+    assert cycles.shape == dense.shape == (6 * n, n)
+    assert subspace_residual(oracles.column_space(cycles), dense) < 1e-12
 
 
 def two_sheets():
@@ -379,33 +386,64 @@ LIFT_SURFACES = ORACLE_SURFACES + [
 @pytest.mark.parametrize("make", [m for _, m in LIFT_SURFACES],
                          ids=[n for n, _ in LIFT_SURFACES])
 def test_tree_lift_matches_the_level_loop(make, roots, rng):
-    # The forest is found once, then stepped level by level; the oracle
-    # rescans every link per level.  Both pick the same tree link for
-    # each face, so the lifts agree bit for bit.
+    # The surface keeps the forest that oriented its faces, and the lift
+    # steps it level by level; the oracle rescans every link per level
+    # from the given roots.  Unrooted, both pick the same tree link for
+    # each face, so the lifts agree bit for bit; face 0 roots its
+    # component, so based there the lift loses exactly nothing.  Based at
+    # either of two other faces, a hinge class without loop obstruction,
+    # which lifts the same way along any tree, matches the level loop
+    # rooted there, on that face's component.
     s = make()
-    mask = np.zeros(s.num_faces, dtype=bool)
-    mask[{"no_root": [], "one_face": [0],
-          "two_faces": [s.num_faces // 2, s.num_faces - 1]}[roots]] = True
-    rates = rng.normal(size=(s.num_edges, 3))
-    lift = maps._tree_lift(s, mask, rates)
-    assert lift.shape == (s.num_faces, 6, 3)
-    assert np.array_equal(lift, oracles.tree_lift(s, mask, rates))
+    if roots != "two_faces":
+        mask = np.zeros(s.num_faces, dtype=bool)
+        mask[0] = roots == "one_face"
+        rates = rng.normal(size=(s.num_edges, 3))
+        lift = maps._tree_lift(s, rates)
+        if roots == "one_face":
+            lift = maps._based(s, lift, 0)
+        assert lift.shape == (s.num_faces, 6, 3)
+        assert np.array_equal(lift, oracles.tree_lift(s, mask, rates))
+        return
+    seq = build_exact_sequence(s)
+    kernel = nullspace(seq.loop_obstruction_matrix(), scale=1.0)
+    rates = np.zeros((s.num_edges, kernel.shape[1]))
+    rates[s.interior_edge] = seq.hinge_h1() @ kernel
+    labels, _ = surface_module._free_components(
+        s.num_faces, s.incidences["fe"].upper[s.dual_links()], np.zeros(s.num_faces, dtype=bool))
+    for base in (s.num_faces // 2, s.num_faces - 1):
+        want = oracles.tree_lift(s, np.arange(s.num_faces) == base, rates)
+        got = maps._based(s, maps._tree_lift(s, rates), base)
+        same = labels == labels[base]
+        assert not got[base].any()
+        assert (np.abs(got[same] - want[same]).max(initial=0.0)
+                <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0)))
 
 
 def test_tree_lift_roots_a_free_component_at_its_lowest_face(rng):
     s = two_sheets()
     half = s.num_faces // 2
-    pinned = np.zeros(s.num_faces, dtype=bool)
-    pinned[0] = True
-    lift = maps._tree_lift(s, pinned, rng.normal(size=(s.num_edges, 2)))
+    lift = maps._tree_lift(s, rng.normal(size=(s.num_edges, 2)))
     still = np.flatnonzero(np.abs(lift).max(axis=(1, 2)) == 0)
     assert still.tolist() == [0, half]
 
 
+def test_spatial_basis_walks_the_dual_graph_only_for_the_loops(monkeypatch):
+    # The tree lift steps the forest the surface kept; the only walks of
+    # a fresh spatial basis are the loop cocycles' tree and cotree.
+    s = surface_of("grid", 4, 4)
+    walks, walk = [], surface_module._dual_forest
+    for module in (surface_module, maps):
+        monkeypatch.setattr(module, "_dual_forest",
+                            lambda *args: walks.append(1) or walk(*args))
+    build_exact_sequence(s).spatial_h2()
+    assert len(walks) == 2
+
+
 def test_spatial_basis_certificate_names_a_column_that_is_no_cycle(monkeypatch):
     # A lift that turns one face too far is no cycle.
-    def bent(surface, roots, rates):
-        nu = tree_lift(surface, roots, rates)
+    def bent(surface, rates):
+        nu = tree_lift(surface, rates)
         nu[-1] += 1e-3
         return nu
 
@@ -419,8 +457,8 @@ def test_spatial_basis_certificate_names_a_column_that_is_no_cycle(monkeypatch):
 def test_spatial_basis_certificate_names_a_dependent_column(monkeypatch):
     # A zero lift is a cycle, but it adds no motion.
     monkeypatch.setattr(maps, "_tree_lift",
-                        lambda surface, roots, rates: np.zeros((surface.num_faces, 6,
-                                                                rates.shape[1])))
+                        lambda surface, rates: np.zeros((surface.num_faces, 6,
+                                                         rates.shape[1])))
     seq = build_exact_sequence(surface_of("single_vertex", 4, 0.5))
     with pytest.raises(ExactnessViolation, match="^spatial basis column 6 depends"):
         seq.spatial_h2()
@@ -738,7 +776,7 @@ def test_spatial_basis_maps_to_truss_kernel_basis(any_surface):
     assert np.abs(image - eta_image(linkage, basis)).max() < 1e-12
 
 
-def test_spatial_to_truss_rejects_disagreeing_faces(rng):
+def test_spatial_to_truss_rejects_disagreeing_faces(monkeypatch, rng):
     # A random face vector is no cycle: incident faces move a shared
     # vertex differently, which the agreement check must catch even when
     # the cycle check is switched off.
@@ -746,8 +784,9 @@ def test_spatial_to_truss_rejects_disagreeing_faces(rng):
     seq = build_exact_sequence(s)
     linkage = stiffen(s)
     sol = spatial_solution(seq, rng.normal(size=6 * s.num_faces))
-    with pytest.raises(WellDefinednessViolation):
-        spatial_to_truss(seq, linkage, sol, cycle_tol=np.inf)
+    monkeypatch.setattr(maps, "CYCLE_TOL", np.inf)
+    with pytest.raises(WellDefinednessViolation, match=r"^vertex \d+ velocity differs across faces"):
+        spatial_to_truss(seq, linkage, sol)
 
 
 def test_truss_round_trip(rng, any_surface):
@@ -784,7 +823,7 @@ def test_truss_to_spatial_rejects_warping(rng):
         truss_to_spatial(seq, linkage, ModelSolution("truss", y, 0.0))
 
 
-def test_truss_to_spatial_names_the_face_that_fails_its_fit(rng):
+def test_truss_to_spatial_names_the_face_that_fails_its_fit(monkeypatch, rng):
     # Moving one apex off a rigid motion warps only its own face.  With
     # the bar check switched off, the fit gate must name that face.
     s = surface_of("grid", 2, 3)
@@ -793,12 +832,12 @@ def test_truss_to_spatial_names_the_face_that_fails_its_fit(rng):
     basis = seq.spatial_h2()
     y = spatial_to_truss(seq, linkage, spatial_solution(
         seq, basis @ rng.normal(size=basis.shape[1]))).coefficients
+    monkeypatch.setattr(maps, "CYCLE_TOL", np.inf)
     for f in (0, 3, s.num_faces - 1):
         bent = y.copy()
         bent.reshape(-1, 3)[s.num_vertices + f] += 0.1
         with pytest.raises(NonRigidMotion, match=f"^face {f} velocities "):
-            truss_to_spatial(seq, linkage, ModelSolution("truss", bent, 0.0),
-                             cycle_tol=np.inf)
+            truss_to_spatial(seq, linkage, ModelSolution("truss", bent, 0.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -835,10 +874,10 @@ def test_conversions_reject_non_finite_vectors(bad):
 def test_cached_conversion_data_matches_the_fresh_route(make):
     s = make()
     seq, linkage = build_exact_sequence(s), stiffen(s)
-    a, inverse = oracles.rigid_fit(linkage)
-    assert np.array_equal(linkage.fit_blocks, a)
+    _, inverse = oracles.rigid_fit(linkage)
     assert np.array_equal(linkage.fit_inverse, inverse)
     assert np.array_equal(linkage._first_corner, oracles.first_corner(linkage))
+    assert not linkage.corner_block[~linkage.live].any()
 
 
 @pytest.mark.parametrize("spec", [("grid", 4, 4), ("miura", 3, 4), ("single_vertex", 12)],
@@ -873,7 +912,7 @@ def test_conversions_after_the_first_decompose_nothing(monkeypatch, rng, spec):
     assert calls == []
 
 
-def test_a_replaced_linkage_fits_afresh(rng):
+def test_a_replaced_linkage_fits_afresh(monkeypatch, rng):
     s = surface_of("grid", 3, 3)
     seq, linkage = build_exact_sequence(s), stiffen(s)
     basis = seq.spatial_h2()
@@ -883,10 +922,10 @@ def test_a_replaced_linkage_fits_afresh(rng):
     # Doubling every corner block halves the fitted velocities.
     doubled = dataclasses.replace(linkage, corner_block=2 * linkage.corner_block)
     a, inverse = oracles.rigid_fit(doubled)
-    assert np.array_equal(doubled.fit_blocks, a)
+    assert np.array_equal(a, 2 * oracles.rigid_fit(linkage)[0])
     assert np.array_equal(doubled.fit_inverse, inverse)
-    assert np.array_equal(doubled.fit_blocks, 2 * linkage.fit_blocks)
-    back = truss_to_spatial(seq, doubled, truss, cycle_tol=np.inf)
+    monkeypatch.setattr(maps, "CYCLE_TOL", np.inf)
+    back = truss_to_spatial(seq, doubled, truss)
     assert np.abs(2 * back.coefficients - values).max() < 1e-9
 
 
@@ -984,9 +1023,20 @@ def test_single_hinge_chain_operator():
     assert np.abs(ops.d - expect).max() < 1e-13
 
 
+def rotated_chain(n, seed=5):
+    """A generated chain with its face list rotated so that its middle
+    face comes first: the chain then runs from base to tip against the
+    face order, each hinge's sign on the face after it is -1, and its
+    base is not the face that roots the tree lift."""
+    s = surface_of("chain", n, seed=seed)
+    k = s.num_faces // 2
+    return build_surface(s.vertices, list(s.faces[k:]) + list(s.faces[:k]))
+
+
 def test_chain_recurrence_matches_operator(rng):
-    for n in (2, 5, 40, 160):
-        s = surface_of("chain", n, seed=11)
+    chains = [surface_of("chain", n, seed=11) for n in (2, 5, 40, 160)]
+    for s in chains + [rotated_chain(n) for n in (3, 8, 40)]:
+        n = s.num_faces - 1
         ops = serial_chain_operators(s)
         rates = rng.normal(size=n)
         stepped = propagate_chain(ops, rates)
@@ -1005,8 +1055,9 @@ def test_chain_inverse_identities():
 
 
 def test_chain_left_inverse_is_connecting_map():
-    for n, seed in ((1, 0), (3, 5), (5, 9)):
-        s = surface_of("chain", n, seed=seed)
+    chains = [surface_of("chain", n, seed=seed) for n, seed in ((1, 0), (3, 5), (5, 9))]
+    for s in chains + [rotated_chain(n) for n in (3, 8, 40)]:
+        n = s.num_faces - 1
         ops = serial_chain_operators(s)
         theta, cycles = pinned_chain_connecting_matrix(s, ops)
         via_ops = ops.d_pinv @ cycles
@@ -1014,9 +1065,17 @@ def test_chain_left_inverse_is_connecting_map():
         assert np.abs(theta - via_ops).max() < 1e-9
 
 
+def test_rotated_chain_runs_against_its_face_order():
+    chain = chain_structure(rotated_chain(8))
+    assert chain.face_order[0] != 0
+    assert chain.hinge_sign == [-1] * 8
+    assert chain_structure(surface_of("chain", 8, seed=5)).hinge_sign == [1] * 8
+
+
 def test_pinned_chain_runs_the_sequence_checks(monkeypatch):
-    # The pinned sequence is built and verified like the free one, so a
-    # direct formula that disagrees with the connecting map is caught.
+    # The pinned chain is read off the free sequence, which is verified
+    # like any other, so a direct formula that disagrees with the
+    # connecting map is caught.
     s = surface_of("chain", 4, seed=2)
     ops = serial_chain_operators(s)
     direct = ExactSequence._theta_direct
@@ -1024,15 +1083,15 @@ def test_pinned_chain_runs_the_sequence_checks(monkeypatch):
         patch.setattr(ExactSequence, "_theta_direct", lambda seq: direct(seq) + 1e-6)
         with pytest.raises(ExactnessViolation, match="direct formula"):
             pinned_chain_connecting_matrix(s, ops)
-    # The pinned sequence is the only one certified, so its triad
-    # certificate must run: an axis scaled at one hinge is caught.
+    # Its triad certificate runs too: an axis scaled at one hinge is
+    # caught.
     hinge = ops.chain.hinge_order[0]
     triads = s.edge_triads.copy()
     triads[hinge, 0] *= 1 + 1e-6
     with pytest.raises(ExactnessViolation, match=rf"^sequence fails at cell \(1, {hinge}\)"):
         pinned_chain_connecting_matrix(dataclasses.replace(s, edge_triads=triads), ops)
-    # On the pinned sequence's reference maps, a quotient map that is off
-    # at the hinges, and a hinge embedding that is zero (natural, but not
+    # On the sequence's reference maps, a quotient map that is off at the
+    # hinges, and a hinge embedding that is zero (natural, but not
     # injective), are both caught.
     rigid, iota, pi = oracles.sequence_maps(pinned_chain_sequence(4, seed=2))
     skewed = CosheafMap(source=rigid.cosheaf, target=pi.target,
@@ -1047,10 +1106,10 @@ def test_pinned_chain_runs_the_sequence_checks(monkeypatch):
 
 
 def test_pinned_chain_checks_functoriality_on_the_free_models(monkeypatch):
-    # The pinned copies are not checked again: a pinned face only zeroes
-    # extensions.  Each free model is checked once, and a fault there
-    # still raises.  A chain has no interior vertex, so no triple carries
-    # a live extension; the fault is planted in the residual.
+    # Each free model is checked once, and nothing else is checked: no
+    # pinned copy is assembled.  A fault there still raises.  A chain has
+    # no interior vertex, so no triple carries a live extension; the
+    # fault is planted in the residual.
     s = surface_of("chain", 6, seed=4)
     ops = serial_chain_operators(s)
     residual, checked = cosheaf.Cosheaf.functoriality_residual, []
@@ -1068,26 +1127,18 @@ def test_pinned_chain_checks_functoriality_on_the_free_models(monkeypatch):
 
 
 def test_pinned_chain_verifies_one_sequence(monkeypatch):
-    # The free sequence is neither built nor certified: the two free
-    # models are built, then pinned, and one sequence is certified.
-    faces, built = [], []
-    verified = maps._verified_sequence
-
-    def recording(hinge, spatial):
-        faces.append(spatial.cosheaf.support[2])
-        return verified(hinge, spatial)
-
-    for name in ("build_hinge_model", "build_spatial_model"):
-        monkeypatch.setattr(maps, name, lambda surface, _name=name, _build=getattr(maps, name):
-                            built.append(_name) or _build(surface))
-    monkeypatch.setattr(maps, "_verified_sequence", recording)
-    monkeypatch.setattr(maps, "build_exact_sequence", None)
+    # Pinning is a quotient, so a serial check builds and certifies the
+    # free sequence alone, through build_exact_sequence, with every face
+    # free.
+    built, build = [], maps.build_exact_sequence
+    monkeypatch.setattr(maps, "build_exact_sequence",
+                        lambda surface: built.append(build(surface)) or built[-1])
     s = surface_of("chain", 6, seed=4)
     ops = serial_chain_operators(s)
-    pinned_chain_connecting_matrix(s, ops)
-    assert built == ["build_hinge_model", "build_spatial_model"]
-    assert len(faces) == 1
-    assert not faces[0][ops.chain.face_order[0]]
+    theta, cycles = pinned_chain_connecting_matrix(s, ops)
+    assert [seq.surface for seq in built] == [s]
+    assert built[0].spatial.cosheaf.support[2].all()
+    assert theta.shape == (6, 6) and cycles.shape == (36, 6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 40, 160])

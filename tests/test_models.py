@@ -307,7 +307,7 @@ def test_corner_velocities_read_each_point_off_its_first_corner(rng):
         at_corner, at_point = models.corner_velocities(x, values)
         first = oracles.first_corner(x)
         expect = np.zeros((x.num_points, 3, 3))
-        expect[x.corner_point[first]] = at_corner[first]
+        expect[x.group.ravel()[first]] = at_corner.reshape(-1, 3, 3)[first]
         assert np.array_equal(at_point, expect.reshape(-1, 3))
 
 

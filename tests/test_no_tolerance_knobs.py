@@ -3,9 +3,11 @@ check its own named bound; none of them is a parameter.  A new argument
 or field named ``tol`` or ``*_tol`` would let callers reach different
 verdicts on the same surface, so it must fail here.
 
-The one exception is the conversions' ``cycle_tol``: the benchmark reads
-``hinge_to_truss``'s default to check its conversions with it
-(``perfbench/workloads.py``), and ``test_benchmark_contract.py`` pins it."""
+The one exception is the hinge conversions' ``cycle_tol``: the benchmark
+reads ``hinge_to_truss``'s default to check its conversions with it
+(``perfbench/workloads.py``), ``test_benchmark_contract.py`` pins it,
+and ``hinge_to_truss`` forwards it to ``hinge_to_spatial``.  The
+spatial and truss conversions read ``maps.CYCLE_TOL``."""
 
 import dataclasses
 import inspect
@@ -27,7 +29,7 @@ def public_members(module):
 
 
 ALLOWED = {f"maps.{fn}(cycle_tol)" for fn in
-           ("hinge_to_spatial", "spatial_to_truss", "truss_to_spatial", "hinge_to_truss")}
+           ("hinge_to_spatial", "hinge_to_truss")}
 
 
 def is_knob(name):
