@@ -1,14 +1,14 @@
 """First-order rigid origami kinematics via cellular cosheaf homology.
 
 Build an oriented origami surface, assemble its hinge, spatial,
-rigid-body, and truss models as chain complexes, compute their homology
+rigid-body, and truss models (the first three as cosheaves, each its
+own chain complex), compute their homology
 numerically, and convert solutions between the models, including the
 loop-closure obstruction on non-simply-connected surfaces.
 """
 
 from .analysis import AnalysisReport, analyze_surface
 from .cosheaf import (
-    ChainComplex,
     Cosheaf,
     CosheafMap,
     assemble_chain_complex,

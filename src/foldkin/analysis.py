@@ -3,8 +3,8 @@ and structural checks, and summarize the result in a report that
 serializes deterministically.
 
 The checks mirror the structural facts the models must satisfy on any
-valid oriented surface: the rigid-body model keeps exactly the six
-global motions, its degree-1 homology carries six dimensions per
+valid oriented surface: the rigid-body model keeps exactly six global
+motions per component, its degree-1 homology carries six dimensions per
 independent surface loop, hinge solutions free of loop obstruction
 match spatial solutions up to global motion, and the truss kernel
 matches the spatial solution space dimension with full-rank transfer.
@@ -110,13 +110,13 @@ def analyze_surface(surface: OrigamiSurface) -> AnalysisReport:
     eta_ok = bool(eigs[0] >= GRAM_RELATIVE_FLOOR * max(eigs[-1], 1e-300))
 
     square_ok = base_square_vanishes(surface) and all(
-        cc.square_residual() <= COMPLEX_TOL for cc in (seq.hinge, seq.spatial))
+        model.square_residual() <= COMPLEX_TOL for model in (seq.hinge, seq.spatial))
 
     obstruction_free = dims["hinge_h1"] - ranks["loop_obstruction"]
     checks = {
         "rigid_global_motions_6": dims["rigid_h2"] == 6 * betti[0],
         "rigid_loops_6_per_class": dims["rigid_h1"] == 6 * betti[1],
-        "hinge_spatial_ledger": obstruction_free == dims["spatial_h2"] - 6,
+        "hinge_spatial_ledger": obstruction_free == dims["spatial_h2"] - dims["rigid_h2"],
         "truss_ledger": dims["truss_kernel"] == dims["spatial_h2"],
         "spatial_truss_transfer_full_rank": eta_ok,
         # Verified when the sequence was built, or building it raised.

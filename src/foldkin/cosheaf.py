@@ -2,9 +2,10 @@
 
 A cosheaf assigns a vector-space stalk to every cell of a surface and a
 linear extension map to every incidence, functorial under composition.
-Extension maps assemble with incidence signs into boundary matrices.
+Extension maps times incidence signs are its boundaries, so a
+:class:`Cosheaf` is its own chain complex.
 :func:`glued_cycles` finds ``ker d1`` from the stars of the vertices,
-glued patch by patch; the package runs it only on the hinge complex.
+glued patch by patch; the package runs it only on the hinge model.
 A cosheaf map is a stalk-wise family of matrices commuting with the
 extension maps.  Three generic routines are references that the tests
 compare with, and the package runs none of them: :func:`homology_basis`,
@@ -22,9 +23,10 @@ incidence kind (``ev``, ``fe``, ``fv``), parallel to the surface's
 incidence arrays, and the components of a cosheaf map as one stack per
 cell dimension; entries that touch an unsupported cell are zero.  The
 chain space of a dimension lists the stalks of its supported cells in
-index order.  Only this module knows that order; other modules reach
-chains through :meth:`Cosheaf.restrict` and the ``apply`` methods.  The
-models mask only constraint cells: every face carries its stalk.
+index order, the package's layout for every chain (six entries per face
+on the spatial model); :meth:`Cosheaf.restrict` picks the stalks over
+given cells.  The models mask only constraint cells: every face carries
+its stalk.
 
 Residual policy.  A check compares a matrix product with the value it
 should equal.  Its residual is the largest entry of the difference,
@@ -47,7 +49,7 @@ orthonormal columns span ``ker(boundary)`` intersected with the
 orthogonal complement of the incoming image.  A class's coordinates are
 ``basis.T @ chain`` and its cycle ``basis @ coords``.
 
-Boundaries and cosheaf maps stay blocks.  A :class:`ChainComplex` keeps
+Boundaries and cosheaf maps stay blocks.  A :class:`Cosheaf` keeps
 one signed block per incidence and applies its boundaries from them
 (:class:`IncidenceMap`); a :class:`CosheafMap` applies one block per
 cell.  The library forms no dense boundary; only the references do.
@@ -117,7 +119,7 @@ def _scatter(shape: tuple, rows: np.ndarray, cols: np.ndarray,
 
 @dataclass
 class Cosheaf:
-    """Stalk sizes, supports and stacked extension maps.
+    """A cosheaf and its chain complex: stalks, extensions, boundaries.
 
     ``stalk_sizes[d]`` is the stalk dimension on the supported cells of
     dimension ``d``, and ``support[d]`` a bool mask over those cells
@@ -125,7 +127,12 @@ class Cosheaf:
     ``(lower size, upper size)`` matrix per incidence of that kind, in
     the surface's order; one matrix stands for all incidences, and a
     missing kind for zeros.  Extensions touching an unsupported cell are
-    set to zero.
+    set to zero.  ``blocks`` stacks the incidence sign times the ``ev``
+    and ``fe`` extensions: the blocks of ``d1`` (edge chains to vertex
+    chains) and ``d2`` (face chains to edge chains), which :meth:`apply`
+    applies.  The dense ``d1`` and ``d2`` are formed on first read and
+    kept; only the references (:func:`homology_basis`, the tests) read
+    them.
     """
 
     surface: OrigamiSurface
@@ -150,9 +157,10 @@ class Cosheaf:
         self.extensions = exts
         # Rank of every cell among the supported cells of its dimension.
         self._rank = tuple(np.cumsum(mask) - 1 for mask in self.support)
+        self._maps = {}
 
-    def chain_dim(self, dim: int) -> int:
-        return self.stalk_sizes[dim] * int(np.count_nonzero(self.support[dim]))
+    def dim(self, degree: int) -> int:
+        return self.stalk_sizes[degree] * int(np.count_nonzero(self.support[degree]))
 
     def _coordinates(self, dim: int, cells) -> np.ndarray:
         """Chain-space coordinates of the stalks over supported ``cells``
@@ -177,6 +185,51 @@ class Cosheaf:
         ev, fe, fv = (self.extensions[kind][triples[:, i]]
                       for i, kind in enumerate(INCIDENCE_DIMS))
         return float(_relative_gap(ev @ fe, fv, _magnitude(ev) * _magnitude(fe)))
+
+    @cached_property
+    def blocks(self) -> dict[str, np.ndarray]:
+        return {kind: self.surface.incidences[kind].sign[:, None, None]
+                * self.extensions[kind] for kind in ("ev", "fe")}
+
+    def _map(self, degree: int) -> IncidenceMap:
+        if degree not in self._maps:
+            kind = ("ev", "fe")[degree - 1]
+            self._maps[degree] = IncidenceMap(kind, self.blocks[kind], self, self)
+        return self._maps[degree]
+
+    def apply(self, degree: int, chains) -> np.ndarray:
+        """Boundary of ``chains`` (degree 1 or 2): one chain, or one per
+        column."""
+        return self._map(degree).apply(chains)
+
+    @cached_property
+    def d1(self) -> np.ndarray:
+        return self._map(1).dense()
+
+    @cached_property
+    def d2(self) -> np.ndarray:
+        return self._map(2).dense()
+
+    def boundary(self, degree: int) -> np.ndarray:
+        """The dense ``d1`` or ``d2``."""
+        return getattr(self, f"d{degree}")
+
+    def square_residual(self) -> float:
+        """Relative magnitude of ``d1 @ d2``, read off the blocks over the
+        surface's vertex < edge < face triples.
+
+        Nothing sits outside a block, so every nonzero of the product
+        sits at a vertex of a face, and its block there is the sum, over
+        the triples through that face-vertex incidence, of the edge's two
+        blocks multiplied: that is the whole product.  The scale is the
+        largest block entry, or 1.0 if that is larger.
+        """
+        b1, b2 = self.blocks["ev"], self.blocks["fe"]
+        ev, fe, fv = self.surface.incidence_triples.T
+        product = np.zeros((len(self.surface.incidences["fv"].upper),
+                            b1.shape[1], b2.shape[2]))
+        np.add.at(product, fv, b1[ev] @ b2[fe])
+        return _magnitude(product) / max(_magnitude(b1), _magnitude(b2), 1.0)
 
 
 def constant_cosheaf(surface: OrigamiSurface, dim: int,
@@ -214,7 +267,7 @@ class IncidenceMap:
         up, lo = INCIDENCE_DIMS[kind]
         live, self.rows, self.cols = _live_coordinates(kind, lower, upper)
         self.blocks = blocks[live]
-        self.shape = (lower.chain_dim(lo), upper.chain_dim(up))
+        self.shape = (lower.dim(lo), upper.dim(up))
 
     def dense(self) -> np.ndarray:
         return _scatter(self.shape, self.rows, self.cols, self.blocks)
@@ -255,101 +308,30 @@ class IncidenceMap:
         return out
 
 
-class ChainComplex:
-    """Boundary maps of a cosheaf, kept as signed incidence blocks.
-
-    ``blocks[kind]`` stacks, for the ``ev`` and ``fe`` incidences in the
-    surface's order, the incidence sign times the extension map: the
-    block there of ``d1`` (edge chains to vertex chains) or of ``d2``
-    (face chains to edge chains).  Blocks at incidences that touch an
-    unsupported cell are zero, like the extensions.  :meth:`apply`
-    applies a boundary from the blocks.  The dense ``d1`` and ``d2`` are
-    views formed on first read and kept; only the reference routines
-    (:func:`homology_basis` and the tests) read them.
-    Assembled by :func:`assemble_chain_complex`, ``d1 @ d2`` vanishes to
-    :data:`COMPLEX_TOL` relative.
-    """
-
-    def __init__(self, cosheaf: Cosheaf):
-        self.cosheaf = cosheaf
-        self.blocks = {kind: cosheaf.surface.incidences[kind].sign[:, None, None]
-                       * cosheaf.extensions[kind] for kind in ("ev", "fe")}
-        self._maps = {}
-
-    def dim(self, degree: int) -> int:
-        return self.cosheaf.chain_dim(degree)
-
-    def _map(self, degree: int) -> IncidenceMap:
-        if degree not in self._maps:
-            kind = ("ev", "fe")[degree - 1]
-            self._maps[degree] = IncidenceMap(kind, self.blocks[kind],
-                                              self.cosheaf, self.cosheaf)
-        return self._maps[degree]
-
-    def apply(self, degree: int, chains) -> np.ndarray:
-        """Boundary of ``chains`` (degree 1 or 2): one chain, or one per
-        column."""
-        return self._map(degree).apply(chains)
-
-    @cached_property
-    def d1(self) -> np.ndarray:
-        return self._map(1).dense()
-
-    @cached_property
-    def d2(self) -> np.ndarray:
-        return self._map(2).dense()
-
-    def boundary(self, degree: int) -> np.ndarray:
-        if degree == 1:
-            return self.d1
-        if degree == 2:
-            return self.d2
-        return np.zeros((0, self.dim(0)))
-
-    def square_residual(self) -> float:
-        """Relative magnitude of ``d1 @ d2``, read off the blocks over the
-        surface's vertex < edge < face triples.
-
-        Nothing sits outside a block, so every nonzero of the product
-        sits at a vertex of a face, and its block there is the sum, over
-        the triples through that face-vertex incidence, of the edge's two
-        blocks multiplied: that is the whole product.  The scale is the
-        largest block entry, or 1.0 if that is larger.
-        """
-        b1, b2 = self.blocks["ev"], self.blocks["fe"]
-        surface = self.cosheaf.surface
-        ev, fe, fv = surface.incidence_triples.T
-        product = np.zeros((len(surface.incidences["fv"].upper),
-                            b1.shape[1], b2.shape[2]))
-        np.add.at(product, fv, b1[ev] @ b2[fe])
-        return _magnitude(product) / max(_magnitude(b1), _magnitude(b2), 1.0)
-
-
-def assemble_chain_complex(cosheaf: Cosheaf) -> ChainComplex:
-    """The chain complex of a cosheaf, its blocks the surface incidence
-    sign times the extension map.  Raises
+def assemble_chain_complex(cosheaf: Cosheaf) -> Cosheaf:
+    """``cosheaf``, checked to be a chain complex: raises
     :class:`FunctorialityViolation` when composed extensions disagree
-    with the direct ones.
-    """
+    with the direct ones.  Its boundary blocks are formed on first
+    apply."""
     residual = cosheaf.functoriality_residual()
     if residual > FUNCTORIALITY_TOL:
         raise FunctorialityViolation(
             f"worst relative composition residual {residual:.3e}")
-    return ChainComplex(cosheaf)
+    return cosheaf
 
 
-def cycle_residuals(cc: ChainComplex, chains: np.ndarray) -> np.ndarray:
+def cycle_residuals(cosheaf: Cosheaf, chains: np.ndarray) -> np.ndarray:
     """Relative residual of ``d2 @ chains``, one per column of face
     chains, under the module's policy (the largest entry of ``d2`` is
     its largest block entry): zero exactly on cycles."""
-    return _boundary_residuals(cc, 2, chains)
+    return _boundary_residuals(cosheaf, 2, chains)
 
 
-def _boundary_residuals(cc: ChainComplex, degree: int, chains: np.ndarray) -> np.ndarray:
-    image = cc.apply(degree, chains)
+def _boundary_residuals(cosheaf: Cosheaf, degree: int, chains: np.ndarray) -> np.ndarray:
+    image = cosheaf.apply(degree, chains)
     column = np.abs(chains).max(axis=0, initial=0.0)
     return _relative_gap(image, np.zeros_like(image),
-                         _magnitude(cc.blocks[("ev", "fe")[degree - 1]]) * column, axis=0)
+                         _magnitude(cosheaf.blocks[("ev", "fe")[degree - 1]]) * column, axis=0)
 
 
 # Patches of at most this many vertices are decomposed whole.  Chosen by
@@ -362,13 +344,13 @@ class _VertexStars:
     graph of vertices joined by edges with two live ends.  Vertices and
     edges are numbered by their rank among the supported ones."""
 
-    def __init__(self, cc: ChainComplex):
-        incidences = cc._map(1)
-        self.vertex_size, self.edge_size = cc.cosheaf.stalk_sizes[:2]
+    def __init__(self, cosheaf: Cosheaf):
+        incidences = cosheaf._map(1)
+        self.vertex_size, self.edge_size = cosheaf.stalk_sizes[:2]
         self.vertex = incidences.rows[:, 0] // self.vertex_size
         self.edge = incidences.cols[:, 0] // self.edge_size
         self.blocks = incidences.blocks
-        self.num_vertices = cc.dim(0) // self.vertex_size
+        self.num_vertices = cosheaf.dim(0) // self.vertex_size
 
     @cached_property
     def neighbours(self) -> list[list[int]]:
@@ -456,7 +438,7 @@ class _VertexStars:
         return self.glue(*map(self.kernel, self.halves(patch)))
 
 
-def glued_cycles(cc: ChainComplex) -> np.ndarray:
+def glued_cycles(cosheaf: Cosheaf) -> np.ndarray:
     """Orthonormal basis of ``ker d1``, glued from the stars of the
     vertices without forming ``d1``.
 
@@ -479,10 +461,10 @@ def glued_cycles(cc: ChainComplex) -> np.ndarray:
     :data:`COMPLEX_TOL` of the identity; either failure raises
     :class:`ExactnessViolation`.
     """
-    dim = cc.dim(1)
-    if not cc.dim(0) or not dim:
+    dim = cosheaf.dim(1)
+    if not cosheaf.dim(0) or not dim:
         return np.eye(dim)
-    stars = _VertexStars(cc)
+    stars = _VertexStars(cosheaf)
     edges, k = stars.kernel(np.arange(stars.num_vertices))
     free = np.ones(dim // stars.edge_size, dtype=bool)
     free[edges] = False
@@ -490,7 +472,7 @@ def glued_cycles(cc: ChainComplex) -> np.ndarray:
     basis = np.zeros((dim, k.shape[1] + len(free) * stars.edge_size))
     basis[stars.coordinates(edges), :k.shape[1]] = k
     basis[stars.coordinates(free), k.shape[1]:] = np.eye(len(free) * stars.edge_size)
-    residuals = _boundary_residuals(cc, 1, basis)
+    residuals = _boundary_residuals(cosheaf, 1, basis)
     if residuals.max(initial=0.0) > COMPLEX_TOL:
         worst = int(np.argmax(residuals))
         raise ExactnessViolation(f"glued column {worst} is not a cycle "
@@ -501,7 +483,7 @@ def glued_cycles(cc: ChainComplex) -> np.ndarray:
     return basis
 
 
-def homology_basis(cc: ChainComplex, degree: int) -> np.ndarray:
+def homology_basis(cosheaf: Cosheaf, degree: int) -> np.ndarray:
     """Harmonic orthonormal basis of homology in one degree.
 
     The basis spans ``ker(boundary_degree)`` intersected with the
@@ -511,10 +493,10 @@ def homology_basis(cc: ChainComplex, degree: int) -> np.ndarray:
     yields it.  Degree 2 is simply the kernel of the face boundary map.
     """
     if degree >= 2:
-        return nullspace(cc.d2)
+        return nullspace(cosheaf.d2)
     if degree == 1:
-        return nullspace(np.vstack([cc.d1, cc.d2.T]))
-    return nullspace(cc.d1.T)
+        return nullspace(np.vstack([cosheaf.d1, cosheaf.d2.T]))
+    return nullspace(cosheaf.d1.T)
 
 
 @dataclass
@@ -572,12 +554,12 @@ class CosheafMap:
         """:meth:`block_matrix` times ``chains`` (one chain, or one per
         column), one block product per cell."""
         chains = np.asarray(chains, dtype=float)
-        if len(chains) != self.source.chain_dim(degree):
+        if len(chains) != self.source.dim(degree):
             raise ShapeMismatch(f"chains have {len(chains)} rows, "
-                                f"want {self.source.chain_dim(degree)}")
+                                f"want {self.source.dim(degree)}")
         cells = self._live[degree]
         columns = chains.reshape(len(chains), int(np.prod(chains.shape[1:])))
-        out = np.zeros((self.target.chain_dim(degree), columns.shape[1]))
+        out = np.zeros((self.target.dim(degree), columns.shape[1]))
         out[self.target._coordinates(degree, cells)] = (
             self.components[degree][cells]
             @ columns[self.source._coordinates(degree, cells)])
@@ -587,7 +569,7 @@ class CosheafMap:
         """Map between chain spaces in one degree (block diagonal)."""
         cells = self._live[degree]
         return _scatter(
-            (self.target.chain_dim(degree), self.source.chain_dim(degree)),
+            (self.target.dim(degree), self.source.dim(degree)),
             self.target._coordinates(degree, cells),
             self.source._coordinates(degree, cells),
             self.components[degree][cells])
@@ -601,7 +583,7 @@ class CosheafMap:
         """
         cells = self._live[degree]
         return _scatter(
-            (self.source.chain_dim(degree), self.target.chain_dim(degree)),
+            (self.source.dim(degree), self.target.dim(degree)),
             self.source._coordinates(degree, cells),
             self.target._coordinates(degree, cells),
             pseudoinverse(self.components[degree][cells]))
@@ -665,13 +647,12 @@ def induced_map(phi: CosheafMap, degree: int, source_basis: np.ndarray,
 
 def connecting_map(iota: CosheafMap, pi: CosheafMap, degree: int,
                    source_basis: np.ndarray, target_basis: np.ndarray,
-                   middle_complex: ChainComplex,
                    lift_offsets: np.ndarray | None = None) -> np.ndarray:
     """Connecting homomorphism of a short exact sequence of cosheaves.
 
     All cycles of ``source_basis`` (quotient homology in ``degree``) at
     once: lift through ``pi`` by least squares, apply the boundary map
-    of ``middle_complex``, pull back through ``iota``, and project onto
+    of the middle cosheaf (``pi.source``), pull back through ``iota``, and project onto
     ``target_basis`` (harmonic sub-cosheaf homology one degree down).
     The result does not depend on the choice of lift; ``lift_offsets``
     (columns added to the lifts, one per basis cycle) exists to let
@@ -680,7 +661,7 @@ def connecting_map(iota: CosheafMap, pi: CosheafMap, degree: int,
     """
     pi_block = pi.block_matrix(degree)
     iota_block = iota.block_matrix(degree - 1)
-    boundary = middle_complex.boundary(degree)
+    boundary = pi.source.boundary(degree)
     cycles = source_basis
 
     def column_size(m):

@@ -54,6 +54,12 @@ def _require(cond, message):
         raise InvalidParams(message)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """Every shape checks its seed here before it draws from or records it."""
+    _require(seed >= 0, f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def chain(n: int, seed: int = 0, jitter: bool = True) -> FoldSubsetDocument:
     """Serial chain of ``n + 1`` triangular panels joined by ``n`` hinges.
 
@@ -64,7 +70,7 @@ def chain(n: int, seed: int = 0, jitter: bool = True) -> FoldSubsetDocument:
     zigzag.
     """
     _require(n >= 1, "chain needs n >= 1 panels")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     count = n + 3
     positions = np.zeros((count, 3))
     if jitter:
@@ -114,7 +120,7 @@ def single_vertex(degree: int, fold_angle: float = 0.5, seed: int = 0,
     """
     _require(degree >= 3, "single_vertex needs degree >= 3")
     _require(abs(fold_angle) < math.pi / 2, "fold_angle must be below pi/2")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     vertices = [np.zeros(3)]
     slope = math.tan(fold_angle)
     for i in range(degree):
@@ -142,7 +148,7 @@ def grid(rows: int, cols: int, seed: int = 0,
     quad planar; the configuration stays flat by design.
     """
     _require(rows >= 1 and cols >= 1, "grid needs rows, cols >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     vertices = []
     for j in range(rows + 1):
         for i in range(cols + 1):
@@ -159,7 +165,7 @@ def _polar_ring(shape, rows, cols, radii, heights, seed, jitter, params):
     """Shared builder for annulus and cylinder: rings of coplanar
     trapezoids around the z axis (per-ring radius and height keep each
     quad inside one plane)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     angles = np.array([2 * math.pi * i / cols for i in range(cols)])
     if jitter:
         angles = angles + rng.uniform(-0.2, 0.2, size=cols) * 2 * math.pi / cols
@@ -203,7 +209,7 @@ def torus(rows: int, cols: int, seed: int = 0,
           jitter: bool = True) -> FoldSubsetDocument:
     """Closed triangulated torus, ``cols`` major and ``rows`` minor steps."""
     _require(rows >= 3 and cols >= 3, "torus needs rows, cols >= 3")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     major, minor = 2.0, 0.8
     vertices = []
     for j in range(rows):
@@ -243,6 +249,7 @@ def miura(rows: int, cols: int, angle: float = 0.7, seed: int = 0,
     """
     _require(rows >= 1 and cols >= 1, "miura needs rows, cols >= 1")
     _require(0 < angle < math.pi / 2, "miura angle must lie in (0, pi/2)")
+    _rng(seed)  # draws nothing, but records the seed
     shear = 0.5 * math.tan(angle)
     height = 0.5 * math.sin(angle)
     vertices = []
@@ -284,8 +291,6 @@ def generate(shape: str, *args, seed: int = 0, jitter: bool = True,
     if shape not in _GENERATORS:
         raise InvalidParams(
             f"unknown shape {shape!r}; choose from {', '.join(shape_names())}")
-    if seed < 0:
-        raise InvalidParams(f"seed must be non-negative, got {seed}")
     fn, names = _GENERATORS[shape]
     if len(args) > len(names):
         raise InvalidParams(f"{shape} takes at most {len(names)} parameters")

@@ -3,7 +3,7 @@
 The hinge, rigid-body, and spatial cosheaves fit into a short exact
 sequence: hinge data embeds into full rigid-body data, and spatial data
 is the quotient.  Both maps are formulas, so an :class:`ExactSequence`
-holds only the hinge and spatial complexes and one triad certificate
+holds only the hinge and spatial models and one triad certificate
 (:func:`build_exact_sequence`).  Its connecting
 homomorphism turns spatial solutions into hinge solutions; the other
 way, a hinge solution whose loop obstruction vanishes is realised by
@@ -38,7 +38,7 @@ import numpy as np
 from .cosheaf import (
     COMPLEX_TOL,
     EXACTNESS_TOL,
-    ChainComplex,
+    Cosheaf,
     IncidenceMap,
     cycle_residuals,
     glued_cycles,
@@ -99,7 +99,7 @@ class ConversionReport:
 class ExactSequence:
     """Certified hinge -> rigid -> spatial sequence with cached homology.
 
-    ``hinge`` and ``spatial`` are the outer models' chain complexes; the
+    ``hinge`` and ``spatial`` are the outer models' cosheaves; the
     rigid middle term and its two maps are formulas, never built, and
     ``exactness_residual`` certified them (:func:`build_exact_sequence`).
     No whole complex is decomposed: hinge classes are glued from the
@@ -115,8 +115,8 @@ class ExactSequence:
     """
 
     surface: OrigamiSurface
-    hinge: ChainComplex
-    spatial: ChainComplex
+    hinge: Cosheaf
+    spatial: Cosheaf
     exactness_residual: float
     _cache: dict = field(default_factory=dict)
 
@@ -156,7 +156,7 @@ class ExactSequence:
         kernel = nullspace(self.loop_obstruction_matrix(), scale=1.0)
         classes = self.hinge_h1() @ kernel
         rates = np.zeros((self.surface.num_edges, classes.shape[1]))
-        rates[self.hinge.cosheaf.support[1]] = classes
+        rates[self.hinge.support[1]] = classes
         lifts = _tree_lift(self.surface, rates).reshape(self.spatial.dim(2), classes.shape[1])
         chains = np.hstack([self.rigid_h2(), lifts])
         residuals = cycle_residuals(self.spatial, chains)
@@ -196,7 +196,7 @@ class ExactSequence:
         cocycles vanish on every face boundary, and there is one cocycle
         per counted dimension of degree 1, the supported edges less
         ``r1 + r2``.  Each failure raises :class:`ExactnessViolation`."""
-        cells = self.spatial.cosheaf.support
+        cells = self.spatial.support
         r1, r2, cycles = constant_homology(self.surface, cells)
         loops = loop_cocycles(self.surface, cells)
         fe = self.surface.incidences["fe"]
@@ -282,7 +282,7 @@ class ExactSequence:
             fe = self.surface.incidences["fe"]
             blocks = np.zeros((len(fe.upper), 1, 6))
             blocks[:, 0, :3] = fe.sign[:, None] * self.surface.edge_triads[fe.lower, 0]
-            return IncidenceMap("fe", blocks, self.hinge.cosheaf, self.spatial.cosheaf)
+            return IncidenceMap("fe", blocks, self.hinge, self.spatial)
         return self._cached("axis_map", axis_map)
 
     def _theta(self) -> np.ndarray:
@@ -314,7 +314,7 @@ class ExactSequence:
         return self._cached("iota_star", self._loop_obstruction)
 
     def _loop_obstruction(self) -> np.ndarray:
-        lines = _hinge_lines(self.surface, self.spatial.cosheaf.support[1])
+        lines = _hinge_lines(self.surface, self.spatial.support[1])
         loops, classes = self.loop_cocycles(), self.hinge_h1()
         return np.einsum("ea,ei,ej->aij", loops, lines, classes).reshape(
             6 * loops.shape[1], classes.shape[1])
@@ -387,7 +387,7 @@ def build_exact_sequence(surface: OrigamiSurface) -> ExactSequence:
     are the tests' reference.
     """
     hinge, spatial = build_hinge_model(surface), build_spatial_model(surface)
-    edges = np.flatnonzero(hinge.cosheaf.support[1])
+    edges = np.flatnonzero(hinge.support[1])
     triads = surface.edge_triads[edges]
     gaps = np.abs(triads @ triads.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2), initial=0.0)
     residual = float(gaps.max(initial=0.0))
@@ -419,19 +419,19 @@ def _measured(model: str, values: np.ndarray, constraints,
 
 
 def hinge_solution(seq: ExactSequence, rates) -> ModelSolution:
-    rates = np.asarray(rates, dtype=float)
-    n = len(seq.surface.interior_edges())
-    if rates.shape != (n,):
-        raise NotACycle(f"expected {n} hinge rates, got shape {rates.shape}")
-    return _measured("hinge", rates, partial(seq.hinge.apply, 1))
+    return _solution("hinge", seq.hinge, 1, rates, "hinge rates")
 
 
 def spatial_solution(seq: ExactSequence, values) -> ModelSolution:
+    return _solution("spatial", seq.spatial, 2, values, "spatial values")
+
+
+def _solution(model: str, cosheaf: Cosheaf, degree: int, values, what: str) -> ModelSolution:
+    """``values`` as a chain of ``cosheaf`` in ``degree``, measured."""
     values = np.asarray(values, dtype=float)
-    n = 6 * seq.surface.num_faces
-    if values.shape != (n,):
-        raise NotACycle(f"expected {n} spatial values, got shape {values.shape}")
-    return _measured("spatial", values, partial(seq.spatial.apply, 2))
+    if values.shape != (cosheaf.dim(degree),):
+        raise NotACycle(f"expected {cosheaf.dim(degree)} {what}, got shape {values.shape}")
+    return _measured(model, values, partial(cosheaf.apply, degree))
 
 
 # --- hinge -> spatial ---
@@ -719,5 +719,5 @@ def pinned_chain_connecting_matrix(surface: OrigamiSurface,
     rates = seq.hinge_h1() @ seq.spatial_to_hinge_matrix()[:, motions:]
     cycles = _based(surface, seq.spatial_h2()[:, motions:].reshape(surface.num_faces, 6, -1),
                     chain.face_order[0])
-    return (seq.hinge.cosheaf.restrict(1, rates, chain.hinge_order),
+    return (seq.hinge.restrict(1, rates, chain.hinge_order),
             cycles[chain.face_order[1:]].reshape(-1, cycles.shape[2]))

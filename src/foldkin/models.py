@@ -10,10 +10,10 @@
 * truss model: three velocity components per vertex of the stiffened
   linkage, one length-preservation constraint per bar.
 
-Each of the first three is a cosheaf; its builder returns the assembled
-chain complex, which holds the cosheaf.  The boundary matrix is the
-model's constraint Jacobian and the relevant homology space is its
-solution set, built in ``maps.ExactSequence`` (which also fixes the
+Each of the first three is a cosheaf, which carries its own boundaries;
+its ``build_*_model`` checks functoriality and returns it.  A boundary
+is the model's constraint Jacobian and the relevant homology space is
+its solution set, built in ``maps.ExactSequence`` (which also fixes the
 frame of the rigid model's global motions).  Boundary (non-interior)
 edges and vertices carry zero stalks on the constraint side; faces
 always carry full stalks.
@@ -26,12 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cosheaf import (
-    ChainComplex,
-    Cosheaf,
-    assemble_chain_complex,
-    constant_cosheaf,
-)
+from .cosheaf import Cosheaf, assemble_chain_complex, constant_cosheaf
 from .errors import DegenerateFace, WellDefinednessViolation
 from .linalg import pseudoinverse, svd_rank
 from .spatial import axis_projection, point_velocity_blocks, transfer_matrix
@@ -52,7 +47,7 @@ def _transfers(surface: OrigamiSurface, kind: str) -> np.ndarray:
                            surface.cell_centroids(lo)[inc.lower])
 
 
-def build_hinge_model(surface: OrigamiSurface) -> ChainComplex:
+def build_hinge_model(surface: OrigamiSurface) -> Cosheaf:
     """Hinge cosheaf: R per interior edge, R^3 per interior vertex.
 
     The edge-to-vertex extension sends the unit rate to the hinge axis,
@@ -64,7 +59,7 @@ def build_hinge_model(surface: OrigamiSurface) -> ChainComplex:
         surface, (3, 1, 0), _constraint_support(surface), {"ev": axes[:, :, None]}))
 
 
-def build_spatial_model(surface: OrigamiSurface) -> ChainComplex:
+def build_spatial_model(surface: OrigamiSurface) -> Cosheaf:
     """Spatial cosheaf: R^6 per face, R^5 per interior edge, R^3 per
     interior vertex.
 
@@ -88,7 +83,7 @@ def build_spatial_model(surface: OrigamiSurface) -> ChainComplex:
         surface, (3, 5, 6), _constraint_support(surface), extensions))
 
 
-def build_rigid_model(surface: OrigamiSurface) -> ChainComplex:
+def build_rigid_model(surface: OrigamiSurface) -> Cosheaf:
     """Rigid-body cosheaf: R^6 on faces, interior edges, and interior
     vertices, with invertible transfer operators as extensions."""
     extensions = {kind: _transfers(surface, kind) for kind in INCIDENCE_DIMS}
@@ -96,7 +91,7 @@ def build_rigid_model(surface: OrigamiSurface) -> ChainComplex:
         surface, (6, 6, 6), _constraint_support(surface), extensions))
 
 
-def build_constant_model(surface: OrigamiSurface, dim: int) -> ChainComplex:
+def build_constant_model(surface: OrigamiSurface, dim: int) -> Cosheaf:
     """Constant cosheaf on all cells; its homology is ``dim`` copies of
     the base homology of the surface."""
     return assemble_chain_complex(constant_cosheaf(surface, dim))

@@ -93,8 +93,8 @@ def sequence_maps(seq):
     """The sequence's rigid middle term and its embedding and quotient
     maps, both validated: ``(rigid, iota, pi)``."""
     rigid = build_rigid_model(seq.surface)
-    return (rigid, _iota_map(seq.hinge.cosheaf, rigid.cosheaf).validate(),
-            _pi_map(rigid.cosheaf, seq.spatial.cosheaf).validate())
+    return (rigid, _iota_map(seq.hinge, rigid).validate(),
+            _pi_map(rigid, seq.spatial).validate())
 
 
 def hinge_h1(seq):
@@ -193,8 +193,8 @@ def loop_obstruction_matrix(seq):
 def theta(seq):
     """Connecting homomorphism by lift / boundary / restrict, spatial
     classes to hinge classes."""
-    rigid, iota, pi = sequence_maps(seq)
-    return connecting_map(iota, pi, 2, seq.spatial_h2(), seq.hinge_h1(), rigid)
+    _, iota, pi = sequence_maps(seq)
+    return connecting_map(iota, pi, 2, seq.spatial_h2(), seq.hinge_h1())
 
 
 def tree_lift(surface, roots, rates):
@@ -265,7 +265,7 @@ def square_residual(cc):
     at a time from the rows where that block of ``d2`` is nonzero."""
     if cc.d1.size == 0 or cc.d2.size == 0:
         return 0.0
-    n = cc.cosheaf.stalk_sizes[2]
+    n = cc.stalk_sizes[2]
     reach = cc.d2.reshape(len(cc.d2), -1, n).any(axis=2).T
     worst = max(np.abs(cc.d1[:, rows] @ cc.d2[rows, n * f:n * f + n]).max(initial=0.0)
                 for f, rows in enumerate(map(np.flatnonzero, reach)))
@@ -295,7 +295,7 @@ def base_homology(surface):
 def support_h(seq, degree):
     """Harmonic basis of the support complex in one degree."""
     support = assemble_chain_complex(
-        constant_cosheaf(seq.surface, 1, support=seq.spatial.cosheaf.support))
+        constant_cosheaf(seq.surface, 1, support=seq.spatial.support))
     return homology_basis(support, degree)
 
 
@@ -315,11 +315,11 @@ def constant_rigid_isomorphism(rigid):
     spatial velocity from the origin to the cell centroid.  The constant
     side is supported on the rigid model's cells, so every component is
     invertible."""
-    surface = rigid.cosheaf.surface
-    const = constant_cosheaf(surface, 6, support=rigid.cosheaf.support)
+    surface = rigid.surface
+    const = constant_cosheaf(surface, 6, support=rigid.support)
     comps = tuple(transfer_matrix(np.zeros(3), surface.cell_centroids(d))
                   for d in range(3))
-    return CosheafMap(source=const, target=rigid.cosheaf, components=comps).validate()
+    return CosheafMap(source=const, target=rigid, components=comps).validate()
 
 
 def identity_map(cosheaf):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from foldkin import (
-    ChainComplex,
+    Cosheaf,
     analyze_surface,
     build_exact_sequence,
     document_from_surface,
@@ -21,11 +21,12 @@ from foldkin import analysis, cosheaf, maps, models
 from foldkin.cosheaf import cycle_residuals
 from foldkin.errors import WellDefinednessViolation
 from foldkin.maps import _tree_lift
-from foldkin.surface import Incidences, base_square_vanishes
+from foldkin.surface import Incidences, base_square_vanishes, build_surface
 
 import oracles
 from conftest import (
     ORACLE_SURFACES,
+    disjoint_union,
     flipped_icosahedron,
     jessen,
     octahedron,
@@ -64,6 +65,30 @@ def test_report_without_hinges_keeps_only_global_motions(make, b2):
     assert report.betti == [1, 0, b2]
     assert report.dims == {"hinge_h1": 0, "rigid_h1": 0, "rigid_h2": 6,
                            "spatial_h2": 6, "truss_kernel": 6}
+
+
+def apart(*parts):
+    """The surfaces ``parts`` side by side, as one surface."""
+    return build_surface(*disjoint_union(*((p.vertices, p.faces) for p in parts)))
+
+
+@pytest.mark.parametrize("parts", [
+    lambda: (one_face(), one_face()),
+    lambda: (surface_of("grid", 2, 2), surface_of("grid", 2, 2, seed=1)),
+    lambda: (surface_of("torus", 3, 4), surface_of("grid", 2, 2)),
+    lambda: (surface_of("single_vertex", 6), surface_of("chain", 2)),
+], ids=["two_triangles", "two_grids", "torus_and_grid", "fan_and_chain"])
+def test_every_component_keeps_its_own_global_motions(parts):
+    # Each component moves rigidly on its own, so the spatial solutions
+    # hold six global motions per component; the hinge ledger counts
+    # them from the rigid model, not as one set of six.
+    parts = parts()
+    report = analyze_surface(apart(*parts))
+    assert report.betti[0] == 2
+    assert report.dims["rigid_h2"] == 12
+    alone = [analyze_surface(p).dims for p in parts]
+    assert report.dims == {k: sum(d[k] for d in alone) for k in report.dims}
+    assert report.all_ok
 
 
 def test_jessen_icosahedron_is_shaky():
@@ -138,16 +163,16 @@ def test_only_decomposed_complexes_form_dense_boundaries(monkeypatch, run):
     # from vertex stars and the support loops are counted by a
     # tree-cotree split, so no complex forms a dense d1 or d2.
     built = []
-    init = ChainComplex.__init__
+    init = Cosheaf.__post_init__
 
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def recording(self):
+        init(self)
         built.append(self)
 
-    monkeypatch.setattr(ChainComplex, "__init__", recording)
+    monkeypatch.setattr(Cosheaf, "__post_init__", recording)
     run()
     assert built
-    assert [cc.cosheaf.stalk_sizes for cc in built if {"d1", "d2"} & set(vars(cc))] == []
+    assert [c.stalk_sizes for c in built if {"d1", "d2"} & set(vars(c))] == []
 
 
 def _with_fe_signs(surface, sign):
@@ -242,7 +267,7 @@ def test_analysis_validates_no_map_and_builds_two_complexes(monkeypatch):
     # rigid model and its two maps are certified from the edge triads,
     # the global motions need no isomorphism and the support homology no
     # complex of its own; building the sequence decomposes nothing.
-    validate, init = cosheaf.CosheafMap.validate, cosheaf.ChainComplex.__init__
+    validate, init = cosheaf.CosheafMap.validate, cosheaf.Cosheaf.__post_init__
     svd, build = np.linalg.svd, maps.build_exact_sequence
     calls = []
 
@@ -250,9 +275,9 @@ def test_analysis_validates_no_map_and_builds_two_complexes(monkeypatch):
         calls.append("map")
         return validate(self)
 
-    def counting_init(self, *args, **kwargs):
+    def counting_init(self):
         calls.append("complex")
-        init(self, *args, **kwargs)
+        init(self)
 
     def counting_svd(*args, **kwargs):
         calls.append("svd")
@@ -265,7 +290,7 @@ def test_analysis_validates_no_map_and_builds_two_complexes(monkeypatch):
         return seq
 
     monkeypatch.setattr(cosheaf.CosheafMap, "validate", counting_validate)
-    monkeypatch.setattr(cosheaf.ChainComplex, "__init__", counting_init)
+    monkeypatch.setattr(cosheaf.Cosheaf, "__post_init__", counting_init)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(analysis, "build_exact_sequence", counting_build)
     for shape in [("grid", 3, 3), ("torus", 4, 4), ("annulus", 2, 8)]:

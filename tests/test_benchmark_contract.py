@@ -56,6 +56,20 @@ def test_analyze_large_sheets_match_the_recorded_reference(monkeypatch):
         assert report.to_json() == reference[label], label
 
 
+def test_one_pass_of_each_workload_checks_clean(monkeypatch):
+    # A pass reads attributes of the surface, the sequence, the linkage
+    # and the CLI's formatters that no other test names; the workload's
+    # own check must find nothing wrong.
+    monkeypatch.setitem(sys.modules, "spans", load_source("spans"))
+    workloads = load_source("workloads")
+    reference = json.loads((PERFBENCH / "reference" / "analyze_large.json")
+                           .read_text(encoding="utf-8"))
+    for workload in (workloads.AnalyzeLarge(0, reference), workloads.ConvertSmall(0)):
+        records = workload.run_pass()
+        assert records, workload.name
+        assert workload.check(records) == [None] * len(records), workload.name
+
+
 def test_hinge_to_truss_keeps_a_cycle_tol_default():
     # The benchmark reads the default to check conversions with it.
     param = inspect.signature(maps.hinge_to_truss).parameters["cycle_tol"]

@@ -37,6 +37,20 @@ def test_analyze_json_is_deterministic(tmp_path, capsys):
     assert payload["dims"]["rigid_h1"] == 12
 
 
+def test_analyze_passes_on_two_triangles_apart(tmp_path, capsys):
+    # Two components: twelve global motions, and every check passes.
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps({
+        "vertices_coords": [[0, 0, 0], [1, 0, 0], [0.3, 1, 0.2],
+                            [10, 0, 0], [11, 0, 0], [10.3, 1, 0.2]],
+        "faces_vertices": [[0, 1, 2], [3, 4, 5]],
+    }))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dims"]["rigid_h2"] == payload["dims"]["spatial_h2"] == 12
+    assert payload["all_ok"] is True
+
+
 def test_analyze_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from foldkin import (
-    ChainComplex,
     Cosheaf,
     CosheafMap,
     assemble_chain_complex,
@@ -40,6 +39,19 @@ from conftest import (
 )
 
 
+def test_a_model_is_its_own_chain_complex():
+    # Assembling checks functoriality and hands back the cosheaf itself,
+    # which applies its own boundaries.
+    s = two_panels()
+    for build in (build_hinge_model, build_rigid_model, build_spatial_model,
+                  lambda s: build_constant_model(s, 2)):
+        model = build(s)
+        assert type(model) is Cosheaf
+        assert assemble_chain_complex(model) is model
+    spatial = build_spatial_model(s)
+    assert np.array_equal(spatial.apply(2, np.eye(spatial.dim(2))), spatial.d2)
+
+
 def test_constant_boundary_is_signed_incidence():
     s = two_triangles()
     cc = assemble_chain_complex(constant_cosheaf(s, 1))
@@ -69,7 +81,7 @@ def test_functoriality_violation_detected():
     # The extensions grow with the coordinates, and so does the bump.
     for scale in (1.0, 1e4):
         s = scaled(surface_of("single_vertex", 4, 0.5), scale)
-        cosheaf = build_spatial_model(s).cosheaf
+        cosheaf = build_spatial_model(s)
         e = s.interior_edges()[0]
         f = s.edge_faces[e][0]
         fe = s.incidences["fe"]
@@ -158,7 +170,7 @@ def test_zero_iota_fails_injectivity():
     vertex, edge, face = iota.components
     edge = edge.copy()
     edge[e] = 0.0
-    broken = CosheafMap(source=seq.hinge.cosheaf, target=rigid.cosheaf,
+    broken = CosheafMap(source=seq.hinge, target=rigid,
                         components=(vertex, edge, face))
     # The broken edge fails with residual 1, the distance from the line
     # that pi kills to the zero image of iota.
@@ -178,8 +190,8 @@ def test_perturbed_pi_fails_exactness_with_matching_residual():
         vertex, edge, face = pi.components
         edge = edge.copy()
         edge[e, 0, :3] += 1e-3 * seq.surface.edge_triads[e, 0]
-        perturbed = CosheafMap(source=rigid.cosheaf,
-                               target=seq.spatial.cosheaf,
+        perturbed = CosheafMap(source=rigid,
+                               target=seq.spatial,
                                components=(vertex, edge, face))
         with pytest.raises(ExactnessViolation) as failed:
             verify_exact_sequence(iota, perturbed)
@@ -194,7 +206,7 @@ def test_perturbed_pi_fails_exactness_with_matching_residual():
 def test_induced_identity_is_identity():
     s = surface_of("grid", 2, 2)
     cc = build_spatial_model(s)
-    phi = oracles.identity_map(cc.cosheaf)
+    phi = oracles.identity_map(cc)
     basis = homology_basis(cc, 2)
     m = induced_map(phi, 2, source_basis=basis, target_basis=basis)
     assert np.abs(m - np.eye(basis.shape[1])).max() < 1e-12
@@ -263,17 +275,15 @@ def test_connecting_lift_independent(rng):
                     components=(prj, prj, prj)).validate()
     assert verify_exact_sequence(iota, pi) == 0.0
 
-    mid_cc = assemble_chain_complex(mid)
     quo_cc = assemble_chain_complex(quo)
     h2_quo = homology_basis(quo_cc, 2)
     h1_sub = homology_basis(assemble_chain_complex(sub), 1)
-    base = connecting_map(iota, pi, 2, h2_quo, h1_sub, mid_cc)
+    base = connecting_map(iota, pi, 2, h2_quo, h1_sub)
     pi_block_kernel = nullspace(pi.block_matrix(2))
     for _ in range(100):
         coeffs = rng.normal(size=(pi_block_kernel.shape[1], h2_quo.shape[1]))
         offsets = pi_block_kernel @ coeffs
-        shifted = connecting_map(iota, pi, 2, h2_quo, h1_sub, mid_cc,
-                                 lift_offsets=offsets)
+        shifted = connecting_map(iota, pi, 2, h2_quo, h1_sub, lift_offsets=offsets)
         assert np.abs(shifted - base).max() < 1e-9
 
 
@@ -289,7 +299,6 @@ def test_connecting_map_names_first_failing_cycle(rng):
     prj = np.hstack([np.zeros((3, 2)), np.eye(3)])
     iota = CosheafMap(source=sub, target=mid, components=(inc, inc, inc))
     quo_cc = assemble_chain_complex(quo)
-    mid_cc = assemble_chain_complex(mid)
     h1_sub = homology_basis(assemble_chain_complex(sub), 1)
     basis = np.zeros((3 * s.num_faces, 3))
     for j, coord in enumerate((0, 2, 1)):
@@ -301,7 +310,7 @@ def test_connecting_map_names_first_failing_cycle(rng):
     lossy[2] = 0.0
     pi = CosheafMap(source=mid, target=quo, components=(lossy, lossy, lossy))
     with pytest.raises(LiftFailure, match="cycle 1 "):
-        connecting_map(iota, pi, 2, basis, h1_sub, mid_cc)
+        connecting_map(iota, pi, 2, basis, h1_sub)
 
     # Iota misses the second middle coordinate, and only column 1's lift
     # has a boundary there.
@@ -312,7 +321,7 @@ def test_connecting_map_names_first_failing_cycle(rng):
     offsets = np.zeros((5 * s.num_faces, 3))
     offsets[1::5, 1] = rng.normal(size=s.num_faces)
     with pytest.raises(ExactnessViolation, match="lifted cycle 1 "):
-        connecting_map(iota, pi, 2, basis, h1_sub, mid_cc, lift_offsets=offsets)
+        connecting_map(iota, pi, 2, basis, h1_sub, lift_offsets=offsets)
 
 
 def face_masked(cosheaf, faces):
@@ -326,7 +335,7 @@ def face_masked(cosheaf, faces):
 def test_restrict_rejects_unsupported_cells():
     # A face outside the support has no stalk: its rows cannot be read,
     # whether it comes before or after the remaining face.
-    cosheaf = build_spatial_model(two_panels()).cosheaf
+    cosheaf = build_spatial_model(two_panels())
     chains = np.arange(6.0)[:, None]
     for pin, keep in ((0, 1), (1, 0)):
         pinned = face_masked(cosheaf, [pin])
@@ -348,7 +357,7 @@ def test_apply_matches_the_dense_product(make, rng):
     rigid, iota, pi = oracles.sequence_maps(seq)
     free = (seq.hinge, rigid, seq.spatial, build_constant_model(s, 1))
     cases = [(cc.apply, degree, cc.boundary(degree))
-             for cc in free + tuple(ChainComplex(face_masked(cc.cosheaf, [0])) for cc in free)
+             for cc in free + tuple(face_masked(cc, [0]) for cc in free)
              for degree in (1, 2)]
     cases += [(phi.apply, degree, phi.block_matrix(degree))
               for phi in (iota, pi, oracles.constant_rigid_isomorphism(rigid))
@@ -404,11 +413,10 @@ def test_square_residual_sees_one_flipped_block():
     # Flip the sign of one face-edge block in a copy of the cosheaf at a
     # time; wherever the edge meets an interior vertex, d1 @ d2 stops
     # vanishing.
-    cc = build_spatial_model(surface_of("grid", 3, 3))
-    cosheaf = cc.cosheaf
-    assert cc.square_residual() <= COMPLEX_TOL
+    cosheaf = build_spatial_model(surface_of("grid", 3, 3))
+    assert cosheaf.square_residual() <= COMPLEX_TOL
     fe, ev = (cosheaf.surface.incidences[kind] for kind in ("fe", "ev"))
-    touched = np.bincount(ev.upper, np.abs(cc.blocks["ev"]).sum(axis=(1, 2)),
+    touched = np.bincount(ev.upper, np.abs(cosheaf.blocks["ev"]).sum(axis=(1, 2)),
                           minlength=cosheaf.surface.num_edges) > 0
     flipped = 0
     for i in np.flatnonzero(touched[fe.lower]):
@@ -417,6 +425,6 @@ def test_square_residual_sees_one_flipped_block():
         extensions["fe"][i] *= -1
         copy = Cosheaf(cosheaf.surface, cosheaf.stalk_sizes, cosheaf.support,
                        extensions)
-        assert ChainComplex(copy).square_residual() > COMPLEX_TOL
+        assert copy.square_residual() > COMPLEX_TOL
         flipped += 1
     assert flipped >= 9

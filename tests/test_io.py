@@ -16,7 +16,7 @@ from foldkin import (
     shape_names,
     surface_from_document,
 )
-from foldkin import cli, fold_io
+from foldkin import cli, fold_io, generators
 from foldkin.errors import IndexOutOfRange, InvalidParams, ParseError
 from foldkin.models import stiffen, truss_kernel
 
@@ -380,6 +380,18 @@ def test_generator_determinism():
 def test_generator_invalid_params(shape, args):
     with pytest.raises(InvalidParams):
         generate(shape, *args)
+
+
+@pytest.mark.parametrize("jitter", [True, False], ids=["jitter", "no_jitter"])
+@pytest.mark.parametrize("shape,args", [
+    ("chain", (3,)), ("single_vertex", (4,)), ("grid", (2, 2)), ("annulus", (1, 4)),
+    ("cylinder", (1, 4)), ("torus", (3, 3)), ("miura", (2, 2)),
+])
+def test_every_shape_function_rejects_a_negative_seed(shape, args, jitter):
+    # Called directly, not through ``generate``; miura draws nothing from
+    # the seed but records it.
+    with pytest.raises(InvalidParams, match="^seed must be non-negative, got -1$"):
+        getattr(generators, shape)(*args, seed=-1, jitter=jitter)
 
 
 def test_generator_rejects_extra_params():

@@ -191,7 +191,7 @@ def test_counted_support_homology_matches_the_decomposition(make):
     assert loops.shape == harmonic.shape
     assert set(np.unique(loops)) <= {-1.0, 0.0, 1.0}
     _, d2 = oracles.signed_incidence_matrices(seq.surface)
-    vs, es, fs = oracles.sequence_maps(seq)[0].cosheaf.support
+    vs, es, fs = oracles.sequence_maps(seq)[0].support
     assert not (loops.T @ d2[es][:, fs]).any()
     assert svd_rank(loops.T @ harmonic) == loops.shape[1]
     assert seq.rigid_h1().shape == (6 * len(loops), 6 * loops.shape[1])
@@ -206,7 +206,7 @@ def test_global_motions_match_the_constant_rigid_isomorphism(make):
     # reference, bit for bit.
     seq = make()
     rigid = oracles.sequence_maps(seq)[0]
-    z2 = constant_homology(seq.surface, rigid.cosheaf.support)[2]
+    z2 = constant_homology(seq.surface, rigid.support)[2]
     got = seq.rigid_h2()
     phi = oracles.constant_rigid_isomorphism(rigid)
     want = np.linalg.qr(phi.apply(2, np.kron(z2, np.eye(6))))[0]
@@ -1094,12 +1094,12 @@ def test_pinned_chain_runs_the_sequence_checks(monkeypatch):
     # hinges, and a hinge embedding that is zero (natural, but not
     # injective), are both caught.
     rigid, iota, pi = oracles.sequence_maps(pinned_chain_sequence(4, seed=2))
-    skewed = CosheafMap(source=rigid.cosheaf, target=pi.target,
+    skewed = CosheafMap(source=rigid, target=pi.target,
                         components=(pi.components[0], pi.components[1] * (1 + 1e-6),
                                     pi.components[2]))
     with pytest.raises(NaturalityViolation, match="naturality residual"):
         skewed.validate()
-    zero = CosheafMap(source=iota.source, target=rigid.cosheaf,
+    zero = CosheafMap(source=iota.source, target=rigid,
                       components=(np.zeros((6, 3)), np.zeros((6, 1)), np.zeros((6, 0))))
     with pytest.raises(ExactnessViolation, match="^sequence fails at cell"):
         verify_exact_sequence(zero.validate(), pi)
@@ -1137,7 +1137,7 @@ def test_pinned_chain_verifies_one_sequence(monkeypatch):
     ops = serial_chain_operators(s)
     theta, cycles = pinned_chain_connecting_matrix(s, ops)
     assert [seq.surface for seq in built] == [s]
-    assert built[0].spatial.cosheaf.support[2].all()
+    assert built[0].spatial.support[2].all()
     assert theta.shape == (6, 6) and cycles.shape == (36, 6)
 
 

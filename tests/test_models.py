@@ -128,7 +128,7 @@ def test_rigid_torus_loop_dimensions():
 
 def test_rigid_extensions_invertible():
     s = two_panels()
-    cosheaf = build_rigid_model(s).cosheaf
+    cosheaf = build_rigid_model(s)
     for kind, (up, lo) in INCIDENCE_DIMS.items():
         inc = s.incidences[kind]
         live = cosheaf.support[up][inc.upper] & cosheaf.support[lo][inc.lower]
@@ -188,7 +188,7 @@ def test_constant_rigid_iso_natural_and_invertible():
         phi = oracles.constant_rigid_isomorphism(rigid)
         assert phi.naturality_residual() < 1e-12
         for d in range(3):
-            comps = phi.components[d][rigid.cosheaf.support[d]]
+            comps = phi.components[d][rigid.support[d]]
             assert np.abs(np.linalg.det(comps) - 1.0).max(initial=0.0) < 1e-12
         m = induced_map(phi, 2,
                         homology_basis(assemble_chain_complex(phi.source), 2),
