@@ -50,6 +50,7 @@ from .fold_io import (
     surface_from_document,
 )
 from .maps import (
+    ConversionReport,
     build_exact_sequence,
     hinge_solution,
     hinge_to_spatial,
@@ -140,6 +141,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    """Convert one solution vector.  Every direction fills the one payload
+    and exit code from a :class:`ConversionReport`; spatial -> truss gets
+    an unobstructed one with an empty obstruction."""
     surface = _load_surface(args.file)
     with open(args.input_solution, "rb") as handle:
         try:
@@ -154,46 +158,34 @@ def cmd_convert(args) -> int:
 
     if args.source == "hinge":
         sol = hinge_solution(seq, read_hinge_vector(surface, raw))
-        if args.to == "spatial":
-            report = hinge_to_spatial(seq, sol)
-        else:
-            report = hinge_to_truss(seq, linkage, sol)
-        obstruction = [float(x) for x in report.obstruction]
-        payload = {
-            "from": "hinge",
-            "to": args.to,
-            "obstructed": report.obstructed,
-            "obstruction": obstruction,
-            "residuals": {k: float(v) for k, v in report.residuals.items()},
-        }
-        out_solution = None
-        if args.to == "spatial" and report.spatial is not None:
-            out_solution = spatial_vector_dict(surface, report.spatial.coefficients)
-        if args.to == "truss" and report.truss is not None:
-            out_solution = truss_vector_dict(linkage, report.truss.coefficients)
-        payload["solution"] = out_solution
-        exit_code = EXIT_OK if not report.obstructed else EXIT_CHECK_FAILED
-    else:  # spatial source
-        if args.to != "truss":
-            raise InvalidParams("spatial solutions convert to truss only")
+        report = (hinge_to_spatial(seq, sol) if args.to == "spatial"
+                  else hinge_to_truss(seq, linkage, sol))
+    elif args.to != "truss":
+        raise InvalidParams("spatial solutions convert to truss only")
+    else:
         sol = spatial_solution(seq, read_spatial_vector(surface, raw))
         truss = spatial_to_truss(seq, linkage, sol)
-        payload = {
-            "from": "spatial",
-            "to": "truss",
-            "obstructed": False,
-            "obstruction": [],
-            "residuals": {"truss": float(truss.residual)},
-            "solution": truss_vector_dict(linkage, truss.coefficients),
-        }
-        exit_code = EXIT_OK
+        report = ConversionReport(obstruction=np.zeros(0), obstructed=False, truss=truss,
+                                  residuals={"truss": truss.residual})
 
+    result = report.spatial if args.to == "spatial" else report.truss
+    solution = None if result is None else (
+        spatial_vector_dict(surface, result.coefficients) if args.to == "spatial"
+        else truss_vector_dict(linkage, result.coefficients))
+    payload = {
+        "from": args.source,
+        "to": args.to,
+        "obstructed": report.obstructed,
+        "obstruction": [float(x) for x in report.obstruction],
+        "residuals": {k: float(v) for k, v in report.residuals.items()},
+        "solution": solution,
+    }
     text = canonical_json(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     print(text)
-    return exit_code
+    return EXIT_CHECK_FAILED if report.obstructed else EXIT_OK
 
 
 def cmd_gen(args) -> int:

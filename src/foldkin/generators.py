@@ -224,17 +224,9 @@ def torus(rows: int, cols: int, seed: int = 0,
             if jitter:
                 p = p + rng.uniform(-1, 1, size=3) * JITTER_SCALE
             vertices.append(p)
-
-    def vid(i, j):
-        return (j % rows) * cols + (i % cols)
-
-    faces = []
-    for j in range(rows):
-        for i in range(cols):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            faces.append([a, b, c])
-            faces.append([a, c, d])
+    # The last row's quads reach row ``rows``, which wraps onto row 0.
+    faces = [[v % (rows * cols) for v in t] for a, b, c, d in _quads(rows, cols, cols)
+             for t in ([a, b, c], [a, c, d])]
     return _document("torus", np.array(vertices), faces, seed,
                      {"rows": rows, "cols": cols, "jitter": jitter})
 

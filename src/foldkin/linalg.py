@@ -4,9 +4,10 @@ All rank decisions in the package go through this module, and all of
 them use one cutoff: a singular value counts as nonzero when it exceeds
 :data:`RANK_TOL` times the largest singular value of the same matrix.
 The cutoff is a constant, not a parameter, so every dimension, rank and
-verdict foldkin reports rests on the same decision.  Functions that
-accept a stack of matrices ``(..., m, n)`` apply the cutoff to each
-matrix of the stack on its own.
+verdict foldkin reports rests on the same decision.  :func:`nullspace`
+alone may anchor it at a known entry size, for the kernels of maps
+between orthonormal bases.  Functions that accept a stack of matrices
+``(..., m, n)`` apply the cutoff to each matrix of the stack on its own.
 """
 
 from __future__ import annotations
@@ -23,26 +24,19 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def _keep(s: np.ndarray, scale: float) -> np.ndarray:
+def _keep(s: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Mask of the singular values above ``RANK_TOL * max(largest, scale)``;
     ``s`` is sorted descending along its last axis."""
     return s > RANK_TOL * np.maximum(s[..., :1], scale)
 
 
-def svd_rank(a, *, scale: float = 0.0):
+def svd_rank(a):
     """Numerical rank with a relative singular-value cutoff, from the
-    singular values alone; a stack gives one rank per matrix.
-
-    ``scale`` optionally anchors the cutoff: singular values must exceed
-    ``RANK_TOL * max(largest, scale)``.  Pass the natural magnitude of a
-    meaningful entry (for maps between orthonormal bases, 1.0) so that a
-    matrix that should be zero, but carries rounding noise, reports rank
-    zero instead of spurious full rank.
-    """
+    singular values alone; a stack gives one rank per matrix."""
     a = _as_matrix(a)
     if a.size == 0:
         return 0
-    rank = _keep(np.linalg.svd(a, compute_uv=False), scale).sum(axis=-1)
+    rank = _keep(np.linalg.svd(a, compute_uv=False)).sum(axis=-1)
     return int(rank) if a.ndim == 2 else rank
 
 
@@ -50,6 +44,11 @@ def nullspace(a, *, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``a``.
 
     A matrix with zero rows has full kernel, so the identity is returned.
+    ``scale`` optionally anchors the cutoff: singular values must exceed
+    ``RANK_TOL * max(largest, scale)``.  Pass the natural magnitude of a
+    meaningful entry (for maps between orthonormal bases, 1.0) so that a
+    matrix that should be zero, but carries rounding noise, keeps its
+    full kernel instead of losing it to spurious rank.
     """
     a = _as_matrix(a)
     m, n = a.shape
@@ -79,17 +78,17 @@ def stacked_svd(a):
     past the kept ones span the kernel.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return u, _keep(s, 0.0), vh
+    return u, _keep(s), vh
 
 
-def pseudoinverse(a, *, scale: float = 0.0) -> np.ndarray:
+def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse under the shared cutoff policy; a
     stack ``(..., m, n)`` gives a stack ``(..., n, m)``."""
     a = _as_matrix(a)
     if a.size == 0:
         return np.zeros(a.shape[:-2] + (a.shape[-1], a.shape[-2]))
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = _keep(s, scale)
+    keep = _keep(s)
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (np.swapaxes(vh, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
 

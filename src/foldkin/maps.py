@@ -86,7 +86,8 @@ class ModelSolution:
 
 @dataclass
 class ConversionReport:
-    """Outcome of a hinge -> spatial (-> truss) conversion."""
+    """Outcome of a hinge -> spatial (-> truss) conversion; ``foldkin
+    convert`` wraps a spatial -> truss result in one, unobstructed."""
 
     obstruction: np.ndarray
     obstructed: bool

@@ -36,7 +36,12 @@ embedding and quotient maps validated on it and the generic stalk-wise
 verifier run on them, stands for the one triad certificate of the
 sequence.  The recursive
 formatter checks every value's type where canonical JSON joins a list
-of plain floats at once.  Tests compare the two.
+of plain floats at once.  The unit-anchored rank and pseudoinverse
+stand for the anchor that ``linalg.svd_rank`` and ``pseudoinverse`` no
+longer take, where the analysis reads the class maps' ranks off the
+loop obstruction's kernel.  Tests compare the two.  The exact hinge
+rank alone shares no code with foldkin: it reduces an integer matrix
+modulo two primes.
 """
 
 import json
@@ -146,7 +151,7 @@ def hinge_to_spatial_matrix(seq):
     """Pseudoinverse of the connecting map, hinge classes to the
     minimum-norm spatial classes mapping onto them; the cutoff is
     anchored at 1, the size of a map between orthonormal bases."""
-    return pseudoinverse(seq.spatial_to_hinge_matrix(), scale=1.0)
+    return unit_pinv(seq.spatial_to_hinge_matrix())
 
 
 def hinge_to_spatial(seq, rates):
@@ -299,9 +304,28 @@ def support_h(seq, degree):
     return homology_basis(support, degree)
 
 
+def _unit_svd(a):
+    """``u, s, keep, vh`` of ``a``, ``keep`` marking the singular values
+    above ``RANK_TOL * max(largest, 1)``: the cutoff anchored at 1, the
+    size of a meaningful entry of a map between orthonormal bases."""
+    u, s, vh = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
+    return u, s, s > RANK_TOL * max(s.max(initial=0.0), 1.0), vh
+
+
+def unit_rank(a):
+    """Rank of ``a`` under the cutoff anchored at 1."""
+    return int(_unit_svd(a)[2].sum())
+
+
+def unit_pinv(a):
+    """Pseudoinverse of ``a`` under the cutoff anchored at 1."""
+    u, s, keep, vh = _unit_svd(a)
+    return (vh[keep].T / s[keep]) @ u[:, keep].T
+
+
 def column_space(a, *, scale=0.0):
     """Orthonormal basis (columns) of the range of ``a`` under the
-    library's rank cutoff, anchored like ``linalg.svd_rank``."""
+    library's rank cutoff, anchored like ``linalg.nullspace``."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return np.zeros((a.shape[0], 0))
@@ -604,3 +628,68 @@ def canonical_json(value):
                         for k, v in items)
         return "{" + body + "}"
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+
+
+# --- exact ranks ---
+
+PRIMES = (2147483647, 2147483629)
+
+
+def exact_hinge_h1(surface):
+    """The exact dimension of the hinge solutions, from the surface's
+    stored vertices and face cycles alone; no foldkin code runs.
+
+    Every float is a dyadic rational, so one power of two scales the
+    coordinates to integers.  The hinge ``d1`` built from unnormalised
+    edge vectors is then an integer matrix: at each interior vertex, the
+    vector to the other end of each interior edge.  Scaling a column by
+    its edge's length keeps the rank of the unit-axis ``d1``.  Its rank
+    modulo a prime is never above the rank ``r`` over the rationals, and
+    equals it unless the prime divides every ``r x r`` minor; the larger
+    of the ranks modulo two 31-bit primes is taken.
+
+    The answer is exact for the stored floats, not for the shape they
+    were rounded from.  Rounded geometry can be exactly rigid where the
+    intended shape moves: on ``miura 3 4`` this gives 0 and foldkin 1.
+    Compare only on fixtures whose coordinates are exactly representable.
+    """
+    faces = [[int(v) for v in f] for f in surface.faces]
+    sides = {}
+    for f in faces:
+        for a, b in zip(f, f[1:] + f[:1]):
+            key = (min(a, b), max(a, b))
+            sides[key] = sides.get(key, 0) + 1
+    boundary = {v for edge, n in sides.items() if n == 1 for v in edge}
+    interior = sorted(edge for edge, n in sides.items() if n == 2)
+    vertices = sorted({v for f in faces for v in f} - boundary)
+    ratios = [[x.as_integer_ratio() for x in p] for p in surface.vertices.tolist()]
+    scale = max(d for p in ratios for _, d in p)
+    coords = [[n * (scale // d) for n, d in p] for p in ratios]
+    row = {v: 3 * k for k, v in enumerate(vertices)}
+    ranks = []
+    for p in PRIMES:
+        m = np.zeros((3 * len(vertices), len(interior)), dtype=np.int64)
+        for col, (a, b) in enumerate(interior):
+            for here, there in ((a, b), (b, a)):
+                if here in row:
+                    m[row[here]:row[here] + 3, col] = [
+                        (coords[there][i] - coords[here][i]) % p for i in range(3)]
+        ranks.append(_rank_mod(m, p))
+    return len(interior) - max(ranks)
+
+
+def _rank_mod(m, p):
+    """Rank of the int64 matrix ``m`` (entries in ``[0, p)``) over the
+    integers modulo the prime ``p``, by row reduction of ``m`` in place;
+    products of two entries stay below 2**62."""
+    rank = 0
+    for c in range(m.shape[1]):
+        rows = rank + np.flatnonzero(m[rank:, c])
+        if not rows.size:
+            continue
+        m[[rank, rows[0]]] = m[[rows[0], rank]]
+        m[rank, c:] = m[rank, c:] * pow(int(m[rank, c]), p - 2, p) % p
+        rows = rows[1:]
+        m[rows, c:] = (m[rows, c:] - np.outer(m[rows, c], m[rank, c:])) % p
+        rank += 1
+    return rank

@@ -1,7 +1,13 @@
 """Every rank decision uses the one cutoff ``linalg.RANK_TOL`` and every
 check its own named bound; none of them is a parameter.  A new argument
 or field named ``tol`` or ``*_tol`` would let callers reach different
-verdicts on the same surface, so it must fail here.
+verdicts on the same surface, so it must fail here.  So must one named
+``scale``, an anchor that moves the cutoff.
+
+``linalg.nullspace(scale)`` is allowed: the kernels of maps between
+orthonormal bases anchor their cutoff at 1, and its two library callers,
+``cosheaf._VertexStars.glue`` and ``maps.ExactSequence._spatial_h2``,
+pass exactly that.
 
 The one exception is the hinge conversions' ``cycle_tol``: the benchmark
 reads ``hinge_to_truss``'s default to check its conversions with it
@@ -29,11 +35,11 @@ def public_members(module):
 
 
 ALLOWED = {f"maps.{fn}(cycle_tol)" for fn in
-           ("hinge_to_spatial", "hinge_to_truss")}
+           ("hinge_to_spatial", "hinge_to_truss")} | {"linalg.nullspace(scale)"}
 
 
 def is_knob(name):
-    return name == "tol" or name.endswith("_tol")
+    return name in ("tol", "scale") or name.endswith("_tol")
 
 
 def tol_knobs(module):
@@ -61,10 +67,10 @@ def test_no_public_tol_parameter_or_field(module):
 
 
 def test_the_knob_guard_sees_every_spelling():
-    assert sorted(tol_knobs(maps)) == sorted(ALLOWED)
+    assert sorted(tol_knobs(maps) + tol_knobs(linalg)) == sorted(ALLOWED)
     fake = types.ModuleType("foldkin.fake")
 
-    def rank(a, tol=1e-9, *, gap_tol=0.1, tolerance=1.0, stol=2.0):
+    def rank(a, tol=1e-9, *, gap_tol=0.1, tolerance=1.0, stol=2.0, scale=0.0, scaled=0.0):
         return a
 
     @dataclasses.dataclass
@@ -79,7 +85,7 @@ def test_the_knob_guard_sees_every_spelling():
     fake.rank, fake.Check = rank, Check
     assert sorted(tol_knobs(fake)) == [
         "fake.Check(residual_tol)", "fake.Check(tol)", "fake.Check.passes(abs_tol)",
-        "fake.rank(gap_tol)", "fake.rank(tol)"]
+        "fake.rank(gap_tol)", "fake.rank(scale)", "fake.rank(tol)"]
 
 
 def test_rank_cutoff_is_one_constant():
